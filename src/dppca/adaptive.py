@@ -24,7 +24,7 @@ theta / epsilon_svt, each (epsilon_svt^2 / 2)-zCDP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,22 +48,14 @@ _ROW_NORM_SLACK = 1.0 + 1e-9
 class AdaptiveParams:
     """Configuration for one run of the adaptive iteration.
 
-    per_iter is the per-mechanism budget: every threshold search spends
-    per_iter.epsilon, every Gaussian step spends the full pair.  It comes
-    from `split_budget(total, 2 * iterations, accountant)`; under "zcdp" the
-    Gaussian step is calibrated as sigma = theta / per_iter.epsilon and
-    noise_variant must stay "alg_line9".
+    per_iter is the per-mechanism budget from `split_budget(total,
+    2 * iterations, accountant)` (see the module docstring).
     """
 
     iterations: int
     per_iter: PrivacyBudget
     beta: float = 0.05
-    normalize: bool = True
-    noise_variant: str = "alg_line9"
     noiseless: bool = False
-    grid_lo_exp: int = -40
-    grid_hi_exp: int = 1
-    svt: SvtConfig | None = None  # grid/scaling template; epsilon comes from per_iter
     accountant: str = "paper"
 
     def __post_init__(self) -> None:
@@ -71,14 +63,10 @@ class AdaptiveParams:
             raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.beta < 1.0:
             raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.noise_variant not in ("alg_line9", "proof"):
-            raise ParameterError(f"unknown noise variant {self.noise_variant!r}")
         if self.accountant not in ACCOUNTANTS:
             raise ParameterError(
                 f"accountant must be one of {ACCOUNTANTS}, got {self.accountant!r}"
             )
-        if self.accountant == "zcdp" and self.noise_variant != "alg_line9":
-            raise ParameterError("noise_variant applies to the paper accountant only")
 
 
 @dataclass
@@ -94,18 +82,6 @@ class IterationTrace:
     restarts: int = 0
     total_removed: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "removed": self.removed,
-            "noise_sigma": self.noise_sigma,
-            "x_norm_pre": self.x_norm_pre,
-            "x_norm_post": self.x_norm_post,
-            "queries_issued": self.queries_issued,
-            "restarts": self.restarts,
-            "total_removed": self.total_removed,
-        }
-
 
 def check_private_input(a: DenseMatrix) -> None:
     """Preconditions shared by all privacy-facing algorithms."""
@@ -116,8 +92,8 @@ def check_private_input(a: DenseMatrix) -> None:
     m = a.max_row_norm()
     if m > _ROW_NORM_SLACK:
         raise ContractViolationError(
-            f"max row norm {m:.6g} exceeds 1; rescale rows first "
-            "(the CLI offers --auto-scale)"
+            f"max row norm {m:.6g} exceeds 1; clip every row to norm <= 1 "
+            "first (dividing by the data's own largest norm is not private)"
         )
 
 
@@ -135,23 +111,10 @@ def run_adaptive_power(
     x = rng.standard_normal(a.d)
     trace = IterationTrace()
 
-    if params.svt is not None:
-        svt_cfg = replace(
-            params.svt,
-            epsilon=params.per_iter.epsilon,
-            beta=params.beta,
-            noiseless=params.noiseless,
-        )
-    else:
-        svt_cfg = SvtConfig(
-            epsilon=params.per_iter.epsilon,
-            beta=params.beta,
-            grid_lo_exp=params.grid_lo_exp,
-            grid_hi_exp=params.grid_hi_exp,
-            noiseless=params.noiseless,
-        )
-
-    variant = "zcdp" if params.accountant == "zcdp" else params.noise_variant
+    svt_cfg = SvtConfig(
+        epsilon=params.per_iter.epsilon, beta=params.beta, noiseless=params.noiseless
+    )
+    variant = "zcdp" if params.accountant == "zcdp" else "alg_line9"
     for _ in range(params.iterations):
         found = threshold_search(a, x, svt_cfg, rng)
         outcome = apply_filter(a, x, found.theta, found.queries_issued)
@@ -175,7 +138,7 @@ def run_adaptive_power(
             norm = float(np.linalg.norm(x_new))
             trace.restarts += 1
         trace.x_norm_post.append(norm)
-        x = x_new / norm if params.normalize else x_new
+        x = x_new / norm
 
     trace.total_removed = int(sum(trace.removed))
     final_norm = float(np.linalg.norm(x))
@@ -202,7 +165,7 @@ def corollary_iterations(
 
 @dataclass
 class SweepCandidate:
-    kappa_guess: float
+    kappa_guess: float | None  # None for restarts, which share one T
     iterations: int
     estimate: np.ndarray
     quality: float
@@ -215,6 +178,44 @@ class SweepResult:
     selected: int  # index into candidates
     candidates: list[SweepCandidate]
     selection_epsilon: float
+    run_budget: PrivacyBudget  # the (epsilon, delta) each candidate run spends
+
+
+def _best_of(
+    a: DenseMatrix,
+    total: PrivacyBudget,
+    rng: RngStream,
+    runs: list[tuple[float | None, int]],
+    beta: float,
+    noiseless: bool,
+) -> SweepResult:
+    """One adaptive run per (kappa guess, T) in `runs`, then a private pick.
+
+    Budget split: half the epsilon goes to the exponential-mechanism
+    selection; each of the R runs gets epsilon_total / (2R) and
+    delta_total / R, converted to a per-mechanism budget via invert_budget
+    over its own 2 T mechanisms.  Run r draws from rng.child(r) and the
+    selection from rng.child(R).  Selection quality is the captured
+    variance x^T A^T A x, whose row-level sensitivity is 1 for unit rows.
+    """
+    check_private_input(a)
+    count = len(runs)
+    run_budget = PrivacyBudget(total.epsilon / (2.0 * count), total.delta / count)
+    sel_eps = total.epsilon / 2.0
+    g = gram(a)
+
+    candidates: list[SweepCandidate] = []
+    for r, (kappa_r, t_r) in enumerate(runs):
+        per_iter = invert_budget(run_budget, 2 * t_r)
+        params = AdaptiveParams(t_r, per_iter, beta=beta, noiseless=noiseless)
+        x_r, trace_r = run_adaptive_power(a, params, rng.child(r))
+        quality = float(x_r @ (g @ x_r))
+        candidates.append(SweepCandidate(kappa_r, t_r, x_r, quality, trace_r))
+
+    qualities = np.array([c.quality for c in candidates])
+    winner = exp_mech_select(qualities, 1.0, sel_eps, rng.child(count))
+    estimate = candidates[winner].estimate
+    return SweepResult(estimate, winner, candidates, sel_eps, run_budget)
 
 
 def run_kappa_sweep(
@@ -225,51 +226,21 @@ def run_kappa_sweep(
     beta: float = 0.05,
     t_const: float = 1.0,
     noiseless: bool = False,
-    normalize: bool = True,
 ) -> SweepResult:
     """Run the iteration once per gap guess kappa_j = 2^-j and pick privately.
 
-    Budget split: half the epsilon goes to the exponential-mechanism
-    selection; each of the J runs gets epsilon_total / (2J) and
-    delta_total / J, converted to a per-mechanism budget via invert_budget
-    over its own 2 T_j mechanisms.  Selection quality is the captured
-    variance x^T A^T A x, whose row-level sensitivity is 1 for unit rows.
+    Run j uses the corollary iteration count for kappa_j; the budget split
+    and the selection are those of `_best_of`.
     """
     if num_guesses < 1:
         raise ParameterError(f"need at least one guess, got {num_guesses}")
-    check_private_input(a)
-
-    run_eps = total.epsilon / (2.0 * num_guesses)
-    run_delta = total.delta / num_guesses
-    sel_eps = total.epsilon / 2.0
-    g = gram(a)
-
-    candidates: list[SweepCandidate] = []
-    for j in range(num_guesses):
-        kappa_j = 2.0**-j
-        t_j = corollary_iterations(
-            a.n, beta, total.delta, total.epsilon, kappa_j, t_const
-        )
-        per_iter = invert_budget(PrivacyBudget(run_eps, run_delta), 2 * t_j)
-        params = AdaptiveParams(
-            iterations=t_j,
-            per_iter=per_iter,
-            beta=beta,
-            noiseless=noiseless,
-            normalize=normalize,
-        )
-        x_j, trace_j = run_adaptive_power(a, params, rng.child(j))
-        quality = float(x_j @ (g @ x_j))
-        candidates.append(SweepCandidate(kappa_j, t_j, x_j, quality, trace_j))
-
-    qualities = np.array([c.quality for c in candidates])
-    winner = exp_mech_select(qualities, 1.0, sel_eps, rng.child(num_guesses))
-    return SweepResult(
-        estimate=candidates[winner].estimate,
-        selected=winner,
-        candidates=candidates,
-        selection_epsilon=sel_eps,
-    )
+    runs = [
+        (kappa, corollary_iterations(
+            a.n, beta, total.delta, total.epsilon, kappa, t_const
+        ))
+        for kappa in (2.0**-j for j in range(num_guesses))
+    ]
+    return _best_of(a, total, rng, runs, beta, noiseless)
 
 
 def run_with_restarts(
@@ -280,34 +251,11 @@ def run_with_restarts(
     rng: RngStream,
     beta: float = 0.05,
     noiseless: bool = False,
-    normalize: bool = True,
-) -> tuple[np.ndarray, list[IterationTrace]]:
-    """Best-of-R runs, picked by captured variance via the exponential
-    mechanism (opt-in; the core guarantee does not rely on restarts).
-
-    Budget split mirrors the sweep: half the epsilon to selection, each
-    run gets epsilon_total / (2R) and delta_total / R.
+) -> SweepResult:
+    """Best-of-R runs of `iterations` steps each, picked by captured variance
+    via the exponential mechanism (opt-in; the core guarantee does not rely
+    on restarts).  Budget split and selection are those of `_best_of`.
     """
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    check_private_input(a)
-    g = gram(a)
-    run_budget = PrivacyBudget(total.epsilon / (2.0 * restarts), total.delta / restarts)
-    per_iter = invert_budget(run_budget, 2 * iterations)
-    estimates, traces, qualities = [], [], []
-    for r in range(restarts):
-        params = AdaptiveParams(
-            iterations=iterations,
-            per_iter=per_iter,
-            beta=beta,
-            noiseless=noiseless,
-            normalize=normalize,
-        )
-        x_r, tr = run_adaptive_power(a, params, rng.child(r))
-        estimates.append(x_r)
-        traces.append(tr)
-        qualities.append(float(x_r @ (g @ x_r)))
-    winner = exp_mech_select(
-        np.array(qualities), 1.0, total.epsilon / 2.0, rng.child(restarts)
-    )
-    return estimates[winner], traces
+    return _best_of(a, total, rng, [(None, iterations)] * restarts, beta, noiseless)

@@ -21,25 +21,11 @@ from .mech import (
 )
 
 
-def _sensitivity(neighbor: str) -> float:
-    """Row-level sensitivity of the Gram matrix under the neighbor relation.
-
-    add/remove-one-row: one rank-one term of Frobenius norm <= 1 changes.
-    swap-one-row: two such terms, doubling the sensitivity.
-    """
-    if neighbor == "add_remove":
-        return 1.0
-    if neighbor == "swap":
-        return 2.0
-    raise ParameterError(f"unknown neighbor relation {neighbor!r}")
-
-
 def analyze_gauss(
     a: DenseMatrix,
     budget: PrivacyBudget,
     rng: RngStream,
     noiseless: bool = False,
-    neighbor: str = "add_remove",
     accountant: str = "paper",
 ) -> np.ndarray:
     """Top eigenvector of A^T A + E with symmetric Gaussian perturbation.
@@ -58,7 +44,7 @@ def analyze_gauss(
     else:  # split_budget rejects an unknown accountant
         release, variant = split_budget(budget, 1, accountant), "zcdp"
     if not noiseless:
-        sigma = gaussian_sigma(_sensitivity(neighbor), release, variant)
+        sigma = gaussian_sigma(1.0, release, variant)
         d = a.d
         noise = sigma * rng.standard_normal((d, d))
         upper = np.triu(noise)
@@ -72,7 +58,6 @@ def noisy_power_naive(
     per_iter: PrivacyBudget,
     rng: RngStream,
     noiseless: bool = False,
-    neighbor: str = "add_remove",
 ) -> np.ndarray:
     """Power iteration with worst-case per-step Gaussian noise.
 
@@ -84,7 +69,7 @@ def noisy_power_naive(
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     check_private_input(a)
     g = gram(a)
-    sigma = 0.0 if noiseless else gaussian_sigma(_sensitivity(neighbor), per_iter)
+    sigma = 0.0 if noiseless else gaussian_sigma(1.0, per_iter)
     x = rng.standard_normal(a.d)
     for _ in range(iterations):
         x = g @ x + sample_gaussian_vec(a.d, sigma, rng)

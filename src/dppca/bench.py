@@ -30,6 +30,13 @@ Each cell names a generator and an algorithm:
                                           # "zcdp": adaptive / analyze-gauss only
     }
 
+Cells are checked when the config is built (a malformed one raises a
+ParameterError naming grid[i]); a trial that fails at run time becomes a
+record whose error column starts with the error's reason code.
+`build_instance` and `run_algorithm`, which `dppca gen` and `dppca run`
+also call, are the only places that map a generator kind or an algorithm
+name to code.
+
 Every (cell, trial) pair owns the RngStream (master_seed, cell_index *
 trials + trial), so records do not depend on scheduling; they are sorted
 by (cell id, trial) before writing.  Wall-clock times are recorded only
@@ -44,7 +51,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,27 +59,32 @@ import numpy as np
 from . import theory
 from .adaptive import (
     AdaptiveParams,
+    IterationTrace,
+    SweepResult,
     corollary_iterations,
     run_adaptive_power,
     run_kappa_sweep,
+    run_with_restarts,
 )
 from .baselines import analyze_gauss, noisy_power_naive
 from .datagen import (
     GaussSpec,
+    ScaledMatrix,
     gen_gaussian_iid,
     gen_high_coherence,
     gen_low_coherence,
     scale_for_privacy,
 )
-from .errors import (
-    BudgetError,
-    ContractViolationError,
-    DppcaError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import ContractViolationError, DppcaError, ParameterError
 from .matcore import DenseMatrix, rayleigh_ratio, sin_sq, spectrum_stats
-from .mech import ACCOUNTANTS, PrivacyBudget, RngStream, invert_budget, split_budget
+from .mech import (
+    ACCOUNTANTS,
+    PrivacyBudget,
+    RngStream,
+    compose,
+    invert_budget,
+    split_budget,
+)
 
 CSV_HEADER = (
     "cell,trial,algo,n,d,eps_total,delta_total,T,gen,sin2_emp,sin2_pop,"
@@ -80,7 +92,17 @@ CSV_HEADER = (
 )
 
 _ALGOS = ("adaptive", "adaptive-sweep", "analyze-gauss", "naive-power")
-_GEN_KINDS = ("gaussian", "low-coh", "high-coh")
+_ZCDP_ALGOS = ("adaptive", "analyze-gauss")  # the others have no zCDP split yet
+# Keys each kind of gen needs (a gaussian one without "spec" also needs
+# d, sigma1_sq and kappabar), and the numeric keys of cells and gens.
+_GEN_KEYS = {
+    "gaussian": ("n",),
+    "low-coh": ("n", "d", "sigma1_frac", "gap"),
+    "high-coh": ("n", "d"),
+}
+_INT_KEYS = ("n", "d", "spikes", "sweep_J")
+_FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
+               "eps_total", "delta_total", "beta", "kappa", "t_const")
 
 
 @dataclass
@@ -124,11 +146,17 @@ class ExperimentConfig:
         if not self.grid:
             raise ParameterError("grid must contain at least one cell")
         for i, cell in enumerate(self.grid):
-            _validate_cell(cell, i)
+            try:
+                _check_cell(cell)
+            except ParameterError as exc:
+                raise ParameterError(f"grid[{i}]: {exc}") from None
 
     @staticmethod
     def from_json(path: str | Path) -> "ExperimentConfig":
         doc = json.loads(Path(path).read_text())
+        missing = [k for k in ("master_seed", "trials", "grid") if k not in doc]
+        if missing:
+            raise ParameterError(f"{path}: config lacks {', '.join(missing)}")
         return ExperimentConfig(
             master_seed=doc["master_seed"],
             trials=doc["trials"],
@@ -139,95 +167,208 @@ class ExperimentConfig:
         )
 
 
-def _validate_cell(cell: dict, index: int) -> None:
-    where = f"grid[{index}]"
-    gen = cell.get("gen")
-    if not isinstance(gen, dict) or gen.get("kind") not in _GEN_KINDS:
-        raise ParameterError(f"{where}: gen.kind must be one of {_GEN_KINDS}")
+def _number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _check_numbers(doc: dict) -> None:
+    for key, value in doc.items():
+        if key in _INT_KEYS and not _number(value, int):
+            raise ParameterError(f"{key} must be an integer, got {value!r}")
+        if key in _FLOAT_KEYS and not _number(value):
+            raise ParameterError(f"{key} must be a number, got {value!r}")
+
+
+def _check_gen(gen) -> None:
+    """Raise ParameterError unless `gen` names a kind and carries its keys."""
+    if not isinstance(gen, dict) or gen.get("kind") not in _GEN_KEYS:
+        raise ParameterError(f"gen.kind must be one of {tuple(_GEN_KEYS)}")
+    need = _GEN_KEYS[gen["kind"]]
+    if gen["kind"] == "gaussian" and "spec" not in gen:
+        need += ("d", "sigma1_sq", "kappabar")
+    missing = [k for k in need if k not in gen]
+    if missing:
+        raise ParameterError(f"{gen['kind']} gen lacks {', '.join(missing)}")
+    _check_numbers(gen)
+    spec = gen.get("spec", [])
+    if not isinstance(spec, list) or not all(map(_number, spec)):
+        raise ParameterError(f"spec must be a list of numbers, got {spec!r}")
+
+
+def _check_cell(cell) -> None:
+    if not isinstance(cell, dict):
+        raise ParameterError("a cell must be a JSON object")
+    _check_gen(cell.get("gen"))
     algo = cell.get("algo")
     if algo not in _ALGOS:
-        raise ParameterError(f"{where}: algo must be one of {_ALGOS}")
-    # Budget fields validate eagerly; generator params validate at run time.
+        raise ParameterError(f"algo must be one of {_ALGOS}")
+    missing = [k for k in ("eps_total", "delta_total") if k not in cell]
+    if missing:
+        raise ParameterError(f"cell lacks {', '.join(missing)}")
+    _check_numbers(cell)
+    # Budget values validate here; generator values validate at run time.
     PrivacyBudget(cell["eps_total"], cell["delta_total"])
     beta = cell.get("beta", 0.05)
     if not 0.0 < beta < 1.0:
-        raise ParameterError(f"{where}: beta must lie in (0, 1), got {beta}")
+        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     accountant = cell.get("accountant", "paper")
     if accountant not in ACCOUNTANTS:
         raise ParameterError(
-            f"{where}: accountant must be one of {ACCOUNTANTS}, got {accountant!r}"
+            f"accountant must be one of {ACCOUNTANTS}, got {accountant!r}"
         )
-    if accountant == "zcdp" and algo not in ("adaptive", "analyze-gauss"):
+    if accountant == "zcdp" and algo not in _ZCDP_ALGOS:
         raise ParameterError(
-            f"{where}: accountant 'zcdp' is implemented for adaptive and "
-            "analyze-gauss only"
+            f"accountant 'zcdp' is implemented for {' and '.join(_ZCDP_ALGOS)} only"
         )
     if algo == "adaptive-sweep":
-        if int(cell.get("sweep_J", 0)) < 1:
-            raise ParameterError(f"{where}: adaptive-sweep needs sweep_J >= 1")
+        if cell.get("sweep_J", 0) < 1:
+            raise ParameterError("adaptive-sweep needs sweep_J >= 1")
     elif algo in ("adaptive", "naive-power"):
         t = cell.get("T")
         if t == "corollary":
-            if not 0.0 < float(cell.get("kappa", 0.0)) <= 1.0:
-                raise ParameterError(
-                    f"{where}: T='corollary' needs a kappa guess in (0, 1]"
-                )
-        elif not (isinstance(t, int) and t >= 1):
-            raise ParameterError(f"{where}: T must be an int >= 1 or 'corollary'")
+            if not 0.0 < cell.get("kappa", 0.0) <= 1.0:
+                raise ParameterError("T='corollary' needs a kappa guess in (0, 1]")
+        elif not (_number(t, int) and t >= 1):
+            raise ParameterError("T must be an int >= 1 or 'corollary'")
 
 
-def _build_instance(gen: dict, rng: RngStream, beta: float):
-    """Returns (DenseMatrix ready for private algorithms, vbar1 or None, clip_count)."""
+def build_instance(
+    gen: dict, rng: RngStream, beta: float
+) -> tuple[ScaledMatrix, np.ndarray | None]:
+    """Generate the instance a `gen` spec describes (see the module
+    docstring) with rows of norm <= 1; returns (scaled matrix, population
+    top direction vbar1 or None).  Gaussian rows go through
+    scale_for_privacy(beta); the other kinds come out unscaled (L = 1)."""
+    _check_gen(gen)
     kind = gen["kind"]
     if kind == "gaussian":
         if "spec" in gen:
-            spec = GaussSpec(tuple(gen["spec"]), rotate=gen.get("rotate", True))
+            spectrum = tuple(gen["spec"])
         else:
-            spec = GaussSpec(
-                GaussSpec.spiked(
-                    gen["d"], gen["sigma1_sq"], gen["kappabar"]
-                ).sigmabar_sq,
-                rotate=gen.get("rotate", True),
-            )
+            spiked = GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"])
+            spectrum = spiked.sigmabar_sq
+        spec = GaussSpec(spectrum, rotate=gen.get("rotate", True))
         raw, vbar1 = gen_gaussian_iid(gen["n"], spec, rng)
-        scaled = scale_for_privacy(raw, beta)
-        return scaled.matrix, vbar1, scaled.clip_count
+        return scale_for_privacy(raw, beta), vbar1
     if kind == "low-coh":
         a = gen_low_coherence(
             gen["n"], gen["d"], gen["sigma1_frac"], gen["gap"], rng,
             rotate=gen.get("rotate", True),
         )
-        return a, None, 0
-    a = gen_high_coherence(
-        gen["n"], gen["d"], rng,
-        spikes=gen.get("spikes", 4), noise_norm=gen.get("noise_norm", 0.05),
-    )
-    return a, None, 0
-
-
-def _cell_iterations(cell: dict, n: int) -> int:
-    t = cell.get("T")
-    if t == "corollary":
-        return corollary_iterations(
-            n,
-            cell.get("beta", 0.05),
-            cell["delta_total"],
-            cell["eps_total"],
-            float(cell["kappa"]),
-            float(cell.get("t_const", 1.0)),
+    else:
+        a = gen_high_coherence(
+            gen["n"], gen["d"], rng,
+            spikes=gen.get("spikes", 4), noise_norm=gen.get("noise_norm", 0.05),
         )
-    return int(t)
+    return ScaledMatrix(a, 1.0, 0), None
+
+
+@dataclass
+class RunResult:
+    """One run of a named algorithm."""
+
+    x_hat: np.ndarray
+    t: int  # iterations behind x_hat; 0 for the one-shot analyze-gauss
+    accounting: dict  # the budget split, as `dppca run` reports it
+    trace: IterationTrace | list[IterationTrace] | None = None
+    removed: int | None = None
+    kappa_guess: float | None = None  # adaptive-sweep: the selected guess
+    per_iter: PrivacyBudget | None = None  # paper-accounted adaptive: for bound_B
+
+
+def _per_mechanism(count: int, per_iter: PrivacyBudget) -> dict:
+    return {
+        "mechanisms": count,
+        "per_mechanism_epsilon": per_iter.epsilon,
+        "per_mechanism_delta": per_iter.delta,
+    }
+
+
+def _best_of_result(best: SweepResult, runs: dict, trace: object) -> RunResult:
+    chosen = best.candidates[best.selected]
+    accounting = {
+        **runs,
+        "selection_epsilon": best.selection_epsilon,
+        "per_run_epsilon": best.run_budget.epsilon,
+        "per_run_delta": best.run_budget.delta,
+    }
+    return RunResult(
+        best.estimate, chosen.iterations, accounting, trace,
+        chosen.trace.total_removed, chosen.kappa_guess,
+    )
+
+
+def run_algorithm(
+    algo: str,
+    a: DenseMatrix,
+    total: PrivacyBudget,
+    rng: RngStream,
+    *,
+    iterations: int | str | None = None,
+    kappa: float | None = None,
+    t_const: float = 1.0,
+    beta: float = 0.05,
+    sweep_j: int | None = None,
+    restarts: int = 1,
+    noiseless: bool = False,
+    accountant: str = "paper",
+) -> RunResult:
+    """Run `algo` (one of _ALGOS) on `a` under the total budget `total`.
+
+    iterations is T: an int, or "corollary" for the corollary rule at the
+    gap guess kappa scaled by t_const (adaptive and naive-power).  sweep_j
+    is the number of gap guesses of adaptive-sweep, which picks each run's T
+    itself.  restarts > 1 runs best-of-R adaptive runs.  A non-paper
+    accountant is implemented for adaptive and analyze-gauss only.
+    """
+    if algo not in _ALGOS:
+        raise ParameterError(f"algo must be one of {_ALGOS}, got {algo!r}")
+    if restarts > 1 and algo != "adaptive":
+        raise ParameterError(f"restarts apply to the adaptive algorithm, not {algo}")
+    if accountant != "paper" and algo not in _ZCDP_ALGOS:
+        raise ParameterError(f"accountant {accountant!r} is not implemented for {algo}")
+
+    if algo == "analyze-gauss":
+        x_hat = analyze_gauss(a, total, rng, noiseless=noiseless, accountant=accountant)
+        return RunResult(x_hat, 0, {"mechanisms": 1})
+    if algo == "adaptive-sweep":
+        best = run_kappa_sweep(a, total, rng, sweep_j, beta, t_const, noiseless)
+        trace = best.candidates[best.selected].trace
+        return _best_of_result(best, {"runs": sweep_j}, trace)
+    if iterations == "corollary":
+        t = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
+    else:
+        t = int(iterations)
+    if algo == "naive-power":
+        per_iter = invert_budget(total, t)
+        x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
+        return RunResult(x_hat, t, _per_mechanism(t, per_iter))
+    if restarts > 1:
+        best = run_with_restarts(a, total, t, restarts, rng, beta, noiseless)
+        traces = [c.trace for c in best.candidates]
+        return _best_of_result(best, {"restarts": restarts}, traces)
+
+    per_iter = split_budget(total, 2 * t, accountant)
+    params = AdaptiveParams(t, per_iter, beta, noiseless, accountant)
+    x_hat, trace = run_adaptive_power(a, params, rng)
+    accounting = _per_mechanism(2 * t, per_iter)
+    if accountant != "paper":  # bound_B and compose assume the paper's split
+        return RunResult(x_hat, t, accounting, trace, trace.total_removed)
+    composed = compose(per_iter, 2 * t)
+    accounting.update(composed_epsilon=composed.epsilon, composed_delta=composed.delta)
+    return RunResult(x_hat, t, accounting, trace, trace.total_removed, per_iter=per_iter)
 
 
 def _theory_b(
     a: DenseMatrix, stats, t: int, beta: float, per_iter: PrivacyBudget
 ) -> float | None:
-    if t < 2:
-        return None
+    """The bound B, or None where it is undefined (T < 2, no gap, ...)."""
     try:
         _, _, k = theory.constants_K(t, a.n, beta, per_iter.delta)
-        _, b = theory.bound_B(stats, per_iter.epsilon, t, k, a.d, a.n)
-        return b
+        return theory.bound_B(
+            stats.sigma1, stats.sigma2, stats.upsilon, per_iter.epsilon, t, k,
+            a.d, a.n,
+        )[1]
     except DppcaError:
         return None
 
@@ -235,16 +376,14 @@ def _theory_b(
 def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
     cell = cfg.grid[cell_idx]
     gen = cell["gen"]
-    algo = cell["algo"]
     beta = cell.get("beta", 0.05)
-    accountant = cell.get("accountant", "paper")
     total = PrivacyBudget(cell["eps_total"], cell["delta_total"])
     rec = ResultRecord(
         cell=str(cell.get("cell", cell_idx)),
         trial=trial,
-        algo=algo,
-        n=int(gen["n"]),
-        d=int(gen.get("d", len(gen.get("spec", [])))),
+        algo=cell["algo"],
+        n=gen["n"],
+        d=gen.get("d", len(gen.get("spec", []))),
         eps_total=total.epsilon,
         delta_total=total.delta,
         t=None,
@@ -253,52 +392,27 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
     stream = RngStream(cfg.master_seed, cell_idx * cfg.trials + trial)
     start = time.perf_counter()
     try:
-        a, vbar1, clipped = _build_instance(gen, stream, beta)
-        rec.n, rec.d, rec.clipped = a.n, a.d, clipped
+        scaled, vbar1 = build_instance(gen, stream, beta)
+        a = scaled.matrix
+        rec.n, rec.d, rec.clipped = a.n, a.d, scaled.clip_count
         stats = spectrum_stats(a)
+        run = run_algorithm(
+            cell["algo"], a, total, stream,
+            iterations=cell.get("T"), kappa=cell.get("kappa"),
+            t_const=cell.get("t_const", 1.0), beta=beta, sweep_j=cell.get("sweep_J"),
+            accountant=cell.get("accountant", "paper"),
+        )
+        rec.t, rec.removed = run.t, run.removed
+        if run.per_iter is not None:
+            rec.theory_b = _theory_b(a, stats, run.t, beta, run.per_iter)
 
-        if algo == "adaptive":
-            t = _cell_iterations(cell, a.n)
-            per_iter = split_budget(total, 2 * t, accountant)
-            params = AdaptiveParams(
-                iterations=t, per_iter=per_iter, beta=beta, accountant=accountant
-            )
-            x_hat, trace = run_adaptive_power(a, params, stream)
-            rec.t, rec.removed = t, trace.total_removed
-            if accountant == "paper":  # the bound assumes the paper's calibration
-                rec.theory_b = _theory_b(a, stats, t, beta, per_iter)
-        elif algo == "adaptive-sweep":
-            sweep = run_kappa_sweep(
-                a, total, stream,
-                num_guesses=int(cell["sweep_J"]), beta=beta,
-                t_const=float(cell.get("t_const", 1.0)),
-            )
-            x_hat = sweep.estimate
-            chosen = sweep.candidates[sweep.selected]
-            rec.t = chosen.iterations
-            rec.removed = chosen.trace.total_removed
-        elif algo == "analyze-gauss":
-            x_hat = analyze_gauss(a, total, stream, accountant=accountant)
-            rec.t = 0
-        else:  # naive-power
-            t = _cell_iterations(cell, a.n)
-            per_iter = invert_budget(total, t)
-            x_hat = noisy_power_naive(a, t, per_iter, stream)
-            rec.t = t
-
-        rec.sin2_emp = sin_sq(x_hat, stats.top_vector)
+        rec.sin2_emp = sin_sq(run.x_hat, stats.top_vector)
         if vbar1 is not None:
-            rec.sin2_pop = sin_sq(x_hat, vbar1)
-        rec.rayleigh = rayleigh_ratio(a, x_hat)
+            rec.sin2_pop = sin_sq(run.x_hat, vbar1)
+        rec.rayleigh = rayleigh_ratio(a, run.x_hat)
         rec.kappa, rec.upsilon, rec.u_inf = stats.kappa, stats.upsilon, stats.u_inf
-    except BudgetError as exc:
-        rec.error = f"budget_error:{exc}"
-    except ContractViolationError as exc:
-        rec.error = f"contract_violation:{exc}"
-    except ParameterError as exc:
-        rec.error = f"parameter_error:{exc}"
-    except NumericalError as exc:
-        rec.error = f"numerical_error:{exc}"
+    except DppcaError as exc:
+        rec.error = f"{exc.reason}:{exc}"
     if cfg.record_walltime:
         rec.wall_ms = (time.perf_counter() - start) * 1000.0
     return rec

@@ -7,27 +7,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, matio, theory
-from .adaptive import (
-    AdaptiveParams,
-    run_adaptive_power,
-    run_kappa_sweep,
-    run_with_restarts,
-)
-from .baselines import analyze_gauss, noisy_power_naive
-from .datagen import (
-    GaussSpec,
-    gen_gaussian_iid,
-    gen_high_coherence,
-    gen_low_coherence,
-    scale_for_privacy,
-)
+from .datagen import GaussSpec
 from .errors import DppcaError, ParameterError
-from .matcore import DenseMatrix, rayleigh_ratio, sin_sq, spectrum_stats
+from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import PrivacyBudget, RngStream, compose, invert_budget
 
 
@@ -39,31 +25,18 @@ def _parse_spec(raw: str) -> tuple[float, ...]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    rng = RngStream(args.seed)
+    gen = {
+        "kind": args.kind, "n": args.n, "d": args.d,
+        "spec": None if args.spec is None else list(_parse_spec(args.spec)),
+        "sigma1_frac": args.sigma1_frac, "gap": args.gap, "rotate": args.rotate,
+    }
+    gen = {k: v for k, v in gen.items() if v is not None}
+    scaled, vbar1 = bench.build_instance(gen, RngStream(args.seed), args.beta)
+    a = scaled.matrix
     meta: dict = {"kind": args.kind, "seed": args.seed}
-    if args.kind == "gaussian":
-        if args.spec is None:
-            raise ParameterError("--kind gaussian requires --spec s1,s2,...")
-        spec = GaussSpec(_parse_spec(args.spec), rotate=args.rotate)
-        raw, vbar1 = gen_gaussian_iid(args.n, spec, rng)
-        scaled = scale_for_privacy(raw, args.beta)
-        a = scaled.matrix
-        meta.update(
-            vbar1=list(vbar1),
-            spectrum=list(spec.sigmabar_sq),
-            L=scaled.scale,
-            clip_count=scaled.clip_count,
-        )
-    elif args.kind == "low-coh":
-        if args.sigma1_frac is None or args.gap is None:
-            raise ParameterError("--kind low-coh requires --sigma1-frac and --gap")
-        a = gen_low_coherence(
-            args.n, args.d, args.sigma1_frac, args.gap, rng, rotate=args.rotate
-        )
-    elif args.kind == "high-coh":
-        a = gen_high_coherence(args.n, args.d, rng)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ParameterError(f"unknown kind {args.kind}")
+    if vbar1 is not None:
+        meta.update(vbar1=list(vbar1), spectrum=gen["spec"], L=scaled.scale,
+                    clip_count=scaled.clip_count)
 
     stats = spectrum_stats(a)
     meta.update(
@@ -83,93 +56,28 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     a = matio.load_matrix(args.infile)
-    if args.auto_scale:
-        m = a.max_row_norm()
-        if m > 1.0:
-            a = DenseMatrix(a.data / m)
     total = PrivacyBudget(args.eps_total, args.delta_total)
-    rng = RngStream(args.seed)
+    if args.sweep is not None and args.algo != "adaptive":
+        raise ParameterError(f"--sweep needs --algo adaptive, not {args.algo}")
+    algo = args.algo if args.sweep is None else "adaptive-sweep"
+    run = bench.run_algorithm(
+        algo, a, total, RngStream(args.seed),
+        iterations=args.iterations, beta=args.beta, sweep_j=args.sweep,
+        restarts=args.restarts, noiseless=args.noiseless,
+    )
     out: dict = {
-        "algo": args.algo,
-        "n": a.n,
-        "d": a.d,
-        "eps_total": total.epsilon,
-        "delta_total": total.delta,
-        "seed": args.seed,
+        "algo": args.algo, "n": a.n, "d": a.d, "eps_total": total.epsilon,
+        "delta_total": total.delta, "seed": args.seed, "accounting": run.accounting,
     }
-    trace_doc = None
-
-    if args.sweep is not None:
-        sweep = run_kappa_sweep(
-            a, total, rng, num_guesses=args.sweep, beta=args.beta,
-            noiseless=args.noiseless,
-        )
-        x_hat = sweep.estimate
-        chosen = sweep.candidates[sweep.selected]
-        out["accounting"] = {
-            "selection_epsilon": sweep.selection_epsilon,
-            "runs": args.sweep,
-            "per_run_epsilon": total.epsilon / (2 * args.sweep),
-            "per_run_delta": total.delta / args.sweep,
-        }
-        out["selected_kappa_guess"] = chosen.kappa_guess
-        out["T"] = chosen.iterations
-        trace_doc = chosen.trace.as_dict()
-    elif args.algo == "adaptive" and args.restarts > 1:
-        x_hat, traces = run_with_restarts(
-            a, total, args.iterations, args.restarts, rng,
-            beta=args.beta, noiseless=args.noiseless,
-            normalize=not args.unnormalized,
-        )
-        out["T"] = args.iterations
-        out["accounting"] = {
-            "restarts": args.restarts,
-            "selection_epsilon": total.epsilon / 2,
-            "per_run_epsilon": total.epsilon / (2 * args.restarts),
-            "per_run_delta": total.delta / args.restarts,
-        }
-        trace_doc = [t.as_dict() for t in traces]
-    elif args.algo == "adaptive":
-        per_iter = invert_budget(total, 2 * args.iterations)
-        params = AdaptiveParams(
-            iterations=args.iterations,
-            per_iter=per_iter,
-            beta=args.beta,
-            normalize=not args.unnormalized,
-            noiseless=args.noiseless,
-        )
-        x_hat, trace = run_adaptive_power(a, params, rng)
-        composed = compose(per_iter, 2 * args.iterations)
-        out["T"] = args.iterations
-        out["accounting"] = {
-            "mechanisms": 2 * args.iterations,
-            "per_mechanism_epsilon": per_iter.epsilon,
-            "per_mechanism_delta": per_iter.delta,
-            "composed_epsilon": composed.epsilon,
-            "composed_delta": composed.delta,
-        }
-        trace_doc = trace.as_dict()
-    elif args.algo == "analyze-gauss":
-        x_hat = analyze_gauss(a, total, rng, noiseless=args.noiseless)
-        out["accounting"] = {"mechanisms": 1}
-    elif args.algo == "naive-power":
-        per_iter = invert_budget(total, args.iterations)
-        x_hat = noisy_power_naive(
-            a, args.iterations, per_iter, rng, noiseless=args.noiseless
-        )
-        out["T"] = args.iterations
-        out["accounting"] = {
-            "mechanisms": args.iterations,
-            "per_mechanism_epsilon": per_iter.epsilon,
-            "per_mechanism_delta": per_iter.delta,
-        }
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown algo {args.algo}")
+    if run.kappa_guess is not None:
+        out["selected_kappa_guess"] = run.kappa_guess
+    if run.t:  # analyze-gauss is one-shot and reports no T
+        out["T"] = run.t
 
     stats = spectrum_stats(a)
-    out["x_hat"] = list(x_hat)
-    out["sin2_vs_v1"] = sin_sq(x_hat, stats.top_vector)
-    out["rayleigh_ratio"] = rayleigh_ratio(a, x_hat)
+    out["x_hat"] = list(run.x_hat)
+    out["sin2_vs_v1"] = sin_sq(run.x_hat, stats.top_vector)
+    out["rayleigh_ratio"] = rayleigh_ratio(a, run.x_hat)
 
     doc = json.dumps(out, indent=2) + "\n"
     if args.out:
@@ -177,8 +85,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"sin2_vs_v1={out['sin2_vs_v1']:.6g} -> {args.out}")
     else:
         print(doc, end="")
-    if args.trace and trace_doc is not None:
-        Path(args.trace).write_text(json.dumps(trace_doc, indent=2) + "\n")
+    if args.trace and run.trace is not None:
+        trace_doc = json.dumps(run.trace, indent=2, default=asdict)
+        Path(args.trace).write_text(trace_doc + "\n")
     return 0
 
 
@@ -253,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--restarts", type=int, default=1,
                    help="best-of-R adaptive runs selected privately")
     r.add_argument("--noiseless", action="store_true")
-    r.add_argument("--unnormalized", action="store_true")
-    r.add_argument("--auto-scale", action="store_true", dest="auto_scale")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out")
     r.add_argument("--trace")

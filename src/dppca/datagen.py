@@ -75,16 +75,10 @@ class GaussSpec:
         return GaussSpec(tuple(vals))
 
 
-def random_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed orthogonal matrix: QR with sign-fixed diagonal."""
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
-
-
-def _haar_columns(n: int, d: int, rng: RngStream) -> np.ndarray:
-    """First d columns of a Haar orthogonal n x n matrix (n x d, orthonormal)."""
-    g = rng.standard_normal((n, d))
+def random_orthogonal(n: int, rng: RngStream, cols: int | None = None) -> np.ndarray:
+    """First `cols` (default n) columns of a Haar-distributed orthogonal
+    n x n matrix: QR with sign-fixed diagonal."""
+    g = rng.standard_normal((n, n if cols is None else cols))
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))
 
@@ -114,7 +108,7 @@ class ScaledMatrix:
     clip_count: int
 
 
-def scale_for_privacy(a: DenseMatrix, beta: float, n_ref: int | None = None) -> ScaledMatrix:
+def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
     """Divide rows by L = 1 + sqrt(2 ln(n/beta)); clip survivors above norm 1.
 
     For trace-1 Gaussian rows, a row exceeds L (hence gets clipped) with
@@ -123,8 +117,7 @@ def scale_for_privacy(a: DenseMatrix, beta: float, n_ref: int | None = None) -> 
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    n = n_ref if n_ref is not None else a.n
-    el = 1.0 + math.sqrt(2.0 * math.log(n / beta))
+    el = 1.0 + math.sqrt(2.0 * math.log(a.n / beta))
     data = a.data / el
     norms = np.sqrt(np.einsum("ij,ij->i", data, data))
     over = norms > 1.0
@@ -169,7 +162,7 @@ def gen_low_coherence(
     sigma = np.sqrt(sq)
 
     if rotate:
-        left = _haar_columns(n, d, rng)
+        left = random_orthogonal(n, rng, d)
         right = random_orthogonal(d, rng)
     else:
         left = np.zeros((n, d))

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     NumericalError,
-    ParameterError,
     RankZeroError,
     SizingError,
 )
@@ -305,18 +304,6 @@ def sin_sq(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(0.0, val))
 
 
-def sin_sq_many(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized sin_sq over matching rows of two (m, d) arrays."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    nx = np.einsum("ij,ij->i", xs, xs)
-    ny = np.einsum("ij,ij->i", ys, ys)
-    if (nx == 0.0).any() or (ny == 0.0).any():
-        raise ContractViolationError("sin_sq of a zero vector")
-    c = np.einsum("ij,ij->i", xs, ys)
-    return np.clip(1.0 - (c * c) / (nx * ny), 0.0, 1.0)
-
-
 def rayleigh_ratio(a: DenseMatrix, x: np.ndarray) -> float:
     """x^T A^T A x / (sigma1^2 ||x||^2): captured variance relative to the top."""
     x = np.asarray(x, dtype=np.float64)
@@ -330,11 +317,3 @@ def rayleigh_ratio(a: DenseMatrix, x: np.ndarray) -> float:
         raise RankZeroError("rayleigh_ratio against an all-zero matrix")
     return num / (s1sq * nx)
 
-
-def scale_rows(a: DenseMatrix, factor: float) -> DenseMatrix:
-    """Multiply every row by a positive finite scalar."""
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise ParameterError(
-            f"scale factor must be positive and finite, got {factor}"
-        )
-    return DenseMatrix(a.data * factor)

@@ -30,13 +30,6 @@ _CHILD_MIX = 0x9E3779B97F4A7C15  # odd multiplier for child stream ids
 ACCOUNTANTS = ("paper", "zcdp")
 
 
-def _check_budget_fields(epsilon: float, delta: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise BudgetError(f"epsilon must be positive and finite, got {epsilon}")
-    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
-        raise BudgetError(f"delta must lie in (0, 1), got {delta}")
-
-
 @dataclass(frozen=True)
 class PrivacyBudget:
     """An (epsilon, delta) pair; both strictly positive, delta < 1."""
@@ -45,7 +38,11 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self) -> None:
-        _check_budget_fields(self.epsilon, self.delta)
+        eps, delta = self.epsilon, self.delta
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise BudgetError(f"epsilon must be positive and finite, got {eps}")
+        if not (math.isfinite(delta) and 0.0 < delta < 1.0):
+            raise BudgetError(f"delta must lie in (0, 1), got {delta}")
 
 
 @dataclass
@@ -88,10 +85,6 @@ class RngStream:
         u[u == 0.0] = tiny
         return u
 
-    def integers(self, high: int) -> int:
-        self.counter += 1
-        return int(self._gen.integers(high))
-
 
 def sample_laplace(scale: float, rng: RngStream, size: int | None = None):
     """Laplace(0, scale) via the inverse CDF applied to uniform(0,1) draws.
@@ -118,7 +111,6 @@ def gaussian_sigma(
     """Gaussian-mechanism noise scale for a given L2 sensitivity.
 
     variant "alg_line9": sigma = k * sqrt(2 ln(2/delta)) / epsilon
-    variant "proof":     sigma = 2k * sqrt(ln(2/delta)) / epsilon
     variant "zcdp":      sigma = k / epsilon, an (epsilon^2 / 2)-zCDP release
                          (delta is not used)
     """
@@ -126,11 +118,9 @@ def gaussian_sigma(
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
     if variant == "zcdp":
         return sensitivity / budget.epsilon
-    root = math.sqrt(math.log(2.0 / budget.delta))
     if variant == "alg_line9":
+        root = math.sqrt(math.log(2.0 / budget.delta))
         return sensitivity * math.sqrt(2.0) * root / budget.epsilon
-    if variant == "proof":
-        return 2.0 * sensitivity * root / budget.epsilon
     raise ParameterError(f"unknown gaussian variant {variant!r}")
 
 

@@ -4,16 +4,14 @@ Each iteration of the adaptive method asks: what is the smallest threshold
 theta such that (almost) all rows satisfy ||a_i|| * |<a_i, x>| <= theta?
 The search walks a geometric grid of candidate thresholds and fires on the
 first noisy count that clears a noisy bar slightly below n.  Candidates
-are scaled by ||x||: theta_k = 2^k * ||x|| keeps the grid meaningful
-whether or not the iterate is normalized, and the scaling is data-free so
-it costs no privacy.  An absolute grid (theta_k = 2^k) is available for
-small instances where the scale of x is pinned down externally.
+are scaled by ||x||: theta_k = 2^k * ||x|| keeps the grid independent of
+the iterate's scale, and the scaling is data-free so it costs no privacy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +28,6 @@ class SvtConfig:
     beta         failure probability driving the threshold offset
     grid_lo_exp  smallest candidate exponent (theta = 2^lo * scale)
     grid_hi_exp  largest candidate exponent
-    scale_by_x_norm  multiply candidates by ||x|| (default) or use 2^k as-is
     noiseless    debugging switch: no Laplace noise, bar is exactly n
     """
 
@@ -38,7 +35,6 @@ class SvtConfig:
     beta: float = 0.05
     grid_lo_exp: int = -40
     grid_hi_exp: int = 1
-    scale_by_x_norm: bool = True
     noiseless: bool = False
 
     def __post_init__(self) -> None:
@@ -65,7 +61,6 @@ class FilterOutcome:
     kept_gram: np.ndarray
     removed_count: int
     queries_issued: int = 0
-    kept_mask: np.ndarray = field(default=None, repr=False)
 
 
 def _products(a: DenseMatrix, x: np.ndarray) -> np.ndarray:
@@ -92,8 +87,8 @@ def threshold_search(
     q = _products(a, x)
     n = a.n
 
-    scale = float(np.linalg.norm(x)) if cfg.scale_by_x_norm else 1.0
-    if cfg.scale_by_x_norm and scale == 0.0:
+    scale = float(np.linalg.norm(x))
+    if scale == 0.0:
         raise ContractViolationError("cannot scale grid by the norm of a zero vector")
 
     if cfg.noiseless:
@@ -144,5 +139,4 @@ def apply_filter(
         kept_gram=g,
         removed_count=int(a.n - kept.shape[0]),
         queries_issued=queries_issued,
-        kept_mask=mask,
     )

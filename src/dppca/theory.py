@@ -11,11 +11,10 @@ treat them as trends.  All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .datagen import GaussSpec
 from .errors import ParameterError
-from .matcore import CoherenceStats
 
 
 @dataclass
@@ -49,26 +48,12 @@ class TheoryReport:
     gaussian: GaussianBounds | None = field(default=None)
 
     def as_dict(self) -> dict:
-        out = {
-            "c1": self.c1,
-            "c2": self.c2,
-            "K": self.k,
-            "s1": self.rates.s1,
-            "s2": self.rates.s2,
-            "alpha1": self.rates.alpha1,
-            "alpha2": self.rates.alpha2,
-            "condition_ok": self.rates.condition_ok,
-            "rate_ratio": self.rates.rate_ratio,
-            "R": self.r_coeff,
-            "B": self.b_bound,
-        }
+        out = {"c1": self.c1, "c2": self.c2, "K": self.k, **asdict(self.rates),
+               "R": self.r_coeff, "B": self.b_bound}
         if self.gaussian is not None:
-            out["gaussian"] = {
-                "L": self.gaussian.el,
-                "G": self.gaussian.g,
-                "wedin_bound": self.gaussian.wedin_bound,
-                "n_min": self.gaussian.n_min,
-            }
+            g = self.gaussian
+            out["gaussian"] = {"L": g.el, "G": g.g, "wedin_bound": g.wedin_bound,
+                               "n_min": g.n_min}
         return out
 
 
@@ -152,10 +137,18 @@ def solve_rates(
 
 
 def bound_B(
-    stats: CoherenceStats, epsilon: float, t: int, k: float, d: int, n: int
+    sigma1: float,
+    sigma2: float,
+    upsilon: float,
+    epsilon: float,
+    t: int,
+    k: float,
+    d: int,
+    n: int,
 ) -> tuple[float, float | None]:
     """Error-bound coefficient R and the squared bound B.
 
+    kappa = (sigma1^2 - sigma2^2) / sigma1^2, Y = upsilon,
     R = (sqrt(min(4n/sigma1^2, d)) / (eps sigma1^2 sqrt(kappa))
          + 1 / (eps sigma1^2 kappa) + sqrt(d) / (eps sigma1^2)) * K sigma1 Y
     B = (R + 6000 K (1 + 8Td) (1 + kappa/2)^(-T))^2
@@ -165,16 +158,16 @@ def bound_B(
     """
     if t < 1:
         raise ParameterError(f"T must be >= 1, got {t}")
-    s1, kappa, ups = stats.sigma1, stats.kappa, stats.upsilon
-    if s1 <= 0.0 or kappa <= 0.0:
+    kappa = (sigma1**2 - sigma2**2) / sigma1**2 if sigma1 > 0.0 else 0.0
+    if kappa <= 0.0:
         raise ParameterError("need sigma1 > 0 and a positive gap")
-    s1sq = s1 * s1
+    s1sq = sigma1 * sigma1
     r = (
         math.sqrt(min(4.0 * n / s1sq, float(d))) / (epsilon * s1sq * math.sqrt(kappa))
         + 1.0 / (epsilon * s1sq * kappa)
         + math.sqrt(d) / (epsilon * s1sq)
-    ) * k * s1 * ups
-    if not gap_condition_ok(s1, max(stats.sigma2, 1e-300), ups, epsilon, k):
+    ) * k * sigma1 * upsilon
+    if not gap_condition_ok(sigma1, max(sigma2, 1e-300), upsilon, epsilon, k):
         return r, None
     b = (r + 6000.0 * k * (1.0 + 8.0 * t * d) * (1.0 + kappa / 2.0) ** (-t)) ** 2
     return r, b
@@ -227,18 +220,6 @@ def build_report(
     """Assemble the full report for the CLI and for bench annotations."""
     c1, c2, k = constants_K(t, n, beta, delta)
     rates = solve_rates(sigma1, sigma2, upsilon, epsilon, k)
-    kappa = (sigma1**2 - sigma2**2) / sigma1**2
-    stats = CoherenceStats(
-        sigma1=sigma1,
-        sigma2=sigma2,
-        kappa=kappa,
-        upsilon=upsilon,
-        u_inf=upsilon,
-        v_inf=1.0,
-        mu=float(n) * upsilon**2,
-        rank=2,
-        top_vector=None,
-    )
-    r, b = bound_B(stats, epsilon, t, k, d, n)
+    r, b = bound_B(sigma1, sigma2, upsilon, epsilon, t, k, d, n)
     gb = gaussian_bounds(gauss_spec, n, beta) if gauss_spec is not None else None
     return TheoryReport(c1=c1, c2=c2, k=k, rates=rates, r_coeff=r, b_bound=b, gaussian=gb)

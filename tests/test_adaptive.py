@@ -15,7 +15,6 @@ from dppca.datagen import gen_low_coherence
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, gram, sin_sq, spectrum_stats
 from dppca.mech import PrivacyBudget, RngStream, split_budget
-from dppca.svtfilter import SvtConfig
 
 
 @pytest.fixture
@@ -39,11 +38,6 @@ class TestParams:
             AdaptiveParams(
                 iterations=1, per_iter=PrivacyBudget(0.1, 1e-6), accountant="rdp"
             )
-        with pytest.raises(ParameterError):
-            AdaptiveParams(
-                iterations=1, per_iter=PrivacyBudget(0.1, 1e-6),
-                accountant="zcdp", noise_variant="proof",
-            )
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ParameterError):
@@ -52,12 +46,6 @@ class TestParams:
     def test_rejects_bad_beta(self):
         with pytest.raises(ParameterError):
             AdaptiveParams(iterations=1, per_iter=PrivacyBudget(0.1, 1e-6), beta=0.0)
-
-    def test_rejects_unknown_variant(self):
-        with pytest.raises(ParameterError):
-            AdaptiveParams(
-                iterations=1, per_iter=PrivacyBudget(0.1, 1e-6), noise_variant="x"
-            )
 
 
 class TestInputContract:
@@ -81,20 +69,6 @@ class TestNoiselessReduction:
         assert np.abs(x_hat - oracle).max() <= 1e-12
         assert trace.total_removed == 0
         assert all(s == 0.0 for s in trace.noise_sigma)
-
-    def test_unnormalized_variant_same_direction(self, instance):
-        # Without per-iteration normalization the returned direction matches
-        # after the final normalization (few iterations to avoid overflow).
-        base = AdaptiveParams(
-            iterations=8, per_iter=PrivacyBudget(0.5, 1e-6), noiseless=True
-        )
-        unnorm = AdaptiveParams(
-            iterations=8, per_iter=PrivacyBudget(0.5, 1e-6),
-            noiseless=True, normalize=False,
-        )
-        xa, _ = run_adaptive_power(instance, base, RngStream(9))
-        xb, _ = run_adaptive_power(instance, unnorm, RngStream(9))
-        assert sin_sq(xa, xb) <= 1e-12
 
 
 class TestNoisyRun:
@@ -154,14 +128,6 @@ class TestNoisyRun:
         _, trace = run_adaptive_power(instance, params, RngStream(6))
         for theta, sigma in zip(trace.theta, trace.noise_sigma):
             assert sigma == pytest.approx(theta / per_iter.epsilon, rel=1e-12)
-
-    def test_custom_svt_template(self, instance):
-        template = SvtConfig(epsilon=1.0, grid_lo_exp=-10, grid_hi_exp=1)
-        params = AdaptiveParams(
-            iterations=3, per_iter=PrivacyBudget(0.5, 1e-6), svt=template
-        )
-        _, trace = run_adaptive_power(instance, params, RngStream(8))
-        assert all(q <= 12 for q in trace.queries_issued)
 
 
 class TestCorollaryIterations:
@@ -227,12 +193,15 @@ class TestKappaSweep:
 
 class TestRestarts:
     def test_returns_unit_vector_and_traces(self, instance):
-        x, traces = run_with_restarts(
+        res = run_with_restarts(
             instance, PrivacyBudget(2.0, 1e-5), iterations=4,
             restarts=3, rng=RngStream(14),
         )
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-        assert len(traces) == 3
+        assert np.linalg.norm(res.estimate) == pytest.approx(1.0, abs=1e-12)
+        assert len(res.candidates) == 3
+        assert all(len(c.trace.theta) == 4 for c in res.candidates)
+        assert res.selection_epsilon == pytest.approx(1.0)
+        assert res.run_budget == PrivacyBudget(2.0 / 6, 1e-5 / 3)
 
     def test_rejects_zero_restarts(self, instance):
         with pytest.raises(ParameterError):

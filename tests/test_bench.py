@@ -131,6 +131,20 @@ class TestErrorRows:
         assert "," not in line.split("parameter_error:")[1]
 
 
+    def test_every_dppca_error_becomes_a_row(self, monkeypatch):
+        # An error outside the four classic classes (here a SizingError from
+        # the Gram product) ends the trial, not the grid.
+        from dppca import matcore
+
+        monkeypatch.setattr(matcore, "_MAX_ELEMENTS", 10)
+        cfg = ExperimentConfig(master_seed=1, trials=2, grid=small_grid()[1:2])
+        recs = run_experiment(cfg)
+        assert len(recs) == 2
+        for r in recs:
+            assert r.error.startswith("sizing_error:")
+            assert r.sin2_emp is None
+
+
 class TestCsv:
     def test_header_exact(self):
         assert CSV_HEADER == (
@@ -217,6 +231,28 @@ class TestConfig:
         sweep = dict(base, algo="adaptive-sweep")  # missing sweep_J
         with pytest.raises(ParameterError):
             ExperimentConfig(master_seed=1, trials=1, grid=[sweep])
+
+    @pytest.mark.parametrize("index, cell, needle", [
+        (0, {"gen": {"kind": "high-coh", "d": 4}}, "lacks n"),
+        (1, {"eps_total": None}, "lacks eps_total"),
+        (0, {"gen": {"kind": "gaussian", "n": 200}}, "lacks d, sigma1_sq"),
+        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4}}, "lacks sigma1_sq"),
+        (1, {"gen": {"kind": "low-coh", "n": 150, "d": 5, "sigma1_frac": 0.3}},
+         "lacks gap"),
+        (0, {"algo": "adaptive-sweep", "sweep_J": "x"}, "sweep_J"),
+        (0, {"gen": {"kind": "high-coh", "n": 120.5, "d": 4}}, "n must be"),
+        (0, {"gen": {"kind": "gaussian", "n": 20, "spec": ["a"]}}, "spec"),
+        (1, {"beta": "0.1"}, "beta"),
+        (1, {"T": "corollary", "kappa": "half", "algo": "adaptive"}, "kappa"),
+        (0, {"gen": ["gaussian"]}, "gen.kind"),
+    ])
+    def test_malformed_cell_names_its_index(self, index, cell, needle):
+        grid = small_grid()[:2]
+        grid[index] = {k: v for k, v in dict(grid[index], **cell).items()
+                       if v is not None}
+        with pytest.raises(ParameterError, match=rf"grid\[{index}\]") as info:
+            ExperimentConfig(master_seed=1, trials=1, grid=grid)
+        assert needle in str(info.value)
 
     def test_accountant_validation(self):
         base = small_grid()[0]

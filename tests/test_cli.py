@@ -131,6 +131,72 @@ class TestRun:
         assert rc == 0
         assert json.loads(res.read_text())["accounting"]["restarts"] == 3
 
+    # Reference values from every `dppca run` path before the CLI and the
+    # bench shared one dispatch: x_hat[:3], the accounting dict and T.
+    PINS = {
+        "adaptive": (
+            ["--T", "4"],
+            [-0.9150521246245978, -0.1564929654224102, 0.2858693198147098],
+            {"mechanisms": 8, "per_mechanism_epsilon": 0.12640523296349723,
+             "per_mechanism_delta": 1.1111111111111112e-06,
+             "composed_epsilon": 4.0, "composed_delta": 1e-05},
+            4,
+        ),
+        "noiseless": (
+            ["--T", "4", "--noiseless"],
+            [-0.660854136962654, -0.5941704759603442, 0.44377797424907134],
+            {"mechanisms": 8, "per_mechanism_epsilon": 0.12640523296349723,
+             "per_mechanism_delta": 1.1111111111111112e-06,
+             "composed_epsilon": 4.0, "composed_delta": 1e-05},
+            4,
+        ),
+        "restarts": (
+            ["--T", "3", "--restarts", "3"],
+            [-0.15494966214242775, -0.4026009338330845, -0.48679306443407333],
+            {"restarts": 3, "selection_epsilon": 2.0,
+             "per_run_epsilon": 0.6666666666666666,
+             "per_run_delta": 3.3333333333333337e-06},
+            3,
+        ),
+        "sweep": (
+            ["--sweep", "3"],
+            [-0.00041906923838029017, 0.9153628965794406, -0.20856932473548204],
+            {"selection_epsilon": 2.0, "runs": 3,
+             "per_run_epsilon": 0.6666666666666666,
+             "per_run_delta": 3.3333333333333337e-06},
+            20,
+        ),
+        "analyze-gauss": (
+            ["--algo", "analyze-gauss"],
+            [0.480171656371272, 0.8356325795187, 0.26524656708081823],
+            {"mechanisms": 1},
+            None,
+        ),
+        "naive-power": (
+            ["--algo", "naive-power", "--T", "4"],
+            [-0.5717886982249158, -0.7222820179471577, 0.38899316110027216],
+            {"mechanisms": 4, "per_mechanism_epsilon": 0.1822346682951581,
+             "per_mechanism_delta": 2.0000000000000003e-06},
+            4,
+        ),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PINS))
+    def test_run_paths_unchanged(self, gaussian_file, tmp_path, path):
+        infile, _ = gaussian_file
+        extra, head, accounting, t = self.PINS[path]
+        res = tmp_path / "res.json"
+        rc = run_cli(
+            "run", "--in", str(infile), "--eps-total", "4.0",
+            "--delta-total", "1e-5", "--seed", "5", *extra, "--out", str(res),
+        )
+        assert rc == 0
+        doc = json.loads(res.read_text())
+        assert doc["x_hat"][:3] == pytest.approx(head, rel=1e-9)
+        assert doc["accounting"] == pytest.approx(accounting, rel=1e-12)
+        assert doc.get("T") == t
+        assert doc["algo"] == (extra[1] if extra[0] == "--algo" else "adaptive")
+
     def test_oversize_rows_need_auto_scale(self, tmp_path, capsys):
         from dppca.matcore import DenseMatrix
         from dppca.matio import save_dpm
@@ -142,13 +208,27 @@ class TestRun:
             "--delta-total", "1e-5", "--T", "2",
         )
         assert rc == 2
-        assert "auto-scale" in capsys.readouterr().err
+        assert "clip every row to norm <= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--algo", "naive-power", "--sweep", "3"],
+        ["--algo", "analyze-gauss", "--sweep", "3"],
+        ["--algo", "naive-power", "--restarts", "3"],
+        ["--algo", "analyze-gauss", "--restarts", "3"],
+        ["--sweep", "3", "--restarts", "3"],
+    ])
+    def test_sweep_and_restarts_need_plain_adaptive(
+        self, gaussian_file, tmp_path, capsys, extra
+    ):
+        infile, _ = gaussian_file
+        res = tmp_path / "res.json"
         rc = run_cli(
-            "run", "--in", str(big), "--eps-total", "1.0",
-            "--delta-total", "1e-5", "--T", "2", "--auto-scale",
-            "--out", str(tmp_path / "ok.json"),
+            "run", "--in", str(infile), "--eps-total", "4.0",
+            "--delta-total", "1e-5", *extra, "--out", str(res),
         )
-        assert rc == 0
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not res.exists()
 
 
 class TestAccountant:
@@ -213,6 +293,21 @@ class TestBench:
         assert "wrote 2 records" in capsys.readouterr().out
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3 and lines[0].startswith("cell,trial,")
+
+    def test_malformed_cell_is_cli_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "master_seed": 1, "trials": 1, "out": str(tmp_path / "o.csv"),
+            "grid": [{
+                "cell": "c", "gen": {"kind": "low-coh", "n": 40, "d": 4,
+                                     "sigma1_frac": 0.3},
+                "algo": "analyze-gauss", "eps_total": 1.0, "delta_total": 1e-5,
+            }],
+        }))
+        rc = run_cli("bench", "--config", str(cfg_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid[0]:") and "gap" in err
 
     def test_bench_without_out_is_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

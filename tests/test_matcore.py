@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dppca.errors import (
     ContractViolationError,
-    ParameterError,
     RankZeroError,
 )
 from dppca.matcore import (
@@ -19,9 +18,7 @@ from dppca.matcore import (
     compact_svd,
     gram,
     rayleigh_ratio,
-    scale_rows,
     sin_sq,
-    sin_sq_many,
     spectrum_stats,
     sym_eig,
 )
@@ -214,13 +211,6 @@ class TestSinSq:
         assert 0.0 <= v <= 1.0
         assert v == pytest.approx(sin_sq(y, x), abs=1e-12)
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        xs, ys = rng.normal(size=(20, 5)), rng.normal(size=(20, 5))
-        many = sin_sq_many(xs, ys)
-        for i in range(20):
-            assert many[i] == pytest.approx(sin_sq(xs[i], ys[i]), abs=1e-14)
-
 
 class TestRayleighRatio:
     def test_top_eigenvector_gives_one(self):
@@ -239,15 +229,3 @@ class TestRayleighRatio:
             x = np.random.default_rng(seed).normal(size=a.d)
             assert rayleigh_ratio(a, x) <= 1.0 + 1e-9
 
-
-class TestScaleRows:
-    def test_scales(self):
-        a = DenseMatrix(np.ones((2, 2)))
-        assert np.allclose(scale_rows(a, 0.5).data, 0.5)
-
-    def test_rejects_nonpositive(self):
-        a = DenseMatrix(np.ones((2, 2)))
-        with pytest.raises(ParameterError):
-            scale_rows(a, 0.0)
-        with pytest.raises(ParameterError):
-            scale_rows(a, float("inf"))

@@ -90,12 +90,6 @@ class TestGaussianSigma:
             4.94088, rel=1e-5
         )
 
-    def test_proof_variant_worked_value(self):
-        # 2 sqrt(ln(2e5)) = 6.987438...
-        assert gaussian_sigma(
-            1.0, PrivacyBudget(1.0, 1e-5), "proof"
-        ) == pytest.approx(6.98744, rel=1e-5)
-
     def test_scales_linearly_in_sensitivity(self):
         b = PrivacyBudget(0.3, 1e-6)
         assert gaussian_sigma(2.5, b) == pytest.approx(2.5 * gaussian_sigma(1.0, b))

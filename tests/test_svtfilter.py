@@ -1,7 +1,5 @@
 """Tests for the private threshold search and the row filter."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,14 +66,6 @@ class TestNoiselessSearch:
         t1 = threshold_search(a, x, cfg, RngStream(0)).theta
         t2 = threshold_search(a, 8.0 * x, cfg, RngStream(0)).theta
         assert t2 == pytest.approx(8.0 * t1)
-
-    def test_absolute_grid_mode(self):
-        a = unit_rows(4)
-        x = np.random.default_rng(5).normal(size=a.d)
-        cfg = SvtConfig(epsilon=1.0, noiseless=True, scale_by_x_norm=False)
-        res = threshold_search(a, x, cfg, RngStream(0))
-        # candidates are exact powers of two
-        assert math.log2(res.theta) == round(math.log2(res.theta))
 
     def test_zero_x_rejected_in_scaled_mode(self):
         a = unit_rows(6)

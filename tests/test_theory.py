@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dppca.datagen import GaussSpec
 from dppca.errors import ParameterError
-from dppca.matcore import CoherenceStats
 from dppca.theory import (
     bound_B,
     build_report,
@@ -116,31 +115,27 @@ class TestBoundRateInequalities:
 
 class TestBoundB:
     def stats(self, sigma1=10.0, sigma2=2.0, upsilon=0.01):
-        kappa = (sigma1**2 - sigma2**2) / sigma1**2
-        return CoherenceStats(
-            sigma1=sigma1, sigma2=sigma2, kappa=kappa, upsilon=upsilon,
-            u_inf=upsilon, v_inf=1.0, mu=1.0, rank=2, top_vector=None,
-        )
+        return sigma1, sigma2, upsilon
 
     def test_large_T_limit_is_R_squared(self):
         st_ = self.stats()
-        r, b = bound_B(st_, epsilon=1.0, t=5000, k=1.0, d=8, n=1000)
+        r, b = bound_B(*st_, epsilon=1.0, t=5000, k=1.0, d=8, n=1000)
         assert b == pytest.approx(r * r, rel=1e-9)
 
     def test_R_halves_when_epsilon_doubles(self):
         st_ = self.stats()
-        r1, _ = bound_B(st_, 1.0, 10, 1.0, 8, 1000)
-        r2, _ = bound_B(st_, 2.0, 10, 1.0, 8, 1000)
+        r1, _ = bound_B(*st_, 1.0, 10, 1.0, 8, 1000)
+        r2, _ = bound_B(*st_, 2.0, 10, 1.0, 8, 1000)
         assert r1 == pytest.approx(2.0 * r2, rel=1e-12)
 
     def test_condition_failure_reports_absent_B(self):
         st_ = self.stats(sigma1=1.0, sigma2=0.99, upsilon=0.9)
-        r, b = bound_B(st_, 0.01, 10, 50.0, 8, 1000)
+        r, b = bound_B(*st_, 0.01, 10, 50.0, 8, 1000)
         assert b is None
         assert math.isfinite(r)
 
     def test_outputs_finite(self):
-        r, b = bound_B(self.stats(), 1.0, 10, 1.0, 8, 1000)
+        r, b = bound_B(*self.stats(), 1.0, 10, 1.0, 8, 1000)
         assert math.isfinite(r) and math.isfinite(b)
 
 
