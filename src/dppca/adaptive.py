@@ -2,10 +2,12 @@
 
 Per iteration the algorithm (1) privately finds a threshold theta so that
 almost all rows have bounded leverage against the current iterate, (2)
-drops the offending rows, and (3) applies the Gram matrix of the kept rows
-to the iterate plus Gaussian noise calibrated to sensitivity theta.  The
-threshold adapts the noise to the data's incoherence instead of paying the
-worst case: well-spread data fires on a small theta and gets small noise.
+drops the offending rows, and (3) steps to A^T (mask * A x) plus Gaussian
+noise calibrated to sensitivity theta, where mask keeps the rows at or
+below theta.  A x comes from the threshold search, so each iteration reads
+A through one A x and one A^T y.  The threshold adapts the noise to the
+data's incoherence instead of paying the worst case: well-spread data
+fires on a small theta and gets small noise.
 
 Accounting: each iteration runs two mechanisms — the threshold search and
 the Gaussian step — so a T-iteration run is composed as 2T mechanisms.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .matcore import DenseMatrix, gram
+from .matcore import DenseMatrix
 from .mech import (
     ACCOUNTANTS,
     PrivacyBudget,
@@ -39,7 +41,7 @@ from .mech import (
     invert_budget,
     sample_gaussian_vec,
 )
-from .svtfilter import SvtConfig, apply_filter, threshold_search
+from .svtfilter import SvtConfig, threshold_search
 
 _ROW_NORM_SLACK = 1.0 + 1e-9
 
@@ -117,7 +119,6 @@ def run_adaptive_power(
     variant = "zcdp" if params.accountant == "zcdp" else "alg_line9"
     for _ in range(params.iterations):
         found = threshold_search(a, x, svt_cfg, rng)
-        outcome = apply_filter(a, x, found.theta, found.queries_issued)
 
         if params.noiseless:
             sigma = 0.0
@@ -125,12 +126,12 @@ def run_adaptive_power(
             sigma = gaussian_sigma(found.theta, params.per_iter, variant)
 
         trace.theta.append(found.theta)
-        trace.removed.append(outcome.removed_count)
+        trace.removed.append(found.removed_count)
         trace.noise_sigma.append(sigma)
         trace.queries_issued.append(found.queries_issued)
         trace.x_norm_pre.append(float(np.linalg.norm(x)))
 
-        x_new = outcome.kept_gram @ x + sample_gaussian_vec(a.d, sigma, rng)
+        x_new = a.data.T @ found.kept_ax + sample_gaussian_vec(a.d, sigma, rng)
         norm = float(np.linalg.norm(x_new))
         if norm == 0.0:
             # Dead iterate (all rows dropped and zero noise): restart fresh.
@@ -196,20 +197,20 @@ def _best_of(
     delta_total / R, converted to a per-mechanism budget via invert_budget
     over its own 2 T mechanisms.  Run r draws from rng.child(r) and the
     selection from rng.child(R).  Selection quality is the captured
-    variance x^T A^T A x, whose row-level sensitivity is 1 for unit rows.
+    variance ||A x||^2, whose row-level sensitivity is 1 for unit rows.
     """
     check_private_input(a)
     count = len(runs)
     run_budget = PrivacyBudget(total.epsilon / (2.0 * count), total.delta / count)
     sel_eps = total.epsilon / 2.0
-    g = gram(a)
 
     candidates: list[SweepCandidate] = []
     for r, (kappa_r, t_r) in enumerate(runs):
         per_iter = invert_budget(run_budget, 2 * t_r)
         params = AdaptiveParams(t_r, per_iter, beta=beta, noiseless=noiseless)
         x_r, trace_r = run_adaptive_power(a, params, rng.child(r))
-        quality = float(x_r @ (g @ x_r))
+        ax = a.data @ x_r
+        quality = float(ax @ ax)
         candidates.append(SweepCandidate(kappa_r, t_r, x_r, quality, trace_r))
 
     qualities = np.array([c.quality for c in candidates])

@@ -139,6 +139,15 @@ class ExperimentConfig:
     record_walltime: bool = False
 
     def __post_init__(self) -> None:
+        for key in ("master_seed", "trials", "threads"):
+            if not _number(getattr(self, key), int):
+                raise ParameterError(
+                    f"{key} must be an integer, got {getattr(self, key)!r}"
+                )
+        if not 0 <= self.master_seed < 2**64:
+            raise ParameterError(
+                f"master_seed must lie in [0, 2**64), got {self.master_seed}"
+            )
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
@@ -323,6 +332,8 @@ def run_algorithm(
     """
     if algo not in _ALGOS:
         raise ParameterError(f"algo must be one of {_ALGOS}, got {algo!r}")
+    if restarts < 1:
+        raise ParameterError(f"restarts must be >= 1, got {restarts}")
     if restarts > 1 and algo != "adaptive":
         raise ParameterError(f"restarts apply to the adaptive algorithm, not {algo}")
     if accountant != "paper" and algo not in _ZCDP_ALGOS:

@@ -40,9 +40,14 @@ class DenseMatrix:
     Construction validates shape and finiteness.  `n >= 1` and `d >= 1`
     are required; matrices with more columns than rows are rejected by the
     privacy-facing routines (not here) since the analysis assumes n >= d.
+    Nothing mutates `data` after construction, so the row norms are
+    computed once, on first use, and kept (read-only).
     """
 
     data: np.ndarray
+    _row_norms: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)
@@ -65,7 +70,11 @@ class DenseMatrix:
         return self.data.shape[1]
 
     def row_norms(self) -> np.ndarray:
-        return np.sqrt(np.einsum("ij,ij->i", self.data, self.data))
+        if self._row_norms is None:
+            norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data))
+            norms.flags.writeable = False
+            self._row_norms = norms
+        return self._row_norms
 
     def max_row_norm(self) -> float:
         return float(self.row_norms().max())

@@ -27,7 +27,7 @@ from dppca.adaptive import AdaptiveParams, run_adaptive_power, run_kappa_sweep
 from dppca.datagen import GaussSpec, gen_gaussian_iid, gen_low_coherence, scale_for_privacy
 from dppca.matcore import DenseMatrix
 from dppca.mech import PrivacyBudget, RngStream, compose, invert_budget
-from dppca.svtfilter import SvtConfig, apply_filter, threshold_search
+from dppca.svtfilter import SvtConfig, threshold_search
 from dppca.theory import constants_K, gap_condition_ok, gaussian_bounds, solve_rates
 
 DATA = Path(__file__).parent / "data"
@@ -182,8 +182,7 @@ def test_criterion_06_svt_filtered_count():
         x = st.standard_normal(20)
         x /= np.linalg.norm(x)
         found = threshold_search(a, x, cfg, st)
-        outcome = apply_filter(a, x, found.theta, found.queries_issued)
-        within += outcome.removed_count <= bound
+        within += found.removed_count <= bound
     ok = within >= 475
     report(6, ok, f"per-iteration removed count <= c2/eps = {bound:.1f} in "
                   f"{within}/500 trials (need >= 475)")

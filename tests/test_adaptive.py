@@ -14,7 +14,14 @@ from dppca.adaptive import (
 from dppca.datagen import gen_low_coherence
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, gram, sin_sq, spectrum_stats
-from dppca.mech import PrivacyBudget, RngStream, split_budget
+from dppca.mech import (
+    PrivacyBudget,
+    RngStream,
+    gaussian_sigma,
+    sample_gaussian_vec,
+    split_budget,
+)
+from dppca.svtfilter import SvtConfig, threshold_search
 
 
 @pytest.fixture
@@ -121,6 +128,25 @@ class TestNoisyRun:
         )
         again, _ = run_adaptive_power(instance, explicit, RngStream(11))
         assert np.array_equal(x_hat, again)
+
+    def test_step_matches_kept_gram_reference(self, instance):
+        # The step A^T (mask * A x) against the kept-row Gram step it
+        # replaced, kept.T @ kept @ x + noise, on the same stream.
+        per_iter = PrivacyBudget(0.5, 1e-6)
+        params = AdaptiveParams(iterations=5, per_iter=per_iter)
+        x_hat, trace = run_adaptive_power(instance, params, RngStream(11))
+        assert trace.total_removed > 0
+        rng = RngStream(11)
+        x = rng.standard_normal(instance.d)
+        cfg = SvtConfig(epsilon=per_iter.epsilon, beta=params.beta)
+        for _ in range(params.iterations):
+            theta = threshold_search(instance, x, cfg, rng).theta
+            q = instance.row_norms() * np.abs(instance.data @ x)
+            kept = instance.data[q <= theta]
+            sigma = gaussian_sigma(theta, per_iter, "alg_line9")
+            x = kept.T @ kept @ x + sample_gaussian_vec(instance.d, sigma, rng)
+            x /= np.linalg.norm(x)
+        assert np.linalg.norm(x_hat - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_zcdp_step_sigma_is_theta_over_epsilon(self, instance):
         per_iter = split_budget(PrivacyBudget(1.0, 1e-5), 2 * 5, "zcdp")

@@ -254,6 +254,17 @@ class TestConfig:
             ExperimentConfig(master_seed=1, trials=1, grid=grid)
         assert needle in str(info.value)
 
+    @pytest.mark.parametrize("field, value, needle", [
+        ("trials", "2", "trials must be an integer"),
+        ("threads", 2.0, "threads must be an integer"),
+        ("master_seed", -1, "master_seed must lie in"),
+    ])
+    def test_mistyped_top_level_field(self, field, value, needle):
+        kwargs = dict(master_seed=1, trials=1, grid=small_grid()[:1])
+        kwargs[field] = value
+        with pytest.raises(ParameterError, match=needle):
+            ExperimentConfig(**kwargs)
+
     def test_accountant_validation(self):
         base = small_grid()[0]
         with pytest.raises(ParameterError, match=r"grid\[0\].*accountant"):

@@ -216,6 +216,7 @@ class TestRun:
         ["--algo", "naive-power", "--restarts", "3"],
         ["--algo", "analyze-gauss", "--restarts", "3"],
         ["--sweep", "3", "--restarts", "3"],
+        ["--restarts", "0"],
     ])
     def test_sweep_and_restarts_need_plain_adaptive(
         self, gaussian_file, tmp_path, capsys, extra
@@ -308,6 +309,19 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid[0]:") and "gap" in err
+
+    def test_mistyped_top_level_field_is_cli_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "master_seed": 1, "trials": "2", "out": str(tmp_path / "o.csv"),
+            "grid": [{
+                "cell": "c", "gen": {"kind": "high-coh", "n": 40, "d": 4},
+                "algo": "analyze-gauss", "eps_total": 1.0, "delta_total": 1e-5,
+            }],
+        }))
+        rc = run_cli("bench", "--config", str(cfg_path))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: trials must be an integer")
 
     def test_bench_without_out_is_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

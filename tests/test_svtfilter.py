@@ -1,4 +1,4 @@
-"""Tests for the private threshold search and the row filter."""
+"""Tests for the private threshold search and the row filter it returns."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix
 from dppca.mech import RngStream
-from dppca.svtfilter import SvtConfig, apply_filter, threshold_search
+from dppca.svtfilter import GRID_HI_EXP, GRID_LO_EXP, SvtConfig, threshold_search
 
 
 def unit_rows(seed, n=200, d=5):
@@ -21,11 +21,8 @@ def unit_rows(seed, n=200, d=5):
 class TestSvtConfig:
     def test_defaults(self):
         cfg = SvtConfig(epsilon=0.5)
-        assert (cfg.grid_lo_exp, cfg.grid_hi_exp) == (-40, 1)
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ParameterError):
-            SvtConfig(epsilon=0.5, grid_lo_exp=2, grid_hi_exp=1)
+        assert (cfg.beta, cfg.noiseless) == (0.05, False)
+        assert (GRID_LO_EXP, GRID_HI_EXP) == (-40, 1)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ParameterError):
@@ -104,48 +101,26 @@ class TestNoisySearch:
         assert 1 <= res.queries_issued <= 42  # grid size for [-40, 1]
 
 
-class TestApplyFilter:
-    def test_keeps_everything_at_high_theta(self):
-        a = unit_rows(13)
-        x = np.random.default_rng(14).normal(size=a.d)
-        out = apply_filter(a, x, theta=1e6)
-        assert out.removed_count == 0
-        assert np.allclose(out.kept_gram, a.data.T @ a.data)
 
-    def test_drops_everything_at_zero_theta(self):
-        a = unit_rows(15)
-        x = np.ones(a.d)
-        out = apply_filter(a, x, theta=0.0)
-        # P(exact zero products) = 0 for Gaussian rows
-        assert out.removed_count == a.n
-        assert np.all(out.kept_gram == 0.0)
 
-    def test_kept_gram_matches_mask(self):
-        a = unit_rows(16)
-        x = np.random.default_rng(17).normal(size=a.d)
-        q = a.row_norms() * np.abs(a.data @ x)
-        theta = float(np.median(q))
-        out = apply_filter(a, x, theta)
-        kept = a.data[q <= theta]
-        assert out.removed_count == a.n - kept.shape[0]
-        assert np.allclose(out.kept_gram, kept.T @ kept)
+class TestFilter:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+        st.sampled_from([0.05, 0.5, 5.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kept_ax_is_masked_ax(self, seed, noiseless, epsilon):
+        rng = np.random.default_rng(seed)
+        a = DenseMatrix(unit_rows(seed % 100, n=60).data
+                        * rng.uniform(0.0, 1.0, size=(60, 1)))
+        x = rng.normal(size=a.d)
+        res = threshold_search(
+            a, x, SvtConfig(epsilon=epsilon, noiseless=noiseless),
+            RngStream(seed, 2),
+        )
+        ax = a.data @ x
+        q = a.row_norms() * np.abs(ax)
+        assert np.array_equal(res.kept_ax, np.where(q <= res.theta, ax, 0.0))
+        assert res.removed_count == int(np.sum(q > res.theta))
 
-    def test_kept_gram_exactly_symmetric(self):
-        a = unit_rows(18)
-        x = np.random.default_rng(19).normal(size=a.d)
-        out = apply_filter(a, x, theta=0.3)
-        assert np.array_equal(out.kept_gram, out.kept_gram.T)
-
-    def test_negative_theta_rejected(self):
-        a = unit_rows(20)
-        with pytest.raises(ParameterError):
-            apply_filter(a, np.ones(a.d), theta=-1.0)
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_monotone_in_theta(self, seed):
-        a = unit_rows(seed % 100, n=50)
-        x = np.random.default_rng(seed).normal(size=a.d)
-        lo = apply_filter(a, x, theta=0.1)
-        hi = apply_filter(a, x, theta=0.5)
-        assert hi.removed_count <= lo.removed_count
