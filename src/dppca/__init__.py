@@ -2,8 +2,8 @@
 
 Core entry points:
 
-- matcore: dense matrices, deterministic Jacobi eigensolver, compact SVD,
-  coherence statistics
+- matcore: dense matrices, the symmetric eigensolver (LAPACK eigh, fixed
+  order and signs), compact SVD, coherence statistics
 - mech: privacy budgets, composition, Gaussian/Laplace/exponential mechanisms,
   seeded counter-based RNG streams
 - svtfilter: private threshold search and leverage-based row filtering

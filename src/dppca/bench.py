@@ -420,7 +420,7 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         rec.sin2_emp = sin_sq(run.x_hat, stats.top_vector)
         if vbar1 is not None:
             rec.sin2_pop = sin_sq(run.x_hat, vbar1)
-        rec.rayleigh = rayleigh_ratio(a, run.x_hat)
+        rec.rayleigh = rayleigh_ratio(a, run.x_hat, stats.sigma1)
         rec.kappa, rec.upsilon, rec.u_inf = stats.kappa, stats.upsilon, stats.u_inf
     except DppcaError as exc:
         rec.error = f"{exc.reason}:{exc}"

@@ -77,7 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     stats = spectrum_stats(a)
     out["x_hat"] = list(run.x_hat)
     out["sin2_vs_v1"] = sin_sq(run.x_hat, stats.top_vector)
-    out["rayleigh_ratio"] = rayleigh_ratio(a, run.x_hat)
+    out["rayleigh_ratio"] = rayleigh_ratio(a, run.x_hat, stats.sigma1)
 
     doc = json.dumps(out, indent=2) + "\n"
     if args.out:

@@ -3,14 +3,13 @@
 Everything downstream (mechanism calibration, the adaptive iteration, the
 benchmark harness) goes through the routines here so that ground-truth
 spectra, sign conventions, and tie-breaking are identical everywhere.
-The symmetric eigensolver is a cyclic Jacobi sweep rather than a LAPACK
-call: it is deterministic for a fixed build and its convergence tolerance
-is explicit.
+The symmetric eigensolver is LAPACK's (`np.linalg.eigh`), which is
+deterministic for a fixed numpy/LAPACK build; descending order and the sign
+convention are applied here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +21,9 @@ from .errors import (
     SizingError,
 )
 
-# Relative off-diagonal Frobenius tolerance for the Jacobi sweep, relative
-# eigenvalue tie tolerance, and relative rank cutoff share one constant.
+# Relative rank cutoff of the compact SVD and the magnitude below which an
+# eigenvector entry does not decide the column's sign.
 _REL_TOL = 1e-12
-
-# Hard cap on Jacobi sweeps before giving up.
-_MAX_SWEEPS = 100
 
 # Largest element count we will allocate for a Gram product (bytes / 8).
 _MAX_ELEMENTS = 2**60
@@ -141,41 +137,6 @@ def gram(a: DenseMatrix) -> np.ndarray:
     return upper + np.triu(g, 1).T
 
 
-def _jacobi_rotate(s: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero out s[p, q] with a Givens rotation, updating s and v in place."""
-    app, aqq, apq = s[p, p], s[q, q], s[p, q]
-    if apq == 0.0:
-        return
-    tau = (aqq - app) / (2.0 * apq)
-    # Smaller-magnitude root of t^2 + 2*tau*t - 1 = 0 for stability.
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    sn = t * c
-
-    rot = np.array([[c, sn], [-sn, c]])
-    rows = s[[p, q], :].copy()
-    s[[p, q], :] = rot.T @ rows
-    cols = s[:, [p, q]].copy()
-    s[:, [p, q]] = cols @ rot
-    # Pin the rotated-away entries to exactly zero.
-    s[p, q] = 0.0
-    s[q, p] = 0.0
-    s[p, p] = app - t * apq
-    s[q, q] = aqq + t * apq
-
-    vcols = v[:, [p, q]].copy()
-    v[:, [p, q]] = vcols @ rot
-
-
-def _off_fro(s: np.ndarray) -> float:
-    d = s.shape[0]
-    mask = ~np.eye(d, dtype=bool)
-    return float(np.sqrt(np.sum(s[mask] ** 2)))
-
-
 def _fix_signs(vectors: np.ndarray) -> None:
     """Flip each column so its first entry with magnitude > 1e-12 is positive."""
     d = vectors.shape[1]
@@ -186,30 +147,13 @@ def _fix_signs(vectors: np.ndarray) -> None:
             vectors[:, j] = -col
 
 
-def _sort_descending_stable(values: np.ndarray, tie_tol: float) -> list[int]:
-    """Indices sorting values descending; near-ties keep original index order."""
-    order = sorted(range(values.size), key=lambda i: -values[i])
-    # Re-sort each run of near-equal values by original index.
-    out: list[int] = []
-    i = 0
-    while i < len(order):
-        j = i + 1
-        while j < len(order) and values[order[i]] - values[order[j]] <= tie_tol:
-            j += 1
-        out.extend(sorted(order[i:j]))
-        i = j
-    return out
-
-
 def sym_eig(s: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
-    Converges when the off-diagonal Frobenius norm drops below
-    1e-12 * ||S||_F; raises NumericalError with the residual if 100 sweeps
-    are not enough.  Eigenvalues are returned in descending order, with
-    near-ties (within 1e-12 * |lambda_1|) kept in original index order, and
-    eigenvector signs fixed so each column's first non-negligible entry is
-    positive.
+    Eigenvalues are returned in descending order (tied eigenvectors span the
+    eigenspace in whatever basis LAPACK returns, the same on every call of a
+    fixed build) and eigenvector signs are fixed so each column's first
+    non-negligible entry is positive.  A LAPACK failure raises NumericalError.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -218,56 +162,29 @@ def sym_eig(s: np.ndarray) -> Spectrum:
         raise ContractViolationError("matrix contains NaN or Inf")
     if not np.array_equal(s, s.T):
         raise ContractViolationError("matrix is not exactly symmetric")
-
-    d = s.shape[0]
-    work = s.copy()
-    vectors = np.eye(d)
-    fro = float(np.linalg.norm(s))
-    tol = _REL_TOL * fro
-
-    if d == 1:
-        values = np.array([work[0, 0]])
-    else:
-        sweeps = 0
-        while _off_fro(work) > tol:
-            if sweeps >= _MAX_SWEEPS:
-                raise NumericalError(
-                    "Jacobi eigensolver did not converge in "
-                    f"{_MAX_SWEEPS} sweeps (off-diagonal residual "
-                    f"{_off_fro(work):.3e}, tolerance {tol:.3e})"
-                )
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    if abs(work[p, q]) > 0.0:
-                        _jacobi_rotate(work, vectors, p, q)
-            sweeps += 1
-        values = np.diag(work).copy()
-
-    lam1 = float(np.abs(values).max()) if values.size else 0.0
-    order = _sort_descending_stable(values, _REL_TOL * lam1)
-    values = values[order]
-    vectors = vectors[:, order]
+    try:
+        values, vectors = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
     _fix_signs(vectors)
     return Spectrum(values=values, vectors=vectors)
 
 
 def compact_svd(a: DenseMatrix) -> SvdFactors:
-    """Compact SVD routed through the Gram matrix and the Jacobi eigensolver.
+    """Compact SVD routed through the Gram matrix and the symmetric eigensolver.
 
     Singular values are sqrt(max(eigenvalue, 0)); values at or below
     1e-12 * s1 are treated as rank-deficient and get a zero column in U.
+    The kept values are a prefix, so U's rank columns are one product.
     """
     spec = sym_eig(gram(a))
-    vals = np.maximum(spec.values, 0.0)
-    s = np.sqrt(vals)
-    s1 = float(s[0]) if s.size else 0.0
-    cutoff = _REL_TOL * s1
+    s = np.sqrt(np.maximum(spec.values, 0.0))
+    rank = int(np.count_nonzero(s > _REL_TOL * s[0]))
     u = np.zeros((a.n, a.d))
-    rank = 0
-    for i in range(a.d):
-        if s[i] > cutoff and s[i] > 0.0:
-            u[:, i] = (a.data @ spec.vectors[:, i]) / s[i]
-            rank += 1
+    np.matmul(a.data, spec.vectors[:, :rank], out=u[:, :rank])
+    u[:, :rank] /= s[:rank]
     return SvdFactors(u=u, s=s, v=spec.vectors, rank=rank)
 
 
@@ -313,15 +230,18 @@ def sin_sq(x: np.ndarray, y: np.ndarray) -> float:
     return min(1.0, max(0.0, val))
 
 
-def rayleigh_ratio(a: DenseMatrix, x: np.ndarray) -> float:
-    """x^T A^T A x / (sigma1^2 ||x||^2): captured variance relative to the top."""
+def rayleigh_ratio(a: DenseMatrix, x: np.ndarray, sigma1: float) -> float:
+    """x^T A^T A x / (sigma1^2 ||x||^2): captured variance relative to the top.
+
+    `sigma1` is A's top singular value, as `spectrum_stats(a).sigma1` gives it.
+    """
     x = np.asarray(x, dtype=np.float64)
     nx = float(x @ x)
     if nx == 0.0:
         raise ContractViolationError("rayleigh_ratio of a zero vector")
     ax = a.data @ x
     num = float(ax @ ax)
-    s1sq = float(compact_svd(a).s[0] ** 2)
+    s1sq = float(sigma1) ** 2
     if s1sq == 0.0:
         raise RankZeroError("rayleigh_ratio against an all-zero matrix")
     return num / (s1sq * nx)

@@ -14,6 +14,7 @@ CSV files are headerless, one row per line, parsed as float64.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from pathlib import Path
 
@@ -43,13 +44,17 @@ def load_dpm(path: str | Path) -> DenseMatrix:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(n * d * 8)
-        if len(payload) != n * d * 8:
+        if n < 1 or d < 1:
+            raise FormatError(f"{path}: degenerate shape ({n}, {d})")
+        size = n * d * 8
+        left = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if left < size:
             raise FormatError(
-                f"{path}: payload is {len(payload)} bytes, expected {n * d * 8}"
+                f"{path}: payload is {left} bytes, expected {size} for n={n}, d={d}"
             )
-        if fh.read(1):
+        if left > size:
             raise FormatError(f"{path}: trailing bytes after payload")
+        payload = fh.read(size)
     data = np.frombuffer(payload, dtype="<f8").reshape(n, d)
     return DenseMatrix(data.astype(np.float64))
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dppca.bench import (
@@ -142,6 +143,20 @@ class TestErrorRows:
         assert len(recs) == 2
         for r in recs:
             assert r.error.startswith("sizing_error:")
+            assert r.sin2_emp is None
+
+    def test_eigensolver_failure_becomes_a_row(self, monkeypatch):
+        # A LAPACK failure in the ground-truth spectrum is a NumericalError,
+        # so it ends the trial as a numerical_error row, not the grid.
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        cfg = ExperimentConfig(master_seed=1, trials=2, grid=small_grid()[1:2])
+        recs = run_experiment(cfg)
+        assert len(recs) == 2
+        for r in recs:
+            assert r.error.startswith("numerical_error:")
             assert r.sin2_emp is None
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests driving the command-line interface through main()."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ class TestRun:
         )
         assert rc == 2
         assert "clip every row to norm <= 1" in capsys.readouterr().err
+
+    def test_oversized_dpm_header_is_cli_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dpm"
+        bad.write_bytes(struct.pack("<4sHQQ", b"DPM1", 1, 2**62, 2**62))
+        rc = run_cli(
+            "run", "--in", str(bad), "--eps-total", "1.0",
+            "--delta-total", "1e-5",
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ["--algo", "naive-power", "--sweep", "3"],

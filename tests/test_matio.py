@@ -56,6 +56,17 @@ def test_dpm_trailing_bytes(mat, tmp_path):
         load_dpm(p)
 
 
+@pytest.mark.parametrize("n,d", [(2**62, 2**62), (2**30, 2**10), (2**62, 0), (0, 3)])
+def test_dpm_header_shape_checked_before_read(tmp_path, n, d):
+    # The payload size is checked against the file, so a header claiming an
+    # unrepresentable (or merely huge) n*d is a FormatError, not an overflow
+    # or a read of n*d*8 bytes.
+    p = tmp_path / "m.dpm"
+    p.write_bytes(struct.pack("<4sHQQ", b"DPM1", 1, n, d))
+    with pytest.raises(FormatError):
+        load_dpm(p)
+
+
 def test_dpm_bad_version(mat, tmp_path):
     p = tmp_path / "m.dpm"
     save_dpm(mat, p)
