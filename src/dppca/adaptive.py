@@ -10,15 +10,14 @@ data's incoherence instead of paying the worst case: well-spread data
 fires on a small theta and gets small noise.
 
 Accounting: each iteration runs two mechanisms — the threshold search and
-the Gaussian step — so a T-iteration run is composed as 2T mechanisms.
-`invert_budget(total, 2 * T)` produces the per-mechanism budget used here:
-advanced composition over 2T mechanisms, with delta_total split into 2T+1
-equal shares (one per mechanism plus the composition's own), although only
-the T Gaussian steps spend theirs.  Each iteration's Gaussian step spends
-(epsilon, delta) and its threshold search spends epsilon.
-
-The opt-in "zcdp" accountant (see `dppca.mech`) takes the per-mechanism
-budget from `split_budget(total, 2 * T, "zcdp")` instead: every threshold
+the Gaussian step — so a T-iteration run is composed as 2T mechanisms, and
+its per-mechanism budget is `split_budget(total, 2 * T)` under the total's
+accountant (see `dppca.mech`).  Under the default "paper" accountant that
+is `invert_budget(total, 2 * T)`: advanced composition over 2T mechanisms,
+with delta_total split into 2T+1 equal shares (one per mechanism plus the
+composition's own), although only the T Gaussian steps spend theirs.  Each
+iteration's Gaussian step spends (epsilon, delta) and its threshold search
+spends epsilon.  Under `PrivacyBudget(eps, delta, "zcdp")` every threshold
 search spends epsilon_svt and every Gaussian step draws sigma =
 theta / epsilon_svt, each (epsilon_svt^2 / 2)-zCDP.
 """
@@ -26,20 +25,19 @@ theta / epsilon_svt, each (epsilon_svt^2 / 2)-zCDP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from .matcore import DenseMatrix
 from .mech import (
-    ACCOUNTANTS,
     PrivacyBudget,
     RngStream,
     exp_mech_select,
     gaussian_sigma,
-    invert_budget,
     sample_gaussian_vec,
+    split_budget,
 )
 from .svtfilter import SvtConfig, threshold_search
 
@@ -51,24 +49,20 @@ class AdaptiveParams:
     """Configuration for one run of the adaptive iteration.
 
     per_iter is the per-mechanism budget from `split_budget(total,
-    2 * iterations, accountant)` (see the module docstring).
+    2 * iterations)`; its accountant picks the step's noise scale (see the
+    module docstring).
     """
 
     iterations: int
     per_iter: PrivacyBudget
     beta: float = 0.05
     noiseless: bool = False
-    accountant: str = "paper"
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.beta < 1.0:
             raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.accountant not in ACCOUNTANTS:
-            raise ParameterError(
-                f"accountant must be one of {ACCOUNTANTS}, got {self.accountant!r}"
-            )
 
 
 @dataclass
@@ -116,14 +110,13 @@ def run_adaptive_power(
     svt_cfg = SvtConfig(
         epsilon=params.per_iter.epsilon, beta=params.beta, noiseless=params.noiseless
     )
-    variant = "zcdp" if params.accountant == "zcdp" else "alg_line9"
     for _ in range(params.iterations):
         found = threshold_search(a, x, svt_cfg, rng)
 
         if params.noiseless:
             sigma = 0.0
         else:
-            sigma = gaussian_sigma(found.theta, params.per_iter, variant)
+            sigma = gaussian_sigma(found.theta, params.per_iter)
 
         trace.theta.append(found.theta)
         trace.removed.append(found.removed_count)
@@ -194,19 +187,21 @@ def _best_of(
 
     Budget split: half the epsilon goes to the exponential-mechanism
     selection; each of the R runs gets epsilon_total / (2R) and
-    delta_total / R, converted to a per-mechanism budget via invert_budget
+    delta_total / R under the total's accountant, split by split_budget
     over its own 2 T mechanisms.  Run r draws from rng.child(r) and the
     selection from rng.child(R).  Selection quality is the captured
     variance ||A x||^2, whose row-level sensitivity is 1 for unit rows.
     """
     check_private_input(a)
     count = len(runs)
-    run_budget = PrivacyBudget(total.epsilon / (2.0 * count), total.delta / count)
+    run_budget = replace(
+        total, epsilon=total.epsilon / (2.0 * count), delta=total.delta / count
+    )
     sel_eps = total.epsilon / 2.0
 
     candidates: list[SweepCandidate] = []
     for r, (kappa_r, t_r) in enumerate(runs):
-        per_iter = invert_budget(run_budget, 2 * t_r)
+        per_iter = split_budget(run_budget, 2 * t_r)
         params = AdaptiveParams(t_r, per_iter, beta=beta, noiseless=noiseless)
         x_r, trace_r = run_adaptive_power(a, params, rng.child(r))
         ax = a.data @ x_r

@@ -26,7 +26,6 @@ def analyze_gauss(
     budget: PrivacyBudget,
     rng: RngStream,
     noiseless: bool = False,
-    accountant: str = "paper",
 ) -> np.ndarray:
     """Top eigenvector of A^T A + E with symmetric Gaussian perturbation.
 
@@ -34,17 +33,16 @@ def analyze_gauss(
     below; sigma is the Gaussian-mechanism scale for sensitivity 1 (the
     Frobenius change from one unit row).  The whole budget is spent in this
     single release; the eigenvector extraction is post-processing.  Under
-    the "paper" accountant sigma = gaussian_sigma(1, budget); under "zcdp"
-    sigma = 1 / sqrt(2 rho), with rho = zcdp_rho(budget).
+    the budget's "paper" accountant sigma = gaussian_sigma(1, budget); for
+    `PrivacyBudget(eps, delta, "zcdp")` sigma = 1 / sqrt(2 rho), with
+    rho = zcdp_rho(budget).
     """
     check_private_input(a)
     g = gram(a)
-    if accountant == "paper":
-        release, variant = budget, "alg_line9"
-    else:  # split_budget rejects an unknown accountant
-        release, variant = split_budget(budget, 1, accountant), "zcdp"
+    # A paper release spends the budget itself, not invert_budget(budget, 1).
+    release = budget if budget.accountant == "paper" else split_budget(budget, 1)
     if not noiseless:
-        sigma = gaussian_sigma(1.0, release, variant)
+        sigma = gaussian_sigma(1.0, release)
         d = a.d
         noise = sigma * rng.standard_normal((d, d))
         upper = np.triu(noise)
@@ -63,7 +61,8 @@ def noisy_power_naive(
 
     Each step applies the full Gram matrix and adds N(0, sigma^2 I) with
     sigma calibrated to sensitivity 1 (no leverage filtering), then
-    normalizes.  Composes as `iterations` Gaussian mechanisms.
+    normalizes.  Composes as `iterations` Gaussian mechanisms, so per_iter
+    is `split_budget(total, iterations)`.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")

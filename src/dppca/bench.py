@@ -30,9 +30,11 @@ Each cell names a generator and an algorithm:
                                           # "zcdp": adaptive / analyze-gauss only
     }
 
-Cells are checked when the config is built (a malformed one raises a
-ParameterError naming grid[i]); a trial that fails at run time becomes a
-record whose error column starts with the error's reason code.
+A cell's eps_total, delta_total and accountant make the one PrivacyBudget
+that `run_algorithm` splits.  Cells are checked when the config is built
+(a malformed one raises a ParameterError or BudgetError naming grid[i]); a
+trial that fails at run time becomes a record whose error column starts
+with the error's reason code.
 `build_instance` and `run_algorithm`, which `dppca gen` and `dppca run`
 also call, are the only places that map a generator kind or an algorithm
 name to code.
@@ -75,16 +77,9 @@ from .datagen import (
     gen_low_coherence,
     scale_for_privacy,
 )
-from .errors import ContractViolationError, DppcaError, ParameterError
+from .errors import BudgetError, ContractViolationError, DppcaError, ParameterError
 from .matcore import DenseMatrix, rayleigh_ratio, sin_sq, spectrum_stats
-from .mech import (
-    ACCOUNTANTS,
-    PrivacyBudget,
-    RngStream,
-    compose,
-    invert_budget,
-    split_budget,
-)
+from .mech import PrivacyBudget, RngStream, compose, split_budget
 
 CSV_HEADER = (
     "cell,trial,algo,n,d,eps_total,delta_total,T,gen,sin2_emp,sin2_pop,"
@@ -152,17 +147,28 @@ class ExperimentConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
+        if not isinstance(self.record_walltime, bool):
+            raise ParameterError(
+                f"record_walltime must be true or false, got {self.record_walltime!r}"
+            )
+        if not isinstance(self.out, (str, type(None))):
+            raise ParameterError(f"out must be a path or null, got {self.out!r}")
         if not self.grid:
             raise ParameterError("grid must contain at least one cell")
         for i, cell in enumerate(self.grid):
             try:
                 _check_cell(cell)
-            except ParameterError as exc:
-                raise ParameterError(f"grid[{i}]: {exc}") from None
+            except (ParameterError, BudgetError) as exc:
+                raise type(exc)(f"grid[{i}]: {exc}") from None
 
     @staticmethod
     def from_json(path: str | Path) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # invalid JSON or text encoding
+            raise ParameterError(f"{path}: not a JSON config: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ParameterError(f"{path}: a config must be a JSON object")
         missing = [k for k in ("master_seed", "trials", "grid") if k not in doc]
         if missing:
             raise ParameterError(f"{path}: config lacks {', '.join(missing)}")
@@ -199,6 +205,8 @@ def _check_gen(gen) -> None:
     if missing:
         raise ParameterError(f"{gen['kind']} gen lacks {', '.join(missing)}")
     _check_numbers(gen)
+    if not isinstance(gen.get("rotate", True), bool):
+        raise ParameterError(f"rotate must be true or false, got {gen['rotate']!r}")
     spec = gen.get("spec", [])
     if not isinstance(spec, list) or not all(map(_number, spec)):
         raise ParameterError(f"spec must be a list of numbers, got {spec!r}")
@@ -216,19 +224,10 @@ def _check_cell(cell) -> None:
         raise ParameterError(f"cell lacks {', '.join(missing)}")
     _check_numbers(cell)
     # Budget values validate here; generator values validate at run time.
-    PrivacyBudget(cell["eps_total"], cell["delta_total"])
+    _check_accountant(algo, _cell_budget(cell))
     beta = cell.get("beta", 0.05)
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    accountant = cell.get("accountant", "paper")
-    if accountant not in ACCOUNTANTS:
-        raise ParameterError(
-            f"accountant must be one of {ACCOUNTANTS}, got {accountant!r}"
-        )
-    if accountant == "zcdp" and algo not in _ZCDP_ALGOS:
-        raise ParameterError(
-            f"accountant 'zcdp' is implemented for {' and '.join(_ZCDP_ALGOS)} only"
-        )
     if algo == "adaptive-sweep":
         if cell.get("sweep_J", 0) < 1:
             raise ParameterError("adaptive-sweep needs sweep_J >= 1")
@@ -239,6 +238,20 @@ def _check_cell(cell) -> None:
                 raise ParameterError("T='corollary' needs a kappa guess in (0, 1]")
         elif not (_number(t, int) and t >= 1):
             raise ParameterError("T must be an int >= 1 or 'corollary'")
+
+
+def _cell_budget(cell: dict) -> PrivacyBudget:
+    return PrivacyBudget(
+        cell["eps_total"], cell["delta_total"], cell.get("accountant", "paper")
+    )
+
+
+def _check_accountant(algo: str, total: PrivacyBudget) -> None:
+    if total.accountant != "paper" and algo not in _ZCDP_ALGOS:
+        raise ParameterError(
+            f"accountant {total.accountant!r} is implemented for "
+            f"{' and '.join(_ZCDP_ALGOS)} only, not {algo}"
+        )
 
 
 def build_instance(
@@ -320,9 +333,9 @@ def run_algorithm(
     sweep_j: int | None = None,
     restarts: int = 1,
     noiseless: bool = False,
-    accountant: str = "paper",
 ) -> RunResult:
-    """Run `algo` (one of _ALGOS) on `a` under the total budget `total`.
+    """Run `algo` (one of _ALGOS) on `a` under the total budget `total`,
+    split by its accountant.
 
     iterations is T: an int, or "corollary" for the corollary rule at the
     gap guess kappa scaled by t_const (adaptive and naive-power).  sweep_j
@@ -336,11 +349,10 @@ def run_algorithm(
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     if restarts > 1 and algo != "adaptive":
         raise ParameterError(f"restarts apply to the adaptive algorithm, not {algo}")
-    if accountant != "paper" and algo not in _ZCDP_ALGOS:
-        raise ParameterError(f"accountant {accountant!r} is not implemented for {algo}")
+    _check_accountant(algo, total)
 
     if algo == "analyze-gauss":
-        x_hat = analyze_gauss(a, total, rng, noiseless=noiseless, accountant=accountant)
+        x_hat = analyze_gauss(a, total, rng, noiseless=noiseless)
         return RunResult(x_hat, 0, {"mechanisms": 1})
     if algo == "adaptive-sweep":
         best = run_kappa_sweep(a, total, rng, sweep_j, beta, t_const, noiseless)
@@ -351,7 +363,7 @@ def run_algorithm(
     else:
         t = int(iterations)
     if algo == "naive-power":
-        per_iter = invert_budget(total, t)
+        per_iter = split_budget(total, t)
         x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
         return RunResult(x_hat, t, _per_mechanism(t, per_iter))
     if restarts > 1:
@@ -359,11 +371,11 @@ def run_algorithm(
         traces = [c.trace for c in best.candidates]
         return _best_of_result(best, {"restarts": restarts}, traces)
 
-    per_iter = split_budget(total, 2 * t, accountant)
-    params = AdaptiveParams(t, per_iter, beta, noiseless, accountant)
+    per_iter = split_budget(total, 2 * t)
+    params = AdaptiveParams(t, per_iter, beta, noiseless)
     x_hat, trace = run_adaptive_power(a, params, rng)
     accounting = _per_mechanism(2 * t, per_iter)
-    if accountant != "paper":  # bound_B and compose assume the paper's split
+    if total.accountant != "paper":  # bound_B and compose assume the paper's split
         return RunResult(x_hat, t, accounting, trace, trace.total_removed)
     composed = compose(per_iter, 2 * t)
     accounting.update(composed_epsilon=composed.epsilon, composed_delta=composed.delta)
@@ -388,7 +400,7 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
     cell = cfg.grid[cell_idx]
     gen = cell["gen"]
     beta = cell.get("beta", 0.05)
-    total = PrivacyBudget(cell["eps_total"], cell["delta_total"])
+    total = _cell_budget(cell)
     rec = ResultRecord(
         cell=str(cell.get("cell", cell_idx)),
         trial=trial,
@@ -411,7 +423,6 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
             cell["algo"], a, total, stream,
             iterations=cell.get("T"), kappa=cell.get("kappa"),
             t_const=cell.get("t_const", 1.0), beta=beta, sweep_j=cell.get("sweep_J"),
-            accountant=cell.get("accountant", "paper"),
         )
         rec.t, rec.removed = run.t, run.removed
         if run.per_iter is not None:

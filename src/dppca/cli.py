@@ -119,6 +119,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     threads = args.threads
     if threads is None:
         threads = bench.threads_from_env(cfg.threads)
+    elif threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {threads}")
     records = bench.run_experiment(cfg, threads=threads)
     out = args.out or cfg.out
     if out is None:
@@ -205,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DppcaError as exc:
+    except (DppcaError, OSError) as exc:  # OSError: an unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,13 +7,15 @@ draws, so any run is reproducible from its seed regardless of scheduling.
 Laplace noise is sampled through the explicit inverse CDF; Gaussian noise
 uses the generator's standard_normal (ziggurat).
 
-Accountants: "paper" is the paper's advanced composition (`compose`,
-`invert_budget`) and the default everywhere.  "zcdp" is zero-concentrated
-DP (Bun & Steinke 2016): the total (epsilon, delta) becomes a zCDP budget
-rho, and each of t mechanisms gets a per-mechanism epsilon_m with
-epsilon_m^2 / 2 = rho / t.  A pure epsilon_m-DP mechanism (a threshold
-search, the exponential mechanism) is (epsilon_m^2 / 2)-zCDP, and so is a
-Gaussian release with sigma = sensitivity / epsilon_m.
+Accountants: a `PrivacyBudget` carries one, e.g. `PrivacyBudget(1.0, 1e-5,
+"zcdp")`, and `split_budget` and `gaussian_sigma` apply its rules.  "paper"
+is the paper's advanced composition (`compose`, `invert_budget`) and the
+default everywhere.  "zcdp" is zero-concentrated DP (Bun & Steinke 2016):
+the total (epsilon, delta) becomes a zCDP budget rho, and each of t
+mechanisms gets a per-mechanism epsilon_m with epsilon_m^2 / 2 = rho / t.
+A pure epsilon_m-DP mechanism (a threshold search, the exponential
+mechanism) is (epsilon_m^2 / 2)-zCDP, and so is a Gaussian release with
+sigma = sensitivity / epsilon_m.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ ACCOUNTANTS = ("paper", "zcdp")
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """An (epsilon, delta) pair; both strictly positive, delta < 1."""
+    """An (epsilon, delta) pair, both strictly positive with delta < 1, and
+    the accountant (one of ACCOUNTANTS) that splits and calibrates it."""
 
     epsilon: float
     delta: float
+    accountant: str = "paper"
 
     def __post_init__(self) -> None:
         eps, delta = self.epsilon, self.delta
@@ -43,6 +47,10 @@ class PrivacyBudget:
             raise BudgetError(f"epsilon must be positive and finite, got {eps}")
         if not (math.isfinite(delta) and 0.0 < delta < 1.0):
             raise BudgetError(f"delta must lie in (0, 1), got {delta}")
+        if self.accountant not in ACCOUNTANTS:
+            raise ParameterError(
+                f"accountant must be one of {ACCOUNTANTS}, got {self.accountant!r}"
+            )
 
 
 @dataclass
@@ -105,23 +113,20 @@ def sample_laplace(scale: float, rng: RngStream, size: int | None = None):
     return float(out) if size is None else out
 
 
-def gaussian_sigma(
-    sensitivity: float, budget: PrivacyBudget, variant: str = "alg_line9"
-) -> float:
-    """Gaussian-mechanism noise scale for a given L2 sensitivity.
+def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:
+    """Gaussian-mechanism noise scale for a given L2 sensitivity k, by the
+    budget's accountant.
 
-    variant "alg_line9": sigma = k * sqrt(2 ln(2/delta)) / epsilon
-    variant "zcdp":      sigma = k / epsilon, an (epsilon^2 / 2)-zCDP release
-                         (delta is not used)
+    "paper": sigma = k * sqrt(2 ln(2/delta)) / epsilon (Algorithm line 9)
+    "zcdp":  sigma = k / epsilon, an (epsilon^2 / 2)-zCDP release (delta is
+             not used)
     """
     if not (math.isfinite(sensitivity) and sensitivity >= 0.0):
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
-    if variant == "zcdp":
+    if budget.accountant == "zcdp":
         return sensitivity / budget.epsilon
-    if variant == "alg_line9":
-        root = math.sqrt(math.log(2.0 / budget.delta))
-        return sensitivity * math.sqrt(2.0) * root / budget.epsilon
-    raise ParameterError(f"unknown gaussian variant {variant!r}")
+    root = math.sqrt(math.log(2.0 / budget.delta))
+    return sensitivity * math.sqrt(2.0) * root / budget.epsilon
 
 
 def sample_gaussian_vec(dim: int, sigma: float, rng: RngStream) -> np.ndarray:
@@ -190,25 +195,20 @@ def zcdp_epsilon(rho: float, delta: float) -> float:
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
-def split_budget(
-    total: PrivacyBudget, t: int, accountant: str = "paper"
-) -> PrivacyBudget:
-    """Per-mechanism budget for t mechanisms composed to `total`.
+def split_budget(total: PrivacyBudget, t: int) -> PrivacyBudget:
+    """Per-mechanism budget for t mechanisms composed to `total`, by its
+    accountant; the result carries the same accountant.
 
     "paper": `invert_budget(total, t)`.
     "zcdp":  epsilon_m = sqrt(2 zcdp_rho(total) / t), so the t mechanisms
              compose to zcdp_rho(total); delta stays delta_total, because
              zCDP spends delta only once, in the final conversion.
     """
-    if accountant == "paper":
+    if total.accountant == "paper":
         return invert_budget(total, t)
-    if accountant != "zcdp":
-        raise ParameterError(
-            f"accountant must be one of {ACCOUNTANTS}, got {accountant!r}"
-        )
     if t < 1:
         raise ParameterError(f"mechanism count must be >= 1, got {t}")
-    return PrivacyBudget(math.sqrt(2.0 * zcdp_rho(total) / t), total.delta)
+    return PrivacyBudget(math.sqrt(2.0 * zcdp_rho(total) / t), total.delta, "zcdp")
 
 
 def exp_mech_select(

@@ -40,12 +40,6 @@ def power_iteration_oracle(a, x0, iters):
 
 
 class TestParams:
-    def test_rejects_bad_accountant(self):
-        with pytest.raises(ParameterError):
-            AdaptiveParams(
-                iterations=1, per_iter=PrivacyBudget(0.1, 1e-6), accountant="rdp"
-            )
-
     def test_rejects_zero_iterations(self):
         with pytest.raises(ParameterError):
             AdaptiveParams(iterations=0, per_iter=PrivacyBudget(0.1, 1e-6))
@@ -124,7 +118,7 @@ class TestNoisyRun:
             rel=1e-9,
         )
         explicit = AdaptiveParams(
-            iterations=5, per_iter=PrivacyBudget(0.5, 1e-6), accountant="paper"
+            iterations=5, per_iter=PrivacyBudget(0.5, 1e-6, "paper")
         )
         again, _ = run_adaptive_power(instance, explicit, RngStream(11))
         assert np.array_equal(x_hat, again)
@@ -143,14 +137,14 @@ class TestNoisyRun:
             theta = threshold_search(instance, x, cfg, rng).theta
             q = instance.row_norms() * np.abs(instance.data @ x)
             kept = instance.data[q <= theta]
-            sigma = gaussian_sigma(theta, per_iter, "alg_line9")
+            sigma = gaussian_sigma(theta, per_iter)
             x = kept.T @ kept @ x + sample_gaussian_vec(instance.d, sigma, rng)
             x /= np.linalg.norm(x)
         assert np.linalg.norm(x_hat - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_zcdp_step_sigma_is_theta_over_epsilon(self, instance):
-        per_iter = split_budget(PrivacyBudget(1.0, 1e-5), 2 * 5, "zcdp")
-        params = AdaptiveParams(iterations=5, per_iter=per_iter, accountant="zcdp")
+        per_iter = split_budget(PrivacyBudget(1.0, 1e-5, "zcdp"), 2 * 5)
+        params = AdaptiveParams(iterations=5, per_iter=per_iter)
         _, trace = run_adaptive_power(instance, params, RngStream(6))
         for theta, sigma in zip(trace.theta, trace.noise_sigma):
             assert sigma == pytest.approx(theta / per_iter.epsilon, rel=1e-12)
@@ -228,6 +222,17 @@ class TestRestarts:
         assert all(len(c.trace.theta) == 4 for c in res.candidates)
         assert res.selection_epsilon == pytest.approx(1.0)
         assert res.run_budget == PrivacyBudget(2.0 / 6, 1e-5 / 3)
+
+    def test_run_budget_keeps_the_accountant(self, instance):
+        res = run_with_restarts(
+            instance, PrivacyBudget(2.0, 1e-5, "zcdp"), iterations=2,
+            restarts=2, rng=RngStream(14),
+        )
+        assert res.run_budget == PrivacyBudget(2.0 / 4, 1e-5 / 2, "zcdp")
+        per_iter = split_budget(res.run_budget, 2 * 2)
+        for c in res.candidates:
+            for theta, sigma in zip(c.trace.theta, c.trace.noise_sigma):
+                assert sigma == pytest.approx(theta / per_iter.epsilon, rel=1e-12)
 
     def test_rejects_zero_restarts(self, instance):
         with pytest.raises(ParameterError):

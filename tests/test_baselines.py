@@ -54,29 +54,22 @@ class TestAnalyzeGauss:
             [0.04171840610998693, 0.5249877869140879, -0.32274018881488375],
             rel=1e-9,
         )
-        again = analyze_gauss(
-            instance, PrivacyBudget(1.0, 1e-5), RngStream(12), accountant="paper"
-        )
+        paper = PrivacyBudget(1.0, 1e-5, "paper")
+        again = analyze_gauss(instance, paper, RngStream(12))
         assert np.array_equal(v, again)
 
     def test_zcdp_sigma(self, instance):
         # Rebuild the zCDP release from the same draw with sigma =
         # 1 / sqrt(2 rho); numpy's eigensolver serves as the oracle.
-        budget = PrivacyBudget(1.0, 1e-5)
+        budget = PrivacyBudget(1.0, 1e-5, "zcdp")
         sigma = 1.0 / np.sqrt(2.0 * zcdp_rho(budget))
         assert sigma == pytest.approx(4.9006, rel=1e-4)
         g = instance.data.T @ instance.data
         noise = sigma * RngStream(13).standard_normal((instance.d, instance.d))
         noisy = g + np.triu(noise) + np.triu(noise, 1).T
         expect = np.linalg.eigh(noisy)[1][:, -1]
-        got = analyze_gauss(instance, budget, RngStream(13), accountant="zcdp")
+        got = analyze_gauss(instance, budget, RngStream(13))
         assert sin_sq(got, expect) <= 1e-12
-
-    def test_unknown_accountant(self, instance):
-        with pytest.raises(ParameterError):
-            analyze_gauss(
-                instance, PrivacyBudget(1.0, 1e-5), RngStream(0), accountant="rdp"
-            )
 
     def test_rejects_long_rows(self):
         bad = DenseMatrix(3.0 * np.eye(4))

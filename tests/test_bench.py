@@ -10,12 +10,15 @@ from dppca.bench import (
     ExperimentConfig,
     ResultRecord,
     records_to_csv,
+    run_algorithm,
     run_experiment,
     summarize,
     threads_from_env,
     write_csv,
 )
 from dppca.errors import BudgetError, ContractViolationError, ParameterError
+from dppca.matcore import DenseMatrix
+from dppca.mech import PrivacyBudget, RngStream
 
 
 def small_grid():
@@ -260,12 +263,18 @@ class TestConfig:
         (1, {"beta": "0.1"}, "beta"),
         (1, {"T": "corollary", "kappa": "half", "algo": "adaptive"}, "kappa"),
         (0, {"gen": ["gaussian"]}, "gen.kind"),
+        (0, {"gen": {"kind": "low-coh", "n": 150, "d": 5, "sigma1_frac": 0.3,
+                     "gap": 0.5, "rotate": "x"}}, "rotate must be"),
+        (1, {"eps_total": -1}, "epsilon must be positive"),
+        (0, {"delta_total": 2}, "delta must lie in"),
     ])
     def test_malformed_cell_names_its_index(self, index, cell, needle):
         grid = small_grid()[:2]
         grid[index] = {k: v for k, v in dict(grid[index], **cell).items()
                        if v is not None}
-        with pytest.raises(ParameterError, match=rf"grid\[{index}\]") as info:
+        budget = needle.startswith(("epsilon", "delta"))
+        error = BudgetError if budget else ParameterError
+        with pytest.raises(error, match=rf"grid\[{index}\]") as info:
             ExperimentConfig(master_seed=1, trials=1, grid=grid)
         assert needle in str(info.value)
 
@@ -273,6 +282,8 @@ class TestConfig:
         ("trials", "2", "trials must be an integer"),
         ("threads", 2.0, "threads must be an integer"),
         ("master_seed", -1, "master_seed must lie in"),
+        ("record_walltime", "no", "record_walltime must be true or false"),
+        ("out", 5, "out must be a path or null"),
     ])
     def test_mistyped_top_level_field(self, field, value, needle):
         kwargs = dict(master_seed=1, trials=1, grid=small_grid()[:1])
@@ -293,6 +304,13 @@ class TestConfig:
             ExperimentConfig(
                 master_seed=1, trials=1, grid=[dict(base, accountant=name)]
             )
+
+    @pytest.mark.parametrize("algo", ["adaptive-sweep", "naive-power"])
+    def test_run_algorithm_guards_the_accountant(self, algo):
+        a = DenseMatrix(np.eye(4) / 2.0)
+        total = PrivacyBudget(1.0, 1e-5, "zcdp")
+        with pytest.raises(ParameterError, match=f"'zcdp'.*not {algo}"):
+            run_algorithm(algo, a, total, RngStream(0), iterations=2, sweep_j=2)
 
     def test_paper_accountant_is_the_default(self, small_run):
         cfg, recs = small_run

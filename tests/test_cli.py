@@ -221,6 +221,15 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_input_is_cli_error(self, tmp_path, capsys):
+        rc = run_cli(
+            "run", "--in", str(tmp_path / "none.dpm"), "--eps-total", "1.0",
+            "--delta-total", "1e-5",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err
+
     @pytest.mark.parametrize("extra", [
         ["--algo", "naive-power", "--sweep", "3"],
         ["--algo", "analyze-gauss", "--sweep", "3"],
@@ -333,6 +342,37 @@ class TestBench:
         rc = run_cli("bench", "--config", str(cfg_path))
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: trials must be an integer")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_cli_error(self, tmp_path, capsys, threads):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "o.csv"
+        cfg_path.write_text(json.dumps({
+            "master_seed": 1, "trials": 1,
+            "grid": [{
+                "cell": "c", "gen": {"kind": "high-coh", "n": 40, "d": 4},
+                "algo": "analyze-gauss", "eps_total": 1.0, "delta_total": 1e-5,
+            }],
+        }))
+        rc = run_cli("bench", "--config", str(cfg_path), "--out", str(out),
+                     "--threads", threads)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --threads must be >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, needle", [
+        (None, "No such file"),
+        ('{"master_seed": 1,', "not a JSON config"),
+        ("[1, 2]", "must be a JSON object"),
+    ])
+    def test_unreadable_config_is_cli_error(self, tmp_path, capsys, text, needle):
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        rc = run_cli("bench", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
 
     def test_bench_without_out_is_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

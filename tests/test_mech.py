@@ -26,7 +26,11 @@ from dppca.mech import (
 class TestPrivacyBudget:
     def test_valid(self):
         b = PrivacyBudget(0.5, 1e-6)
-        assert (b.epsilon, b.delta) == (0.5, 1e-6)
+        assert (b.epsilon, b.delta, b.accountant) == (0.5, 1e-6, "paper")
+
+    def test_rejects_unknown_accountant(self):
+        with pytest.raises(ParameterError, match="accountant must be one of"):
+            PrivacyBudget(1.0, 1e-5, "rdp")
 
     @pytest.mark.parametrize("eps,delta", [
         (0.0, 1e-6), (-1.0, 1e-6), (float("inf"), 1e-6),
@@ -94,30 +98,27 @@ class TestGaussianSigma:
         b = PrivacyBudget(0.3, 1e-6)
         assert gaussian_sigma(2.5, b) == pytest.approx(2.5 * gaussian_sigma(1.0, b))
 
-    def test_unknown_variant(self):
-        with pytest.raises(ParameterError):
-            gaussian_sigma(1.0, PrivacyBudget(1.0, 1e-5), "bogus")
-
 
 class TestZcdpSplit:
     def test_worked_values(self):
-        total = PrivacyBudget(1.0, 1e-5)
+        total = PrivacyBudget(1.0, 1e-5, "zcdp")
         assert zcdp_rho(total) == pytest.approx(0.020820, rel=1e-4)
-        per = split_budget(total, 2 * 5, "zcdp")
+        per = split_budget(total, 2 * 5)
+        assert per.accountant == "zcdp"
         assert per.epsilon == pytest.approx(0.064529, rel=1e-4)
-        assert gaussian_sigma(1.0, per, "zcdp") == pytest.approx(15.497, rel=1e-4)
-        release = split_budget(total, 1, "zcdp")
-        assert gaussian_sigma(1.0, release, "zcdp") == pytest.approx(4.9006, rel=1e-4)
+        assert gaussian_sigma(1.0, per) == pytest.approx(15.497, rel=1e-4)
+        release = split_budget(total, 1)
+        assert gaussian_sigma(1.0, release) == pytest.approx(4.9006, rel=1e-4)
 
     @given(budgets)
     @settings(max_examples=200, deadline=None)
     def test_composes_back_to_the_request(self, args):
         eps, delta, t = args
-        total = PrivacyBudget(eps, delta)
+        total = PrivacyBudget(eps, delta, "zcdp")
         rho = zcdp_rho(total)
-        per = split_budget(total, 2 * t, "zcdp")
+        per = split_budget(total, 2 * t)
         theta = 0.37
-        sigma = gaussian_sigma(theta, per, "zcdp")
+        sigma = gaussian_sigma(theta, per)
         spent = t * per.epsilon**2 / 2 + t * theta**2 / (2 * sigma**2)
         assert spent == pytest.approx(rho, rel=1e-12)
         assert zcdp_epsilon(spent, delta) == pytest.approx(eps, rel=1e-12)
@@ -125,14 +126,11 @@ class TestZcdpSplit:
     def test_paper_split_is_invert_budget(self):
         total = PrivacyBudget(1.0, 1e-5)
         assert split_budget(total, 10) == invert_budget(total, 10)
-        assert split_budget(total, 10, "paper") == invert_budget(total, 10)
+        assert split_budget(total, 10).accountant == "paper"
 
     def test_rejects_bad_inputs(self):
-        total = PrivacyBudget(1.0, 1e-5)
         with pytest.raises(ParameterError):
-            split_budget(total, 4, "rdp")
-        with pytest.raises(ParameterError):
-            split_budget(total, 0, "zcdp")
+            split_budget(PrivacyBudget(1.0, 1e-5, "zcdp"), 0)
         with pytest.raises(BudgetError):
             zcdp_epsilon(0.0, 1e-5)
 
