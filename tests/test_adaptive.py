@@ -40,6 +40,15 @@ def power_iteration_oracle(a, x0, iters):
 
 
 class TestParams:
+    def test_rejects_bad_accountant(self):
+        # The accountant rides on the per-iteration budget; an unknown name
+        # is rejected before any params can be built from it.
+        with pytest.raises(ParameterError, match="accountant must be one of"):
+            AdaptiveParams(
+                iterations=1,
+                per_iter=split_budget(PrivacyBudget(0.1, 1e-6, "rdp"), 2),
+            )
+
     def test_rejects_zero_iterations(self):
         with pytest.raises(ParameterError):
             AdaptiveParams(iterations=0, per_iter=PrivacyBudget(0.1, 1e-6))

@@ -71,6 +71,10 @@ class TestAnalyzeGauss:
         got = analyze_gauss(instance, budget, RngStream(13))
         assert sin_sq(got, expect) <= 1e-12
 
+    def test_unknown_accountant(self, instance):
+        with pytest.raises(ParameterError, match="accountant must be one of"):
+            analyze_gauss(instance, PrivacyBudget(1.0, 1e-5, "rdp"), RngStream(0))
+
     def test_rejects_long_rows(self):
         bad = DenseMatrix(3.0 * np.eye(4))
         with pytest.raises(ContractViolationError):

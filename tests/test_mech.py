@@ -98,6 +98,10 @@ class TestGaussianSigma:
         b = PrivacyBudget(0.3, 1e-6)
         assert gaussian_sigma(2.5, b) == pytest.approx(2.5 * gaussian_sigma(1.0, b))
 
+    def test_unknown_variant(self):
+        with pytest.raises(ParameterError, match="accountant must be one of"):
+            gaussian_sigma(1.0, PrivacyBudget(1.0, 1e-5, "bogus"))
+
 
 class TestZcdpSplit:
     def test_worked_values(self):
