@@ -3,12 +3,18 @@
 
 Run this only after a deliberate, justified change to the numerics; the
 regression test holds future builds within 20% of the values written here.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is already set.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
+# Before numpy loads: one BLAS thread, so W bench workers use W threads.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dppca import bench  # noqa: E402

@@ -6,12 +6,19 @@ Usage:
 
 Defaults to the acceptance grid shipped with the test suite.  The CSV is
 byte-identical for a fixed master seed regardless of the thread count.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS is already set, so the CSV does not depend on the host's
+default BLAS threading.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
+# Before numpy loads: one BLAS thread, so W bench workers use W threads.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dppca import bench  # noqa: E402

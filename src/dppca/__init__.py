@@ -3,7 +3,7 @@
 Core entry points:
 
 - matcore: dense matrices, the symmetric eigensolver (LAPACK eigh, fixed
-  order and signs), compact SVD, coherence statistics
+  order and signs), coherence statistics
 - mech: privacy budgets, composition, Gaussian/Laplace/exponential mechanisms,
   seeded counter-based RNG streams
 - svtfilter: private threshold search and leverage-based row filtering
@@ -16,7 +16,7 @@ Core entry points:
 
 from .adaptive import AdaptiveParams, run_adaptive_power, run_kappa_sweep
 from .baselines import analyze_gauss, noisy_power_naive
-from .matcore import DenseMatrix, compact_svd, sin_sq, spectrum_stats, sym_eig
+from .matcore import DenseMatrix, sin_sq, spectrum_stats, sym_eig
 from .mech import PrivacyBudget, RngStream, compose, invert_budget
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "PrivacyBudget",
     "RngStream",
     "analyze_gauss",
-    "compact_svd",
     "compose",
     "invert_budget",
     "noisy_power_naive",

@@ -19,20 +19,21 @@ Each cell names a generator and an algorithm:
               "sigma1_sq": 0.5, "kappabar": 0.5, "rotate": true}
             | {"kind": "gaussian", "n": ..., "spec": [s1, s2, ...]}
             | {"kind": "low-coh", "n": ..., "d": ..., "sigma1_frac": ..., "gap": ...}
-            | {"kind": "high-coh", "n": ..., "d": ...},
+            | {"kind": "high-coh", "n": ..., "d": ..., "spikes": 4, "noise_norm": 0.05},
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
       "T": 10 | "corollary",              # adaptive / naive-power
       "t_const": 1.0,                     # multiplier for the corollary rule
       "kappa": 0.5,                       # gap guess for the corollary rule
       "sweep_J": 6,                       # adaptive-sweep only
-      "accountant": "paper" | "zcdp"      # optional, default "paper";
-                                          # "zcdp": adaptive / analyze-gauss only
+      "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
 
-A cell's eps_total, delta_total and accountant make the one PrivacyBudget
-that `run_algorithm` splits.  Cells are checked when the config is built
-(a malformed one raises a ParameterError or BudgetError naming grid[i]); a
+A gaussian gen given both d and spec needs d == len(spec).  A cell's
+eps_total, delta_total and accountant make the one PrivacyBudget that
+`run_algorithm` splits.  Cells are checked when the config is built (a
+malformed one, or one with a key not shown here, raises a ParameterError
+or BudgetError naming grid[i]); a
 trial that fails at run time becomes a record whose error column starts
 with the error's reason code.
 `build_instance` and `run_algorithm`, which `dppca gen` and `dppca run`
@@ -87,7 +88,6 @@ CSV_HEADER = (
 )
 
 _ALGOS = ("adaptive", "adaptive-sweep", "analyze-gauss", "naive-power")
-_ZCDP_ALGOS = ("adaptive", "analyze-gauss")  # the others have no zCDP split yet
 # Keys each kind of gen needs (a gaussian one without "spec" also needs
 # d, sigma1_sq and kappabar), and the numeric keys of cells and gens.
 _GEN_KEYS = {
@@ -98,6 +98,13 @@ _GEN_KEYS = {
 _INT_KEYS = ("n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
                "eps_total", "delta_total", "beta", "kappa", "t_const")
+# Every key the docstring's schema allows, per level (a gen may carry the
+# keys of any kind).
+_CONFIG_KEYS = ("master_seed", "trials", "threads", "out", "record_walltime", "grid")
+_CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "T",
+              "t_const", "kappa", "sweep_J", "accountant")
+_GEN_ALL_KEYS = ("kind", "n", "d", "sigma1_sq", "kappabar", "rotate", "spec",
+                 "sigma1_frac", "gap", "spikes", "noise_norm")
 
 
 @dataclass
@@ -169,6 +176,7 @@ class ExperimentConfig:
             raise ParameterError(f"{path}: not a JSON config: {exc}") from None
         if not isinstance(doc, dict):
             raise ParameterError(f"{path}: a config must be a JSON object")
+        _check_keys(doc, _CONFIG_KEYS, f"{path}: config")
         missing = [k for k in ("master_seed", "trials", "grid") if k not in doc]
         if missing:
             raise ParameterError(f"{path}: config lacks {', '.join(missing)}")
@@ -186,6 +194,12 @@ def _number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _check_keys(doc: dict, known: tuple, what: str) -> None:
+    unknown = [k for k in doc if k not in known]
+    if unknown:
+        raise ParameterError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _check_numbers(doc: dict) -> None:
     for key, value in doc.items():
         if key in _INT_KEYS and not _number(value, int):
@@ -195,9 +209,11 @@ def _check_numbers(doc: dict) -> None:
 
 
 def _check_gen(gen) -> None:
-    """Raise ParameterError unless `gen` names a kind and carries its keys."""
+    """Raise ParameterError unless `gen` names a kind, carries its keys and
+    no unknown ones, and a d it gives matches its spec."""
     if not isinstance(gen, dict) or gen.get("kind") not in _GEN_KEYS:
         raise ParameterError(f"gen.kind must be one of {tuple(_GEN_KEYS)}")
+    _check_keys(gen, _GEN_ALL_KEYS, "gen")
     need = _GEN_KEYS[gen["kind"]]
     if gen["kind"] == "gaussian" and "spec" not in gen:
         need += ("d", "sigma1_sq", "kappabar")
@@ -210,11 +226,14 @@ def _check_gen(gen) -> None:
     spec = gen.get("spec", [])
     if not isinstance(spec, list) or not all(map(_number, spec)):
         raise ParameterError(f"spec must be a list of numbers, got {spec!r}")
+    if "spec" in gen and gen.get("d", len(spec)) != len(spec):
+        raise ParameterError(f"gen has d={gen['d']} but a spec of {len(spec)} entries")
 
 
 def _check_cell(cell) -> None:
     if not isinstance(cell, dict):
         raise ParameterError("a cell must be a JSON object")
+    _check_keys(cell, _CELL_KEYS, "cell")
     _check_gen(cell.get("gen"))
     algo = cell.get("algo")
     if algo not in _ALGOS:
@@ -224,7 +243,7 @@ def _check_cell(cell) -> None:
         raise ParameterError(f"cell lacks {', '.join(missing)}")
     _check_numbers(cell)
     # Budget values validate here; generator values validate at run time.
-    _check_accountant(algo, _cell_budget(cell))
+    _cell_budget(cell)
     beta = cell.get("beta", 0.05)
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
@@ -244,14 +263,6 @@ def _cell_budget(cell: dict) -> PrivacyBudget:
     return PrivacyBudget(
         cell["eps_total"], cell["delta_total"], cell.get("accountant", "paper")
     )
-
-
-def _check_accountant(algo: str, total: PrivacyBudget) -> None:
-    if total.accountant != "paper" and algo not in _ZCDP_ALGOS:
-        raise ParameterError(
-            f"accountant {total.accountant!r} is implemented for "
-            f"{' and '.join(_ZCDP_ALGOS)} only, not {algo}"
-        )
 
 
 def build_instance(
@@ -340,8 +351,7 @@ def run_algorithm(
     iterations is T: an int, or "corollary" for the corollary rule at the
     gap guess kappa scaled by t_const (adaptive and naive-power).  sweep_j
     is the number of gap guesses of adaptive-sweep, which picks each run's T
-    itself.  restarts > 1 runs best-of-R adaptive runs.  A non-paper
-    accountant is implemented for adaptive and analyze-gauss only.
+    itself.  restarts > 1 runs best-of-R adaptive runs.
     """
     if algo not in _ALGOS:
         raise ParameterError(f"algo must be one of {_ALGOS}, got {algo!r}")
@@ -349,7 +359,6 @@ def run_algorithm(
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     if restarts > 1 and algo != "adaptive":
         raise ParameterError(f"restarts apply to the adaptive algorithm, not {algo}")
-    _check_accountant(algo, total)
 
     if algo == "analyze-gauss":
         x_hat = analyze_gauss(a, total, rng, noiseless=noiseless)

@@ -21,7 +21,7 @@ from .errors import (
     SizingError,
 )
 
-# Relative rank cutoff of the compact SVD and the magnitude below which an
+# Relative rank cutoff of the singular values and the magnitude below which an
 # eigenvector entry does not decide the column's sign.
 _REL_TOL = 1e-12
 
@@ -85,20 +85,6 @@ class Spectrum:
 
 
 @dataclass
-class SvdFactors:
-    """Compact SVD of an n x d matrix: A = U diag(s) V^T.
-
-    U has a zero column wherever the corresponding singular value fell
-    below the rank cutoff; `rank` counts the columns that survived.
-    """
-
-    u: np.ndarray  # (n, d)
-    s: np.ndarray  # (d,) descending, >= 0
-    v: np.ndarray  # (d, d)
-    rank: int
-
-
-@dataclass
 class CoherenceStats:
     """Scale-free summary of a matrix used by the utility analysis.
 
@@ -116,7 +102,6 @@ class CoherenceStats:
     u_inf: float
     v_inf: float
     mu: float
-    rank: int
     top_vector: np.ndarray = field(repr=False)  # v1, length d, unit norm
 
 
@@ -172,33 +157,29 @@ def sym_eig(s: np.ndarray) -> Spectrum:
     return Spectrum(values=values, vectors=vectors)
 
 
-def compact_svd(a: DenseMatrix) -> SvdFactors:
-    """Compact SVD routed through the Gram matrix and the symmetric eigensolver.
+def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
+    """Coherence and gap statistics of `a` from its Gram eigendecomposition.
 
     Singular values are sqrt(max(eigenvalue, 0)); values at or below
-    1e-12 * s1 are treated as rank-deficient and get a zero column in U.
-    The kept values are a prefix, so U's rank columns are one product.
+    1e-12 * s1 fall outside the rank.  U's rank columns are A V / s, so
+    upsilon and u_inf are column maxima of |A V| divided by s: one product,
+    and no n x d U.
     """
     spec = sym_eig(gram(a))
     s = np.sqrt(np.maximum(spec.values, 0.0))
     rank = int(np.count_nonzero(s > _REL_TOL * s[0]))
-    u = np.zeros((a.n, a.d))
-    np.matmul(a.data, spec.vectors[:, :rank], out=u[:, :rank])
-    u[:, :rank] /= s[:rank]
-    return SvdFactors(u=u, s=s, v=spec.vectors, rank=rank)
-
-
-def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
-    """Coherence and gap statistics of `a` via its compact SVD."""
-    f = compact_svd(a)
-    if f.rank == 0:
+    if rank == 0:
         raise RankZeroError("spectrum statistics of an all-zero matrix")
-    sigma1 = float(f.s[0])
-    sigma2 = float(f.s[1]) if f.s.size > 1 else 0.0
+    av = a.data @ spec.vectors[:, :rank]
+    # fl(|x| / s) is monotone in |x| for s > 0: dividing the column maxima
+    # gives the maxima of the divided columns, bit for bit.
+    u_max = np.abs(av, out=av).max(axis=0) / s[:rank]
+    sigma1 = float(s[0])
+    sigma2 = float(s[1]) if s.size > 1 else 0.0
     kappa = (sigma1**2 - sigma2**2) / sigma1**2
-    upsilon = float(np.abs(f.u[:, 0]).max())
-    u_inf = float(np.abs(f.u[:, : f.rank]).max())
-    v_inf = float(np.abs(f.v).max())
+    upsilon = float(u_max[0])
+    u_inf = float(u_max.max())
+    v_inf = float(np.abs(spec.vectors).max())
     mu = max(a.n * u_inf**2, a.d * v_inf**2)
     return CoherenceStats(
         sigma1=sigma1,
@@ -208,8 +189,7 @@ def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
         u_inf=u_inf,
         v_inf=v_inf,
         mu=mu,
-        rank=f.rank,
-        top_vector=f.v[:, 0].copy(),
+        top_vector=spec.vectors[:, 0].copy(),
     )
 
 

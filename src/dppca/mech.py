@@ -106,8 +106,9 @@ def sample_laplace(scale: float, rng: RngStream, size: int | None = None):
     u = rng.uniform_open(size)
     centered = u - 0.5
     inner = 1.0 - 2.0 * np.abs(centered)
-    # u in (0,1) keeps inner > 0 except at the closed right edge, which the
-    # open-interval sampler excludes; clamp anyway for safety.
+    # u <= 2**-55, uniform_open's nudged zero (5e-324) among them, rounds
+    # u - 1/2 to -1/2, so inner == 0 and log(inner) = -inf; the clamp keeps
+    # those draws finite, at -scale * 744.4.
     inner = np.maximum(inner, np.nextafter(0.0, 1.0))
     out = -scale * np.sign(centered) * np.log(inner)
     return float(out) if size is None else out

@@ -18,7 +18,7 @@ from dppca.bench import (
 )
 from dppca.errors import BudgetError, ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix
-from dppca.mech import PrivacyBudget, RngStream
+from dppca.mech import PrivacyBudget, RngStream, split_budget
 
 
 def small_grid():
@@ -267,6 +267,13 @@ class TestConfig:
                      "gap": 0.5, "rotate": "x"}}, "rotate must be"),
         (1, {"eps_total": -1}, "epsilon must be positive"),
         (0, {"delta_total": 2}, "delta must lie in"),
+        (0, {"t_cosnt": 0.1}, "cell has unknown key(s) 't_cosnt'"),
+        (1, {"accountnat": "zcdp"}, "cell has unknown key(s) 'accountnat'"),
+        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4, "sigma1_sq": 0.5,
+                     "kappabar": 0.5, "kappa_bar": 0.5}},
+         "gen has unknown key(s) 'kappa_bar'"),
+        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 7, "spec": [0.5, 0.3, 0.2]}},
+         "d=7 but a spec of 3 entries"),
     ])
     def test_malformed_cell_names_its_index(self, index, cell, needle):
         grid = small_grid()[:2]
@@ -297,20 +304,37 @@ class TestConfig:
             ExperimentConfig(
                 master_seed=1, trials=1, grid=[dict(base, accountant="rdp")]
             )
-        naive = dict(small_grid()[2], accountant="zcdp")
-        with pytest.raises(ParameterError, match=r"grid\[1\]"):
-            ExperimentConfig(master_seed=1, trials=1, grid=[base, naive])
         for name in ("paper", "zcdp"):
             ExperimentConfig(
                 master_seed=1, trials=1, grid=[dict(base, accountant=name)]
             )
 
     @pytest.mark.parametrize("algo", ["adaptive-sweep", "naive-power"])
-    def test_run_algorithm_guards_the_accountant(self, algo):
-        a = DenseMatrix(np.eye(4) / 2.0)
-        total = PrivacyBudget(1.0, 1e-5, "zcdp")
-        with pytest.raises(ParameterError, match=f"'zcdp'.*not {algo}"):
-            run_algorithm(algo, a, total, RngStream(0), iterations=2, sweep_j=2)
+    def test_run_algorithm_splits_a_zcdp_total(self, algo):
+        cell = dict(small_grid()[0], algo=algo, T=2, sweep_J=2, accountant="zcdp")
+        recs = run_experiment(ExperimentConfig(master_seed=1, trials=2, grid=[cell]))
+        assert not any(r.error for r in recs)
+
+        data = np.random.default_rng(3).normal(size=(200, 4))
+        a = DenseMatrix(data / np.linalg.norm(data, axis=1, keepdims=True))
+        total = PrivacyBudget(2.0, 1e-5, "zcdp")
+        run = run_algorithm(algo, a, total, RngStream(0), iterations=2, sweep_j=2)
+        if algo == "naive-power":
+            per_iter = split_budget(total, 2)
+            assert run.accounting == {
+                "mechanisms": 2,
+                "per_mechanism_epsilon": per_iter.epsilon,
+                "per_mechanism_delta": per_iter.delta,
+            }
+            return
+        # Each of the J runs spends (epsilon / 2J, delta / J); the selection
+        # spends the other epsilon / 2.
+        assert run.accounting["per_run_epsilon"] == 2.0 / 4
+        assert run.accounting["per_run_delta"] == 1e-5 / 2
+        assert run.accounting["selection_epsilon"] == 1.0
+        per_iter = split_budget(PrivacyBudget(2.0 / 4, 1e-5 / 2, "zcdp"), 2 * run.t)
+        for theta, sigma in zip(run.trace.theta, run.trace.noise_sigma):
+            assert sigma == pytest.approx(theta / per_iter.epsilon, rel=1e-12)
 
     def test_paper_accountant_is_the_default(self, small_run):
         cfg, recs = small_run

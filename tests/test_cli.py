@@ -37,6 +37,14 @@ class TestGen:
         assert doc["kind"] == "gaussian" and len(doc["vbar1"]) == 4
         assert doc["L"] > 1.0 and doc["sigma1"] > doc["sigma2"]
 
+    def test_gaussian_d_must_match_spec(self, tmp_path, capsys):
+        out = tmp_path / "a.dpm"
+        rc = run_cli("gen", "--kind", "gaussian", "--n", "200", "--d", "7",
+                     "--spec", "0.5,0.3,0.2", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: gen has d=7 but a spec of 3")
+        assert not out.exists()
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "a.csv"
         rc = run_cli(
@@ -230,6 +238,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "No such file" in err
 
+    def test_non_utf8_csv_is_cli_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe0.5,0.5\n")
+        rc = run_cli(
+            "run", "--in", str(bad), "--eps-total", "1.0", "--delta-total", "1e-5",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+
     @pytest.mark.parametrize("extra", [
         ["--algo", "naive-power", "--sweep", "3"],
         ["--algo", "analyze-gauss", "--sweep", "3"],
@@ -364,6 +382,8 @@ class TestBench:
         (None, "No such file"),
         ('{"master_seed": 1,', "not a JSON config"),
         ("[1, 2]", "must be a JSON object"),
+        ('{"master_seed": 1, "trials": 1, "grid": [], "treads": 2}',
+         "config has unknown key(s) 'treads'"),
     ])
     def test_unreadable_config_is_cli_error(self, tmp_path, capsys, text, needle):
         cfg_path = tmp_path / "cfg.json"

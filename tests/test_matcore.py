@@ -19,7 +19,6 @@ from dppca.errors import (
 )
 from dppca.matcore import (
     DenseMatrix,
-    compact_svd,
     gram,
     rayleigh_ratio,
     sin_sq,
@@ -148,31 +147,42 @@ class TestSymEig:
             assert out.vectors.tobytes() == ref.vectors.tobytes()
 
 
-class TestCompactSvd:
-    def test_reconstruction(self):
-        a = random_matrix(7, n=25, d=5)
-        f = compact_svd(a)
-        assert np.allclose(f.u @ np.diag(f.s) @ f.v.T, a.data, atol=1e-9)
+def _svd_oracle(data):
+    """sigma1, sigma2, upsilon, u_inf, v_inf from `np.linalg.svd`."""
+    u, s, vt = np.linalg.svd(data, full_matrices=False)
+    rank = int(np.count_nonzero(s > 1e-12 * s[0]))
+    sigma2 = s[1] if s.size > 1 else 0.0
+    return (s[0], sigma2, np.abs(u[:, 0]).max(), np.abs(u[:, :rank]).max(),
+            np.abs(vt).max())
 
-    def test_against_numpy_oracle(self):
-        a = random_matrix(8, n=60, d=6)
-        f = compact_svd(a)
-        s_oracle = np.linalg.svd(a.data, compute_uv=False)
-        assert np.allclose(f.s, s_oracle, rtol=1e-9)
 
-    def test_u_orthonormal_on_rank_columns(self):
-        a = random_matrix(9)
-        f = compact_svd(a)
-        u = f.u[:, : f.rank]
-        assert np.allclose(u.T @ u, np.eye(f.rank), atol=1e-8)
+class TestSpectrumStatsOracle:
+    @pytest.mark.parametrize("seed,n,d", [(7, 25, 5), (8, 60, 6), (9, 30, 6), (10, 200, 1)])
+    def test_against_numpy_svd(self, seed, n, d):
+        a = random_matrix(seed, n=n, d=d)
+        st_ = spectrum_stats(a)
+        got = (st_.sigma1, st_.sigma2, st_.upsilon, st_.u_inf, st_.v_inf)
+        assert got == pytest.approx(_svd_oracle(a.data), rel=1e-9)
 
-    def test_rank_deficient_gets_zero_column(self):
+    def test_rank_one_ignores_the_null_columns(self):
         data = np.zeros((6, 3))
         data[:, 0] = np.arange(1, 7)
         data[:, 1] = 2 * data[:, 0]
-        f = compact_svd(DenseMatrix(data))
-        assert f.rank == 1
-        assert np.all(f.u[:, 1:] == 0.0)
+        st_ = spectrum_stats(DenseMatrix(data))
+        sigma1, _, upsilon, u_inf, v_inf = _svd_oracle(data)
+        assert st_.sigma1 == pytest.approx(sigma1, rel=1e-12)
+        assert st_.sigma2 == pytest.approx(0.0, abs=1e-6 * sigma1)
+        assert st_.upsilon == pytest.approx(upsilon, rel=1e-12)
+        assert st_.u_inf == st_.upsilon == pytest.approx(u_inf, rel=1e-12)
+        assert st_.v_inf == pytest.approx(v_inf, rel=1e-12)
+
+    def test_rank_deficient_against_numpy_svd(self):
+        rng = np.random.default_rng(16)
+        data = rng.normal(size=(40, 2)) @ rng.normal(size=(2, 5))
+        st_ = spectrum_stats(DenseMatrix(data))
+        sigma1, _, upsilon, u_inf, _ = _svd_oracle(data)
+        assert (st_.sigma1, st_.upsilon, st_.u_inf) == pytest.approx(
+            (sigma1, upsilon, u_inf), rel=1e-9)
 
 
 class TestSpectrumStats:

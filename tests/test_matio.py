@@ -19,7 +19,8 @@ def test_dpm_roundtrip(mat, tmp_path):
     p = tmp_path / "m.dpm"
     save_dpm(mat, p)
     back = load_dpm(p)
-    assert np.array_equal(back.data, mat.data)
+    assert back.data.tobytes() == mat.data.tobytes()
+    assert back.data.flags.writeable and back.data.flags.c_contiguous
 
 
 def test_dpm_header_layout(mat, tmp_path):

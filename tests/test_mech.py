@@ -200,6 +200,16 @@ class TestLaplace:
         with pytest.raises(ParameterError):
             sample_laplace(-1.0, RngStream(0))
 
+    def test_nudged_zero_draw_stays_finite(self, monkeypatch):
+        # uniform_open turns an exact 0 into 5e-324; u - 1/2 then rounds to
+        # -1/2 and only the clamp keeps the log finite.
+        tiny = np.nextafter(0.0, 1.0)
+        monkeypatch.setattr(RngStream, "uniform_open", lambda self, size=None: tiny)
+        x = sample_laplace(2.0, RngStream(0))
+        assert math.isfinite(x)
+        assert x == pytest.approx(2.0 * math.log(tiny))
+        assert x == pytest.approx(-744.44 * 2.0, rel=1e-4)
+
 
 class TestGaussianVec:
     def test_zero_sigma(self):
