@@ -54,7 +54,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -89,22 +89,20 @@ CSV_HEADER = (
 
 _ALGOS = ("adaptive", "adaptive-sweep", "analyze-gauss", "naive-power")
 # Keys each kind of gen needs (a gaussian one without "spec" also needs
-# d, sigma1_sq and kappabar), and the numeric keys of cells and gens.
+# _GAUSS_SPIKED), the other keys a gen may carry, the keys of a cell, and
+# the numeric keys of cells and gens.
 _GEN_KEYS = {
     "gaussian": ("n",),
     "low-coh": ("n", "d", "sigma1_frac", "gap"),
     "high-coh": ("n", "d"),
 }
+_GAUSS_SPIKED = ("d", "sigma1_sq", "kappabar")
+_GEN_EXTRA = ("kind", "spec", "rotate", "spikes", "noise_norm")
+_CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "T",
+              "t_const", "kappa", "sweep_J", "accountant")
 _INT_KEYS = ("n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
                "eps_total", "delta_total", "beta", "kappa", "t_const")
-# Every key the docstring's schema allows, per level (a gen may carry the
-# keys of any kind).
-_CONFIG_KEYS = ("master_seed", "trials", "threads", "out", "record_walltime", "grid")
-_CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "T",
-              "t_const", "kappa", "sweep_J", "accountant")
-_GEN_ALL_KEYS = ("kind", "n", "d", "sigma1_sq", "kappabar", "rotate", "spec",
-                 "sigma1_frac", "gap", "spikes", "noise_norm")
 
 
 @dataclass
@@ -176,7 +174,7 @@ class ExperimentConfig:
             raise ParameterError(f"{path}: not a JSON config: {exc}") from None
         if not isinstance(doc, dict):
             raise ParameterError(f"{path}: a config must be a JSON object")
-        _check_keys(doc, _CONFIG_KEYS, f"{path}: config")
+        _check_keys(doc, [f.name for f in fields(ExperimentConfig)], f"{path}: config")
         missing = [k for k in ("master_seed", "trials", "grid") if k not in doc]
         if missing:
             raise ParameterError(f"{path}: config lacks {', '.join(missing)}")
@@ -194,7 +192,7 @@ def _number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _check_keys(doc: dict, known: tuple, what: str) -> None:
+def _check_keys(doc: dict, known, what: str) -> None:
     unknown = [k for k in doc if k not in known]
     if unknown:
         raise ParameterError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
@@ -213,10 +211,10 @@ def _check_gen(gen) -> None:
     no unknown ones, and a d it gives matches its spec."""
     if not isinstance(gen, dict) or gen.get("kind") not in _GEN_KEYS:
         raise ParameterError(f"gen.kind must be one of {tuple(_GEN_KEYS)}")
-    _check_keys(gen, _GEN_ALL_KEYS, "gen")
+    _check_keys(gen, _GEN_EXTRA + _GAUSS_SPIKED + sum(_GEN_KEYS.values(), ()), "gen")
     need = _GEN_KEYS[gen["kind"]]
     if gen["kind"] == "gaussian" and "spec" not in gen:
-        need += ("d", "sigma1_sq", "kappabar")
+        need += _GAUSS_SPIKED
     missing = [k for k in need if k not in gen]
     if missing:
         raise ParameterError(f"{gen['kind']} gen lacks {', '.join(missing)}")

@@ -67,27 +67,27 @@ def save_csv(a: DenseMatrix, path: str | Path) -> None:
 
 
 def load_csv(path: str | Path) -> DenseMatrix:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     rows = []
     width = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise FormatError(
-                f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
-            )
+    with open(path, encoding="utf-8") as fh:
         try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if width is None:
+                    width = len(parts)
+                elif len(parts) != width:
+                    raise FormatError(
+                        f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
+                    )
+                try:
+                    rows.append([float(p) for p in parts])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no rows")
     return DenseMatrix(np.array(rows, dtype=np.float64))

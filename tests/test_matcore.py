@@ -19,6 +19,7 @@ from dppca.errors import (
 )
 from dppca.matcore import (
     DenseMatrix,
+    compact_svd,
     gram,
     rayleigh_ratio,
     sin_sq,
@@ -145,6 +146,33 @@ class TestSymEig:
         for out in outs:
             assert out.values.tobytes() == ref.values.tobytes()
             assert out.vectors.tobytes() == ref.vectors.tobytes()
+
+
+class TestCompactSvd:
+    def test_reconstruction(self):
+        a = random_matrix(7, n=25, d=5)
+        f = compact_svd(a)
+        assert np.allclose(f.u @ np.diag(f.s) @ f.v.T, a.data, atol=1e-9)
+
+    def test_against_numpy_oracle(self):
+        a = random_matrix(8, n=60, d=6)
+        f = compact_svd(a)
+        s_oracle = np.linalg.svd(a.data, compute_uv=False)
+        assert np.allclose(f.s, s_oracle, rtol=1e-9)
+
+    def test_u_orthonormal_on_rank_columns(self):
+        a = random_matrix(9)
+        f = compact_svd(a)
+        u = f.u[:, : f.rank]
+        assert np.allclose(u.T @ u, np.eye(f.rank), atol=1e-8)
+
+    def test_rank_deficient_gets_zero_column(self):
+        data = np.zeros((6, 3))
+        data[:, 0] = np.arange(1, 7)
+        data[:, 1] = 2 * data[:, 0]
+        f = compact_svd(DenseMatrix(data))
+        assert f.rank == 1
+        assert np.all(f.u[:, 1:] == 0.0)
 
 
 def _svd_oracle(data):
