@@ -17,8 +17,9 @@ Each cell names a generator and an algorithm:
       "cell": "adaptive-n16000",          # optional id; defaults to the index
       "gen": {"kind": "gaussian", "n": 16000, "d": 20,
               "sigma1_sq": 0.5, "kappabar": 0.5, "rotate": true}
-            | {"kind": "gaussian", "n": ..., "spec": [s1, s2, ...]}
-            | {"kind": "low-coh", "n": ..., "d": ..., "sigma1_frac": ..., "gap": ...}
+            | {"kind": "gaussian", "n": ..., "spec": [s1, s2, ...], "rotate": true}
+            | {"kind": "low-coh", "n": ..., "d": ..., "sigma1_frac": ...,
+               "gap": ..., "rotate": true}
             | {"kind": "high-coh", "n": ..., "d": ..., "spikes": 4, "noise_norm": 0.05},
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
@@ -29,13 +30,15 @@ Each cell names a generator and an algorithm:
       "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
 
-A gaussian gen given both d and spec needs d == len(spec).  A cell's
-eps_total, delta_total and accountant make the one PrivacyBudget that
-`run_algorithm` splits.  Cells are checked when the config is built (a
-malformed one, or one with a key not shown here, raises a ParameterError
-or BudgetError naming grid[i]); a
-trial that fails at run time becomes a record whose error column starts
-with the error's reason code.
+"rotate" (default true), "spikes" and "noise_norm" are optional.  A gen
+carries only the keys of its own kind's form, and a gaussian gen takes
+either spec (with d == len(spec) if d is given) or sigma1_sq and kappabar,
+not both.  A cell's eps_total, delta_total and accountant make the one
+PrivacyBudget that `run_algorithm` splits.  Cells are checked when the
+config is built (a malformed one, or one with a key not shown here or not
+read by its gen's kind, raises a ParameterError or BudgetError naming
+grid[i]); a trial that fails at run time becomes a record whose error
+column starts with the error's reason code.
 `build_instance` and `run_algorithm`, which `dppca gen` and `dppca run`
 also call, are the only places that map a generator kind or an algorithm
 name to code.
@@ -88,16 +91,20 @@ CSV_HEADER = (
 )
 
 _ALGOS = ("adaptive", "adaptive-sweep", "analyze-gauss", "naive-power")
-# Keys each kind of gen needs (a gaussian one without "spec" also needs
-# _GAUSS_SPIKED), the other keys a gen may carry, the keys of a cell, and
-# the numeric keys of cells and gens.
+# Keys each kind of gen needs (a gaussian one also needs "spec" or else
+# _GAUSS_SPIKED, not both), the other keys each kind reads, the keys of a
+# cell, and the numeric keys of cells and gens.
 _GEN_KEYS = {
     "gaussian": ("n",),
     "low-coh": ("n", "d", "sigma1_frac", "gap"),
     "high-coh": ("n", "d"),
 }
+_GEN_OPTIONAL = {
+    "gaussian": ("d", "rotate"),
+    "low-coh": ("rotate",),
+    "high-coh": ("spikes", "noise_norm"),
+}
 _GAUSS_SPIKED = ("d", "sigma1_sq", "kappabar")
-_GEN_EXTRA = ("kind", "spec", "rotate", "spikes", "noise_norm")
 _CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "T",
               "t_const", "kappa", "sweep_J", "accountant")
 _INT_KEYS = ("n", "d", "spikes", "sweep_J")
@@ -208,16 +215,18 @@ def _check_numbers(doc: dict) -> None:
 
 def _check_gen(gen) -> None:
     """Raise ParameterError unless `gen` names a kind, carries its keys and
-    no unknown ones, and a d it gives matches its spec."""
+    no key its kind does not read, and a d it gives matches its spec."""
     if not isinstance(gen, dict) or gen.get("kind") not in _GEN_KEYS:
         raise ParameterError(f"gen.kind must be one of {tuple(_GEN_KEYS)}")
-    _check_keys(gen, _GEN_EXTRA + _GAUSS_SPIKED + sum(_GEN_KEYS.values(), ()), "gen")
-    need = _GEN_KEYS[gen["kind"]]
-    if gen["kind"] == "gaussian" and "spec" not in gen:
-        need += _GAUSS_SPIKED
+    kind = gen["kind"]
+    need, what = _GEN_KEYS[kind], f"{kind} gen"
+    if kind == "gaussian":
+        need += ("spec",) if "spec" in gen else _GAUSS_SPIKED
+        what += " with spec" if "spec" in gen else ""
+    _check_keys(gen, ("kind",) + need + _GEN_OPTIONAL[kind], what)
     missing = [k for k in need if k not in gen]
     if missing:
-        raise ParameterError(f"{gen['kind']} gen lacks {', '.join(missing)}")
+        raise ParameterError(f"{kind} gen lacks {', '.join(missing)}")
     _check_numbers(gen)
     if not isinstance(gen.get("rotate", True), bool):
         raise ParameterError(f"rotate must be true or false, got {gen['rotate']!r}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -127,7 +128,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ParameterError("no output path: pass --out or set 'out' in the config")
     bench.write_csv(records, out)
     errors = sum(1 for r in records if r.error)
-    print(f"wrote {len(records)} records ({errors} errors) to {out}")
+    # The BLAS thread count can move the CSV's last bits, so name it.
+    blas = " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    print(f"wrote {len(records)} records ({errors} errors) to {out}; {blas}")
     return 0
 
 
@@ -145,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--spec", help="comma-separated population spectrum (gaussian)")
     g.add_argument("--sigma1-frac", type=float, dest="sigma1_frac")
     g.add_argument("--gap", type=float)
-    g.add_argument("--rotate", action=argparse.BooleanOptionalAction, default=True)
+    g.add_argument("--rotate", action=argparse.BooleanOptionalAction,
+                   help="rotate the population basis (gaussian, low-coh; default on)")
     g.add_argument("--beta", type=float, default=0.05)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)

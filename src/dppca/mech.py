@@ -4,8 +4,9 @@ Randomness policy: every consumer draws from an `RngStream`, which wraps a
 Philox counter-based generator keyed by (master_seed, stream_id).  A
 stream's output is a pure function of those two fields and the order of
 draws, so any run is reproducible from its seed regardless of scheduling.
-Laplace noise is sampled through the explicit inverse CDF; Gaussian noise
-uses the generator's standard_normal (ziggurat).
+Laplace noise is sampled through the explicit inverse CDF
+(`laplace_inverse_cdf`, the one place that arithmetic lives); Gaussian
+noise uses the generator's standard_normal (ziggurat).
 
 Accountants: a `PrivacyBudget` carries one, e.g. `PrivacyBudget(1.0, 1e-5,
 "zcdp")`, and `split_budget` and `gaussian_sigma` apply its rules.  "paper"
@@ -30,6 +31,9 @@ from .errors import BudgetError, ParameterError
 _CHILD_MIX = 0x9E3779B97F4A7C15  # odd multiplier for child stream ids
 
 ACCOUNTANTS = ("paper", "zcdp")
+
+# The smallest positive double: uniform_open's stand-in for an exact 0.
+_TINY = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,10 @@ class RngStream:
     """A deterministic Philox stream identified by (master_seed, stream_id).
 
     `counter` tracks how many draw calls have been issued; it exists for
-    tracing and is not consulted when generating.
+    tracing and is not consulted when generating.  `skip(k)` counts as k
+    calls, so a threshold search that reads its probe noise in one batch
+    (`peek_uniform_open`) and consumes only the draws up to the firing
+    probe leaves `counter` where one scalar draw per probe would.
     """
 
     master_seed: int
@@ -87,30 +94,51 @@ class RngStream:
         self.counter += 1
         u = self._gen.random(size)
         # random() covers [0, 1); nudge exact zeros up one ulp.
-        tiny = np.nextafter(0.0, 1.0)
         if size is None:
-            return float(u) if u > 0.0 else tiny
-        u[u == 0.0] = tiny
+            return float(u) if u > 0.0 else _TINY
+        u[u == 0.0] = _TINY
         return u
 
+    def peek_uniform_open(self, size: int) -> np.ndarray:
+        """The values the next `size` scalar uniform_open() calls would
+        return, read without consuming them: the stream and `counter` stay
+        where they are.  `skip` then consumes as many as the caller used."""
+        state = self._gen.bit_generator.state
+        u = self._gen.random(size)
+        self._gen.bit_generator.state = state
+        u[u == 0.0] = _TINY
+        return u
 
-def sample_laplace(scale: float, rng: RngStream, size: int | None = None):
-    """Laplace(0, scale) via the inverse CDF applied to uniform(0,1) draws.
+    def skip(self, count: int) -> None:
+        """Consume `count` uniforms, leaving the stream and `counter` where
+        `count` scalar uniform_open() calls would (Philox's random(k) draws
+        what k calls of random() draw)."""
+        self.counter += count
+        self._gen.random(count)
 
-    x = -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|)
+
+def laplace_inverse_cdf(u, scale):
+    """Laplace(0, scale) values from uniform(0, 1) values u, element for
+    element: x = -scale * sign(u - 1/2) * ln(1 - 2|u - 1/2|).
+
+    scale must be finite and positive.
     """
-    if not (math.isfinite(scale) and scale >= 0.0):
-        raise ParameterError(f"laplace scale must be >= 0, got {scale}")
-    if scale == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    u = rng.uniform_open(size)
     centered = u - 0.5
     inner = 1.0 - 2.0 * np.abs(centered)
     # u <= 2**-55, uniform_open's nudged zero (5e-324) among them, rounds
     # u - 1/2 to -1/2, so inner == 0 and log(inner) = -inf; the clamp keeps
     # those draws finite, at -scale * 744.4.
-    inner = np.maximum(inner, np.nextafter(0.0, 1.0))
-    out = -scale * np.sign(centered) * np.log(inner)
+    inner = np.maximum(inner, _TINY)
+    return -scale * np.sign(centered) * np.log(inner)
+
+
+def sample_laplace(scale: float, rng: RngStream, size: int | None = None):
+    """Laplace(0, scale) via `laplace_inverse_cdf` of uniform_open draws."""
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ParameterError(f"laplace scale must be >= 0, got {scale}")
+    if scale == 0.0:
+        return 0.0 if size is None else np.zeros(size)
+    out = laplace_inverse_cdf(rng.uniform_open(size), scale)
     return float(out) if size is None else out
 
 

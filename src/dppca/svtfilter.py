@@ -7,6 +7,11 @@ first noisy count that clears a noisy bar slightly below n.  Candidates
 are scaled by ||x||: theta_k = 2^k * ||x|| keeps the grid independent of
 the iterate's scale, and the scaling is data-free so it costs no privacy.
 
+The grid counts come from the statistics' bit patterns, without a sort
+(`_grid_counts`).  The probe noise is drawn in one batch, and only the
+draws up to the firing probe are consumed, so the stream moves as a
+probe-by-probe search would move it.
+
 The search computes A x once for its row statistics and also returns the
 filter it implies: A x with the entries of the rows above theta set to
 zero, so the caller's step A^T (mask * A x) reads A only through A x and
@@ -22,11 +27,15 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from .matcore import DenseMatrix
-from .mech import RngStream, sample_laplace
+from .mech import RngStream, laplace_inverse_cdf
 
 # Candidate thresholds are 2^k * ||x|| for k in [GRID_LO_EXP, GRID_HI_EXP].
 GRID_LO_EXP = -40
 GRID_HI_EXP = 1
+# A double's bits without its sign bit, and its mantissa width: the bit
+# patterns of consecutive powers of two lie 2^_EXP_SHIFT apart.
+_NO_SIGN = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+_EXP_SHIFT = 52
 
 
 @dataclass
@@ -45,6 +54,11 @@ class SvtConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not math.isfinite(4.0 / self.epsilon):
+            raise ParameterError(
+                f"epsilon {self.epsilon} is too small: the probe noise scale "
+                "4/epsilon overflows"
+            )
         if not 0.0 < self.beta < 1.0:
             raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
 
@@ -58,15 +72,39 @@ class ThresholdResult:
     kept_ax: np.ndarray  # A x with the removed rows' entries set to 0
 
 
+def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """counts[k] = #{i : q_i <= grid[k]}, for q >= 0 (NaN counts nowhere)
+    and grid[k] = grid[0] * 2^k, every point a normal double.
+
+    The int64 view of a non-negative double orders like its value, and
+    grid[k]'s is grid[0]'s plus k * 2^52, so
+    ceil((bits(q_i) - bits(grid[0])) / 2^52), clipped to [0, K], is the
+    first k with q_i <= grid[k] (K: none).  Clearing the sign bit sends a
+    negative NaN, such as inf * 0 gives, above the grid with the others.
+    """
+    b = q.view(np.int64) & _NO_SIGN
+    b -= grid[:1].view(np.int64)[0] - ((1 << _EXP_SHIFT) - 1)
+    b >>= _EXP_SHIFT
+    np.clip(b, 0, grid.size, out=b)
+    return np.cumsum(np.bincount(b, minlength=grid.size + 1))[: grid.size]
+
+
 def threshold_search(
     a: DenseMatrix, x: np.ndarray, cfg: SvtConfig, rng: RngStream
 ) -> ThresholdResult:
     """Smallest grid threshold whose noisy pass-count clears the noisy bar.
 
     The bar is n - 6 ln(1/beta) / epsilon + Lap(2/epsilon), drawn once per
-    search; each candidate's count gets fresh Lap(4/epsilon) noise, drawn
-    in grid order until one fires.  If no candidate fires the largest one
-    is returned (flagged in the result).
+    search; each candidate's count gets fresh Lap(4/epsilon) noise, in grid
+    order.  The noise is drawn in one batch, and only the draws up to the
+    first probe that fires are consumed, so `rng` ends where drawing probe
+    by probe would leave it.  If no candidate fires the largest one is
+    returned (flagged in the result).
+
+    Raises ContractViolationError for a zero probe vector, or one whose grid
+    leaves the normal doubles (||x|| * 2^GRID_LO_EXP below 2^-1022, or
+    ||x|| * 2^GRID_HI_EXP overflowing); unit and fresh Gaussian iterates
+    never do.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.d,):
@@ -75,38 +113,45 @@ def threshold_search(
         )
     if not np.isfinite(x).all():
         raise ContractViolationError("probe vector contains NaN or Inf")
-    ax = a.data @ x
-    q = a.row_norms() * np.abs(ax)
-    n = a.n
-
     scale = float(np.linalg.norm(x))
     if scale == 0.0:
         raise ContractViolationError("cannot scale grid by the norm of a zero vector")
+    # scale * 2^k, exact (a power-of-two scaling) while it stays normal
+    with np.errstate(over="ignore"):
+        grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+    if not (grid[0] >= np.finfo(np.float64).smallest_normal and np.isfinite(grid[-1])):
+        raise ContractViolationError(
+            f"probe vector norm {scale!r} puts the threshold grid outside "
+            "the normal doubles"
+        )
 
+    ax = a.data @ x
+    q = a.row_norms() * np.abs(ax)
+    n = a.n
+    counts = _grid_counts(q, grid)
     if cfg.noiseless:
-        bar = float(n)
+        bar, noise = float(n), 0.0
     else:
+        u = rng.peek_uniform_open(grid.size + 1)
         bar = (
             n
             - 6.0 * math.log(1.0 / cfg.beta) / cfg.epsilon
-            + sample_laplace(2.0 / cfg.epsilon, rng)
+            + laplace_inverse_cdf(u[0], 2.0 / cfg.epsilon)
         )
-
-    # scale * 2^k, exact (a power-of-two scaling)
-    grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
-    counts = np.searchsorted(np.sort(q), grid, side="right").tolist()
-    fired = len(grid) - 1
-    fell_through = True
-    for k, count in enumerate(counts):
-        noisy = count if cfg.noiseless else count + sample_laplace(4.0 / cfg.epsilon, rng)
-        if noisy >= bar:
-            fired, fell_through = k, False
-            break
+        noise = laplace_inverse_cdf(u[1:], 4.0 / cfg.epsilon)
+    fires = np.flatnonzero(counts + noise >= bar)
+    fell_through = fires.size == 0
+    fired = grid.size - 1 if fell_through else int(fires[0])
+    if not cfg.noiseless:
+        rng.skip(fired + 2)  # the bar and probes 0..fired
     theta = float(grid[fired])
+    # Not q > theta: a NaN statistic (an overflowing row) is removed, as
+    # the counts leave it out.
+    ax[~(q <= theta)] = 0.0
     return ThresholdResult(
         theta=theta,
         queries_issued=fired + 1,
         fell_through=fell_through,
-        removed_count=n - counts[fired],
-        kept_ax=np.where(q <= theta, ax, 0.0),
+        removed_count=n - int(counts[fired]),
+        kept_ax=ax,
     )

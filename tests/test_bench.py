@@ -274,6 +274,23 @@ class TestConfig:
          "gen has unknown key(s) 'kappa_bar'"),
         (0, {"gen": {"kind": "gaussian", "n": 200, "d": 7, "spec": [0.5, 0.3, 0.2]}},
          "d=7 but a spec of 3 entries"),
+        (1, {"gen": {"kind": "high-coh", "n": 80, "d": 4, "rotate": False}},
+         "high-coh gen has unknown key(s) 'rotate'"),
+        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4, "sigma1_sq": 0.5,
+                     "kappabar": 0.5, "spikes": 2, "noise_norm": 0.1}},
+         "gaussian gen has unknown key(s) 'spikes', 'noise_norm'"),
+        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4, "sigma1_sq": 0.5,
+                     "kappabar": 0.5, "sigma1_frac": 0.3, "gap": 0.5}},
+         "gaussian gen has unknown key(s) 'sigma1_frac', 'gap'"),
+        (1, {"gen": {"kind": "gaussian", "n": 200, "spec": [0.6, 0.4],
+                     "sigma1_sq": 0.5}},
+         "gaussian gen with spec has unknown key(s) 'sigma1_sq'"),
+        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 2, "spec": [0.6, 0.4],
+                     "kappabar": 0.5}},
+         "gaussian gen with spec has unknown key(s) 'kappabar'"),
+        (1, {"gen": {"kind": "low-coh", "n": 150, "d": 5, "sigma1_frac": 0.3,
+                     "gap": 0.5, "spikes": 3}},
+         "low-coh gen has unknown key(s) 'spikes'"),
     ])
     def test_malformed_cell_names_its_index(self, index, cell, needle):
         grid = small_grid()[:2]

@@ -64,6 +64,31 @@ class TestGen:
         ) == 0
         assert load_matrix(str(out)).max_row_norm() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("extra, needle", [
+        (("--kind", "high-coh", "--no-rotate"), "high-coh gen has unknown key(s) 'rotate'"),
+        (("--kind", "high-coh", "--rotate"), "'rotate'"),
+        (("--kind", "gaussian", "--spec", "0.5,0.5", "--gap", "0.5"), "'gap'"),
+    ])
+    def test_key_its_kind_does_not_read_is_cli_error(
+        self, tmp_path, capsys, extra, needle
+    ):
+        out = tmp_path / "x.dpm"
+        rc = run_cli("gen", "--n", "40", "--d", "2", *extra, "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and needle in err
+        assert not out.exists()
+
+    def test_rotate_flag_reaches_low_coh(self, tmp_path):
+        paths = [tmp_path / f"{flag}.csv" for flag in ("rotate", "no-rotate", "default")]
+        for path, flag in zip(paths, (["--rotate"], ["--no-rotate"], [])):
+            assert run_cli(
+                "gen", "--kind", "low-coh", "--n", "60", "--d", "4",
+                "--sigma1-frac", "0.3", "--gap", "0.5", *flag, "--out", str(path),
+            ) == 0
+        rotated, unrotated, default = (p.read_text() for p in paths)
+        assert rotated == default != unrotated
+
     def test_missing_spec_is_cli_error(self, tmp_path, capsys):
         rc = run_cli(
             "gen", "--kind", "gaussian", "--n", "10",
@@ -313,7 +338,9 @@ class TestTheory:
 
 
 class TestBench:
-    def test_bench_end_to_end(self, tmp_path, capsys):
+    def test_bench_end_to_end(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         cfg = {
             "master_seed": 5,
             "trials": 2,
@@ -329,7 +356,10 @@ class TestBench:
         out = tmp_path / "out.csv"
         rc = run_cli("bench", "--config", str(cfg_path), "--out", str(out))
         assert rc == 0
-        assert "wrote 2 records" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            f"wrote 2 records (0 errors) to {out}; "
+            "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset\n"
+        )
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3 and lines[0].startswith("cell,trial,")
 

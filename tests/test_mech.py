@@ -15,6 +15,7 @@ from dppca.mech import (
     exp_mech_select,
     gaussian_sigma,
     invert_budget,
+    laplace_inverse_cdf,
     sample_gaussian_vec,
     sample_laplace,
     split_budget,
@@ -169,6 +170,20 @@ class TestRngStream:
         u = RngStream(3).uniform_open(10000)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
+    @pytest.mark.parametrize("skew, used", [(0, 0), (1, 2), (3, 7), (2, 9)])
+    def test_peek_then_skip_matches_scalar_draws(self, skew, used):
+        batch, scalar = RngStream(4, 2), RngStream(4, 2)
+        for r in (batch, scalar):
+            for _ in range(skew):
+                r.uniform_open()
+        peeked = batch.peek_uniform_open(9)
+        assert batch.counter == skew
+        assert np.array_equal(batch.peek_uniform_open(9), peeked)  # nothing consumed
+        assert peeked[:used].tolist() == [scalar.uniform_open() for _ in range(used)]
+        batch.skip(used)
+        assert batch.counter == scalar.counter
+        assert batch.uniform_open() == scalar.uniform_open()
+
     def test_seed_bounds(self):
         with pytest.raises(ParameterError):
             RngStream(-1)
@@ -195,6 +210,12 @@ class TestLaplace:
         a = sample_laplace(1.0, RngStream(5), size=8)
         b = sample_laplace(1.0, RngStream(5), size=8)
         assert np.array_equal(a, b)
+
+    def test_vector_inverse_cdf_matches_scalar_draws(self):
+        u = RngStream(8).uniform_open(1000)
+        scalar = RngStream(8)
+        want = [sample_laplace(3.0, scalar) for _ in range(1000)]
+        assert laplace_inverse_cdf(u, 3.0).tolist() == want
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,5 +1,7 @@
 """Tests for the private threshold search and the row filter it returns."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,15 @@ from hypothesis import strategies as st
 
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix
-from dppca.mech import RngStream
-from dppca.svtfilter import GRID_HI_EXP, GRID_LO_EXP, SvtConfig, threshold_search
+from dppca.mech import RngStream, sample_laplace
+from dppca.svtfilter import (
+    GRID_HI_EXP,
+    GRID_LO_EXP,
+    SvtConfig,
+    ThresholdResult,
+    _grid_counts,
+    threshold_search,
+)
 
 
 def unit_rows(seed, n=200, d=5):
@@ -31,6 +40,10 @@ class TestSvtConfig:
     def test_rejects_bad_beta(self):
         with pytest.raises(ParameterError):
             SvtConfig(epsilon=0.5, beta=1.5)
+
+    def test_rejects_epsilon_whose_noise_scale_overflows(self):
+        with pytest.raises(ParameterError, match="overflows"):
+            SvtConfig(epsilon=1e-309)
 
 
 class TestNoiselessSearch:
@@ -124,3 +137,138 @@ class TestFilter:
         assert np.array_equal(res.kept_ax, np.where(q <= res.theta, ax, 0.0))
         assert res.removed_count == int(np.sum(q > res.theta))
 
+
+def reference_search(a, x, cfg, rng):
+    """The search probe by probe, counting with a sort: the oracle for
+    threshold_search's bit-pattern counts and batched draws."""
+    x = np.asarray(x, dtype=np.float64)
+    ax = a.data @ x
+    q = a.row_norms() * np.abs(ax)
+    n = a.n
+    scale = float(np.linalg.norm(x))
+    if scale == 0.0:
+        raise ContractViolationError("zero probe vector")
+    if cfg.noiseless:
+        bar = float(n)
+    else:
+        bar = (
+            n
+            - 6.0 * math.log(1.0 / cfg.beta) / cfg.epsilon
+            + sample_laplace(2.0 / cfg.epsilon, rng)
+        )
+    grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+    counts = np.searchsorted(np.sort(q), grid, side="right").tolist()
+    fired = len(grid) - 1
+    fell_through = True
+    for k, count in enumerate(counts):
+        noisy = count if cfg.noiseless else count + sample_laplace(4.0 / cfg.epsilon, rng)
+        if noisy >= bar:
+            fired, fell_through = k, False
+            break
+    theta = float(grid[fired])
+    return ThresholdResult(
+        theta=theta,
+        queries_issued=fired + 1,
+        fell_through=fell_through,
+        removed_count=n - counts[fired],
+        kept_ax=np.where(q <= theta, ax, 0.0),
+    )
+
+
+def assert_same_search(a, x, cfg, seed, skew=0):
+    """threshold_search and the reference agree on every result field, the
+    stream's counter and its next draw, from a stream `skew` draws in."""
+    r_new, r_ref = RngStream(seed, 5), RngStream(seed, 5)
+    for rng in (r_new, r_ref):
+        for _ in range(skew):
+            rng.uniform_open()
+    got = threshold_search(a, x, cfg, r_new)
+    want = reference_search(a, x, cfg, r_ref)
+    assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
+        want.theta, want.queries_issued, want.fell_through, want.removed_count)
+    assert got.kept_ax.tobytes() == want.kept_ax.tobytes()
+    assert r_new.counter == r_ref.counter
+    assert r_new.uniform_open() == r_ref.uniform_open()
+
+
+class TestAgainstReference:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=400),
+        d=st.integers(min_value=1, max_value=6),
+        zero_frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        subnormal_frac=st.sampled_from([0.0, 0.1, 1.0]),
+        log10_norm=st.floats(min_value=-250.0, max_value=250.0),
+        epsilon=st.sampled_from([0.01, 0.5, 5.0, 1e9]),
+        noiseless=st.booleans(),
+        skew=st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_probe_by_probe_search(
+        self, seed, n, d, zero_frac, subnormal_frac, log10_norm, epsilon,
+        noiseless, skew,
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, d))
+        data /= np.linalg.norm(data, axis=1, keepdims=True)
+        data *= rng.uniform(0.0, 1.0, size=(n, 1))
+        data[rng.uniform(size=n) < subnormal_frac] *= 1e-310
+        data[rng.uniform(size=n) < zero_frac] = 0.0
+        a = DenseMatrix(data)
+        x = rng.normal(size=d)
+        x *= 10.0**log10_norm / np.linalg.norm(x)
+        cfg = SvtConfig(epsilon=epsilon, noiseless=noiseless)
+
+        with np.errstate(over="ignore", under="ignore"):
+            scale = float(np.linalg.norm(x))
+        if scale == 0.0 or not math.isfinite(2.0 * scale):
+            # sqrt(x.x) under- or overflows: a zero or an infinite grid
+            with np.errstate(over="ignore"), pytest.raises(ContractViolationError):
+                threshold_search(a, x, cfg, RngStream(seed, 5))
+            return
+        assert_same_search(a, x, cfg, seed, skew)
+
+    def test_overflowing_rows_are_removed_as_before(self):
+        # Both big rows' norms overflow to inf.  The first's A x entry is
+        # exactly 0, so its statistic is inf * 0, a NaN (x86 sets its sign
+        # bit); the second's statistic is inf.
+        a = DenseMatrix(
+            np.array([[1e200, 0.0], [1e308, 1e308], [0.5, 0.1], [0.1, 0.2]])
+        )
+        for noiseless in (True, False):
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert_same_search(
+                    a, np.array([0.0, 10.0]),
+                    SvtConfig(epsilon=5.0, noiseless=noiseless), 11,
+                )
+
+
+class TestGridCounts:
+    def test_equal_sorted_counts_at_n_1e5(self):
+        rng = np.random.default_rng(20)
+        scale = 0.7
+        grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+        n = 100_000
+        # statistics spread across and beyond the grid, with exact grid
+        # points, their neighbours either side, zeros and subnormals
+        q = scale * np.exp2(rng.uniform(GRID_LO_EXP - 5, GRID_HI_EXP + 3, size=n))
+        edges = rng.choice(grid, size=300)
+        q[:300] = edges
+        q[300:600] = np.nextafter(edges, 0.0)
+        q[600:900] = np.nextafter(edges, np.inf)
+        q[900:1000] = 0.0
+        q[1000:1100] = 1e-320
+        q[1100:1110] = np.inf
+        rng.shuffle(q)
+        want = np.searchsorted(np.sort(q), grid, side="right")
+        assert np.array_equal(_grid_counts(q, grid), want)
+
+    def test_grid_outside_normal_range_raises(self):
+        # ||x|| overflows to inf, so the top of the grid is not finite.
+        a = unit_rows(30, n=20, d=2)
+        with np.errstate(over="ignore"), pytest.raises(
+            ContractViolationError, match="normal doubles"
+        ):
+            threshold_search(
+                a, np.array([1e200, 1e200]), SvtConfig(epsilon=1.0), RngStream(0)
+            )
