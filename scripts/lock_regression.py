@@ -24,7 +24,7 @@ DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 
 def main() -> int:
     cfg = bench.ExperimentConfig.from_json(DATA / "acceptance_bench.json")
-    records = bench.run_experiment(cfg, threads=bench.threads_from_env(4))
+    records = bench.run_experiment(cfg, threads=4)
     summary = bench.summarize(records)
     lock = {
         "config": "acceptance_bench.json",

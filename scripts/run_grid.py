@@ -30,12 +30,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(DEFAULT_CONFIG))
     ap.add_argument("--out", default="results.csv")
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int)
     args = ap.parse_args()
 
     cfg = bench.ExperimentConfig.from_json(args.config)
-    threads = args.threads if args.threads is not None else bench.threads_from_env(cfg.threads)
-    records = bench.run_experiment(cfg, threads=threads)
+    records = bench.run_experiment(cfg, threads=args.threads)
     bench.write_csv(records, args.out)
 
     summary = bench.summarize(records)

@@ -5,7 +5,7 @@ A config is a JSON document:
     {
       "master_seed": 7,
       "trials": 20,
-      "threads": 4,                # optional; CLI flag / DPPCA_THREADS win
+      "threads": 4,                # optional; CLI flag wins
       "out": "results.csv",        # optional; CLI flag wins
       "record_walltime": false,    # optional; true trades determinism for timing
       "grid": [ {cell}, ... ]
@@ -14,7 +14,7 @@ A config is a JSON document:
 Each cell names a generator and an algorithm:
 
     {
-      "cell": "adaptive-n16000",          # optional id; defaults to the index
+      "cell": "adaptive-n16000",          # optional unique id; defaults to the index
       "gen": {"kind": "gaussian", "n": 16000, "d": 20,
               "sigma1_sq": 0.5, "kappabar": 0.5, "rotate": true}
             | {"kind": "gaussian", "n": ..., "spec": [s1, s2, ...], "rotate": true}
@@ -24,21 +24,21 @@ Each cell names a generator and an algorithm:
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
       "T": 10 | "corollary",              # adaptive / naive-power
-      "t_const": 1.0,                     # multiplier for the corollary rule
-      "kappa": 0.5,                       # gap guess for the corollary rule
+      "t_const": 1.0,                     # corollary-rule multiplier; not analyze-gauss
+      "kappa": 0.5,                       # adaptive / naive-power: corollary gap guess
       "sweep_J": 6,                       # adaptive-sweep only
       "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
 
-"rotate" (default true), "spikes" and "noise_norm" are optional.  A gen
-carries only the keys of its own kind's form, and a gaussian gen takes
-either spec (with d == len(spec) if d is given) or sigma1_sq and kappabar,
-not both.  A cell's eps_total, delta_total and accountant make the one
-PrivacyBudget that `run_algorithm` splits.  Cells are checked when the
-config is built (a malformed one, or one with a key not shown here or not
-read by its gen's kind, raises a ParameterError or BudgetError naming
-grid[i]); a trial that fails at run time becomes a record whose error
-column starts with the error's reason code.
+"rotate", "spikes" and "noise_norm" are optional, with datagen's defaults.
+A gen or a cell carries only the keys its kind or algorithm reads, and a
+gaussian gen takes either spec (with d == len(spec) if d is given) or
+sigma1_sq and kappabar, not both.  Cell ids are unique strings without
+commas or newlines.  A cell's eps_total, delta_total and accountant make
+the one PrivacyBudget that `run_algorithm` splits.  Cells are checked when
+the config is built (a malformed one raises a ParameterError or
+BudgetError naming grid[i]); a trial that fails at run time becomes a
+record whose error column starts with the error's reason code.
 `build_instance` and `run_algorithm`, which `dppca gen` and `dppca run`
 also call, are the only places that map a generator kind or an algorithm
 name to code.
@@ -54,10 +54,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,28 +84,30 @@ from .errors import BudgetError, ContractViolationError, DppcaError, ParameterEr
 from .matcore import DenseMatrix, rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import PrivacyBudget, RngStream, compose, split_budget
 
-CSV_HEADER = (
-    "cell,trial,algo,n,d,eps_total,delta_total,T,gen,sin2_emp,sin2_pop,"
-    "rayleigh,kappa,upsilon,u_inf,removed,clipped,theory_B,wall_ms,error"
-)
-
-_ALGOS = ("adaptive", "adaptive-sweep", "analyze-gauss", "naive-power")
-# Keys each kind of gen needs (a gaussian one also needs "spec" or else
-# _GAUSS_SPIKED, not both), the other keys each kind reads, the keys of a
-# cell, and the numeric keys of cells and gens.
+# Keys each kind of gen needs (a gaussian one also needs "spec", with "d" optional,
+# or else _GAUSS_SPIKED), its generator's keyword arguments, the keys of every
+# cell and of each algorithm, and the numeric keys of cells and gens.
 _GEN_KEYS = {
     "gaussian": ("n",),
     "low-coh": ("n", "d", "sigma1_frac", "gap"),
     "high-coh": ("n", "d"),
 }
 _GEN_OPTIONAL = {
-    "gaussian": ("d", "rotate"),
+    "gaussian": ("rotate",),
     "low-coh": ("rotate",),
     "high-coh": ("spikes", "noise_norm"),
 }
 _GAUSS_SPIKED = ("d", "sigma1_sq", "kappabar")
-_CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "T",
-              "t_const", "kappa", "sweep_J", "accountant")
+_CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "accountant")
+_ALGO_KEYS = {
+    "adaptive": ("T", "kappa", "t_const"),
+    "adaptive-sweep": ("sweep_J", "t_const"),
+    "analyze-gauss": (),
+    "naive-power": ("T", "kappa", "t_const"),
+}
+_ALGOS = tuple(_ALGO_KEYS)
+# run_algorithm's keyword for each algorithm key whose name differs.
+_RUN_KWARGS = {"T": "iterations", "sweep_J": "sweep_j"}
 _INT_KEYS = ("n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
                "eps_total", "delta_total", "beta", "kappa", "t_const")
@@ -134,6 +135,11 @@ class ResultRecord:
     theory_b: float | None = None
     wall_ms: float | None = None
     error: str = ""
+
+
+CSV_HEADER = ",".join(
+    {"t": "T", "theory_b": "theory_B"}.get(f.name, f.name) for f in fields(ResultRecord)
+)
 
 
 @dataclass
@@ -167,9 +173,14 @@ class ExperimentConfig:
             raise ParameterError(f"out must be a path or null, got {self.out!r}")
         if not self.grid:
             raise ParameterError("grid must contain at least one cell")
+        first: dict[str, int] = {}  # cell id -> index of the first cell with it
         for i, cell in enumerate(self.grid):
             try:
                 _check_cell(cell)
+                cell_id = _cell_id(cell, i)
+                j = first.setdefault(cell_id, i)
+                if j != i:
+                    raise ParameterError(f"cell id {cell_id!r} repeats grid[{j}]'s")
             except (ParameterError, BudgetError) as exc:
                 raise type(exc)(f"grid[{i}]: {exc}") from None
 
@@ -181,18 +192,12 @@ class ExperimentConfig:
             raise ParameterError(f"{path}: not a JSON config: {exc}") from None
         if not isinstance(doc, dict):
             raise ParameterError(f"{path}: a config must be a JSON object")
-        _check_keys(doc, [f.name for f in fields(ExperimentConfig)], f"{path}: config")
-        missing = [k for k in ("master_seed", "trials", "grid") if k not in doc]
+        known = fields(ExperimentConfig)
+        _check_keys(doc, [f.name for f in known], f"{path}: config")
+        missing = [f.name for f in known if f.default is MISSING and f.name not in doc]
         if missing:
             raise ParameterError(f"{path}: config lacks {', '.join(missing)}")
-        return ExperimentConfig(
-            master_seed=doc["master_seed"],
-            trials=doc["trials"],
-            grid=doc["grid"],
-            threads=doc.get("threads", 1),
-            out=doc.get("out"),
-            record_walltime=doc.get("record_walltime", False),
-        )
+        return ExperimentConfig(**doc)
 
 
 def _number(value, kinds=(int, float)) -> bool:
@@ -223,12 +228,12 @@ def _check_gen(gen) -> None:
     if kind == "gaussian":
         need += ("spec",) if "spec" in gen else _GAUSS_SPIKED
         what += " with spec" if "spec" in gen else ""
-    _check_keys(gen, ("kind",) + need + _GEN_OPTIONAL[kind], what)
+    _check_keys(gen, ("kind", "d") + need + _GEN_OPTIONAL[kind], what)
     missing = [k for k in need if k not in gen]
     if missing:
         raise ParameterError(f"{kind} gen lacks {', '.join(missing)}")
     _check_numbers(gen)
-    if not isinstance(gen.get("rotate", True), bool):
+    if "rotate" in gen and not isinstance(gen["rotate"], bool):
         raise ParameterError(f"rotate must be true or false, got {gen['rotate']!r}")
     spec = gen.get("spec", [])
     if not isinstance(spec, list) or not all(map(_number, spec)):
@@ -240,7 +245,9 @@ def _check_gen(gen) -> None:
 def _check_cell(cell) -> None:
     if not isinstance(cell, dict):
         raise ParameterError("a cell must be a JSON object")
-    _check_keys(cell, _CELL_KEYS, "cell")
+    cell_id = cell.get("cell", "")
+    if not isinstance(cell_id, str) or "," in cell_id or "\n" in cell_id:
+        raise ParameterError(f"cell id must be a string without ',' or '\\n': {cell_id!r}")
     _check_gen(cell.get("gen"))
     algo = cell.get("algo")
     if algo not in _ALGOS:
@@ -249,11 +256,9 @@ def _check_cell(cell) -> None:
     if missing:
         raise ParameterError(f"cell lacks {', '.join(missing)}")
     _check_numbers(cell)
+    _check_keys(cell, _CELL_KEYS + _ALGO_KEYS[algo], f"{algo} cell")
     # Budget values validate here; generator values validate at run time.
     _cell_budget(cell)
-    beta = cell.get("beta", 0.05)
-    if not 0.0 < beta < 1.0:
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     if algo == "adaptive-sweep":
         if cell.get("sweep_J", 0) < 1:
             raise ParameterError("adaptive-sweep needs sweep_J >= 1")
@@ -266,10 +271,19 @@ def _check_cell(cell) -> None:
             raise ParameterError("T must be an int >= 1 or 'corollary'")
 
 
-def _cell_budget(cell: dict) -> PrivacyBudget:
-    return PrivacyBudget(
+def _cell_budget(cell: dict) -> tuple[PrivacyBudget, float]:
+    """The cell's total budget and failure probability beta, both checked."""
+    total = PrivacyBudget(
         cell["eps_total"], cell["delta_total"], cell.get("accountant", "paper")
     )
+    beta = cell.get("beta", 0.05)
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+    return total, beta
+
+
+def _cell_id(cell: dict, index: int) -> str:
+    return cell.get("cell", str(index))
 
 
 def build_instance(
@@ -281,25 +295,21 @@ def build_instance(
     scale_for_privacy(beta); the other kinds come out unscaled (L = 1)."""
     _check_gen(gen)
     kind = gen["kind"]
+    options = {k: gen[k] for k in _GEN_OPTIONAL[kind] if k in gen}
     if kind == "gaussian":
         if "spec" in gen:
             spectrum = tuple(gen["spec"])
         else:
             spiked = GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"])
             spectrum = spiked.sigmabar_sq
-        spec = GaussSpec(spectrum, rotate=gen.get("rotate", True))
-        raw, vbar1 = gen_gaussian_iid(gen["n"], spec, rng)
+        raw, vbar1 = gen_gaussian_iid(gen["n"], GaussSpec(spectrum, **options), rng)
         return scale_for_privacy(raw, beta), vbar1
     if kind == "low-coh":
         a = gen_low_coherence(
-            gen["n"], gen["d"], gen["sigma1_frac"], gen["gap"], rng,
-            rotate=gen.get("rotate", True),
+            gen["n"], gen["d"], gen["sigma1_frac"], gen["gap"], rng, **options
         )
     else:
-        a = gen_high_coherence(
-            gen["n"], gen["d"], rng,
-            spikes=gen.get("spikes", 4), noise_norm=gen.get("noise_norm", 0.05),
-        )
+        a = gen_high_coherence(gen["n"], gen["d"], rng, **options)
     return ScaledMatrix(a, 1.0, 0), None
 
 
@@ -415,10 +425,9 @@ def _theory_b(
 def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
     cell = cfg.grid[cell_idx]
     gen = cell["gen"]
-    beta = cell.get("beta", 0.05)
-    total = _cell_budget(cell)
+    total, beta = _cell_budget(cell)
     rec = ResultRecord(
-        cell=str(cell.get("cell", cell_idx)),
+        cell=_cell_id(cell, cell_idx),
         trial=trial,
         algo=cell["algo"],
         n=gen["n"],
@@ -435,11 +444,9 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         a = scaled.matrix
         rec.n, rec.d, rec.clipped = a.n, a.d, scaled.clip_count
         stats = spectrum_stats(a)
-        run = run_algorithm(
-            cell["algo"], a, total, stream,
-            iterations=cell.get("T"), kappa=cell.get("kappa"),
-            t_const=cell.get("t_const", 1.0), beta=beta, sweep_j=cell.get("sweep_J"),
-        )
+        options = {_RUN_KWARGS.get(k, k): cell[k] for k in _ALGO_KEYS[cell["algo"]]
+                   if k in cell}
+        run = run_algorithm(cell["algo"], a, total, stream, beta=beta, **options)
         rec.t, rec.removed = run.t, run.removed
         if run.per_iter is not None:
             rec.theory_b = _theory_b(a, stats, run.t, beta, run.per_iter)
@@ -483,24 +490,13 @@ def _fmt(value) -> str:
         if math.isnan(value):
             return ""
         return repr(value)
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
     return str(value)
 
 
 def records_to_csv(records: list[ResultRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.cell, r.trial, r.algo, r.n, r.d, r.eps_total,
-                    r.delta_total, r.t, r.gen, r.sin2_emp, r.sin2_pop,
-                    r.rayleigh, r.kappa, r.upsilon, r.u_inf, r.removed,
-                    r.clipped, r.theory_b, r.wall_ms,
-                    r.error.replace(",", ";").replace("\n", " "),
-                )
-            )
-        )
+    lines = [CSV_HEADER] + [",".join(map(_fmt, astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -508,8 +504,7 @@ def write_csv(records: list[ResultRecord], path: str | Path) -> None:
     Path(path).write_text(records_to_csv(records))
 
 
-_METRICS = ("sin2_emp", "sin2_pop", "rayleigh", "kappa", "upsilon", "u_inf",
-            "removed", "theory_b", "wall_ms")
+_METRICS = [f.name for f in fields(ResultRecord) if f.default is None]  # measured columns
 
 
 def _order_stats(values: list[float]) -> dict:
@@ -549,16 +544,3 @@ def summarize(records: list[ResultRecord]) -> dict:
         }
         for cell, bucket in cells.items()
     }
-
-
-def threads_from_env(default: int = 1) -> int:
-    raw = os.environ.get("DPPCA_THREADS")
-    if raw is None:
-        return default
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"DPPCA_THREADS={raw!r} is not an integer") from exc
-    if val < 1:
-        raise ParameterError(f"DPPCA_THREADS must be >= 1, got {val}")
-    return val

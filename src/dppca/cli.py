@@ -117,12 +117,9 @@ def _cmd_theory(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = bench.ExperimentConfig.from_json(args.config)
-    threads = args.threads
-    if threads is None:
-        threads = bench.threads_from_env(cfg.threads)
-    elif threads < 1:
-        raise ParameterError(f"--threads must be >= 1, got {threads}")
-    records = bench.run_experiment(cfg, threads=threads)
+    if args.threads is not None and args.threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
+    records = bench.run_experiment(cfg, threads=args.threads)
     out = args.out or cfg.out
     if out is None:
         raise ParameterError("no output path: pass --out or set 'out' in the config")

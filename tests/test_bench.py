@@ -13,7 +13,6 @@ from dppca.bench import (
     run_algorithm,
     run_experiment,
     summarize,
-    threads_from_env,
     write_csv,
 )
 from dppca.errors import BudgetError, ContractViolationError, ParameterError
@@ -86,6 +85,17 @@ class TestRunExperiment:
         cfg, recs = small_run
         threaded = run_experiment(cfg, threads=4)
         assert records_to_csv(recs) == records_to_csv(threaded)
+
+    def test_spelled_out_gen_defaults_give_the_same_bytes(self, small_run):
+        # The generator defaults live in datagen alone; spelling them out in
+        # the config changes nothing.
+        _, recs = small_run
+        grid = small_grid()
+        grid[0]["gen"]["rotate"] = True
+        grid[1]["gen"]["rotate"] = True
+        grid[2]["gen"].update(spikes=4, noise_norm=0.05)
+        spelled = run_experiment(ExperimentConfig(master_seed=7, trials=5, grid=grid))
+        assert records_to_csv(spelled) == records_to_csv(recs)
 
     def test_wall_ms_blank_by_default(self, small_run):
         _, recs = small_run
@@ -246,9 +256,15 @@ class TestConfig:
         bad_eps = dict(base, eps_total=-1.0)
         with pytest.raises(BudgetError):
             ExperimentConfig(master_seed=1, trials=1, grid=[bad_eps])
-        sweep = dict(base, algo="adaptive-sweep")  # missing sweep_J
-        with pytest.raises(ParameterError):
+        sweep = {k: v for k, v in base.items() if k != "T"}
+        sweep["algo"] = "adaptive-sweep"  # missing sweep_J
+        with pytest.raises(ParameterError, match="needs sweep_J"):
             ExperimentConfig(master_seed=1, trials=1, grid=[sweep])
+        # An explicit id equal to another cell's default id (its index).
+        unnamed = {k: v for k, v in small_grid()[1].items() if k != "cell"}
+        grid = [dict(base, cell="1"), unnamed]
+        with pytest.raises(ParameterError, match=r"grid\[1\]: cell id '1' repeats"):
+            ExperimentConfig(master_seed=1, trials=1, grid=grid)
 
     @pytest.mark.parametrize("index, cell, needle", [
         (0, {"gen": {"kind": "high-coh", "d": 4}}, "lacks n"),
@@ -291,6 +307,17 @@ class TestConfig:
         (1, {"gen": {"kind": "low-coh", "n": 150, "d": 5, "sigma1_frac": 0.3,
                      "gap": 0.5, "spikes": 3}},
          "low-coh gen has unknown key(s) 'spikes'"),
+        (1, {"cell": "adaptive-small"}, "cell id 'adaptive-small' repeats grid[0]"),
+        (0, {"cell": "x,y"}, "cell id must be a string without ','"),
+        (1, {"cell": "x\ny"}, "cell id must be a string without ','"),
+        (0, {"cell": ["l"]}, "cell id must be a string"),
+        (1, {"T": 7, "sweep_J": 3, "kappa": 0.5},
+         "analyze-gauss cell has unknown key(s) 'T', 'sweep_J', 'kappa'"),
+        (0, {"sweep_J": 9}, "adaptive cell has unknown key(s) 'sweep_J'"),
+        (0, {"algo": "naive-power", "sweep_J": 2},
+         "naive-power cell has unknown key(s) 'sweep_J'"),
+        (0, {"algo": "adaptive-sweep", "sweep_J": 2},
+         "adaptive-sweep cell has unknown key(s) 'T'"),
     ])
     def test_malformed_cell_names_its_index(self, index, cell, needle):
         grid = small_grid()[:2]
@@ -328,7 +355,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("algo", ["adaptive-sweep", "naive-power"])
     def test_run_algorithm_splits_a_zcdp_total(self, algo):
-        cell = dict(small_grid()[0], algo=algo, T=2, sweep_J=2, accountant="zcdp")
+        own = {"T": 2} if algo == "naive-power" else {"sweep_J": 2}
+        base = {k: v for k, v in small_grid()[0].items() if k != "T"}
+        cell = dict(base, algo=algo, accountant="zcdp", **own)
         recs = run_experiment(ExperimentConfig(master_seed=1, trials=2, grid=[cell]))
         assert not any(r.error for r in recs)
 
@@ -382,20 +411,3 @@ class TestConfig:
         recs = run_experiment(cfg)
         assert recs[0].t is not None and recs[0].t >= 1
 
-
-class TestThreadsFromEnv:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("DPPCA_THREADS", raising=False)
-        assert threads_from_env(3) == 3
-
-    def test_reads_value(self, monkeypatch):
-        monkeypatch.setenv("DPPCA_THREADS", "8")
-        assert threads_from_env() == 8
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("DPPCA_THREADS", "many")
-        with pytest.raises(ParameterError):
-            threads_from_env()
-        monkeypatch.setenv("DPPCA_THREADS", "0")
-        with pytest.raises(ParameterError):
-            threads_from_env()
