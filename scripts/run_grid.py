@@ -8,7 +8,8 @@ Defaults to the acceptance grid shipped with the test suite.  The CSV is
 byte-identical for a fixed master seed regardless of the thread count.
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS is already set, so the CSV does not depend on the host's
-default BLAS threading.
+default BLAS threading.  A malformed config, a --threads below 1 or an
+unreadable file prints `error: ...` and exits 2, as `dppca bench` does.
 """
 
 import argparse
@@ -22,6 +23,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dppca import bench  # noqa: E402
+from dppca.errors import DppcaError  # noqa: E402
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "tests" / "data" / "acceptance_bench.json"
 
@@ -33,9 +35,13 @@ def main() -> int:
     ap.add_argument("--threads", type=int)
     args = ap.parse_args()
 
-    cfg = bench.ExperimentConfig.from_json(args.config)
-    records = bench.run_experiment(cfg, threads=args.threads)
-    bench.write_csv(records, args.out)
+    try:
+        cfg = bench.ExperimentConfig.from_json(args.config)
+        records = bench.run_experiment(cfg, threads=args.threads)
+        bench.write_csv(records, args.out)
+    except (DppcaError, OSError) as exc:  # OSError: an unreadable or unwritable file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     summary = bench.summarize(records)
     width = max(len(c) for c in summary)

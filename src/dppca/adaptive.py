@@ -39,7 +39,7 @@ from .mech import (
     sample_gaussian_vec,
     split_budget,
 )
-from .svtfilter import SvtConfig, threshold_search
+from .svtfilter import DEFAULT_BETA, SvtConfig, threshold_search
 
 _ROW_NORM_SLACK = 1.0 + 1e-9
 
@@ -55,7 +55,7 @@ class AdaptiveParams:
 
     iterations: int
     per_iter: PrivacyBudget
-    beta: float = 0.05
+    beta: float = DEFAULT_BETA
     noiseless: bool = False
 
     def __post_init__(self) -> None:
@@ -219,7 +219,7 @@ def run_kappa_sweep(
     total: PrivacyBudget,
     rng: RngStream,
     num_guesses: int = 6,
-    beta: float = 0.05,
+    beta: float = DEFAULT_BETA,
     t_const: float = 1.0,
     noiseless: bool = False,
 ) -> SweepResult:
@@ -245,7 +245,7 @@ def run_with_restarts(
     iterations: int,
     restarts: int,
     rng: RngStream,
-    beta: float = 0.05,
+    beta: float = DEFAULT_BETA,
     noiseless: bool = False,
 ) -> SweepResult:
     """Best-of-R runs of `iterations` steps each, picked by captured variance

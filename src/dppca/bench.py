@@ -83,6 +83,7 @@ from .datagen import (
 from .errors import BudgetError, ContractViolationError, DppcaError, ParameterError
 from .matcore import DenseMatrix, rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import PrivacyBudget, RngStream, compose, split_budget
+from .svtfilter import DEFAULT_BETA
 
 # Keys each kind of gen needs (a gaussian one also needs "spec", with "d" optional,
 # or else _GAUSS_SPIKED), its generator's keyword arguments, the keys of every
@@ -276,7 +277,7 @@ def _cell_budget(cell: dict) -> tuple[PrivacyBudget, float]:
     total = PrivacyBudget(
         cell["eps_total"], cell["delta_total"], cell.get("accountant", "paper")
     )
-    beta = cell.get("beta", 0.05)
+    beta = cell.get("beta", DEFAULT_BETA)
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     return total, beta
@@ -357,7 +358,7 @@ def run_algorithm(
     iterations: int | str | None = None,
     kappa: float | None = None,
     t_const: float = 1.0,
-    beta: float = 0.05,
+    beta: float = DEFAULT_BETA,
     sweep_j: int | None = None,
     restarts: int = 1,
     noiseless: bool = False,
@@ -466,10 +467,13 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[ResultRecord]:
     """Execute every (cell, trial) pair; records sorted by (cell, trial).
 
-    Thread count: explicit argument, else cfg.threads.  Output is
-    independent of the thread count because each trial's randomness is a
-    pure function of (master_seed, cell index, trial index).
+    Thread count: explicit argument (the command line's --threads, an int
+    >= 1), else cfg.threads.  Output is independent of the thread count
+    because each trial's randomness is a pure function of (master_seed,
+    cell index, trial index).
     """
+    if threads is not None and not (_number(threads, int) and threads >= 1):
+        raise ParameterError(f"--threads must be >= 1, got {threads!r}")
     workers = threads if threads is not None else cfg.threads
     jobs = [
         (ci, tr) for ci in range(len(cfg.grid)) for tr in range(cfg.trials)

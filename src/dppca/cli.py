@@ -16,6 +16,7 @@ from .datagen import GaussSpec
 from .errors import DppcaError, ParameterError
 from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import PrivacyBudget, RngStream, compose, invert_budget
+from .svtfilter import DEFAULT_BETA
 
 
 def _parse_spec(raw: str) -> tuple[float, ...]:
@@ -117,8 +118,6 @@ def _cmd_theory(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = bench.ExperimentConfig.from_json(args.config)
-    if args.threads is not None and args.threads < 1:
-        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
     records = bench.run_experiment(cfg, threads=args.threads)
     out = args.out or cfg.out
     if out is None:
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gap", type=float)
     g.add_argument("--rotate", action=argparse.BooleanOptionalAction,
                    help="rotate the population basis (gaussian, low-coh; default on)")
-    g.add_argument("--beta", type=float, default=0.05)
+    g.add_argument("--beta", type=float, default=DEFAULT_BETA)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--meta")
@@ -161,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eps-total", type=float, required=True, dest="eps_total")
     r.add_argument("--delta-total", type=float, required=True, dest="delta_total")
     r.add_argument("--T", type=int, default=10, dest="iterations")
-    r.add_argument("--beta", type=float, default=0.05)
+    r.add_argument("--beta", type=float, default=DEFAULT_BETA)
     r.add_argument("--sweep", type=int, help="run a kappa sweep with J guesses")
     r.add_argument("--restarts", type=int, default=1,
                    help="best-of-R adaptive runs selected privately")
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--T", type=int, required=True, dest="iterations")
     t.add_argument("--eps", type=float, required=True)
     t.add_argument("--delta", type=float, required=True)
-    t.add_argument("--beta", type=float, default=0.05)
+    t.add_argument("--beta", type=float, default=DEFAULT_BETA)
     t.add_argument("--sigma1", type=float, required=True)
     t.add_argument("--sigma2", type=float, required=True)
     t.add_argument("--upsilon", type=float, required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .matcore import DenseMatrix
 from .mech import RngStream
 
@@ -75,10 +75,9 @@ class GaussSpec:
         return GaussSpec(tuple(vals))
 
 
-def random_orthogonal(n: int, rng: RngStream, cols: int | None = None) -> np.ndarray:
-    """First `cols` (default n) columns of a Haar-distributed orthogonal
-    n x n matrix: QR with sign-fixed diagonal."""
-    g = rng.standard_normal((n, n if cols is None else cols))
+def random_orthogonal(n: int, rng: RngStream) -> np.ndarray:
+    """A Haar-distributed orthogonal n x n matrix: QR with sign-fixed diagonal."""
+    g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))
 
@@ -142,6 +141,13 @@ def gen_low_coherence(
     eigenvalues equal and small.  The diagonal core is conjugated by
     seeded random orthogonal factors on both sides (skipped when rotate is
     off), then rescaled so the max row norm is exactly 1.
+
+    The right factor is a d x d Haar rotation from `random_orthogonal`.  The
+    tall left factor is the Q of a Gaussian n x d draw g, without a QR of
+    g: with R the Cholesky factor of the d x d Gram g^T g (upper, positive
+    diagonal), Q = g R^-1 is the sign-fixed Householder Q, so
+    A = g solve(R, diag(sigma) right^T) is one d x d Gram, Cholesky and
+    solve plus one n x d product.  A singular draw raises NumericalError.
     """
     if n < d:
         raise ParameterError(f"need n >= d, got n={n}, d={d}")
@@ -162,18 +168,22 @@ def gen_low_coherence(
     sigma = np.sqrt(sq)
 
     if rotate:
-        left = random_orthogonal(n, rng, d)
+        g = rng.standard_normal((n, d))
         right = random_orthogonal(d, rng)
+        try:
+            r = np.linalg.cholesky(g.T @ g).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"low-coherence draw is rank-deficient: {exc}") from None
+        a = g @ np.linalg.solve(r, sigma[:, None] * right.T)
     else:
-        left = np.zeros((n, d))
-        left[:d, :d] = np.eye(d)
-        right = np.eye(d)
-    a = (left * sigma) @ right.T
+        a = np.zeros((n, d))
+        a[:d, :d] = np.diag(sigma)
 
     max_norm = float(np.sqrt(np.einsum("ij,ij->i", a, a)).max())
     if max_norm == 0.0:
         raise ParameterError("infeasible spectrum: generated matrix is zero")
-    return DenseMatrix(a / max_norm)
+    a /= max_norm
+    return DenseMatrix(a)
 
 
 def gen_high_coherence(

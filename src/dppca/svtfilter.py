@@ -36,6 +36,9 @@ GRID_HI_EXP = 1
 # patterns of consecutive powers of two lie 2^_EXP_SHIFT apart.
 _NO_SIGN = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 _EXP_SHIFT = 52
+# The default failure probability beta of the search and of every run and
+# command built on it.
+DEFAULT_BETA = 0.05
 
 
 @dataclass
@@ -48,7 +51,7 @@ class SvtConfig:
     """
 
     epsilon: float
-    beta: float = 0.05
+    beta: float = DEFAULT_BETA
     noiseless: bool = False
 
     def __post_init__(self) -> None:

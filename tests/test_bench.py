@@ -86,6 +86,12 @@ class TestRunExperiment:
         threaded = run_experiment(cfg, threads=4)
         assert records_to_csv(recs) == records_to_csv(threaded)
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.0])
+    def test_threads_below_one_or_not_int_rejected(self, small_run, threads):
+        cfg, _ = small_run
+        with pytest.raises(ParameterError, match="--threads must be >= 1"):
+            run_experiment(cfg, threads=threads)
+
     def test_spelled_out_gen_defaults_give_the_same_bytes(self, small_run):
         # The generator defaults live in datagen alone; spelling them out in
         # the config changes nothing.
@@ -171,6 +177,25 @@ class TestErrorRows:
         for r in recs:
             assert r.error.startswith("numerical_error:")
             assert r.sin2_emp is None
+
+    def test_low_coherence_cholesky_failure_becomes_a_row(self, monkeypatch):
+        # The low-coherence generator's Cholesky of the draw's Gram raising
+        # LinAlgError ends those trials as numerical_error rows; the other
+        # cells of the grid still run.
+        def fail(_):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        cfg = ExperimentConfig(master_seed=1, trials=2, grid=small_grid())
+        recs = run_experiment(cfg)
+        assert len(recs) == 6
+        for r in recs:
+            if r.gen == "low-coh":
+                assert r.error.startswith("numerical_error:")
+                assert r.sin2_emp is None
+            else:
+                assert not r.error
+                assert r.sin2_emp is not None
 
 
 class TestCsv:

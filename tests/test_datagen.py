@@ -163,6 +163,54 @@ class TestGenLowCoherence:
             gen_low_coherence(20, 4, 0.3, 0.0, RngStream(0))
 
 
+def householder_low_coherence(n, d, sigma1_frac, gap, rng):
+    """The Householder construction of the rotated low-coherence matrix:
+    the tall factor is the sign-fixed Q of qr(g), read from the same draws."""
+    g = rng.standard_normal((n, d))
+    q, r = np.linalg.qr(g)
+    left = q * np.sign(np.diag(r))
+    right = random_orthogonal(d, rng)
+    s1_sq = sigma1_frac * n
+    sq = np.full(d, 0.01 * (1.0 - gap) * s1_sq)
+    sq[0] = s1_sq
+    sq[1] = (1.0 - gap) * s1_sq
+    a = (left * np.sqrt(sq)) @ right.T
+    return a / np.sqrt(np.einsum("ij,ij->i", a, a)).max()
+
+
+class TestLowCoherenceCholeskyFactor:
+    @pytest.mark.parametrize("n, d", [(4096, 16), (2048, 128), (300, 6), (64, 32),
+                                      (40, 2)])
+    def test_matches_householder_reference(self, n, d):
+        ref = householder_low_coherence(n, d, 0.05, 0.5, RngStream(21, n))
+        a = gen_low_coherence(n, d, 0.05, 0.5, RngStream(21, n)).data
+        assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_square_draw_matches_householder_reference(self, d):
+        ref = householder_low_coherence(d, d, 0.3, 0.5, RngStream(22, d))
+        a = gen_low_coherence(d, d, 0.3, 0.5, RngStream(22, d)).data
+        assert np.abs(a - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_consumes_the_reference_draws(self):
+        ref_rng, rng = RngStream(23), RngStream(23)
+        householder_low_coherence(500, 12, 0.05, 0.5, ref_rng)
+        gen_low_coherence(500, 12, 0.05, 0.5, rng)
+        assert np.array_equal(rng.standard_normal(8), ref_rng.standard_normal(8))
+
+    def test_unrotated_bytes(self):
+        # rotate=False: the diagonal core over zero rows, scaled by sigma1.
+        n, d = 50, 4
+        s1_sq = 0.3 * n
+        sq = np.array([s1_sq, 0.5 * s1_sq, 0.005 * s1_sq, 0.005 * s1_sq])
+        left = np.zeros((n, d))
+        left[:d, :d] = np.eye(d)
+        ref = (left * np.sqrt(sq)) @ np.eye(d).T
+        ref = ref / np.sqrt(np.einsum("ij,ij->i", ref, ref)).max()
+        a = gen_low_coherence(n, d, 0.3, 0.5, RngStream(24), rotate=False)
+        assert a.data.tobytes() == ref.tobytes()
+
+
 class TestGenHighCoherence:
     def test_single_spike_rest_zero(self):
         a = gen_high_coherence(50, 4, RngStream(13), spikes=1, noise_norm=0.0)
