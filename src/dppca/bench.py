@@ -293,7 +293,8 @@ def build_instance(
     """Generate the instance a `gen` spec describes (see the module
     docstring) with rows of norm <= 1; returns (scaled matrix, population
     top direction vbar1 or None).  Gaussian rows go through
-    scale_for_privacy(beta); the other kinds come out unscaled (L = 1)."""
+    scale_for_privacy(beta), which takes over the draw's buffer; the other
+    kinds come out unscaled (L = 1)."""
     _check_gen(gen)
     kind = gen["kind"]
     options = {k: gen[k] for k in _GEN_OPTIONAL[kind] if k in gen}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .matcore import DenseMatrix
+from .matcore import DenseMatrix, _row_blocks
 from .mech import RngStream
 
 _SMALL_TAIL_FRAC = 0.01  # tail eigenvalues of the planted spectrum
@@ -87,16 +87,23 @@ def gen_gaussian_iid(
 ) -> tuple[DenseMatrix, np.ndarray]:
     """Rows g_i = Q diag(sigmabar) z_i, z_i ~ N(0, I); returns (A, vbar1 = Q e1).
 
-    Q is identity when spec.rotate is off.  Rows are unbounded; use
+    Q is identity when spec.rotate is off.  The draw is scaled and rotated
+    in its own buffer, one row block at a time.  Rows are unbounded; use
     scale_for_privacy before feeding a private algorithm.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     d = spec.d
     q = random_orthogonal(d, rng) if spec.rotate else np.eye(d)
-    z = rng.standard_normal((n, d))
-    sigmabar = np.sqrt(np.array(spec.sigmabar_sq))
-    a = (z * sigmabar) @ q.T
+    a = rng.standard_normal((n, d))
+    a *= np.sqrt(np.array(spec.sigmabar_sq))
+    if spec.rotate:
+        for rows in _row_blocks(n, d):
+            a[rows] = a[rows] @ q.T
+    else:
+        # A zero sigmabar gives -0.0 for negative draws; adding +0.0 makes
+        # it +0.0, as a product with the identity does.
+        a += 0.0
     return DenseMatrix(a), q[:, 0].copy()
 
 
@@ -113,16 +120,19 @@ def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
     For trace-1 Gaussian rows, a row exceeds L (hence gets clipped) with
     probability at most beta; the clip count is reported so runs can
     confirm the bounded-row event held.
+
+    `a` is consumed: its buffer is divided and clipped in place and becomes
+    the returned matrix's data, so `a` must not be used afterwards.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     el = 1.0 + math.sqrt(2.0 * math.log(a.n / beta))
-    data = a.data / el
+    data = a.data
+    data /= el
     norms = np.sqrt(np.einsum("ij,ij->i", data, data))
     over = norms > 1.0
     clip_count = int(over.sum())
     if clip_count:
-        data = data.copy()
         data[over] /= norms[over, None]
     return ScaledMatrix(DenseMatrix(data), el, clip_count)
 
@@ -147,7 +157,8 @@ def gen_low_coherence(
     g: with R the Cholesky factor of the d x d Gram g^T g (upper, positive
     diagonal), Q = g R^-1 is the sign-fixed Householder Q, so
     A = g solve(R, diag(sigma) right^T) is one d x d Gram, Cholesky and
-    solve plus one n x d product.  A singular draw raises NumericalError.
+    solve plus one product, taken in g's own buffer one row block at a
+    time.  A singular draw raises NumericalError.
     """
     if n < d:
         raise ParameterError(f"need n >= d, got n={n}, d={d}")
@@ -174,7 +185,10 @@ def gen_low_coherence(
             r = np.linalg.cholesky(g.T @ g).T
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"low-coherence draw is rank-deficient: {exc}") from None
-        a = g @ np.linalg.solve(r, sigma[:, None] * right.T)
+        core = np.linalg.solve(r, sigma[:, None] * right.T)
+        for rows in _row_blocks(n, d):
+            g[rows] = g[rows] @ core
+        a = g
     else:
         a = np.zeros((n, d))
         a[:d, :d] = np.diag(sigma)

@@ -10,6 +10,7 @@ convention are applied here.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,9 @@ _REL_TOL = 1e-12
 # Largest element count we will allocate for a Gram product (bytes / 8).
 _MAX_ELEMENTS = 2**60
 
+# Entries per row block of the blocked n x d kernels: 2 MiB of float64.
+_BLOCK_ELEMENTS = 2**18
+
 
 @dataclass
 class DenseMatrix:
@@ -36,12 +40,17 @@ class DenseMatrix:
     Construction validates shape and finiteness.  `n >= 1` and `d >= 1`
     are required; matrices with more columns than rows are rejected by the
     privacy-facing routines (not here) since the analysis assumes n >= d.
-    Nothing mutates `data` after construction, so the row norms are
-    computed once, on first use, and kept (read-only).
+    Nothing mutates `data` after construction, so the row norms and the
+    Gram are computed once, on first use, and kept (read-only).  The one
+    exception is `datagen.scale_for_privacy`, which scales its argument's
+    buffer in place and hands it to a new matrix: the argument is consumed.
     """
 
     data: np.ndarray
     _row_norms: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _gram: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -53,7 +62,8 @@ class DenseMatrix:
             )
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ContractViolationError(f"degenerate shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN and +-inf without an n x d temporary.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ContractViolationError("matrix contains NaN or Inf")
         self.data = np.ascontiguousarray(arr)
 
@@ -124,16 +134,33 @@ def _check_sizing(n: int, d: int) -> None:
         raise SizingError(f"product of shape ({n}, {d}) exceeds addressable size")
 
 
+def _row_blocks(n: int, d: int) -> Iterator[slice]:
+    """Row slices covering an n x d array in blocks of at most
+    _BLOCK_ELEMENTS entries (at least one row each).
+
+    Block sizes differ by at most one row.  A short tail block would change
+    the bytes of a blocked product: a one-row block sends BLAS to gemv.
+    Equal blocks give the one-shot product's bytes on a fixed BLAS build.
+    """
+    count = -(-n // max(1, _BLOCK_ELEMENTS // d))
+    for i in range(count):
+        yield slice(i * n // count, (i + 1) * n // count)
+
+
 def gram(a: DenseMatrix) -> np.ndarray:
     """Return A^T A as an exactly symmetric (d, d) array.
 
     The upper triangle of the accumulated product is mirrored into the
-    lower triangle so the result is bitwise symmetric.
+    lower triangle so the result is bitwise symmetric.  It is computed once
+    per matrix and kept on it, read-only.
     """
-    _check_sizing(a.n, a.d)
-    g = a.data.T @ a.data
-    upper = np.triu(g)
-    return upper + np.triu(g, 1).T
+    if a._gram is None:
+        _check_sizing(a.n, a.d)
+        g = a.data.T @ a.data
+        g = np.triu(g) + np.triu(g, 1).T
+        g.flags.writeable = False
+        a._gram = g
+    return a._gram
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -194,18 +221,22 @@ def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
 
     Singular values are sqrt(max(eigenvalue, 0)); values at or below
     1e-12 * s1 fall outside the rank.  U's rank columns are A V / s, so
-    upsilon and u_inf are column maxima of |A V| divided by s: one product,
-    and no n x d U.
+    upsilon and u_inf are column maxima of |A V| divided by s, taken one
+    row block of A V at a time: no n x d U and no n x d product.
     """
     spec = sym_eig(gram(a))
     s = np.sqrt(np.maximum(spec.values, 0.0))
     rank = int(np.count_nonzero(s > _REL_TOL * s[0]))
     if rank == 0:
         raise RankZeroError("spectrum statistics of an all-zero matrix")
-    av = a.data @ spec.vectors[:, :rank]
+    v = spec.vectors[:, :rank]
+    col_max = np.zeros(rank)
+    for rows in _row_blocks(a.n, a.d):
+        av = a.data[rows] @ v
+        np.maximum(col_max, np.abs(av, out=av).max(axis=0), out=col_max)
     # fl(|x| / s) is monotone in |x| for s > 0: dividing the column maxima
     # gives the maxima of the divided columns, bit for bit.
-    u_max = np.abs(av, out=av).max(axis=0) / s[:rank]
+    u_max = col_max / s[:rank]
     sigma1 = float(s[0])
     sigma2 = float(s[1]) if s.size > 1 else 0.0
     kappa = (sigma1**2 - sigma2**2) / sigma1**2

@@ -31,7 +31,8 @@ _HEADER = struct.Struct("<4sHQQ")
 def save_dpm(a: DenseMatrix, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, a.n, a.d))
-        fh.write(np.ascontiguousarray(a.data, dtype="<f8").tobytes())
+        # A view of the array's own bytes: no copy of the payload.
+        fh.write(memoryview(np.ascontiguousarray(a.data, dtype="<f8")).cast("B"))
 
 
 def load_dpm(path: str | Path) -> DenseMatrix:

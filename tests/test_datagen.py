@@ -1,8 +1,11 @@
 """Tests for the synthetic generators and the privacy row scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dppca.bench import build_instance
 from dppca.datagen import (
     GaussSpec,
     gen_gaussian_iid,
@@ -12,7 +15,7 @@ from dppca.datagen import (
     scale_for_privacy,
 )
 from dppca.errors import ParameterError
-from dppca.matcore import DenseMatrix, gram, spectrum_stats
+from dppca.matcore import _BLOCK_ELEMENTS, DenseMatrix, gram, spectrum_stats
 from dppca.mech import RngStream
 from dppca.theory import gaussian_bounds
 
@@ -209,6 +212,95 @@ class TestLowCoherenceCholeskyFactor:
         ref = ref / np.sqrt(np.einsum("ij,ij->i", ref, ref)).max()
         a = gen_low_coherence(n, d, 0.3, 0.5, RngStream(24), rotate=False)
         assert a.data.tobytes() == ref.tobytes()
+
+
+def edge_rows(d):
+    """Row counts at and around the edges of the row blocks at width d."""
+    step = _BLOCK_ELEMENTS // d
+    return [1, step - 1, step, step + 1, 2 * step + 1]
+
+
+def one_shot_gaussian(n, spec, rng):
+    """gen_gaussian_iid as one product of a separate scaled draw."""
+    q = random_orthogonal(spec.d, rng) if spec.rotate else np.eye(spec.d)
+    z = rng.standard_normal((n, spec.d))
+    return (z * np.sqrt(spec.sigmabar_sq)) @ q.T
+
+
+def one_shot_low_coherence(n, d, sigma1_frac, gap, rng):
+    """gen_low_coherence's Cholesky construction as one n x d product."""
+    g = rng.standard_normal((n, d))
+    right = random_orthogonal(d, rng)
+    s1_sq = sigma1_frac * n
+    sq = np.full(d, 0.01 * (1.0 - gap) * s1_sq)
+    sq[0] = s1_sq
+    if d > 1:
+        sq[1] = (1.0 - gap) * s1_sq
+    r = np.linalg.cholesky(g.T @ g).T
+    a = g @ np.linalg.solve(r, np.sqrt(sq)[:, None] * right.T)
+    return a / np.sqrt(np.einsum("ij,ij->i", a, a)).max()
+
+
+class TestBlockedGenerators:
+    """The generators scale and rotate their draw in place, one row block at
+    a time; at and around the block edges they match a one-shot product of
+    the same draws and leave the stream where it leaves it."""
+
+    @pytest.mark.parametrize("rotate", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 20, 128])
+    def test_gaussian_matches_one_shot(self, d, rotate):
+        w = 1.0 / np.arange(1, d + 1)
+        spec = GaussSpec(tuple(w / w.sum()), rotate=rotate)
+        for n in edge_rows(d):
+            ref_rng, rng = RngStream(31, n), RngStream(31, n)
+            ref = one_shot_gaussian(n, spec, ref_rng)
+            a, _ = gen_gaussian_iid(n, spec, rng)
+            assert np.abs(a.data - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
+    @pytest.mark.parametrize("d", [1, 2, 20, 128])
+    def test_low_coherence_matches_one_shot(self, d):
+        for n in edge_rows(d):
+            if n < d:
+                continue
+            ref_rng, rng = RngStream(32, n), RngStream(32, n)
+            ref = one_shot_low_coherence(n, d, 0.05, 0.5, ref_rng)
+            a = gen_low_coherence(n, d, 0.05, 0.5, rng).data
+            assert np.abs(a - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
+
+class TestPeakMemory:
+    """A trial holds one n x d array: building an instance and its ground
+    truth allocate at most a few row blocks beyond A (about 20 MiB here)."""
+
+    N, D = 40_960, 64
+
+    @pytest.mark.parametrize("gen", [
+        {"kind": "gaussian", "sigma1_sq": 0.5, "kappabar": 0.5},
+        {"kind": "gaussian", "sigma1_sq": 0.5, "kappabar": 0.5, "rotate": False},
+        {"kind": "low-coh", "sigma1_frac": 0.05, "gap": 0.5},
+    ], ids=["gaussian", "gaussian-unrotated", "low-coh"])
+    def test_build_instance_and_spectrum_stats(self, gen):
+        bound = 8 * self.N * self.D + 4 * 8 * _BLOCK_ELEMENTS
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            scaled, _ = build_instance(
+                {**gen, "n": self.N, "d": self.D}, RngStream(41), 0.05
+            )
+            built = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            spectrum_stats(scaled.matrix)
+            stats = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert built <= bound
+        assert stats <= bound
 
 
 class TestGenHighCoherence:

@@ -18,7 +18,9 @@ from dppca.errors import (
     RankZeroError,
 )
 from dppca.matcore import (
+    _BLOCK_ELEMENTS,
     DenseMatrix,
+    _row_blocks,
     compact_svd,
     gram,
     rayleigh_ratio,
@@ -30,6 +32,12 @@ from dppca.matcore import (
 
 def random_matrix(seed, n=30, d=6):
     return DenseMatrix(np.random.default_rng(seed).normal(size=(n, d)))
+
+
+def edge_rows(d):
+    """Row counts at and around the edges of the row blocks at width d."""
+    step = max(1, _BLOCK_ELEMENTS // d)
+    return [n for n in (1, step - 1, step, step + 1, 2 * step + 1) if n >= 1]
 
 
 class TestDenseMatrix:
@@ -44,6 +52,14 @@ class TestDenseMatrix:
     def test_rejects_inf(self):
         with pytest.raises(ContractViolationError):
             DenseMatrix(np.array([[np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("row", [0, -1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_in_first_or_last_row(self, row, bad):
+        data = np.ones((9, 3))
+        data[row, 1] = bad
+        with pytest.raises(ContractViolationError):
+            DenseMatrix(data)
 
     def test_rejects_1d(self):
         with pytest.raises(ContractViolationError):
@@ -68,6 +84,25 @@ class TestGram:
         a = random_matrix(1, n=50, d=8)
         g = gram(a)
         assert np.array_equal(g, g.T)
+
+    def test_computed_once_and_read_only(self):
+        a = random_matrix(2)
+        g = gram(a)
+        assert gram(a) is g
+        assert not g.flags.writeable
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("d", [1, 2, 20, 128, _BLOCK_ELEMENTS + 1])
+    def test_equal_blocks_cover_the_rows(self, d):
+        step = max(1, _BLOCK_ELEMENTS // d)
+        for n in edge_rows(d):
+            blocks = list(_row_blocks(n, d))
+            sizes = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(x.stop == y.start for x, y in zip(blocks, blocks[1:]))
+            assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
+            assert len(blocks) == -(-n // step)
 
 
 class TestSymEig:
@@ -235,6 +270,26 @@ class TestSpectrumStats:
     def test_zero_matrix_raises(self):
         with pytest.raises(RankZeroError):
             spectrum_stats(DenseMatrix(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("d", [2, 20, 128])
+    def test_rank_deficient_blocked_maxima_match_one_shot(self, d):
+        # Zero columns make the Gram exactly rank-deficient, so V is sliced
+        # to d x rank and the blocked product is not square.
+        rng = np.random.default_rng(d)
+        for n in edge_rows(d):
+            for rank in sorted({1, d - 1}):
+                if n < rank:
+                    continue
+                data = np.zeros((n, d))
+                data[:, :rank] = rng.normal(size=(n, rank))
+                a = DenseMatrix(data)
+                st_ = spectrum_stats(a)
+                spec = sym_eig(gram(a))
+                s = np.sqrt(np.maximum(spec.values, 0.0))
+                assert np.count_nonzero(s > 1e-12 * s[0]) == rank
+                ref = np.abs(data @ spec.vectors[:, :rank]).max(axis=0) / s[:rank]
+                assert st_.upsilon == pytest.approx(ref[0], rel=1e-14)
+                assert st_.u_inf == pytest.approx(ref.max(), rel=1e-14)
 
     def test_sigma1_upsilon_bounded_for_unit_rows(self):
         # sigma1 * upsilon <= max row norm <= 1 for row-normalized data

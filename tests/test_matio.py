@@ -34,6 +34,14 @@ def test_dpm_header_layout(mat, tmp_path):
     assert len(raw) == 22 + 7 * 3 * 8
 
 
+def test_dpm_file_is_header_then_array_bytes(mat, tmp_path):
+    p = tmp_path / "m.dpm"
+    save_dpm(mat, p)
+    header = struct.pack("<4sHQQ", b"DPM1", 1, 7, 3)
+    payload = np.ascontiguousarray(mat.data, dtype="<f8").tobytes()
+    assert p.read_bytes() == header + payload
+
+
 def test_dpm_bad_magic(tmp_path):
     p = tmp_path / "m.dpm"
     p.write_bytes(b"XXXX" + b"\x00" * 30)
