@@ -151,6 +151,8 @@ def corollary_iterations(
     """
     if not 0.0 < kappa <= 1.0:
         raise ParameterError(f"kappa must lie in (0, 1], got {kappa}")
+    if not 0.0 < const < math.inf:
+        raise ParameterError(f"t_const must be positive and finite, got {const}")
     arg = n / (beta * delta * epsilon)
     if arg <= 1.0:
         return 1

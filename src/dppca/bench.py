@@ -30,18 +30,19 @@ Each cell names a generator and an algorithm:
       "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
 
-"rotate", "spikes" and "noise_norm" are optional, with datagen's defaults.
-A gen or a cell carries only the keys its kind or algorithm reads, and a
-gaussian gen takes either spec (with d == len(spec) if d is given) or
-sigma1_sq and kappabar, not both.  Cell ids are unique strings without
-commas or newlines.  A cell's eps_total, delta_total and accountant make
-the one PrivacyBudget that `run_algorithm` splits.  Cells are checked when
-the config is built (a malformed one raises a ParameterError or
-BudgetError naming grid[i]); a trial that fails at run time becomes a
-record whose error column starts with the error's reason code.
-`build_instance` and `run_algorithm`, which `dppca gen` and `dppca run`
-also call, are the only places that map a generator kind or an algorithm
-name to code.
+"rotate", "spikes" and "noise_norm" are optional, with datagen's
+defaults.  A gen or a cell carries only the keys its kind or algorithm
+reads, and a gaussian gen takes either spec (with d == len(spec) if d is
+given) or sigma1_sq and kappabar, not both.  Float keys must be finite
+(JSON's NaN and Infinity are rejected) and t_const positive.  Cell ids
+are unique strings without commas or newlines.  A cell's eps_total,
+delta_total and accountant make the one PrivacyBudget that
+`run_algorithm` splits.  Cells are checked when the config is built (a
+malformed one raises a ParameterError or BudgetError naming grid[i]); a
+trial that fails at run time becomes a record whose error column starts
+with the error's reason code.  `build_instance` and `run_algorithm`,
+which `dppca gen` and `dppca run` also call, are the only places that map
+a generator kind or an algorithm name to code.
 
 Every (cell, trial) pair owns the RngStream (master_seed, cell_index *
 trials + trial), so records do not depend on scheduling; they are sorted
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, fields
@@ -87,7 +89,8 @@ from .svtfilter import DEFAULT_BETA
 
 # Keys each kind of gen needs (a gaussian one also needs "spec", with "d" optional,
 # or else _GAUSS_SPIKED), its generator's keyword arguments, the keys of every
-# cell and of each algorithm, and the numeric keys of cells and gens.
+# cell and of each algorithm, and the type of each typed key at every config
+# level (top level, cell and gen).  `dppca gen`'s flags are built from these.
 _GEN_KEYS = {
     "gaussian": ("n",),
     "low-coh": ("n", "d", "sigma1_frac", "gap"),
@@ -109,9 +112,14 @@ _ALGO_KEYS = {
 _ALGOS = tuple(_ALGO_KEYS)
 # run_algorithm's keyword for each algorithm key whose name differs.
 _RUN_KWARGS = {"T": "iterations", "sweep_J": "sweep_j"}
-_INT_KEYS = ("n", "d", "spikes", "sweep_J")
+_INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
-               "eps_total", "delta_total", "beta", "kappa", "t_const")
+               "eps_total", "delta_total", "beta", "kappa", "t_const")  # and finite
+_BOOL_KEYS = ("record_walltime", "rotate")
+# Every key a gen may carry besides kind.
+_GEN_ALL = tuple(dict.fromkeys(
+    sum(_GEN_KEYS.values(), ()) + ("spec",) + _GAUSS_SPIKED + sum(_GEN_OPTIONAL.values(), ())
+))
 
 
 @dataclass
@@ -153,11 +161,7 @@ class ExperimentConfig:
     record_walltime: bool = False
 
     def __post_init__(self) -> None:
-        for key in ("master_seed", "trials", "threads"):
-            if not _number(getattr(self, key), int):
-                raise ParameterError(
-                    f"{key} must be an integer, got {getattr(self, key)!r}"
-                )
+        _check_types(vars(self))
         if not 0 <= self.master_seed < 2**64:
             raise ParameterError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
@@ -166,10 +170,6 @@ class ExperimentConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
-        if not isinstance(self.record_walltime, bool):
-            raise ParameterError(
-                f"record_walltime must be true or false, got {self.record_walltime!r}"
-            )
         if not isinstance(self.out, (str, type(None))):
             raise ParameterError(f"out must be a path or null, got {self.out!r}")
         if not self.grid:
@@ -194,10 +194,8 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ParameterError(f"{path}: a config must be a JSON object")
         known = fields(ExperimentConfig)
-        _check_keys(doc, [f.name for f in known], f"{path}: config")
-        missing = [f.name for f in known if f.default is MISSING and f.name not in doc]
-        if missing:
-            raise ParameterError(f"{path}: config lacks {', '.join(missing)}")
+        need = [f.name for f in known if f.default is MISSING]
+        _check_keys(doc, [f.name for f in known], f"{path}: config", need)
         return ExperimentConfig(**doc)
 
 
@@ -205,18 +203,25 @@ def _number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _check_keys(doc: dict, known, what: str) -> None:
+def _check_keys(doc: dict, known, what: str, need=()) -> None:
+    """Raise ParameterError if `doc` has a key outside `known` or lacks one of `need`."""
     unknown = [k for k in doc if k not in known]
     if unknown:
         raise ParameterError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
+    missing = [k for k in need if k not in doc]
+    if missing:
+        raise ParameterError(f"{what} lacks {', '.join(missing)}")
 
 
-def _check_numbers(doc: dict) -> None:
+def _check_types(doc: dict) -> None:
+    """Raise ParameterError for a key of a config, cell or gen of the wrong type."""
     for key, value in doc.items():
         if key in _INT_KEYS and not _number(value, int):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
-        if key in _FLOAT_KEYS and not _number(value):
-            raise ParameterError(f"{key} must be a number, got {value!r}")
+        if key in _FLOAT_KEYS and not (_number(value) and abs(value) <= sys.float_info.max):
+            raise ParameterError(f"{key} must be a finite number, got {value!r}")
+        if key in _BOOL_KEYS and not isinstance(value, bool):
+            raise ParameterError(f"{key} must be true or false, got {value!r}")
 
 
 def _check_gen(gen) -> None:
@@ -229,13 +234,8 @@ def _check_gen(gen) -> None:
     if kind == "gaussian":
         need += ("spec",) if "spec" in gen else _GAUSS_SPIKED
         what += " with spec" if "spec" in gen else ""
-    _check_keys(gen, ("kind", "d") + need + _GEN_OPTIONAL[kind], what)
-    missing = [k for k in need if k not in gen]
-    if missing:
-        raise ParameterError(f"{kind} gen lacks {', '.join(missing)}")
-    _check_numbers(gen)
-    if "rotate" in gen and not isinstance(gen["rotate"], bool):
-        raise ParameterError(f"rotate must be true or false, got {gen['rotate']!r}")
+    _check_keys(gen, ("kind", "d") + need + _GEN_OPTIONAL[kind], what, need)
+    _check_types(gen)
     spec = gen.get("spec", [])
     if not isinstance(spec, list) or not all(map(_number, spec)):
         raise ParameterError(f"spec must be a list of numbers, got {spec!r}")
@@ -253,13 +253,13 @@ def _check_cell(cell) -> None:
     algo = cell.get("algo")
     if algo not in _ALGOS:
         raise ParameterError(f"algo must be one of {_ALGOS}")
-    missing = [k for k in ("eps_total", "delta_total") if k not in cell]
-    if missing:
-        raise ParameterError(f"cell lacks {', '.join(missing)}")
-    _check_numbers(cell)
-    _check_keys(cell, _CELL_KEYS + _ALGO_KEYS[algo], f"{algo} cell")
+    _check_types(cell)
+    _check_keys(cell, _CELL_KEYS + _ALGO_KEYS[algo], f"{algo} cell",
+                ("eps_total", "delta_total"))
     # Budget values validate here; generator values validate at run time.
     _cell_budget(cell)
+    if cell.get("t_const", 1.0) <= 0.0:
+        raise ParameterError(f"t_const must be positive, got {cell['t_const']}")
     if algo == "adaptive-sweep":
         if cell.get("sweep_J", 0) < 1:
             raise ParameterError("adaptive-sweep needs sweep_J >= 1")
@@ -287,6 +287,13 @@ def _cell_id(cell: dict, index: int) -> str:
     return cell.get("cell", str(index))
 
 
+def _gauss_spectrum(gen: dict) -> tuple[float, ...]:
+    """A checked gaussian gen's population spectrum: its spec or the spiked one."""
+    if "spec" in gen:
+        return tuple(gen["spec"])
+    return GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"]).sigmabar_sq
+
+
 def build_instance(
     gen: dict, rng: RngStream, beta: float
 ) -> tuple[ScaledMatrix, np.ndarray | None]:
@@ -299,12 +306,8 @@ def build_instance(
     kind = gen["kind"]
     options = {k: gen[k] for k in _GEN_OPTIONAL[kind] if k in gen}
     if kind == "gaussian":
-        if "spec" in gen:
-            spectrum = tuple(gen["spec"])
-        else:
-            spiked = GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"])
-            spectrum = spiked.sigmabar_sq
-        raw, vbar1 = gen_gaussian_iid(gen["n"], GaussSpec(spectrum, **options), rng)
+        spec = GaussSpec(_gauss_spectrum(gen), **options)
+        raw, vbar1 = gen_gaussian_iid(gen["n"], spec, rng)
         return scale_for_privacy(raw, beta), vbar1
     if kind == "low-coh":
         a = gen_low_coherence(

@@ -18,27 +18,26 @@ from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import PrivacyBudget, RngStream, compose, invert_budget
 from .svtfilter import DEFAULT_BETA
 
+_GEN_HELP = {"spec": "comma-separated population spectrum (gaussian)",
+             "rotate": "rotate the population basis (gaussian, low-coh; default on)"}
 
-def _parse_spec(raw: str) -> tuple[float, ...]:
+
+def _parse_spec(raw: str) -> list[float]:
     try:
-        return tuple(float(p) for p in raw.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"bad spectrum list {raw!r}") from exc
+        return [float(p) for p in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad spectrum list {raw!r}") from None
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    gen = {
-        "kind": args.kind, "n": args.n, "d": args.d,
-        "spec": None if args.spec is None else list(_parse_spec(args.spec)),
-        "sigma1_frac": args.sigma1_frac, "gap": args.gap, "rotate": args.rotate,
-    }
-    gen = {k: v for k, v in gen.items() if v is not None}
+    gen = {k: getattr(args, k) for k in ("kind",) + bench._GEN_ALL
+           if getattr(args, k) is not None}
     scaled, vbar1 = bench.build_instance(gen, RngStream(args.seed), args.beta)
     a = scaled.matrix
     meta: dict = {"kind": args.kind, "seed": args.seed}
     if vbar1 is not None:
-        meta.update(vbar1=list(vbar1), spectrum=gen["spec"], L=scaled.scale,
-                    clip_count=scaled.clip_count)
+        meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spectrum(gen)),
+                    L=scaled.scale, clip_count=scaled.clip_count)
 
     stats = spectrum_stats(a)
     meta.update(
@@ -94,19 +93,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_accountant(args: argparse.Namespace) -> int:
-    if args.acct_cmd == "compose":
-        total = compose(PrivacyBudget(args.eps, args.delta), args.iterations)
-        print(f"epsilon={total.epsilon!r} delta={total.delta!r}")
-    else:
-        per = invert_budget(
-            PrivacyBudget(args.eps_total, args.delta_total), args.iterations
-        )
-        print(f"epsilon={per.epsilon!r} delta={per.delta!r}")
+    rule = compose if args.acct_cmd == "compose" else invert_budget
+    budget = rule(PrivacyBudget(args.eps, args.delta), args.iterations)
+    print(f"epsilon={budget.epsilon!r} delta={budget.delta!r}")
     return 0
 
 
 def _cmd_theory(args: argparse.Namespace) -> int:
-    gauss_spec = GaussSpec(_parse_spec(args.gauss_spec)) if args.gauss_spec else None
+    gauss_spec = GaussSpec(args.gauss_spec) if args.gauss_spec else None
     report = theory.build_report(
         t=args.iterations, n=args.n, d=args.d, beta=args.beta, delta=args.delta,
         epsilon=args.eps, sigma1=args.sigma1, sigma2=args.sigma2,
@@ -139,14 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic instance")
-    g.add_argument("--kind", required=True, choices=["gaussian", "low-coh", "high-coh"])
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--d", type=int)
-    g.add_argument("--spec", help="comma-separated population spectrum (gaussian)")
-    g.add_argument("--sigma1-frac", type=float, dest="sigma1_frac")
-    g.add_argument("--gap", type=float)
-    g.add_argument("--rotate", action=argparse.BooleanOptionalAction,
-                   help="rotate the population basis (gaussian, low-coh; default on)")
+    g.add_argument("--kind", required=True, choices=tuple(bench._GEN_KEYS))
+    for key in bench._GEN_ALL:  # one flag per gen key of a bench config
+        flag, help_ = "--" + key.replace("_", "-"), _GEN_HELP.get(key)
+        if key in bench._BOOL_KEYS:
+            g.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_)
+        else:
+            type_ = _parse_spec if key == "spec" else int if key in bench._INT_KEYS else float
+            g.add_argument(flag, type=type_, help=help_)
     g.add_argument("--beta", type=float, default=DEFAULT_BETA)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -154,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     r = sub.add_parser("run", help="run one algorithm on a matrix file")
-    r.add_argument("--algo", default="adaptive",
-                   choices=["adaptive", "analyze-gauss", "naive-power"])
+    r.add_argument("--algo", default="adaptive",  # adaptive-sweep is --sweep
+                   choices=[a for a in bench._ALGOS if a != "adaptive-sweep"])
     r.add_argument("--in", dest="infile", required=True)
     r.add_argument("--eps-total", type=float, required=True, dest="eps_total")
     r.add_argument("--delta-total", type=float, required=True, dest="delta_total")
@@ -178,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--T", type=int, required=True, dest="iterations")
     c.set_defaults(func=_cmd_accountant)
     i = accsub.add_parser("invert")
-    i.add_argument("--eps-total", type=float, required=True, dest="eps_total")
-    i.add_argument("--delta-total", type=float, required=True, dest="delta_total")
+    i.add_argument("--eps-total", type=float, required=True, dest="eps")
+    i.add_argument("--delta-total", type=float, required=True, dest="delta")
     i.add_argument("--T", type=int, required=True, dest="iterations")
     i.set_defaults(func=_cmd_accountant)
 
@@ -193,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sigma1", type=float, required=True)
     t.add_argument("--sigma2", type=float, required=True)
     t.add_argument("--upsilon", type=float, required=True)
-    t.add_argument("--gauss-spec", dest="gauss_spec")
+    t.add_argument("--gauss-spec", dest="gauss_spec", type=_parse_spec)
     t.set_defaults(func=_cmd_theory)
 
     b = sub.add_parser("bench", help="run an experiment grid from a JSON config")

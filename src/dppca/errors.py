@@ -29,7 +29,8 @@ class BudgetError(DppcaError, ValueError):
 
 
 class NumericalError(DppcaError, RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A LAPACK factorization failed: the eigensolver's eigh or the
+    low-coherence generator's Cholesky."""
 
     reason = "numerical_error"
 

@@ -89,15 +89,11 @@ class RngStream:
         self.counter += 1
         return self._gen.standard_normal(size)
 
-    def uniform_open(self, size: int | None = None) -> np.ndarray | float:
+    def uniform_open(self) -> float:
         """Uniform on the open interval (0, 1)."""
         self.counter += 1
-        u = self._gen.random(size)
-        # random() covers [0, 1); nudge exact zeros up one ulp.
-        if size is None:
-            return float(u) if u > 0.0 else _TINY
-        u[u == 0.0] = _TINY
-        return u
+        u = self._gen.random()
+        return u if u > 0.0 else _TINY  # random() covers [0, 1): nudge a zero
 
     def peek_uniform_open(self, size: int) -> np.ndarray:
         """The values the next `size` scalar uniform_open() calls would
@@ -130,16 +126,6 @@ def laplace_inverse_cdf(u, scale):
     # those draws finite, at -scale * 744.4.
     inner = np.maximum(inner, _TINY)
     return -scale * np.sign(centered) * np.log(inner)
-
-
-def sample_laplace(scale: float, rng: RngStream, size: int | None = None):
-    """Laplace(0, scale) via `laplace_inverse_cdf` of uniform_open draws."""
-    if not (math.isfinite(scale) and scale >= 0.0):
-        raise ParameterError(f"laplace scale must be >= 0, got {scale}")
-    if scale == 0.0:
-        return 0.0 if size is None else np.zeros(size)
-    out = laplace_inverse_cdf(rng.uniform_open(size), scale)
-    return float(out) if size is None else out
 
 
 def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:

@@ -169,6 +169,9 @@ class TestCorollaryIterations:
         t1 = corollary_iterations(1000, 0.05, 1e-5, 1.0, 0.5, const=1.0)
         t2 = corollary_iterations(1000, 0.05, 1e-5, 1.0, 0.5, const=0.5)
         assert t2 == int(np.ceil(t1 / 2)) or t2 <= t1
+        for const in (0.0, -1.0, float("nan"), float("inf")):  # not T = 1
+            with pytest.raises(ParameterError, match="t_const must be positive"):
+                corollary_iterations(1000, 0.05, 1e-5, 1.0, 0.5, const=const)
 
     def test_bad_kappa(self):
         with pytest.raises(ParameterError):

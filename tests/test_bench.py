@@ -343,6 +343,13 @@ class TestConfig:
          "naive-power cell has unknown key(s) 'sweep_J'"),
         (0, {"algo": "adaptive-sweep", "sweep_J": 2},
          "adaptive-sweep cell has unknown key(s) 'T'"),
+        # JSON's NaN and Infinity parse as floats; no float key takes them.
+        (0, {"T": "corollary", "kappa": 0.5, "t_const": float("nan")},
+         "t_const must be a finite number"),
+        (0, {"T": "corollary", "kappa": 0.5, "t_const": float("inf")},
+         "t_const must be a finite number"),
+        (0, {"T": "corollary", "kappa": 0.5, "t_const": 0}, "t_const must be positive"),
+        (1, {"eps_total": 10**400}, "eps_total must be a finite number"),  # no float
     ])
     def test_malformed_cell_names_its_index(self, index, cell, needle):
         grid = small_grid()[:2]
@@ -360,6 +367,7 @@ class TestConfig:
         ("master_seed", -1, "master_seed must lie in"),
         ("record_walltime", "no", "record_walltime must be true or false"),
         ("out", 5, "out must be a path or null"),
+        ("trials", True, "trials must be an integer"),
     ])
     def test_mistyped_top_level_field(self, field, value, needle):
         kwargs = dict(master_seed=1, trials=1, grid=small_grid()[:1])

@@ -6,8 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from dppca.bench import build_instance
 from dppca.cli import main
+from dppca.datagen import GaussSpec
 from dppca.matio import load_matrix
+from dppca.mech import RngStream
+from dppca.svtfilter import DEFAULT_BETA
 
 
 def run_cli(*argv):
@@ -63,6 +67,25 @@ class TestGen:
             "--out", str(out),
         ) == 0
         assert load_matrix(str(out)).max_row_norm() <= 1.0 + 1e-12
+        meta = tmp_path / "h.json"
+        assert run_cli(
+            "gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--spikes", "16",
+            "--out", str(out), "--meta", str(meta),
+        ) == 0
+        assert json.loads(meta.read_text())["upsilon"] == pytest.approx(0.25)
+
+    def test_spiked_gaussian_matches_build_instance(self, tmp_path):
+        out, meta = tmp_path / "s.dpm", tmp_path / "s.json"
+        assert run_cli(
+            "gen", "--kind", "gaussian", "--n", "300", "--d", "20",
+            "--sigma1-sq", "0.5", "--kappabar", "0.5", "--seed", "3",
+            "--out", str(out), "--meta", str(meta),
+        ) == 0
+        gen = {"kind": "gaussian", "n": 300, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
+        scaled, _ = build_instance(gen, RngStream(3), DEFAULT_BETA)
+        assert load_matrix(str(out)).data.tobytes() == scaled.matrix.data.tobytes()
+        spiked = GaussSpec.spiked(20, 0.5, 0.5).sigmabar_sq
+        assert json.loads(meta.read_text())["spectrum"] == list(spiked)
 
     @pytest.mark.parametrize("extra, needle", [
         (("--kind", "high-coh", "--no-rotate"), "high-coh gen has unknown key(s) 'rotate'"),
@@ -377,6 +400,19 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid[0]:") and "gap" in err
+        # json.dumps writes NaN, which json.loads reads back as a float.
+        cfg_path.write_text(json.dumps({
+            "master_seed": 1, "trials": 1, "out": str(tmp_path / "o.csv"),
+            "grid": [{
+                "cell": "c", "gen": {"kind": "high-coh", "n": 40, "d": 4},
+                "algo": "adaptive", "eps_total": 1.0, "delta_total": 1e-5,
+                "T": "corollary", "kappa": 0.5, "t_const": float("nan"),
+            }],
+        }))
+        assert run_cli("bench", "--config", str(cfg_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid[0]: t_const must be a finite number")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_mistyped_top_level_field_is_cli_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Tests for budgets, composition, noise mechanisms, and RNG streams."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dppca.mech import (
     invert_budget,
     laplace_inverse_cdf,
     sample_gaussian_vec,
-    sample_laplace,
     split_budget,
     zcdp_epsilon,
     zcdp_rho,
@@ -167,7 +167,8 @@ class TestRngStream:
         assert r.counter == 2
 
     def test_uniform_open_interval(self):
-        u = RngStream(3).uniform_open(10000)
+        r = RngStream(3)
+        u = np.array([r.uniform_open() for _ in range(10000)])
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
     @pytest.mark.parametrize("skew, used", [(0, 0), (1, 2), (3, 7), (2, 9)])
@@ -192,41 +193,32 @@ class TestRngStream:
 
 
 class TestLaplace:
-    def test_zero_scale(self):
-        assert sample_laplace(0.0, RngStream(0)) == 0.0
-
     def test_moments(self):
         # Var of Lap(b) is 2 b^2; mean 0.  100k draws, b = 3.
-        draws = sample_laplace(3.0, RngStream(9), size=100_000)
+        draws = laplace_inverse_cdf(RngStream(9).peek_uniform_open(100_000), 3.0)
         assert abs(np.mean(draws)) < 0.05
         assert np.var(draws) == pytest.approx(18.0, rel=0.05)
 
     def test_median_absolute(self):
         # |Lap(b)| has median b ln 2
-        draws = sample_laplace(2.0, RngStream(10), size=100_000)
+        draws = laplace_inverse_cdf(RngStream(10).peek_uniform_open(100_000), 2.0)
         assert np.median(np.abs(draws)) == pytest.approx(2.0 * math.log(2), rel=0.05)
 
-    def test_inverse_cdf_deterministic(self):
-        a = sample_laplace(1.0, RngStream(5), size=8)
-        b = sample_laplace(1.0, RngStream(5), size=8)
-        assert np.array_equal(a, b)
-
     def test_vector_inverse_cdf_matches_scalar_draws(self):
-        u = RngStream(8).uniform_open(1000)
+        u = RngStream(8).peek_uniform_open(1000)
         scalar = RngStream(8)
-        want = [sample_laplace(3.0, scalar) for _ in range(1000)]
+        want = [laplace_inverse_cdf(scalar.uniform_open(), 3.0) for _ in range(1000)]
         assert laplace_inverse_cdf(u, 3.0).tolist() == want
 
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ParameterError):
-            sample_laplace(-1.0, RngStream(0))
-
-    def test_nudged_zero_draw_stays_finite(self, monkeypatch):
+    def test_nudged_zero_draw_stays_finite(self):
         # uniform_open turns an exact 0 into 5e-324; u - 1/2 then rounds to
         # -1/2 and only the clamp keeps the log finite.
         tiny = np.nextafter(0.0, 1.0)
-        monkeypatch.setattr(RngStream, "uniform_open", lambda self, size=None: tiny)
-        x = sample_laplace(2.0, RngStream(0))
+        r = RngStream(0)
+        r._gen = SimpleNamespace(random=lambda: 0.0)
+        u = r.uniform_open()
+        assert u == tiny
+        x = laplace_inverse_cdf(u, 2.0)
         assert math.isfinite(x)
         assert x == pytest.approx(2.0 * math.log(tiny))
         assert x == pytest.approx(-744.44 * 2.0, rel=1e-4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix
-from dppca.mech import RngStream, sample_laplace
+from dppca.mech import RngStream, laplace_inverse_cdf
 from dppca.svtfilter import (
     GRID_HI_EXP,
     GRID_LO_EXP,
@@ -154,14 +154,17 @@ def reference_search(a, x, cfg, rng):
         bar = (
             n
             - 6.0 * math.log(1.0 / cfg.beta) / cfg.epsilon
-            + sample_laplace(2.0 / cfg.epsilon, rng)
+            + laplace_inverse_cdf(rng.uniform_open(), 2.0 / cfg.epsilon)
         )
     grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
     counts = np.searchsorted(np.sort(q), grid, side="right").tolist()
     fired = len(grid) - 1
     fell_through = True
     for k, count in enumerate(counts):
-        noisy = count if cfg.noiseless else count + sample_laplace(4.0 / cfg.epsilon, rng)
+        if cfg.noiseless:
+            noisy = count
+        else:
+            noisy = count + laplace_inverse_cdf(rng.uniform_open(), 4.0 / cfg.epsilon)
         if noisy >= bar:
             fired, fell_through = k, False
             break
