@@ -124,7 +124,8 @@ def run_adaptive_power(
         trace.queries_issued.append(found.queries_issued)
         trace.x_norm_pre.append(float(np.linalg.norm(x)))
 
-        x_new = a.data.T @ found.kept_ax + sample_gaussian_vec(a.d, sigma, rng)
+        # np.dot, not @: matmul holds the GIL for a transposed operand.
+        x_new = np.dot(a.data.T, found.kept_ax) + sample_gaussian_vec(a.d, sigma, rng)
         norm = float(np.linalg.norm(x_new))
         if norm == 0.0:
             # Dead iterate (all rows dropped and zero noise): restart fresh.

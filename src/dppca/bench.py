@@ -103,6 +103,7 @@ _GEN_OPTIONAL = {
 }
 _GAUSS_SPIKED = ("d", "sigma1_sq", "kappabar")
 _CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "accountant")
+_CELL_NEED = ("eps_total", "delta_total")
 _ALGO_KEYS = {
     "adaptive": ("T", "kappa", "t_const"),
     "adaptive-sweep": ("sweep_J", "t_const"),
@@ -254,8 +255,7 @@ def _check_cell(cell) -> None:
     if algo not in _ALGOS:
         raise ParameterError(f"algo must be one of {_ALGOS}")
     _check_types(cell)
-    _check_keys(cell, _CELL_KEYS + _ALGO_KEYS[algo], f"{algo} cell",
-                ("eps_total", "delta_total"))
+    _check_keys(cell, _CELL_KEYS + _ALGO_KEYS[algo], f"{algo} cell", _CELL_NEED)
     # Budget values validate here; generator values validate at run time.
     _cell_budget(cell)
     if cell.get("t_const", 1.0) <= 0.0:
@@ -300,7 +300,7 @@ def build_instance(
     """Generate the instance a `gen` spec describes (see the module
     docstring) with rows of norm <= 1; returns (scaled matrix, population
     top direction vbar1 or None).  Gaussian rows go through
-    scale_for_privacy(beta), which takes over the draw's buffer; the other
+    scale_for_privacy(beta), which rescales the draw in place; the other
     kinds come out unscaled (L = 1)."""
     _check_gen(gen)
     kind = gen["kind"]
@@ -390,6 +390,8 @@ def run_algorithm(
         trace = best.candidates[best.selected].trace
         return _best_of_result(best, {"runs": sweep_j}, trace)
     if iterations == "corollary":
+        if kappa is None:
+            raise ParameterError("T='corollary' needs a kappa guess in (0, 1]")
         t = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
     else:
         t = int(iterations)

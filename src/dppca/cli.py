@@ -15,11 +15,25 @@ from . import bench, matio, theory
 from .datagen import GaussSpec
 from .errors import DppcaError, ParameterError
 from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
-from .mech import PrivacyBudget, RngStream, compose, invert_budget
+from .mech import ACCOUNTANTS, PrivacyBudget, RngStream, compose, invert_budget
 from .svtfilter import DEFAULT_BETA
 
-_GEN_HELP = {"spec": "comma-separated population spectrum (gaussian)",
-             "rotate": "rotate the population basis (gaussian, low-coh; default on)"}
+_HELP = {"spec": "comma-separated population spectrum (gaussian)",
+         "rotate": "rotate the population basis (gaussian, low-coh; default on)",
+         "T": "iterations (default 10), or 'corollary' for the rule at --kappa",
+         "kappa": "gap guess of the corollary rule",
+         "t_const": "multiplier of the corollary rule",
+         "sweep_J": "run a kappa sweep with J guesses",
+         "accountant": "how the total budget is split (default paper)"}
+# `dppca run`'s cell keys (the algorithm and the input have flags of their own)
+# and algorithm keys, and the flags not spelled "--" + key.
+_RUN_CELL_KEYS = tuple(k for k in bench._CELL_KEYS if k not in ("cell", "gen", "algo"))
+_RUN_ALGO_KEYS = tuple(dict.fromkeys(sum(bench._ALGO_KEYS.values(), ())))
+_FLAG_NAMES = {"sweep_J": "--sweep"}
+
+
+def _flag(key: str) -> str:
+    return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
 def _parse_spec(raw: str) -> list[float]:
@@ -27,6 +41,30 @@ def _parse_spec(raw: str) -> list[float]:
         return [float(p) for p in raw.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad spectrum list {raw!r}") from None
+
+
+def _parse_t(raw: str) -> int | str:
+    if raw == "corollary":
+        return raw
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"T must be an int or 'corollary', got {raw!r}") from None
+
+
+def _add_key_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
+    """One flag per config key, typed by bench's key tables."""
+    for key in keys:
+        kwargs = {"dest": key, "help": _HELP.get(key), "required": key in required}
+        if key in bench._BOOL_KEYS:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif key == "accountant":
+            kwargs["choices"] = ACCOUNTANTS
+        else:
+            kwargs["type"] = {"spec": _parse_spec, "T": _parse_t}.get(
+                key, int if key in bench._INT_KEYS else float)
+        p.add_argument(_flag(key), **kwargs)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -57,18 +95,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     a = matio.load_matrix(args.infile)
-    total = PrivacyBudget(args.eps_total, args.delta_total)
-    if args.sweep is not None and args.algo != "adaptive":
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    total, beta = bench._cell_budget({k: given[k] for k in _RUN_CELL_KEYS if k in given})
+    if args.sweep_J is not None and args.algo != "adaptive":
         raise ParameterError(f"--sweep needs --algo adaptive, not {args.algo}")
-    algo = args.algo if args.sweep is None else "adaptive-sweep"
+    algo = args.algo if args.sweep_J is None else "adaptive-sweep"
+    unread = [_flag(k) for k in _RUN_ALGO_KEYS  # --T has a default, so it may go unread
+              if k in given and k != "T" and k not in bench._ALGO_KEYS[algo]]
+    if unread:
+        raise ParameterError(f"{algo} does not read {', '.join(unread)}")
+    options = {bench._RUN_KWARGS.get(k, k): given[k] for k in bench._ALGO_KEYS[algo]
+               if k in given}
     run = bench.run_algorithm(
-        algo, a, total, RngStream(args.seed),
-        iterations=args.iterations, beta=args.beta, sweep_j=args.sweep,
-        restarts=args.restarts, noiseless=args.noiseless,
+        algo, a, total, RngStream(args.seed), beta=beta,
+        restarts=args.restarts, noiseless=args.noiseless, **options,
     )
     out: dict = {
         "algo": args.algo, "n": a.n, "d": a.d, "eps_total": total.epsilon,
-        "delta_total": total.delta, "seed": args.seed, "accounting": run.accounting,
+        "delta_total": total.delta, "accountant": total.accountant, "seed": args.seed,
+        "accounting": run.accounting,
     }
     if run.kappa_guess is not None:
         out["selected_kappa_guess"] = run.kappa_guess
@@ -134,13 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a synthetic instance")
     g.add_argument("--kind", required=True, choices=tuple(bench._GEN_KEYS))
-    for key in bench._GEN_ALL:  # one flag per gen key of a bench config
-        flag, help_ = "--" + key.replace("_", "-"), _GEN_HELP.get(key)
-        if key in bench._BOOL_KEYS:
-            g.add_argument(flag, action=argparse.BooleanOptionalAction, help=help_)
-        else:
-            type_ = _parse_spec if key == "spec" else int if key in bench._INT_KEYS else float
-            g.add_argument(flag, type=type_, help=help_)
+    _add_key_flags(g, bench._GEN_ALL)
     g.add_argument("--beta", type=float, default=DEFAULT_BETA)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -151,18 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--algo", default="adaptive",  # adaptive-sweep is --sweep
                    choices=[a for a in bench._ALGOS if a != "adaptive-sweep"])
     r.add_argument("--in", dest="infile", required=True)
-    r.add_argument("--eps-total", type=float, required=True, dest="eps_total")
-    r.add_argument("--delta-total", type=float, required=True, dest="delta_total")
-    r.add_argument("--T", type=int, default=10, dest="iterations")
-    r.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    r.add_argument("--sweep", type=int, help="run a kappa sweep with J guesses")
+    _add_key_flags(r, _RUN_CELL_KEYS, required=bench._CELL_NEED)
+    _add_key_flags(r, _RUN_ALGO_KEYS)
     r.add_argument("--restarts", type=int, default=1,
                    help="best-of-R adaptive runs selected privately")
     r.add_argument("--noiseless", action="store_true")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out")
     r.add_argument("--trace")
-    r.set_defaults(func=_cmd_run)
+    r.set_defaults(func=_cmd_run, T=10)
 
     acc = sub.add_parser("accountant", help="compose or invert privacy budgets")
     accsub = acc.add_subparsers(dest="acct_cmd", required=True)

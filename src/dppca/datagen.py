@@ -96,13 +96,16 @@ def gen_gaussian_iid(
     d = spec.d
     q = random_orthogonal(d, rng) if spec.rotate else np.eye(d)
     a = rng.standard_normal((n, d))
-    a *= np.sqrt(np.array(spec.sigmabar_sq))
+    scale = np.sqrt(np.array(spec.sigmabar_sq))
     if spec.rotate:
         for rows in _row_blocks(n, d):
-            a[rows] = a[rows] @ q.T
+            block = a[rows]
+            block *= scale
+            a[rows] = block @ q.T
     else:
         # A zero sigmabar gives -0.0 for negative draws; adding +0.0 makes
         # it +0.0, as a product with the identity does.
+        a *= scale
         a += 0.0
     return DenseMatrix(a), q[:, 0].copy()
 
@@ -121,8 +124,9 @@ def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
     probability at most beta; the clip count is reported so runs can
     confirm the bounded-row event held.
 
-    `a` is consumed: its buffer is divided and clipped in place and becomes
-    the returned matrix's data, so `a` must not be used afterwards.
+    `a` is rescaled in place and returned as the result's matrix.  The row
+    norms computed for the clip are kept as its `row_norms()` (only the
+    clipped rows' are recomputed), and its cached Gram is dropped.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
@@ -133,8 +137,12 @@ def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
     over = norms > 1.0
     clip_count = int(over.sum())
     if clip_count:
-        data[over] /= norms[over, None]
-    return ScaledMatrix(DenseMatrix(data), el, clip_count)
+        clipped = data[over] / norms[over, None]
+        data[over] = clipped
+        norms[over] = np.sqrt(np.einsum("ij,ij->i", clipped, clipped))
+    norms.flags.writeable = False
+    a._row_norms, a._gram = norms, None
+    return ScaledMatrix(a, el, clip_count)
 
 
 def gen_low_coherence(
@@ -182,7 +190,8 @@ def gen_low_coherence(
         g = rng.standard_normal((n, d))
         right = random_orthogonal(d, rng)
         try:
-            r = np.linalg.cholesky(g.T @ g).T
+            # np.dot, not @: matmul holds the GIL for a transposed operand.
+            r = np.linalg.cholesky(np.dot(g.T, g)).T
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"low-coherence draw is rank-deficient: {exc}") from None
         core = np.linalg.solve(r, sigma[:, None] * right.T)

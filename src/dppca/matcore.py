@@ -32,6 +32,9 @@ _MAX_ELEMENTS = 2**60
 # Entries per row block of the blocked n x d kernels: 2 MiB of float64.
 _BLOCK_ELEMENTS = 2**18
 
+# Rows of |A V| folded into one long row before a column-max reduction.
+_MAX_GROUP = 64
+
 
 @dataclass
 class DenseMatrix:
@@ -42,8 +45,8 @@ class DenseMatrix:
     privacy-facing routines (not here) since the analysis assumes n >= d.
     Nothing mutates `data` after construction, so the row norms and the
     Gram are computed once, on first use, and kept (read-only).  The one
-    exception is `datagen.scale_for_privacy`, which scales its argument's
-    buffer in place and hands it to a new matrix: the argument is consumed.
+    exception is `datagen.scale_for_privacy`, which rescales its argument
+    in place and returns it, with its row norms reset and its Gram dropped.
     """
 
     data: np.ndarray
@@ -156,7 +159,8 @@ def gram(a: DenseMatrix) -> np.ndarray:
     """
     if a._gram is None:
         _check_sizing(a.n, a.d)
-        g = a.data.T @ a.data
+        # np.dot, not @: matmul holds the GIL for a transposed operand.
+        g = np.dot(a.data.T, a.data)
         g = np.triu(g) + np.triu(g, 1).T
         g.flags.writeable = False
         a._gram = g
@@ -165,12 +169,10 @@ def gram(a: DenseMatrix) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> None:
     """Flip each column so its first entry with magnitude > 1e-12 is positive."""
-    d = vectors.shape[1]
-    for j in range(d):
-        col = vectors[:, j]
-        idx = np.flatnonzero(np.abs(col) > _REL_TOL)
-        if idx.size and col[idx[0]] < 0.0:
-            vectors[:, j] = -col
+    first = (np.abs(vectors) > _REL_TOL).argmax(axis=0)  # 0 if none
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    # lead < -1e-12 holds exactly when the first entry past 1e-12 is negative.
+    np.negative(vectors, out=vectors, where=lead < -_REL_TOL)
 
 
 def sym_eig(s: np.ndarray) -> Spectrum:
@@ -216,6 +218,21 @@ def compact_svd(a: DenseMatrix) -> SvdFactors:
     return SvdFactors(u=u, s=s, v=spec.vectors, rank=rank)
 
 
+def _max_into(col_max: np.ndarray, m: np.ndarray) -> None:
+    """col_max = max(col_max, column maxima of m), for a C-contiguous m.
+
+    Groups of _MAX_GROUP rows are read as one long row, so the reduction
+    runs _MAX_GROUP * k wide instead of k wide; a max is exact in any order.
+    """
+    rows, k = m.shape
+    full = rows - rows % _MAX_GROUP
+    if full:
+        wide = m[:full].reshape(-1, _MAX_GROUP * k).max(axis=0)
+        np.maximum(col_max, wide.reshape(_MAX_GROUP, k).max(axis=0), out=col_max)
+    if full < rows:
+        np.maximum(col_max, m[full:].max(axis=0), out=col_max)
+
+
 def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
     """Coherence and gap statistics of `a` from its Gram eigendecomposition.
 
@@ -233,7 +250,7 @@ def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
     col_max = np.zeros(rank)
     for rows in _row_blocks(a.n, a.d):
         av = a.data[rows] @ v
-        np.maximum(col_max, np.abs(av, out=av).max(axis=0), out=col_max)
+        _max_into(col_max, np.abs(av, out=av))
     # fl(|x| / s) is monotone in |x| for s > 0: dividing the column maxima
     # gives the maxima of the divided columns, bit for bit.
     u_max = col_max / s[:rank]

@@ -129,7 +129,8 @@ def threshold_search(
         )
 
     ax = a.data @ x
-    q = a.row_norms() * np.abs(ax)
+    q = np.abs(ax)
+    q *= a.row_norms()
     n = a.n
     counts = _grid_counts(q, grid)
     if cfg.noiseless:
@@ -150,7 +151,9 @@ def threshold_search(
     theta = float(grid[fired])
     # Not q > theta: a NaN statistic (an overflowing row) is removed, as
     # the counts leave it out.
-    ax[~(q <= theta)] = 0.0
+    removed = q <= theta
+    np.logical_not(removed, out=removed)
+    np.putmask(ax, removed, 0.0)
     return ThresholdResult(
         theta=theta,
         queries_issued=fired + 1,

@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from dppca.adaptive import corollary_iterations
 from dppca.bench import build_instance
 from dppca.cli import main
 from dppca.datagen import GaussSpec
 from dppca.matio import load_matrix
-from dppca.mech import RngStream
+from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
 
 
@@ -187,6 +188,64 @@ class TestRun:
         )
         assert rc == 0
         assert json.loads(res.read_text())["accounting"]["restarts"] == 3
+
+    @pytest.mark.parametrize("t_const", [None, "0.1"])
+    def test_corollary_rule_with_kappa_and_t_const(self, gaussian_file, tmp_path, t_const):
+        infile, _ = gaussian_file
+        res = tmp_path / "cor.json"
+        extra = ["--t-const", t_const] if t_const else []
+        rc = run_cli(
+            "run", "--in", str(infile), "--eps-total", "4.0", "--delta-total", "1e-5",
+            "--T", "corollary", "--kappa", "0.5", *extra, "--out", str(res),
+        )
+        assert rc == 0
+        want = corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5, float(t_const or 1.0))
+        assert json.loads(res.read_text())["T"] == want
+
+    def test_zcdp_accountant(self, gaussian_file, tmp_path):
+        infile, _ = gaussian_file
+        res = tmp_path / "zcdp.json"
+        rc = run_cli(
+            "run", "--in", str(infile), "--eps-total", "4.0", "--delta-total", "1e-5",
+            "--accountant", "zcdp", "--T", "3", "--out", str(res),
+        )
+        assert rc == 0
+        doc = json.loads(res.read_text())
+        per_iter = split_budget(PrivacyBudget(4.0, 1e-5, "zcdp"), 6)
+        assert doc["accountant"] == "zcdp" and doc["T"] == 3
+        assert doc["accounting"] == {
+            "mechanisms": 6, "per_mechanism_epsilon": per_iter.epsilon,
+            "per_mechanism_delta": per_iter.delta,
+        }
+
+    @pytest.mark.parametrize("extra, needle", [
+        (["--T", "corollary"], "needs a kappa guess"),
+        (["--T", "corollary", "--kappa", "1.5"], "kappa must lie in (0, 1]"),
+        (["--T", "corollary", "--kappa", "0.5", "--t-const", "0"], "t_const must be positive"),
+        (["--algo", "analyze-gauss", "--kappa", "0.5"], "does not read --kappa"),
+        (["--sweep", "3", "--kappa", "0.5"], "does not read --kappa"),
+        (["--algo", "analyze-gauss", "--t-const", "2"], "does not read --t-const"),
+    ])
+    def test_bad_algorithm_flags_are_cli_errors(
+        self, gaussian_file, tmp_path, capsys, extra, needle
+    ):
+        infile, _ = gaussian_file
+        res = tmp_path / "res.json"
+        rc = run_cli(
+            "run", "--in", str(infile), "--eps-total", "4.0",
+            "--delta-total", "1e-5", *extra, "--out", str(res),
+        )
+        assert rc == 2
+        assert needle in capsys.readouterr().err
+        assert not res.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--T", "many"), ("--accountant", "rdp")])
+    def test_bad_flag_values_are_usage_errors(self, gaussian_file, flag, value):
+        infile, _ = gaussian_file
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--in", str(infile), "--eps-total", "4.0",
+                    "--delta-total", "1e-5", flag, value)
+        assert exc.value.code == 2
 
     # Reference values from every `dppca run` path before the CLI and the
     # bench shared one dispatch: x_hat[:3], the accounting dict and T.

@@ -15,7 +15,7 @@ from dppca.datagen import (
     scale_for_privacy,
 )
 from dppca.errors import ParameterError
-from dppca.matcore import _BLOCK_ELEMENTS, DenseMatrix, gram, spectrum_stats
+from dppca.matcore import _BLOCK_ELEMENTS, DenseMatrix, _row_blocks, gram, spectrum_stats
 from dppca.mech import RngStream
 from dppca.theory import gaussian_bounds
 
@@ -117,6 +117,23 @@ class TestScaleForPrivacy:
         sc = scale_for_privacy(DenseMatrix(data), 0.05)
         assert sc.clip_count == 1
         assert np.linalg.norm(sc.matrix.data[0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("d", [7, 20, 128])
+    def test_rescales_in_place_and_keeps_exact_row_norms(self, d):
+        raw, _ = gen_gaussian_iid(3000, GaussSpec.spiked(d, 0.5, 0.5), RngStream(9, d))
+        raw.data[::97] *= 40.0  # rows that stay above norm 1 after scaling
+        gram(raw)
+        el = 1.0 + np.sqrt(2.0 * np.log(raw.n / 0.05))
+        ref = raw.data / el
+        over = np.sqrt(np.einsum("ij,ij->i", ref, ref)) > 1.0
+        ref[over] /= np.sqrt(np.einsum("ij,ij->i", ref[over], ref[over]))[:, None]
+        sc = scale_for_privacy(raw, 0.05)
+        assert sc.matrix is raw and sc.clip_count == over.sum() > 0
+        assert raw._gram is None
+        assert raw.data.tobytes() == ref.tobytes()
+        fresh = DenseMatrix(raw.data.copy()).row_norms()
+        assert raw.row_norms().tobytes() == fresh.tobytes()
+        assert not raw.row_norms().flags.writeable
 
     def test_clipping_rare_for_gaussian_rows(self):
         # The row-length bound holds with probability >= 1 - beta.
@@ -241,6 +258,18 @@ def one_shot_low_coherence(n, d, sigma1_frac, gap, rng):
     return a / np.sqrt(np.einsum("ij,ij->i", a, a)).max()
 
 
+def two_pass_gaussian(n, spec, rng):
+    """gen_gaussian_iid with the scaling as its own pass over the draw,
+    before the blocked rotation: the bytes the per-block scaling keeps."""
+    q = random_orthogonal(spec.d, rng) if spec.rotate else np.eye(spec.d)
+    a = rng.standard_normal((n, spec.d))
+    a *= np.sqrt(np.array(spec.sigmabar_sq))
+    if spec.rotate:
+        for rows in _row_blocks(n, spec.d):
+            a[rows] = a[rows] @ q.T
+    return a + 0.0
+
+
 class TestBlockedGenerators:
     """The generators scale and rotate their draw in place, one row block at
     a time; at and around the block edges they match a one-shot product of
@@ -257,6 +286,9 @@ class TestBlockedGenerators:
             a, _ = gen_gaussian_iid(n, spec, rng)
             assert np.abs(a.data - ref).max() <= 1e-14 * np.abs(ref).max()
             assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+            # The per-block scaling gives the bits of one scaling pass.
+            two_pass = two_pass_gaussian(n, spec, RngStream(31, n))
+            assert a.data.tobytes() == two_pass.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 20, 128])
     def test_low_coherence_matches_one_shot(self, d):

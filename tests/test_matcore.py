@@ -19,7 +19,10 @@ from dppca.errors import (
 )
 from dppca.matcore import (
     _BLOCK_ELEMENTS,
+    _MAX_GROUP,
     DenseMatrix,
+    _fix_signs,
+    _max_into,
     _row_blocks,
     compact_svd,
     gram,
@@ -103,6 +106,50 @@ class TestRowBlocks:
             assert all(x.stop == y.start for x, y in zip(blocks, blocks[1:]))
             assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
             assert len(blocks) == -(-n // step)
+
+
+def loop_fix_signs(vectors):
+    """_fix_signs as a loop over the columns: the reference it must match."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        idx = np.flatnonzero(np.abs(col) > 1e-12)
+        if idx.size and col[idx[0]] < 0.0:
+            vectors[:, j] = -col
+
+
+class TestFixSigns:
+    @pytest.mark.parametrize("d", [1, 2, 7, 20])
+    def test_matches_the_column_loop(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            v = rng.normal(size=(d, d))
+            # Leading entries at and below the cutoff, on either side of zero.
+            v[: d // 2, rng.integers(d)] = rng.choice([0.0, -0.0, 1e-12, -1e-12, -5e-13])
+            v[:, rng.integers(d)] = rng.uniform(-1e-12, 1e-12, size=d)  # all negligible
+            ref = v.copy()
+            loop_fix_signs(ref)
+            _fix_signs(v)
+            assert v.tobytes() == ref.tobytes()
+
+
+class TestGroupedColumnMax:
+    """_max_into reads groups of rows as one long row; it must give the
+    bits of a plain column max at any row count."""
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    @pytest.mark.parametrize("rows", [1, 5, _MAX_GROUP - 1, _MAX_GROUP,
+                                      _MAX_GROUP + 1, 3 * _MAX_GROUP + 17, 1000])
+    def test_matches_plain_column_max(self, rows, k):
+        av = np.random.default_rng(rows * 31 + k).normal(size=(rows, k))
+        ref = np.abs(av).max(axis=0)
+        col_max = np.zeros(k)
+        _max_into(col_max, np.abs(av))
+        assert col_max.tobytes() == ref.tobytes()
+
+    def test_keeps_a_larger_running_max(self):
+        col_max = np.array([5.0, 0.0])
+        _max_into(col_max, np.abs(np.random.default_rng(1).normal(size=(100, 2))))
+        assert col_max[0] == 5.0 and col_max[1] > 0.0
 
 
 class TestSymEig:
