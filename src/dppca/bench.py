@@ -111,6 +111,7 @@ _ALGO_KEYS = {
     "naive-power": ("T", "kappa", "t_const"),
 }
 _ALGOS = tuple(_ALGO_KEYS)
+_T_RULE = "T must be an int >= 1 or 'corollary'"
 # run_algorithm's keyword for each algorithm key whose name differs.
 _RUN_KWARGS = {"T": "iterations", "sweep_J": "sweep_j"}
 _INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
@@ -269,7 +270,7 @@ def _check_cell(cell) -> None:
             if not 0.0 < cell.get("kappa", 0.0) <= 1.0:
                 raise ParameterError("T='corollary' needs a kappa guess in (0, 1]")
         elif not (_number(t, int) and t >= 1):
-            raise ParameterError("T must be an int >= 1 or 'corollary'")
+            raise ParameterError(f"{_T_RULE}, got {t!r}")
 
 
 def _cell_budget(cell: dict) -> tuple[PrivacyBudget, float]:
@@ -393,8 +394,10 @@ def run_algorithm(
         if kappa is None:
             raise ParameterError("T='corollary' needs a kappa guess in (0, 1]")
         t = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
-    else:
+    elif _number(iterations, (int, np.integer)) and iterations >= 1:
         t = int(iterations)
+    else:
+        raise ParameterError(f"{_T_RULE}, got {iterations!r}")
     if algo == "naive-power":
         per_iter = split_budget(total, t)
         x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)

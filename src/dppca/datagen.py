@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .matcore import DenseMatrix, _row_blocks
+from .matcore import DenseMatrix, _row_blocks, _scratch
 from .mech import RngStream
 
 _SMALL_TAIL_FRAC = 0.01  # tail eigenvalues of the planted spectrum
@@ -88,8 +88,9 @@ def gen_gaussian_iid(
     """Rows g_i = Q diag(sigmabar) z_i, z_i ~ N(0, I); returns (A, vbar1 = Q e1).
 
     Q is identity when spec.rotate is off.  The draw is scaled and rotated
-    in its own buffer, one row block at a time.  Rows are unbounded; use
-    scale_for_privacy before feeding a private algorithm.
+    in its own buffer, one row block at a time through the thread's scratch
+    block.  Rows are unbounded; use scale_for_privacy before feeding a
+    private algorithm.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -101,7 +102,7 @@ def gen_gaussian_iid(
         for rows in _row_blocks(n, d):
             block = a[rows]
             block *= scale
-            a[rows] = block @ q.T
+            a[rows] = np.matmul(block, q.T, out=_scratch(*block.shape))
     else:
         # A zero sigmabar gives -0.0 for negative draws; adding +0.0 makes
         # it +0.0, as a product with the identity does.
@@ -166,7 +167,8 @@ def gen_low_coherence(
     diagonal), Q = g R^-1 is the sign-fixed Householder Q, so
     A = g solve(R, diag(sigma) right^T) is one d x d Gram, Cholesky and
     solve plus one product, taken in g's own buffer one row block at a
-    time.  A singular draw raises NumericalError.
+    time through the thread's scratch block.  A singular draw raises
+    NumericalError.
     """
     if n < d:
         raise ParameterError(f"need n >= d, got n={n}, d={d}")
@@ -196,7 +198,7 @@ def gen_low_coherence(
             raise NumericalError(f"low-coherence draw is rank-deficient: {exc}") from None
         core = np.linalg.solve(r, sigma[:, None] * right.T)
         for rows in _row_blocks(n, d):
-            g[rows] = g[rows] @ core
+            g[rows] = np.matmul(g[rows], core, out=_scratch(rows.stop - rows.start, d))
         a = g
     else:
         a = np.zeros((n, d))

@@ -10,6 +10,7 @@ convention are applied here.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ _MAX_ELEMENTS = 2**60
 
 # Entries per row block of the blocked n x d kernels: 2 MiB of float64.
 _BLOCK_ELEMENTS = 2**18
+_local = threading.local()  # each thread's scratch block (`_scratch`)
 
 # Rows of |A V| folded into one long row before a column-max reduction.
 _MAX_GROUP = 64
@@ -150,6 +152,17 @@ def _row_blocks(n: int, d: int) -> Iterator[slice]:
         yield slice(i * n // count, (i + 1) * n // count)
 
 
+def _scratch(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) float64 view of this thread's scratch block, which
+    holds at least one row block and lives as long as the thread, so the
+    blocked products map no fresh memory.  One product uses it at a time.
+    """
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < rows * cols:
+        buf = _local.buf = np.empty(max(rows * cols, _BLOCK_ELEMENTS))
+    return buf[: rows * cols].reshape(rows, cols)
+
+
 def gram(a: DenseMatrix) -> np.ndarray:
     """Return A^T A as an exactly symmetric (d, d) array.
 
@@ -239,7 +252,8 @@ def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
     Singular values are sqrt(max(eigenvalue, 0)); values at or below
     1e-12 * s1 fall outside the rank.  U's rank columns are A V / s, so
     upsilon and u_inf are column maxima of |A V| divided by s, taken one
-    row block of A V at a time: no n x d U and no n x d product.
+    row block of A V at a time, in the thread's scratch block: no n x d U
+    and no n x d product.
     """
     spec = sym_eig(gram(a))
     s = np.sqrt(np.maximum(spec.values, 0.0))
@@ -249,7 +263,7 @@ def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
     v = spec.vectors[:, :rank]
     col_max = np.zeros(rank)
     for rows in _row_blocks(a.n, a.d):
-        av = a.data[rows] @ v
+        av = np.matmul(a.data[rows], v, out=_scratch(rows.stop - rows.start, rank))
         _max_into(col_max, np.abs(av, out=av))
     # fl(|x| / s) is monotone in |x| for s > 0: dividing the column maxima
     # gives the maxima of the divided columns, bit for bit.

@@ -8,14 +8,16 @@ are scaled by ||x||: theta_k = 2^k * ||x|| keeps the grid independent of
 the iterate's scale, and the scaling is data-free so it costs no privacy.
 
 The grid counts come from the statistics' bit patterns, without a sort
-(`_grid_counts`).  The probe noise is drawn in one batch, and only the
-draws up to the firing probe are consumed, so the stream moves as a
-probe-by-probe search would move it.
+(`_grid_counts`), which leaves each row's grid bucket in the statistic's
+own buffer.  The probe noise is drawn in one batch, and only the draws up
+to the firing probe are consumed, so the stream moves as a probe-by-probe
+search would move it.
 
 The search computes A x once for its row statistics and also returns the
 filter it implies: A x with the entries of the rows above theta set to
 zero, so the caller's step A^T (mask * A x) reads A only through A x and
-A^T y.
+A^T y.  The filter comes from the buckets: a row is kept exactly when its
+bucket is at most the firing probe's.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .mech import RngStream, laplace_inverse_cdf
 # Candidate thresholds are 2^k * ||x|| for k in [GRID_LO_EXP, GRID_HI_EXP].
 GRID_LO_EXP = -40
 GRID_HI_EXP = 1
+_POW2 = np.ldexp(1.0, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+# scale * _POW2 is exact and normal, as _grid_counts needs, for scale in
+# [_MIN_SCALE, _MAX_SCALE): its ends are 2^-1022 and 2^1024 over the grid's.
+_MIN_SCALE = 2.0 ** (-1022 - GRID_LO_EXP)
+_MAX_SCALE = 2.0 ** (1024 - GRID_HI_EXP)
 # A double's bits without its sign bit, and its mantissa width: the bit
 # patterns of consecutive powers of two lie 2^_EXP_SHIFT apart.
 _NO_SIGN = np.int64(0x7FFF_FFFF_FFFF_FFFF)
@@ -84,11 +91,14 @@ def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     ceil((bits(q_i) - bits(grid[0])) / 2^52), clipped to [0, K], is the
     first k with q_i <= grid[k] (K: none).  Clearing the sign bit sends a
     negative NaN, such as inf * 0 gives, above the grid with the others.
+    These bucket indices overwrite q, as int64.
     """
-    b = q.view(np.int64) & _NO_SIGN
+    b = q.view(np.int64)
+    b &= _NO_SIGN
     b -= grid[:1].view(np.int64)[0] - ((1 << _EXP_SHIFT) - 1)
     b >>= _EXP_SHIFT
-    np.clip(b, 0, grid.size, out=b)
+    np.minimum(b, grid.size, out=b)
+    np.maximum(b, 0, out=b)
     return np.cumsum(np.bincount(b, minlength=grid.size + 1))[: grid.size]
 
 
@@ -104,29 +114,23 @@ def threshold_search(
     by probe would leave it.  If no candidate fires the largest one is
     returned (flagged in the result).
 
-    Raises ContractViolationError for a zero probe vector, or one whose grid
-    leaves the normal doubles (||x|| * 2^GRID_LO_EXP below 2^-1022, or
-    ||x|| * 2^GRID_HI_EXP overflowing); unit and fresh Gaussian iterates
-    never do.
+    Raises ContractViolationError for a probe vector whose grid leaves the
+    normal doubles (||x|| * 2^GRID_LO_EXP below 2^-1022, as for a zero x,
+    or ||x|| * 2^GRID_HI_EXP overflowing, as for a non-finite x); unit and
+    fresh Gaussian iterates never do.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.d,):
         raise ContractViolationError(
             f"probe vector has shape {x.shape}, expected ({a.d},)"
         )
-    if not np.isfinite(x).all():
-        raise ContractViolationError("probe vector contains NaN or Inf")
-    scale = float(np.linalg.norm(x))
-    if scale == 0.0:
-        raise ContractViolationError("cannot scale grid by the norm of a zero vector")
-    # scale * 2^k, exact (a power-of-two scaling) while it stays normal
-    with np.errstate(over="ignore"):
-        grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
-    if not (grid[0] >= np.finfo(np.float64).smallest_normal and np.isfinite(grid[-1])):
+    scale = math.sqrt(x @ x)  # the bits of np.linalg.norm(x)
+    if not _MIN_SCALE <= scale < _MAX_SCALE:  # also zero and NaN norms
         raise ContractViolationError(
             f"probe vector norm {scale!r} puts the threshold grid outside "
             "the normal doubles"
         )
+    grid = scale * _POW2
 
     ax = a.data @ x
     q = np.abs(ax)
@@ -149,11 +153,12 @@ def threshold_search(
     if not cfg.noiseless:
         rng.skip(fired + 2)  # the bar and probes 0..fired
     theta = float(grid[fired])
-    # Not q > theta: a NaN statistic (an overflowing row) is removed, as
-    # the counts leave it out.
-    removed = q <= theta
-    np.logical_not(removed, out=removed)
-    np.putmask(ax, removed, 0.0)
+    # Rows with buckets past the firing probe's (q > theta, or NaN) have
+    # k - fired - 1 >= 0; its sign, spread over the word, masks ax to +0.0.
+    k = q.view(np.int64)
+    k -= fired + 1
+    k >>= 63
+    ax.view(np.int64)[...] &= k
     return ThresholdResult(
         theta=theta,
         queries_issued=fired + 1,

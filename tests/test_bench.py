@@ -386,6 +386,17 @@ class TestConfig:
                 master_seed=1, trials=1, grid=[dict(base, accountant=name)]
             )
 
+    @pytest.mark.parametrize("algo", ["adaptive", "naive-power"])
+    @pytest.mark.parametrize("t", [None, 2.7, True, 0])
+    def test_run_algorithm_names_a_bad_t(self, algo, t):
+        data = np.random.default_rng(3).normal(size=(200, 4))
+        a = DenseMatrix(data / np.linalg.norm(data, axis=1, keepdims=True))
+        with pytest.raises(ParameterError, match=rf"T must be an int >= 1 .*got {t}"):
+            run_algorithm(algo, a, PrivacyBudget(1.0, 1e-5), RngStream(0), iterations=t)
+        run = run_algorithm(algo, a, PrivacyBudget(1.0, 1e-5), RngStream(0),
+                            iterations=np.int64(2))
+        assert run.t == 2 and type(run.t) is int
+
     @pytest.mark.parametrize("algo", ["adaptive-sweep", "naive-power"])
     def test_run_algorithm_splits_a_zcdp_total(self, algo):
         own = {"T": 2} if algo == "naive-power" else {"sweep_J": 2}

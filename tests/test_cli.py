@@ -376,6 +376,19 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not res.exists()
 
+    @pytest.mark.parametrize("algo, t", [("adaptive", "0"), ("naive-power", "-2")])
+    def test_t_below_one_is_named(self, gaussian_file, tmp_path, capsys, algo, t):
+        infile, _ = gaussian_file
+        res = tmp_path / "res.json"
+        rc = run_cli(
+            "run", "--in", str(infile), "--eps-total", "1.0", "--delta-total",
+            "1e-5", "--algo", algo, "--T", t, "--out", str(res),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: T must be an int >= 1 or 'corollary', got {t}" in err
+        assert not res.exists()
+
 
 class TestAccountant:
     def test_compose_worked_value(self, capsys):

@@ -1,6 +1,8 @@
 """Tests for the synthetic generators and the privacy row scaling."""
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -333,6 +335,68 @@ class TestPeakMemory:
                 tracemalloc.stop()
         assert built <= bound
         assert stats <= bound
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while fn() runs, above what was traced before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestScratchBlock:
+    """The blocked products run through one scratch block per thread: once
+    a thread has made it, they allocate no row block of their own."""
+
+    N, D = 16_000, 20  # two row blocks of 1.28 MB each
+    SPEC = GaussSpec.spiked(D, 0.5, 0.5)
+
+    def test_spectrum_stats_allocates_no_block(self):
+        def draw(seed):
+            return DenseMatrix(np.random.default_rng(seed).normal(size=(self.N, self.D)))
+
+        spectrum_stats(draw(51))  # warm-up
+        a = draw(52)
+        assert traced_peak(lambda: spectrum_stats(a)) < 2**20
+
+    def test_gaussian_rotation_allocates_no_block(self):
+        gen_gaussian_iid(self.N, self.SPEC, RngStream(53))  # warm-up
+        peak = traced_peak(lambda: gen_gaussian_iid(self.N, self.SPEC, RngStream(54)))
+        assert peak <= 8 * self.N * self.D + 2**20
+
+    def test_low_coherence_core_product_allocates_no_block(self):
+        gen_low_coherence(self.N, self.D, 0.05, 0.5, RngStream(55))  # warm-up
+        peak = traced_peak(
+            lambda: gen_low_coherence(self.N, self.D, 0.05, 0.5, RngStream(56)))
+        assert peak <= 8 * self.N * self.D + 2**20
+
+    def test_threads_get_the_serial_bytes(self):
+        def kernels(seed):
+            a, _ = gen_gaussian_iid(self.N, self.SPEC, RngStream(seed))
+            stats = spectrum_stats(a)
+            low = gen_low_coherence(self.N, self.D, 0.05, 0.5, RngStream(seed))
+            return (a.data.tobytes(), low.data.tobytes(), stats.upsilon,
+                    stats.u_inf, stats.mu, stats.top_vector.tobytes())
+
+        seeds = [60 + i % 4 for i in range(8)]
+        want = {seed: kernels(seed) for seed in set(seeds)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the block loops
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(kernels, seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, out in zip(seeds, got):
+            assert out == want[seed]
 
 
 class TestGenHighCoherence:

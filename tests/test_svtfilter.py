@@ -1,16 +1,20 @@
 """Tests for the private threshold search and the row filter it returns."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dppca import svtfilter
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix
 from dppca.mech import RngStream, laplace_inverse_cdf
 from dppca.svtfilter import (
+    _MAX_SCALE,
+    _MIN_SCALE,
     GRID_HI_EXP,
     GRID_LO_EXP,
     SvtConfig,
@@ -275,3 +279,75 @@ class TestGridCounts:
             threshold_search(
                 a, np.array([1e200, 1e200]), SvtConfig(epsilon=1.0), RngStream(0)
             )
+
+
+class TestNanStatistic:
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_nan_rows_are_removed_as_plus_zero(self, noiseless):
+        # Both big rows' norms overflow to inf.  The first's A x entry is
+        # exactly 0, so its statistic is inf * 0, a NaN.  The second's is
+        # 1e309 - 1e309: NaN or +-inf, by the BLAS kernel's summation order
+        # (NaN for OpenBLAS 0.3.31's two-lane sum at d = 4).
+        a = DenseMatrix(np.array([
+            [0.0, 0.0, 1e200, 0.0], [1e308, -1e308, 0.0, 0.0],
+            [0.5, 0.1, 0.2, 0.1], [0.1, 0.2, 0.0, 0.3], [0.01, 0.0, 0.0, 0.0],
+        ]))
+        x = np.array([10.0, 10.0, 0.0, 10.0])
+        with np.errstate(invalid="ignore", over="ignore"):
+            ax = a.data @ x
+            q = a.row_norms() * np.abs(ax)
+            res = threshold_search(
+                a, x, SvtConfig(epsilon=5.0, noiseless=noiseless), RngStream(4)
+            )
+        assert math.isnan(q[0]) and not math.isfinite(q[1])
+        assert res.kept_ax[:2].tobytes() == np.zeros(2).tobytes()
+        assert res.removed_count == 2 + int(np.sum(q[2:] > res.theta))
+        assert np.array_equal(res.kept_ax[2:], np.where(q[2:] <= res.theta, ax[2:], 0.0))
+
+
+def old_scale_check(scale):
+    """The grid check before the range constants: the ldexp grid's bottom
+    is at least the smallest normal double and its top is finite."""
+    with np.errstate(over="ignore"):
+        grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+    return bool(grid[0] >= np.finfo(np.float64).smallest_normal
+                and np.isfinite(grid[-1]))
+
+
+class TestScaleRange:
+    """The norms of the range ends cannot come out of sqrt(x @ x), so the
+    search is fed them through a stand-in for its square root."""
+
+    def search_accepts(self, monkeypatch, scale):
+        cfg = SvtConfig(epsilon=1.0, noiseless=True)
+        monkeypatch.setattr(svtfilter, "math", SimpleNamespace(sqrt=lambda _: scale))
+        try:
+            res = threshold_search(unit_rows(31, n=20, d=2), np.ones(2), cfg,
+                                   RngStream(0))
+        except ContractViolationError as exc:
+            assert "normal doubles" in str(exc)
+            return False
+        finally:
+            monkeypatch.undo()
+        with np.errstate(over="ignore"):
+            grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+        assert res.theta in grid
+        return True
+
+    @pytest.mark.parametrize("scale", [
+        _MIN_SCALE, np.nextafter(_MIN_SCALE, np.inf),
+        np.nextafter(_MAX_SCALE, 0.0), _MAX_SCALE, np.nextafter(_MAX_SCALE, np.inf),
+        1.0, np.inf,
+    ])
+    def test_matches_the_ldexp_check(self, monkeypatch, scale):
+        assert self.search_accepts(monkeypatch, scale) == old_scale_check(scale)
+
+    def test_rejects_the_norm_below_the_range(self, monkeypatch):
+        # The old check accepted this norm only because ldexp rounds its
+        # bottom point up to 2^-1022: the grid is then not a power-of-two
+        # ladder, which the bucket arithmetic needs.
+        below = np.nextafter(_MIN_SCALE, 0.0)
+        assert old_scale_check(below)
+        grid = np.ldexp(below, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+        assert grid[1] != 2.0 * grid[0]
+        assert not self.search_accepts(monkeypatch, below)
