@@ -33,16 +33,17 @@ Each cell names a generator and an algorithm:
 "rotate", "spikes" and "noise_norm" are optional, with datagen's
 defaults.  A gen or a cell carries only the keys its kind or algorithm
 reads, and a gaussian gen takes either spec (with d == len(spec) if d is
-given) or sigma1_sq and kappabar, not both.  Float keys must be finite
-(JSON's NaN and Infinity are rejected) and t_const positive.  Cell ids
-are unique strings without commas or newlines.  A cell's eps_total,
-delta_total and accountant make the one PrivacyBudget that
-`run_algorithm` splits.  Cells are checked when the config is built (a
-malformed one raises a ParameterError or BudgetError naming grid[i]); a
-trial that fails at run time becomes a record whose error column starts
-with the error's reason code.  `build_instance` and `run_algorithm`,
-which `dppca gen` and `dppca run` also call, are the only places that map
-a generator kind or an algorithm name to code.
+given) or sigma1_sq and kappabar, not both.  Float keys and spec entries
+must be finite (JSON's NaN and Infinity are rejected) and t_const
+positive.  Cell ids are unique strings without commas or newlines.
+Cells are checked when the config is built (a malformed one raises a
+ParameterError or BudgetError naming grid[i]); a trial that fails at run
+time becomes a record whose error column starts with the error's reason
+code.  `build_instance(gen, ...)` and `run_algorithm(cell, ...)`, which
+`dppca gen` and `dppca run` also call with a gen and a cell built from
+their flags, are the only places that map a generator kind or an
+algorithm name to code.  A cell's eps_total, delta_total and accountant
+make the one PrivacyBudget that `run_algorithm` splits.
 
 Every (cell, trial) pair owns the RngStream (master_seed, cell_index *
 trials + trial), so records do not depend on scheduling; they are sorted
@@ -67,7 +68,6 @@ from . import theory
 from .adaptive import (
     AdaptiveParams,
     IterationTrace,
-    SweepResult,
     corollary_iterations,
     run_adaptive_power,
     run_kappa_sweep,
@@ -111,9 +111,6 @@ _ALGO_KEYS = {
     "naive-power": ("T", "kappa", "t_const"),
 }
 _ALGOS = tuple(_ALGO_KEYS)
-_T_RULE = "T must be an int >= 1 or 'corollary'"
-# run_algorithm's keyword for each algorithm key whose name differs.
-_RUN_KWARGS = {"T": "iterations", "sweep_J": "sweep_j"}
 _INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
                "eps_total", "delta_total", "beta", "kappa", "t_const")  # and finite
@@ -205,6 +202,10 @@ def _number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    return _number(value) and abs(value) <= sys.float_info.max
+
+
 def _check_keys(doc: dict, known, what: str, need=()) -> None:
     """Raise ParameterError if `doc` has a key outside `known` or lacks one of `need`."""
     unknown = [k for k in doc if k not in known]
@@ -220,7 +221,7 @@ def _check_types(doc: dict) -> None:
     for key, value in doc.items():
         if key in _INT_KEYS and not _number(value, int):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
-        if key in _FLOAT_KEYS and not (_number(value) and abs(value) <= sys.float_info.max):
+        if key in _FLOAT_KEYS and not _finite(value):
             raise ParameterError(f"{key} must be a finite number, got {value!r}")
         if key in _BOOL_KEYS and not isinstance(value, bool):
             raise ParameterError(f"{key} must be true or false, got {value!r}")
@@ -239,8 +240,8 @@ def _check_gen(gen) -> None:
     _check_keys(gen, ("kind", "d") + need + _GEN_OPTIONAL[kind], what, need)
     _check_types(gen)
     spec = gen.get("spec", [])
-    if not isinstance(spec, list) or not all(map(_number, spec)):
-        raise ParameterError(f"spec must be a list of numbers, got {spec!r}")
+    if not isinstance(spec, list) or not all(map(_finite, spec)):
+        raise ParameterError(f"spec must be a list of finite numbers, got {spec!r}")
     if "spec" in gen and gen.get("d", len(spec)) != len(spec):
         raise ParameterError(f"gen has d={gen['d']} but a spec of {len(spec)} entries")
 
@@ -252,12 +253,17 @@ def _check_cell(cell) -> None:
     if not isinstance(cell_id, str) or "," in cell_id or "\n" in cell_id:
         raise ParameterError(f"cell id must be a string without ',' or '\\n': {cell_id!r}")
     _check_gen(cell.get("gen"))
+    _check_algo(cell)
+
+
+def _check_algo(cell: dict) -> str:
+    """Check a cell's algo, key types, keys, budget and algorithm keys and
+    return its algo.  Its gen is checked apart; gen values validate at run time."""
     algo = cell.get("algo")
     if algo not in _ALGOS:
-        raise ParameterError(f"algo must be one of {_ALGOS}")
+        raise ParameterError(f"algo must be one of {_ALGOS}, got {algo!r}")
     _check_types(cell)
     _check_keys(cell, _CELL_KEYS + _ALGO_KEYS[algo], f"{algo} cell", _CELL_NEED)
-    # Budget values validate here; generator values validate at run time.
     _cell_budget(cell)
     if cell.get("t_const", 1.0) <= 0.0:
         raise ParameterError(f"t_const must be positive, got {cell['t_const']}")
@@ -265,12 +271,14 @@ def _check_cell(cell) -> None:
         if cell.get("sweep_J", 0) < 1:
             raise ParameterError("adaptive-sweep needs sweep_J >= 1")
     elif algo in ("adaptive", "naive-power"):
-        t = cell.get("T")
+        t, kappa = cell.get("T"), cell.get("kappa")
         if t == "corollary":
-            if not 0.0 < cell.get("kappa", 0.0) <= 1.0:
-                raise ParameterError("T='corollary' needs a kappa guess in (0, 1]")
-        elif not (_number(t, int) and t >= 1):
-            raise ParameterError(f"{_T_RULE}, got {t!r}")
+            if not (kappa is not None and 0.0 < kappa <= 1.0):
+                raise ParameterError("T='corollary' needs a kappa guess: "
+                                     f"kappa must lie in (0, 1], got {kappa}")
+        elif not (_number(t, (int, np.integer)) and t >= 1):
+            raise ParameterError(f"T must be an int >= 1 or 'corollary', got {t!r}")
+    return algo
 
 
 def _cell_budget(cell: dict) -> tuple[PrivacyBudget, float]:
@@ -329,104 +337,70 @@ class RunResult:
     trace: IterationTrace | list[IterationTrace] | None = None
     removed: int | None = None
     kappa_guess: float | None = None  # adaptive-sweep: the selected guess
-    per_iter: PrivacyBudget | None = None  # paper-accounted adaptive: for bound_B
-
-
-def _per_mechanism(count: int, per_iter: PrivacyBudget) -> dict:
-    return {
-        "mechanisms": count,
-        "per_mechanism_epsilon": per_iter.epsilon,
-        "per_mechanism_delta": per_iter.delta,
-    }
-
-
-def _best_of_result(best: SweepResult, runs: dict, trace: object) -> RunResult:
-    chosen = best.candidates[best.selected]
-    accounting = {
-        **runs,
-        "selection_epsilon": best.selection_epsilon,
-        "per_run_epsilon": best.run_budget.epsilon,
-        "per_run_delta": best.run_budget.delta,
-    }
-    return RunResult(
-        best.estimate, chosen.iterations, accounting, trace,
-        chosen.trace.total_removed, chosen.kappa_guess,
-    )
 
 
 def run_algorithm(
-    algo: str,
-    a: DenseMatrix,
-    total: PrivacyBudget,
-    rng: RngStream,
-    *,
-    iterations: int | str | None = None,
-    kappa: float | None = None,
-    t_const: float = 1.0,
-    beta: float = DEFAULT_BETA,
-    sweep_j: int | None = None,
-    restarts: int = 1,
-    noiseless: bool = False,
+    cell: dict, a: DenseMatrix, rng: RngStream, *, restarts: int = 1, noiseless: bool = False
 ) -> RunResult:
-    """Run `algo` (one of _ALGOS) on `a` under the total budget `total`,
-    split by its accountant.
-
-    iterations is T: an int, or "corollary" for the corollary rule at the
-    gap guess kappa scaled by t_const (adaptive and naive-power).  sweep_j
-    is the number of gap guesses of adaptive-sweep, which picks each run's T
-    itself.  restarts > 1 runs best-of-R adaptive runs.
-    """
-    if algo not in _ALGOS:
-        raise ParameterError(f"algo must be one of {_ALGOS}, got {algo!r}")
+    """Run a cell's algorithm on `a`, reading the cell's keys (not its gen)
+    under their config names; restarts > 1 runs best-of-R adaptive runs."""
+    algo = _check_algo(cell)
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
     if restarts > 1 and algo != "adaptive":
         raise ParameterError(f"restarts apply to the adaptive algorithm, not {algo}")
+    total, beta = _cell_budget(cell)
+    t_const = cell.get("t_const", 1.0)
 
     if algo == "analyze-gauss":
         x_hat = analyze_gauss(a, total, rng, noiseless=noiseless)
         return RunResult(x_hat, 0, {"mechanisms": 1})
+    t = cell.get("T")
+    if t == "corollary":
+        t = corollary_iterations(a.n, beta, total.delta, total.epsilon, cell["kappa"],
+                                 t_const)
     if algo == "adaptive-sweep":
-        best = run_kappa_sweep(a, total, rng, sweep_j, beta, t_const, noiseless)
-        trace = best.candidates[best.selected].trace
-        return _best_of_result(best, {"runs": sweep_j}, trace)
-    if iterations == "corollary":
-        if kappa is None:
-            raise ParameterError("T='corollary' needs a kappa guess in (0, 1]")
-        t = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
-    elif _number(iterations, (int, np.integer)) and iterations >= 1:
-        t = int(iterations)
-    else:
-        raise ParameterError(f"{_T_RULE}, got {iterations!r}")
-    if algo == "naive-power":
-        per_iter = split_budget(total, t)
-        x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
-        return RunResult(x_hat, t, _per_mechanism(t, per_iter))
-    if restarts > 1:
-        best = run_with_restarts(a, total, t, restarts, rng, beta, noiseless)
-        traces = [c.trace for c in best.candidates]
-        return _best_of_result(best, {"restarts": restarts}, traces)
-
-    per_iter = split_budget(total, 2 * t)
-    params = AdaptiveParams(t, per_iter, beta, noiseless)
-    x_hat, trace = run_adaptive_power(a, params, rng)
-    accounting = _per_mechanism(2 * t, per_iter)
-    if total.accountant != "paper":  # bound_B and compose assume the paper's split
+        best = run_kappa_sweep(a, total, rng, cell["sweep_J"], beta, t_const, noiseless)
+        runs, trace = {"runs": cell["sweep_J"]}, best.candidates[best.selected].trace
+    elif restarts > 1:
+        best = run_with_restarts(a, total, int(t), restarts, rng, beta, noiseless)
+        runs, trace = {"restarts": restarts}, [c.trace for c in best.candidates]
+    else:  # one run: T Gaussian steps, or T (threshold search, Gaussian step) pairs
+        t = int(t)
+        count = t if algo == "naive-power" else 2 * t
+        per_iter = split_budget(total, count)
+        accounting = {"mechanisms": count, "per_mechanism_epsilon": per_iter.epsilon,
+                      "per_mechanism_delta": per_iter.delta}
+        if algo == "naive-power":
+            x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
+            return RunResult(x_hat, t, accounting)
+        params = AdaptiveParams(t, per_iter, beta, noiseless)
+        x_hat, trace = run_adaptive_power(a, params, rng)
+        if total.accountant == "paper":  # bound_B and compose assume the paper's split
+            composed = compose(per_iter, count)
+            accounting.update(composed_epsilon=composed.epsilon,
+                              composed_delta=composed.delta)
         return RunResult(x_hat, t, accounting, trace, trace.total_removed)
-    composed = compose(per_iter, 2 * t)
-    accounting.update(composed_epsilon=composed.epsilon, composed_delta=composed.delta)
-    return RunResult(x_hat, t, accounting, trace, trace.total_removed, per_iter=per_iter)
+
+    chosen = best.candidates[best.selected]
+    accounting = {**runs, "selection_epsilon": best.selection_epsilon,
+                  "per_run_epsilon": best.run_budget.epsilon,
+                  "per_run_delta": best.run_budget.delta}
+    return RunResult(best.estimate, chosen.iterations, accounting, trace,
+                     chosen.trace.total_removed, chosen.kappa_guess)
 
 
-def _theory_b(
-    a: DenseMatrix, stats, t: int, beta: float, per_iter: PrivacyBudget
-) -> float | None:
-    """The bound B, or None where it is undefined (T < 2, no gap, ...)."""
+def _theory_b(a: DenseMatrix, stats, run: RunResult, beta: float) -> float | None:
+    """The bound B of a paper-accounted single adaptive run (whose accounting
+    holds composed_*), or None for other runs and where B is undefined."""
+    spend = run.accounting
+    if "composed_epsilon" not in spend:
+        return None
     try:
-        _, _, k = theory.constants_K(t, a.n, beta, per_iter.delta)
+        _, _, k = theory.constants_K(run.t, a.n, beta, spend["per_mechanism_delta"])
         return theory.bound_B(
-            stats.sigma1, stats.sigma2, stats.upsilon, per_iter.epsilon, t, k,
-            a.d, a.n,
+            stats.sigma1, stats.sigma2, stats.upsilon, spend["per_mechanism_epsilon"],
+            run.t, k, a.d, a.n,
         )[1]
     except DppcaError:
         return None
@@ -454,12 +428,9 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         a = scaled.matrix
         rec.n, rec.d, rec.clipped = a.n, a.d, scaled.clip_count
         stats = spectrum_stats(a)
-        options = {_RUN_KWARGS.get(k, k): cell[k] for k in _ALGO_KEYS[cell["algo"]]
-                   if k in cell}
-        run = run_algorithm(cell["algo"], a, total, stream, beta=beta, **options)
+        run = run_algorithm(cell, a, stream)
         rec.t, rec.removed = run.t, run.removed
-        if run.per_iter is not None:
-            rec.theory_b = _theory_b(a, stats, run.t, beta, run.per_iter)
+        rec.theory_b = _theory_b(a, stats, run, beta)
 
         rec.sin2_emp = sin_sq(run.x_hat, stats.top_vector)
         if vbar1 is not None:
@@ -502,7 +473,7 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if math.isnan(value):
             return ""
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     if isinstance(value, str):
         return value.replace(",", ";").replace("\n", " ")
     return str(value)

@@ -96,7 +96,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     a = matio.load_matrix(args.infile)
     given = {k: v for k, v in vars(args).items() if v is not None}
-    total, beta = bench._cell_budget({k: given[k] for k in _RUN_CELL_KEYS if k in given})
     if args.sweep_J is not None and args.algo != "adaptive":
         raise ParameterError(f"--sweep needs --algo adaptive, not {args.algo}")
     algo = args.algo if args.sweep_J is None else "adaptive-sweep"
@@ -104,16 +103,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
               if k in given and k != "T" and k not in bench._ALGO_KEYS[algo]]
     if unread:
         raise ParameterError(f"{algo} does not read {', '.join(unread)}")
-    options = {bench._RUN_KWARGS.get(k, k): given[k] for k in bench._ALGO_KEYS[algo]
-               if k in given}
+    keys = _RUN_CELL_KEYS + bench._ALGO_KEYS[algo]
+    cell = {"algo": algo, **{k: given[k] for k in keys if k in given}}
     run = bench.run_algorithm(
-        algo, a, total, RngStream(args.seed), beta=beta,
-        restarts=args.restarts, noiseless=args.noiseless, **options,
+        cell, a, RngStream(args.seed), restarts=args.restarts, noiseless=args.noiseless
     )
     out: dict = {
-        "algo": args.algo, "n": a.n, "d": a.d, "eps_total": total.epsilon,
-        "delta_total": total.delta, "accountant": total.accountant, "seed": args.seed,
-        "accounting": run.accounting,
+        "algo": args.algo, "n": a.n, "d": a.d, "eps_total": cell["eps_total"],
+        "delta_total": cell["delta_total"], "accountant": cell.get("accountant", "paper"),
+        "seed": args.seed, "accounting": run.accounting,
     }
     if run.kappa_guess is not None:
         out["selected_kappa_guess"] = run.kappa_guess

@@ -32,8 +32,8 @@ class GaussSpec:
         vals = tuple(float(v) for v in self.sigmabar_sq)
         if len(vals) < 1:
             raise ParameterError("spectrum must have at least one entry")
-        if any(v < 0.0 for v in vals):
-            raise ParameterError("spectrum entries must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise ParameterError(f"spectrum entries must be finite and nonnegative: {vals}")
         if any(vals[i] + 1e-12 < vals[i + 1] for i in range(len(vals) - 1)):
             raise ParameterError("spectrum must be nonincreasing")
         if abs(sum(vals) - 1.0) > 1e-12:

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from dppca import theory
 from dppca.bench import (
     CSV_HEADER,
     ExperimentConfig,
     ResultRecord,
+    build_instance,
     records_to_csv,
     run_algorithm,
     run_experiment,
@@ -16,8 +18,9 @@ from dppca.bench import (
     write_csv,
 )
 from dppca.errors import BudgetError, ContractViolationError, ParameterError
-from dppca.matcore import DenseMatrix
+from dppca.matcore import DenseMatrix, sin_sq, spectrum_stats
 from dppca.mech import PrivacyBudget, RngStream, split_budget
+from dppca.svtfilter import DEFAULT_BETA
 
 
 def small_grid():
@@ -391,10 +394,10 @@ class TestConfig:
     def test_run_algorithm_names_a_bad_t(self, algo, t):
         data = np.random.default_rng(3).normal(size=(200, 4))
         a = DenseMatrix(data / np.linalg.norm(data, axis=1, keepdims=True))
+        budget = {"algo": algo, "eps_total": 1.0, "delta_total": 1e-5}
         with pytest.raises(ParameterError, match=rf"T must be an int >= 1 .*got {t}"):
-            run_algorithm(algo, a, PrivacyBudget(1.0, 1e-5), RngStream(0), iterations=t)
-        run = run_algorithm(algo, a, PrivacyBudget(1.0, 1e-5), RngStream(0),
-                            iterations=np.int64(2))
+            run_algorithm(dict(budget, T=t), a, RngStream(0))
+        run = run_algorithm(dict(budget, T=np.int64(2)), a, RngStream(0))
         assert run.t == 2 and type(run.t) is int
 
     @pytest.mark.parametrize("algo", ["adaptive-sweep", "naive-power"])
@@ -408,7 +411,7 @@ class TestConfig:
         data = np.random.default_rng(3).normal(size=(200, 4))
         a = DenseMatrix(data / np.linalg.norm(data, axis=1, keepdims=True))
         total = PrivacyBudget(2.0, 1e-5, "zcdp")
-        run = run_algorithm(algo, a, total, RngStream(0), iterations=2, sweep_j=2)
+        run = run_algorithm(cell, a, RngStream(0))
         if algo == "naive-power":
             per_iter = split_budget(total, 2)
             assert run.accounting == {
@@ -455,3 +458,67 @@ class TestConfig:
         recs = run_experiment(cfg)
         assert recs[0].t is not None and recs[0].t >= 1
 
+
+
+class TestSinglePath:
+    """A bench trial and `run_algorithm` run the same cell the same way."""
+
+    def test_nan_spec_entry_names_spec(self):
+        cell = dict(small_grid()[0], gen={"kind": "gaussian", "n": 200,
+                                          "spec": [float("nan"), 0.5]})
+        with pytest.raises(ParameterError, match=r"grid\[0\]: spec") as info:
+            ExperimentConfig(master_seed=1, trials=1, grid=[cell])
+        assert "nan" in str(info.value)
+
+    def test_numpy_floats_write_plain_floats(self):
+        plain = small_grid()
+        typed = [dict(cell, eps_total=np.float64(cell["eps_total"]),
+                      delta_total=np.float64(cell["delta_total"])) for cell in plain]
+        texts = [records_to_csv(run_experiment(ExperimentConfig(
+            master_seed=3, trials=1, grid=grid))) for grid in (plain, typed)]
+        assert texts[0] == texts[1]
+
+    def test_theory_b_only_for_paper_accounted_adaptive(self, monkeypatch):
+        seen = {"bound_B": [], "constants_K": []}
+        constants_k = theory.constants_K
+
+        def fake_constants_k(t, n, beta, delta):
+            seen["constants_K"].append(delta)
+            return constants_k(t, n, beta, delta)
+
+        def fake_bound_b(sigma1, sigma2, upsilon, epsilon, t, k, d, n):
+            seen["bound_B"].append(epsilon)
+            return None, 0.25
+
+        monkeypatch.setattr(theory, "constants_K", fake_constants_k)
+        monkeypatch.setattr(theory, "bound_B", fake_bound_b)
+        adaptive = small_grid()[0]  # eps_total 2.0, delta_total 1e-5, T 3
+        no_t = {k: v for k, v in adaptive.items() if k != "T"}
+        grid = [
+            adaptive,
+            dict(adaptive, cell="zcdp", accountant="zcdp"),
+            dict(adaptive, cell="naive", algo="naive-power"),
+            dict(no_t, cell="sweep", algo="adaptive-sweep", sweep_J=2),
+            dict(no_t, cell="ag", algo="analyze-gauss"),
+        ]
+        recs = run_experiment(ExperimentConfig(master_seed=2, trials=2, grid=grid))
+        assert not any(r.error for r in recs)
+        for r in recs:
+            assert r.theory_b == (0.25 if r.cell == "adaptive-small" else None)
+        per_iter = split_budget(PrivacyBudget(2.0, 1e-5), 2 * 3)
+        assert seen["bound_B"] == [per_iter.epsilon] * 2
+        assert seen["constants_K"] == [per_iter.delta] * 2
+
+    def test_bench_row_is_run_algorithm_on_its_stream(self):
+        cfg = ExperimentConfig(master_seed=5, trials=2, grid=small_grid())
+        recs = {(r.cell, r.trial): r for r in run_experiment(cfg)}
+        for i, cell in enumerate(cfg.grid):
+            for t in range(cfg.trials):
+                stream = RngStream(cfg.master_seed, i * cfg.trials + t)
+                beta = cell.get("beta", DEFAULT_BETA)
+                scaled, _ = build_instance(cell["gen"], stream, beta)
+                run = run_algorithm(cell, scaled.matrix, stream)
+                rec = recs[(cell["cell"], t)]
+                assert (rec.t, rec.removed) == (run.t, run.removed)
+                top = spectrum_stats(scaled.matrix).top_vector
+                assert rec.sin2_emp == sin_sq(run.x_hat, top)

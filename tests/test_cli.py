@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from dppca.adaptive import corollary_iterations
-from dppca.bench import build_instance
+from dppca.bench import ExperimentConfig, build_instance, run_algorithm
 from dppca.cli import main
 from dppca.datagen import GaussSpec
+from dppca.errors import ParameterError
 from dppca.matio import load_matrix
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
@@ -120,6 +121,15 @@ class TestGen:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_nan_spec_entry_is_cli_error(self, tmp_path, capsys):
+        rc = run_cli(
+            "gen", "--kind", "gaussian", "--n", "10", "--spec", "nan,0.5",
+            "--out", str(tmp_path / "x.dpm"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: spec must be")
 
 
 class TestRun:
@@ -238,6 +248,30 @@ class TestRun:
         assert rc == 2
         assert needle in capsys.readouterr().err
         assert not res.exists()
+
+    @pytest.mark.parametrize("cell, flags", [
+        ({"T": 0}, ["--T", "0"]),
+        ({"T": "corollary"}, ["--T", "corollary"]),
+        ({"T": "corollary", "kappa": 1.5}, ["--T", "corollary", "--kappa", "1.5"]),
+        ({"T": 10, "t_const": 0.0}, ["--t-const", "0"]),
+        ({"algo": "adaptive-sweep", "sweep_J": 0}, ["--sweep", "0"]),
+    ])
+    def test_config_api_and_cli_give_one_message(
+        self, gaussian_file, capsys, cell, flags
+    ):
+        infile, _ = gaussian_file
+        cell = {"algo": "adaptive", "eps_total": 4.0, "delta_total": 1e-5, **cell}
+        gen = {"kind": "high-coh", "n": 20, "d": 4}
+        with pytest.raises(ParameterError) as config:
+            ExperimentConfig(master_seed=1, trials=1, grid=[dict(cell, gen=gen)])
+        with pytest.raises(ParameterError) as api:
+            run_algorithm(cell, load_matrix(str(infile)), RngStream(0))
+        rc = run_cli("run", "--in", str(infile), "--eps-total", "4.0",
+                     "--delta-total", "1e-5", *flags)
+        assert rc == 2
+        message = str(api.value)
+        assert str(config.value) == f"grid[0]: {message}"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag, value", [("--T", "many"), ("--accountant", "rdp")])
     def test_bad_flag_values_are_usage_errors(self, gaussian_file, flag, value):

@@ -40,6 +40,11 @@ class TestGaussSpec:
         with pytest.raises(ParameterError):
             GaussSpec((1.5, -0.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            GaussSpec((bad, 0.5))
+
     def test_spiked_builder(self):
         s = GaussSpec.spiked(20, 0.5, 0.5)
         assert s.sigmabar_sq[0] == pytest.approx(0.5)
