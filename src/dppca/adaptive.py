@@ -93,6 +93,17 @@ def check_private_input(a: DenseMatrix) -> None:
         )
 
 
+def _unit_or_restart(v: np.ndarray, rng: RngStream) -> tuple[np.ndarray, float, bool]:
+    """(v / ||v||, ||v||, False), or for a dead iterate (v exactly zero: every
+    row dropped and no noise) the same for a fresh Gaussian draw, with True."""
+    norm = float(np.linalg.norm(v))
+    restarted = norm == 0.0
+    if restarted:
+        v = rng.standard_normal(v.size)
+        norm = float(np.linalg.norm(v))
+    return v / norm, norm, restarted
+
+
 def run_adaptive_power(
     a: DenseMatrix, params: AdaptiveParams, rng: RngStream
 ) -> tuple[np.ndarray, IterationTrace]:
@@ -126,20 +137,12 @@ def run_adaptive_power(
 
         # np.dot, not @: matmul holds the GIL for a transposed operand.
         x_new = np.dot(a.data.T, found.kept_ax) + sample_gaussian_vec(a.d, sigma, rng)
-        norm = float(np.linalg.norm(x_new))
-        if norm == 0.0:
-            # Dead iterate (all rows dropped and zero noise): restart fresh.
-            x_new = rng.standard_normal(a.d)
-            norm = float(np.linalg.norm(x_new))
-            trace.restarts += 1
+        x, norm, restarted = _unit_or_restart(x_new, rng)
+        trace.restarts += restarted
         trace.x_norm_post.append(norm)
-        x = x_new / norm
 
     trace.total_removed = int(sum(trace.removed))
-    final_norm = float(np.linalg.norm(x))
-    if final_norm == 0.0:  # pragma: no cover - excluded by the restart above
-        raise ContractViolationError("final iterate collapsed to zero")
-    return x / final_norm, trace
+    return x / float(np.linalg.norm(x)), trace
 
 
 def corollary_iterations(
@@ -195,7 +198,6 @@ def _best_of(
     selection from rng.child(R).  Selection quality is the captured
     variance ||A x||^2, whose row-level sensitivity is 1 for unit rows.
     """
-    check_private_input(a)
     count = len(runs)
     run_budget = replace(
         total, epsilon=total.epsilon / (2.0 * count), delta=total.delta / count

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptive import check_private_input
+from .adaptive import _unit_or_restart, check_private_input
 from .errors import ParameterError
-from .matcore import DenseMatrix, gram, sym_eig
+from .matcore import DenseMatrix, _mirror_upper, gram, sym_eig
 from .mech import (
     PrivacyBudget,
     RngStream,
@@ -43,10 +43,7 @@ def analyze_gauss(
     release = budget if budget.accountant == "paper" else split_budget(budget, 1)
     if not noiseless:
         sigma = gaussian_sigma(1.0, release)
-        d = a.d
-        noise = sigma * rng.standard_normal((d, d))
-        upper = np.triu(noise)
-        g = g + upper + np.triu(noise, 1).T
+        g = g + _mirror_upper(sigma * rng.standard_normal((a.d, a.d)))
     return sym_eig(g).vectors[:, 0].copy()
 
 
@@ -71,10 +68,5 @@ def noisy_power_naive(
     sigma = 0.0 if noiseless else gaussian_sigma(1.0, per_iter)
     x = rng.standard_normal(a.d)
     for _ in range(iterations):
-        x = g @ x + sample_gaussian_vec(a.d, sigma, rng)
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            x = rng.standard_normal(a.d)
-            norm = float(np.linalg.norm(x))
-        x = x / norm
+        x, _, _ = _unit_or_restart(g @ x + sample_gaussian_vec(a.d, sigma, rng), rng)
     return x

@@ -111,6 +111,7 @@ _ALGO_KEYS = {
     "naive-power": ("T", "kappa", "t_const"),
 }
 _ALGOS = tuple(_ALGO_KEYS)
+_INTS = (int, np.integer)  # a numpy integer passes wherever an int does
 _INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
                "eps_total", "delta_total", "beta", "kappa", "t_const")  # and finite
@@ -198,7 +199,7 @@ class ExperimentConfig:
         return ExperimentConfig(**doc)
 
 
-def _number(value, kinds=(int, float)) -> bool:
+def _number(value, kinds=_INTS + (float,)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
@@ -219,7 +220,7 @@ def _check_keys(doc: dict, known, what: str, need=()) -> None:
 def _check_types(doc: dict) -> None:
     """Raise ParameterError for a key of a config, cell or gen of the wrong type."""
     for key, value in doc.items():
-        if key in _INT_KEYS and not _number(value, int):
+        if key in _INT_KEYS and not _number(value, _INTS):
             raise ParameterError(f"{key} must be an integer, got {value!r}")
         if key in _FLOAT_KEYS and not _finite(value):
             raise ParameterError(f"{key} must be a finite number, got {value!r}")
@@ -276,7 +277,7 @@ def _check_algo(cell: dict) -> str:
             if not (kappa is not None and 0.0 < kappa <= 1.0):
                 raise ParameterError("T='corollary' needs a kappa guess: "
                                      f"kappa must lie in (0, 1], got {kappa}")
-        elif not (_number(t, (int, np.integer)) and t >= 1):
+        elif not (_number(t, _INTS) and t >= 1):
             raise ParameterError(f"T must be an int >= 1 or 'corollary', got {t!r}")
     return algo
 
@@ -452,7 +453,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[Re
     because each trial's randomness is a pure function of (master_seed,
     cell index, trial index).
     """
-    if threads is not None and not (_number(threads, int) and threads >= 1):
+    if threads is not None and not (_number(threads, _INTS) and threads >= 1):
         raise ParameterError(f"--threads must be >= 1, got {threads!r}")
     workers = threads if threads is not None else cfg.threads
     jobs = [

@@ -87,10 +87,11 @@ def gen_gaussian_iid(
 ) -> tuple[DenseMatrix, np.ndarray]:
     """Rows g_i = Q diag(sigmabar) z_i, z_i ~ N(0, I); returns (A, vbar1 = Q e1).
 
-    Q is identity when spec.rotate is off.  The draw is scaled and rotated
-    in its own buffer, one row block at a time through the thread's scratch
-    block.  Rows are unbounded; use scale_for_privacy before feeding a
-    private algorithm.
+    Q is identity when spec.rotate is off (the product with it still runs:
+    it turns a zero sigmabar's -0.0 entries into +0.0).  The draw is scaled
+    and rotated in its own buffer, one row block at a time through the
+    thread's scratch block.  Rows are unbounded; use scale_for_privacy
+    before feeding a private algorithm.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -98,16 +99,10 @@ def gen_gaussian_iid(
     q = random_orthogonal(d, rng) if spec.rotate else np.eye(d)
     a = rng.standard_normal((n, d))
     scale = np.sqrt(np.array(spec.sigmabar_sq))
-    if spec.rotate:
-        for rows in _row_blocks(n, d):
-            block = a[rows]
-            block *= scale
-            a[rows] = np.matmul(block, q.T, out=_scratch(*block.shape))
-    else:
-        # A zero sigmabar gives -0.0 for negative draws; adding +0.0 makes
-        # it +0.0, as a product with the identity does.
-        a *= scale
-        a += 0.0
+    for rows in _row_blocks(n, d):
+        block = a[rows]
+        block *= scale
+        a[rows] = np.matmul(block, q.T, out=_scratch(*block.shape))
     return DenseMatrix(a), q[:, 0].copy()
 
 

@@ -163,6 +163,11 @@ def _scratch(rows: int, cols: int) -> np.ndarray:
     return buf[: rows * cols].reshape(rows, cols)
 
 
+def _mirror_upper(m: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix with m's upper triangle (diagonal included)."""
+    return np.triu(m) + np.triu(m, 1).T
+
+
 def gram(a: DenseMatrix) -> np.ndarray:
     """Return A^T A as an exactly symmetric (d, d) array.
 
@@ -173,8 +178,7 @@ def gram(a: DenseMatrix) -> np.ndarray:
     if a._gram is None:
         _check_sizing(a.n, a.d)
         # np.dot, not @: matmul holds the GIL for a transposed operand.
-        g = np.dot(a.data.T, a.data)
-        g = np.triu(g) + np.triu(g, 1).T
+        g = _mirror_upper(np.dot(a.data.T, a.data))
         g.flags.writeable = False
         a._gram = g
     return a._gram

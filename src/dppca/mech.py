@@ -22,6 +22,7 @@ sigma = sensitivity / epsilon_m.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,9 @@ class RngStream:
     counter: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        # A numpy integer names the stream of the equal Python int.
+        self.master_seed = operator.index(self.master_seed)
+        self.stream_id = operator.index(self.stream_id)
         if not 0 <= self.master_seed < 2**64:
             raise ParameterError("master_seed must fit in 64 unsigned bits")
         if not 0 <= self.stream_id < 2**64:
@@ -82,7 +86,7 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent downstream stream (e.g. one per sweep run)."""
-        mixed = ((self.stream_id * _CHILD_MIX) + index + 1) % 2**64
+        mixed = ((self.stream_id * _CHILD_MIX) + operator.index(index) + 1) % 2**64
         return RngStream(self.master_seed, mixed)
 
     def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
@@ -249,9 +253,7 @@ def exp_mech_select(
         logits = (epsilon / (2.0 * sensitivity)) * q
     if not np.isfinite(logits).all():
         return int(np.argmax(q))
+    # The largest weight is exp(0) = 1 and none exceeds it: 1 <= sum <= q.size.
     weights = np.exp(logits - logits.max())
-    tot = float(weights.sum())
-    if not math.isfinite(tot) or tot <= 0.0:
-        return int(np.argmax(q))
-    u = rng.uniform_open() * tot
+    u = rng.uniform_open() * float(weights.sum())
     return int(np.searchsorted(np.cumsum(weights), u, side="left").clip(0, q.size - 1))

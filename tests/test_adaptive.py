@@ -11,6 +11,7 @@ from dppca.adaptive import (
     run_kappa_sweep,
     run_with_restarts,
 )
+from dppca.baselines import noisy_power_naive
 from dppca.datagen import gen_low_coherence
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, gram, sin_sq, spectrum_stats
@@ -251,3 +252,26 @@ class TestRestarts:
             run_with_restarts(
                 instance, PrivacyBudget(1.0, 1e-5), 3, 0, RngStream(0)
             )
+
+
+class TestDeadIterate:
+    """A step that is exactly zero (every row dropped, no noise) restarts the
+    loop from a fresh Gaussian draw, the same way in both power loops."""
+
+    @pytest.mark.parametrize("loop", ["adaptive", "naive-power"])
+    def test_every_zero_step_restarts(self, loop):
+        a, rng = DenseMatrix(np.zeros((8, 3))), RngStream(17, 3)
+        per_iter = split_budget(PrivacyBudget(1.0, 1e-5), 10)
+        if loop == "adaptive":
+            x, trace = run_adaptive_power(
+                a, AdaptiveParams(5, per_iter, noiseless=True), rng
+            )
+            assert trace.restarts == 5
+        else:
+            x = noisy_power_naive(a, 5, per_iter, rng, noiseless=True)
+        assert rng.counter == 6  # the start draw and five restarts
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+        ref = RngStream(17, 3)
+        draws = [ref.standard_normal(3) for _ in range(6)]
+        np.testing.assert_allclose(x, draws[-1] / np.linalg.norm(draws[-1]), rtol=1e-15)
+        assert np.array_equal(rng.standard_normal(2), ref.standard_normal(2))

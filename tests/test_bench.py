@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: determinism, CSV shape, summaries."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from dppca.errors import BudgetError, ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, sin_sq, spectrum_stats
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_grid():
@@ -477,6 +480,19 @@ class TestSinglePath:
         texts = [records_to_csv(run_experiment(ExperimentConfig(
             master_seed=3, trials=1, grid=grid))) for grid in (plain, typed)]
         assert texts[0] == texts[1]
+
+    def test_numpy_integers_write_the_same_bytes(self, small_run):
+        def typed(doc):  # every int value (master_seed, trials, n, d, ...) as np.int64
+            return {k: np.int64(v) if type(v) is int else v for k, v in doc.items()}
+
+        doc = json.loads((DATA / "acceptance_bench.json").read_text())
+        grid = [dict(typed(cell), gen=typed(cell["gen"])) for cell in doc["grid"]]
+        texts = [records_to_csv(run_experiment(ExperimentConfig(**config)))
+                 for config in (doc, dict(typed(doc), grid=grid))]
+        assert texts[0] == texts[1]
+        cfg, recs = small_run
+        typed_threads = run_experiment(cfg, threads=np.int64(2))
+        assert records_to_csv(typed_threads) == records_to_csv(recs)
 
     def test_theory_b_only_for_paper_accounted_adaptive(self, monkeypatch):
         seen = {"bound_B": [], "constants_K": []}

@@ -244,6 +244,12 @@ def edge_rows(d):
     return [1, step - 1, step, step + 1, 2 * step + 1]
 
 
+def harmonic(d):
+    """The trace-1 spectrum with weights 1/k, k = 1..d."""
+    w = 1.0 / np.arange(1, d + 1)
+    return tuple(w / w.sum())
+
+
 def one_shot_gaussian(n, spec, rng):
     """gen_gaussian_iid as one product of a separate scaled draw."""
     q = random_orthogonal(spec.d, rng) if spec.rotate else np.eye(spec.d)
@@ -283,11 +289,14 @@ class TestBlockedGenerators:
     the same draws and leave the stream where it leaves it."""
 
     @pytest.mark.parametrize("rotate", [True, False])
-    @pytest.mark.parametrize("d", [1, 2, 20, 128])
-    def test_gaussian_matches_one_shot(self, d, rotate):
-        w = 1.0 / np.arange(1, d + 1)
-        spec = GaussSpec(tuple(w / w.sum()), rotate=rotate)
-        for n in edge_rows(d):
+    @pytest.mark.parametrize(
+        "spectrum",
+        [harmonic(d) for d in (1, 2, 20, 128)] + [(0.5, 0.5, 0.0)],
+        ids=["1", "2", "20", "128", "zero-entry"],  # a zero entry: signed zeros
+    )
+    def test_gaussian_matches_one_shot(self, spectrum, rotate):
+        spec = GaussSpec(spectrum, rotate=rotate)
+        for n in edge_rows(spec.d):
             ref_rng, rng = RngStream(31, n), RngStream(31, n)
             ref = one_shot_gaussian(n, spec, ref_rng)
             a, _ = gen_gaussian_iid(n, spec, rng)

@@ -191,6 +191,22 @@ class TestRngStream:
         with pytest.raises(ParameterError):
             RngStream(0, 2**64)
 
+    @pytest.mark.parametrize("seed, stream_id", [
+        (np.int64(2026), np.int64(5)), (np.uint64(2026), 5), (2026, np.uint8(5)),
+    ])
+    def test_numpy_integers_name_the_python_int_stream(self, seed, stream_id):
+        r, ref = RngStream(seed, stream_id), RngStream(2026, 5)
+        assert (type(r.master_seed), type(r.stream_id)) == (int, int)
+        assert r == ref
+        assert np.array_equal(r.standard_normal(8), ref.standard_normal(8))
+
+    def test_numpy_child_index_names_the_python_int_child(self):
+        child = RngStream(2026, 5).child(np.int64(1))
+        assert child == RngStream(2026, 5).child(1)
+        assert np.array_equal(
+            child.standard_normal(8), RngStream(2026, 5).child(1).standard_normal(8)
+        )
+
 
 class TestLaplace:
     def test_moments(self):
