@@ -72,8 +72,6 @@ class IterationTrace:
     theta: list[float] = field(default_factory=list)
     removed: list[int] = field(default_factory=list)
     noise_sigma: list[float] = field(default_factory=list)
-    x_norm_pre: list[float] = field(default_factory=list)
-    x_norm_post: list[float] = field(default_factory=list)
     queries_issued: list[int] = field(default_factory=list)
     restarts: int = 0
     total_removed: int = 0
@@ -93,15 +91,15 @@ def check_private_input(a: DenseMatrix) -> None:
         )
 
 
-def _unit_or_restart(v: np.ndarray, rng: RngStream) -> tuple[np.ndarray, float, bool]:
-    """(v / ||v||, ||v||, False), or for a dead iterate (v exactly zero: every
-    row dropped and no noise) the same for a fresh Gaussian draw, with True."""
+def _unit_or_restart(v: np.ndarray, rng: RngStream) -> tuple[np.ndarray, bool]:
+    """(v / ||v||, False), or for a dead iterate (v exactly zero: every row
+    dropped and no noise) the same for a fresh Gaussian draw, with True."""
     norm = float(np.linalg.norm(v))
     restarted = norm == 0.0
     if restarted:
         v = rng.standard_normal(v.size)
         norm = float(np.linalg.norm(v))
-    return v / norm, norm, restarted
+    return v / norm, restarted
 
 
 def run_adaptive_power(
@@ -133,13 +131,11 @@ def run_adaptive_power(
         trace.removed.append(found.removed_count)
         trace.noise_sigma.append(sigma)
         trace.queries_issued.append(found.queries_issued)
-        trace.x_norm_pre.append(float(np.linalg.norm(x)))
 
         # np.dot, not @: matmul holds the GIL for a transposed operand.
         x_new = np.dot(a.data.T, found.kept_ax) + sample_gaussian_vec(a.d, sigma, rng)
-        x, norm, restarted = _unit_or_restart(x_new, rng)
+        x, restarted = _unit_or_restart(x_new, rng)
         trace.restarts += restarted
-        trace.x_norm_post.append(norm)
 
     trace.total_removed = int(sum(trace.removed))
     return x / float(np.linalg.norm(x)), trace
@@ -165,7 +161,7 @@ def corollary_iterations(
 
 @dataclass
 class SweepCandidate:
-    kappa_guess: float | None  # None for restarts, which share one T
+    kappa_guess: float
     iterations: int
     estimate: np.ndarray
     quality: float
@@ -181,44 +177,6 @@ class SweepResult:
     run_budget: PrivacyBudget  # the (epsilon, delta) each candidate run spends
 
 
-def _best_of(
-    a: DenseMatrix,
-    total: PrivacyBudget,
-    rng: RngStream,
-    runs: list[tuple[float | None, int]],
-    beta: float,
-    noiseless: bool,
-) -> SweepResult:
-    """One adaptive run per (kappa guess, T) in `runs`, then a private pick.
-
-    Budget split: half the epsilon goes to the exponential-mechanism
-    selection; each of the R runs gets epsilon_total / (2R) and
-    delta_total / R under the total's accountant, split by split_budget
-    over its own 2 T mechanisms.  Run r draws from rng.child(r) and the
-    selection from rng.child(R).  Selection quality is the captured
-    variance ||A x||^2, whose row-level sensitivity is 1 for unit rows.
-    """
-    count = len(runs)
-    run_budget = replace(
-        total, epsilon=total.epsilon / (2.0 * count), delta=total.delta / count
-    )
-    sel_eps = total.epsilon / 2.0
-
-    candidates: list[SweepCandidate] = []
-    for r, (kappa_r, t_r) in enumerate(runs):
-        per_iter = split_budget(run_budget, 2 * t_r)
-        params = AdaptiveParams(t_r, per_iter, beta=beta, noiseless=noiseless)
-        x_r, trace_r = run_adaptive_power(a, params, rng.child(r))
-        ax = a.data @ x_r
-        quality = float(ax @ ax)
-        candidates.append(SweepCandidate(kappa_r, t_r, x_r, quality, trace_r))
-
-    qualities = np.array([c.quality for c in candidates])
-    winner = exp_mech_select(qualities, 1.0, sel_eps, rng.child(count))
-    estimate = candidates[winner].estimate
-    return SweepResult(estimate, winner, candidates, sel_eps, run_budget)
-
-
 def run_kappa_sweep(
     a: DenseMatrix,
     total: PrivacyBudget,
@@ -230,33 +188,32 @@ def run_kappa_sweep(
 ) -> SweepResult:
     """Run the iteration once per gap guess kappa_j = 2^-j and pick privately.
 
-    Run j uses the corollary iteration count for kappa_j; the budget split
-    and the selection are those of `_best_of`.
+    Run j uses the corollary iteration count for kappa_j.  Budget split:
+    half the epsilon goes to the exponential-mechanism selection; each of
+    the J runs gets epsilon_total / (2J) and delta_total / J under the
+    total's accountant, split by split_budget over its own 2 T_j
+    mechanisms.  Run j draws from rng.child(j) and the selection from
+    rng.child(J).  Selection quality is the captured variance ||A x||^2,
+    whose row-level sensitivity is 1 for unit rows.
     """
     if num_guesses < 1:
         raise ParameterError(f"need at least one guess, got {num_guesses}")
-    runs = [
-        (kappa, corollary_iterations(
-            a.n, beta, total.delta, total.epsilon, kappa, t_const
-        ))
-        for kappa in (2.0**-j for j in range(num_guesses))
-    ]
-    return _best_of(a, total, rng, runs, beta, noiseless)
+    run_budget = replace(
+        total, epsilon=total.epsilon / (2.0 * num_guesses),
+        delta=total.delta / num_guesses,
+    )
+    sel_eps = total.epsilon / 2.0
 
+    candidates: list[SweepCandidate] = []
+    for j in range(num_guesses):
+        kappa = 2.0**-j
+        t_j = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
+        params = AdaptiveParams(t_j, split_budget(run_budget, 2 * t_j), beta, noiseless)
+        x_j, trace_j = run_adaptive_power(a, params, rng.child(j))
+        ax = a.data @ x_j
+        candidates.append(SweepCandidate(kappa, t_j, x_j, float(ax @ ax), trace_j))
 
-def run_with_restarts(
-    a: DenseMatrix,
-    total: PrivacyBudget,
-    iterations: int,
-    restarts: int,
-    rng: RngStream,
-    beta: float = DEFAULT_BETA,
-    noiseless: bool = False,
-) -> SweepResult:
-    """Best-of-R runs of `iterations` steps each, picked by captured variance
-    via the exponential mechanism (opt-in; the core guarantee does not rely
-    on restarts).  Budget split and selection are those of `_best_of`.
-    """
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    return _best_of(a, total, rng, [(None, iterations)] * restarts, beta, noiseless)
+    qualities = np.array([c.quality for c in candidates])
+    winner = exp_mech_select(qualities, 1.0, sel_eps, rng.child(num_guesses))
+    estimate = candidates[winner].estimate
+    return SweepResult(estimate, winner, candidates, sel_eps, run_budget)

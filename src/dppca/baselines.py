@@ -68,5 +68,5 @@ def noisy_power_naive(
     sigma = 0.0 if noiseless else gaussian_sigma(1.0, per_iter)
     x = rng.standard_normal(a.d)
     for _ in range(iterations):
-        x, _, _ = _unit_or_restart(g @ x + sample_gaussian_vec(a.d, sigma, rng), rng)
+        x, _ = _unit_or_restart(g @ x + sample_gaussian_vec(a.d, sigma, rng), rng)
     return x

@@ -71,7 +71,6 @@ from .adaptive import (
     corollary_iterations,
     run_adaptive_power,
     run_kappa_sweep,
-    run_with_restarts,
 )
 from .baselines import analyze_gauss, noisy_power_naive
 from .datagen import (
@@ -335,60 +334,52 @@ class RunResult:
     x_hat: np.ndarray
     t: int  # iterations behind x_hat; 0 for the one-shot analyze-gauss
     accounting: dict  # the budget split, as `dppca run` reports it
-    trace: IterationTrace | list[IterationTrace] | None = None
+    trace: IterationTrace | None = None
     removed: int | None = None
     kappa_guess: float | None = None  # adaptive-sweep: the selected guess
 
 
 def run_algorithm(
-    cell: dict, a: DenseMatrix, rng: RngStream, *, restarts: int = 1, noiseless: bool = False
+    cell: dict, a: DenseMatrix, rng: RngStream, *, noiseless: bool = False
 ) -> RunResult:
     """Run a cell's algorithm on `a`, reading the cell's keys (not its gen)
-    under their config names; restarts > 1 runs best-of-R adaptive runs."""
+    under their config names."""
     algo = _check_algo(cell)
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    if restarts > 1 and algo != "adaptive":
-        raise ParameterError(f"restarts apply to the adaptive algorithm, not {algo}")
     total, beta = _cell_budget(cell)
     t_const = cell.get("t_const", 1.0)
 
     if algo == "analyze-gauss":
         x_hat = analyze_gauss(a, total, rng, noiseless=noiseless)
         return RunResult(x_hat, 0, {"mechanisms": 1})
+    if algo == "adaptive-sweep":
+        best = run_kappa_sweep(a, total, rng, cell["sweep_J"], beta, t_const, noiseless)
+        chosen = best.candidates[best.selected]
+        accounting = {"runs": cell["sweep_J"], "selection_epsilon": best.selection_epsilon,
+                      "per_run_epsilon": best.run_budget.epsilon,
+                      "per_run_delta": best.run_budget.delta}
+        return RunResult(best.estimate, chosen.iterations, accounting, chosen.trace,
+                         chosen.trace.total_removed, chosen.kappa_guess)
+
+    # One run: T Gaussian steps, or T (threshold search, Gaussian step) pairs.
     t = cell.get("T")
     if t == "corollary":
         t = corollary_iterations(a.n, beta, total.delta, total.epsilon, cell["kappa"],
                                  t_const)
-    if algo == "adaptive-sweep":
-        best = run_kappa_sweep(a, total, rng, cell["sweep_J"], beta, t_const, noiseless)
-        runs, trace = {"runs": cell["sweep_J"]}, best.candidates[best.selected].trace
-    elif restarts > 1:
-        best = run_with_restarts(a, total, int(t), restarts, rng, beta, noiseless)
-        runs, trace = {"restarts": restarts}, [c.trace for c in best.candidates]
-    else:  # one run: T Gaussian steps, or T (threshold search, Gaussian step) pairs
-        t = int(t)
-        count = t if algo == "naive-power" else 2 * t
-        per_iter = split_budget(total, count)
-        accounting = {"mechanisms": count, "per_mechanism_epsilon": per_iter.epsilon,
-                      "per_mechanism_delta": per_iter.delta}
-        if algo == "naive-power":
-            x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
-            return RunResult(x_hat, t, accounting)
-        params = AdaptiveParams(t, per_iter, beta, noiseless)
-        x_hat, trace = run_adaptive_power(a, params, rng)
-        if total.accountant == "paper":  # bound_B and compose assume the paper's split
-            composed = compose(per_iter, count)
-            accounting.update(composed_epsilon=composed.epsilon,
-                              composed_delta=composed.delta)
-        return RunResult(x_hat, t, accounting, trace, trace.total_removed)
-
-    chosen = best.candidates[best.selected]
-    accounting = {**runs, "selection_epsilon": best.selection_epsilon,
-                  "per_run_epsilon": best.run_budget.epsilon,
-                  "per_run_delta": best.run_budget.delta}
-    return RunResult(best.estimate, chosen.iterations, accounting, trace,
-                     chosen.trace.total_removed, chosen.kappa_guess)
+    t = int(t)
+    count = t if algo == "naive-power" else 2 * t
+    per_iter = split_budget(total, count)
+    accounting = {"mechanisms": count, "per_mechanism_epsilon": per_iter.epsilon,
+                  "per_mechanism_delta": per_iter.delta}
+    if algo == "naive-power":
+        x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
+        return RunResult(x_hat, t, accounting)
+    params = AdaptiveParams(t, per_iter, beta, noiseless)
+    x_hat, trace = run_adaptive_power(a, params, rng)
+    if total.accountant == "paper":  # bound_B and compose assume the paper's split
+        composed = compose(per_iter, count)
+        accounting.update(composed_epsilon=composed.epsilon,
+                          composed_delta=composed.delta)
+    return RunResult(x_hat, t, accounting, trace, trace.total_removed)
 
 
 def _theory_b(a: DenseMatrix, stats, run: RunResult, beta: float) -> float | None:

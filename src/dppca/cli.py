@@ -1,5 +1,5 @@
-"""Command-line interface: generate data, run algorithms, account budgets,
-evaluate theory bounds, and drive benchmark grids.
+"""Command-line interface: generate data, run algorithms, evaluate theory
+bounds, and drive benchmark grids.  Matrix files are DPM (see `dppca.matio`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from . import bench, matio, theory
 from .datagen import GaussSpec
 from .errors import DppcaError, ParameterError
 from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
-from .mech import ACCOUNTANTS, PrivacyBudget, RngStream, compose, invert_budget
+from .mech import ACCOUNTANTS, RngStream
 from .svtfilter import DEFAULT_BETA
 
 _HELP = {"spec": "comma-separated population spectrum (gaussian)",
@@ -68,6 +68,9 @@ def _add_key_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if not args.out.endswith(".dpm"):
+        raise ParameterError(f"--out {args.out}: dppca gen writes the DPM format, "
+                             "so the path must end in .dpm")
     gen = {k: getattr(args, k) for k in ("kind",) + bench._GEN_ALL
            if getattr(args, k) is not None}
     scaled, vbar1 = bench.build_instance(gen, RngStream(args.seed), args.beta)
@@ -83,10 +86,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sigma1=stats.sigma1, sigma2=stats.sigma2,
         kappa=stats.kappa, upsilon=stats.upsilon, mu=stats.mu,
     )
-    if args.out.endswith(".dpm"):
-        matio.save_dpm(a, args.out)
-    else:
-        matio.save_csv(a, args.out)
+    matio.save_dpm(a, args.out)
     if args.meta:
         Path(args.meta).write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {a.n}x{a.d} matrix to {args.out}")
@@ -94,20 +94,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    a = matio.load_matrix(args.infile)
+    a = matio.load_dpm(args.infile)
     given = {k: v for k, v in vars(args).items() if v is not None}
     if args.sweep_J is not None and args.algo != "adaptive":
         raise ParameterError(f"--sweep needs --algo adaptive, not {args.algo}")
     algo = args.algo if args.sweep_J is None else "adaptive-sweep"
     unread = [_flag(k) for k in _RUN_ALGO_KEYS  # --T has a default, so it may go unread
               if k in given and k != "T" and k not in bench._ALGO_KEYS[algo]]
+    if args.trace is not None and algo in ("analyze-gauss", "naive-power"):
+        unread.append("--trace")
     if unread:
         raise ParameterError(f"{algo} does not read {', '.join(unread)}")
     keys = _RUN_CELL_KEYS + bench._ALGO_KEYS[algo]
     cell = {"algo": algo, **{k: given[k] for k in keys if k in given}}
-    run = bench.run_algorithm(
-        cell, a, RngStream(args.seed), restarts=args.restarts, noiseless=args.noiseless
-    )
+    run = bench.run_algorithm(cell, a, RngStream(args.seed), noiseless=args.noiseless)
     out: dict = {
         "algo": args.algo, "n": a.n, "d": a.d, "eps_total": cell["eps_total"],
         "delta_total": cell["delta_total"], "accountant": cell.get("accountant", "paper"),
@@ -129,16 +129,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"sin2_vs_v1={out['sin2_vs_v1']:.6g} -> {args.out}")
     else:
         print(doc, end="")
-    if args.trace and run.trace is not None:
+    if args.trace:
         trace_doc = json.dumps(run.trace, indent=2, default=asdict)
         Path(args.trace).write_text(trace_doc + "\n")
-    return 0
-
-
-def _cmd_accountant(args: argparse.Namespace) -> int:
-    rule = compose if args.acct_cmd == "compose" else invert_budget
-    budget = rule(PrivacyBudget(args.eps, args.delta), args.iterations)
-    print(f"epsilon={budget.epsilon!r} delta={budget.delta!r}")
     return 0
 
 
@@ -190,26 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True)
     _add_key_flags(r, _RUN_CELL_KEYS, required=bench._CELL_NEED)
     _add_key_flags(r, _RUN_ALGO_KEYS)
-    r.add_argument("--restarts", type=int, default=1,
-                   help="best-of-R adaptive runs selected privately")
     r.add_argument("--noiseless", action="store_true")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out")
     r.add_argument("--trace")
     r.set_defaults(func=_cmd_run, T=10)
-
-    acc = sub.add_parser("accountant", help="compose or invert privacy budgets")
-    accsub = acc.add_subparsers(dest="acct_cmd", required=True)
-    c = accsub.add_parser("compose")
-    c.add_argument("--eps", type=float, required=True)
-    c.add_argument("--delta", type=float, required=True)
-    c.add_argument("--T", type=int, required=True, dest="iterations")
-    c.set_defaults(func=_cmd_accountant)
-    i = accsub.add_parser("invert")
-    i.add_argument("--eps-total", type=float, required=True, dest="eps")
-    i.add_argument("--delta-total", type=float, required=True, dest="delta")
-    i.add_argument("--T", type=int, required=True, dest="iterations")
-    i.set_defaults(func=_cmd_accountant)
 
     t = sub.add_parser("theory", help="print the closed-form bound report")
     t.add_argument("--n", type=int, required=True)

@@ -1,4 +1,4 @@
-"""Tests for the adaptive iteration, the kappa sweep, and restarts."""
+"""Tests for the adaptive iteration, the kappa sweep, and dead-iterate restarts."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from dppca.adaptive import (
     corollary_iterations,
     run_adaptive_power,
     run_kappa_sweep,
-    run_with_restarts,
 )
 from dppca.baselines import noisy_power_naive
 from dppca.datagen import gen_low_coherence
@@ -91,8 +90,7 @@ class TestNoisyRun:
     def test_trace_lengths(self, instance):
         params = AdaptiveParams(iterations=7, per_iter=PrivacyBudget(0.5, 1e-6))
         _, trace = run_adaptive_power(instance, params, RngStream(3))
-        for lst in (trace.theta, trace.removed, trace.noise_sigma,
-                    trace.x_norm_pre, trace.x_norm_post, trace.queries_issued):
+        for lst in (trace.theta, trace.removed, trace.noise_sigma, trace.queries_issued):
             assert len(lst) == 7
         assert trace.total_removed == sum(trace.removed)
 
@@ -195,6 +193,8 @@ class TestKappaSweep:
         assert kappas == [1.0, 0.5, 0.25]
         iters = [c.iterations for c in res.candidates]
         assert iters[0] <= iters[1] <= iters[2]
+        assert all(len(c.trace.theta) == c.iterations for c in res.candidates)
+        assert res.run_budget == PrivacyBudget(4.0 / 6, 1e-5 / 3)
 
     def test_deterministic(self, instance):
         a = run_kappa_sweep(
@@ -222,36 +222,6 @@ class TestKappaSweep:
     def test_rejects_zero_guesses(self, instance):
         with pytest.raises(ParameterError):
             run_kappa_sweep(instance, PrivacyBudget(1.0, 1e-5), RngStream(0), 0)
-
-
-class TestRestarts:
-    def test_returns_unit_vector_and_traces(self, instance):
-        res = run_with_restarts(
-            instance, PrivacyBudget(2.0, 1e-5), iterations=4,
-            restarts=3, rng=RngStream(14),
-        )
-        assert np.linalg.norm(res.estimate) == pytest.approx(1.0, abs=1e-12)
-        assert len(res.candidates) == 3
-        assert all(len(c.trace.theta) == 4 for c in res.candidates)
-        assert res.selection_epsilon == pytest.approx(1.0)
-        assert res.run_budget == PrivacyBudget(2.0 / 6, 1e-5 / 3)
-
-    def test_run_budget_keeps_the_accountant(self, instance):
-        res = run_with_restarts(
-            instance, PrivacyBudget(2.0, 1e-5, "zcdp"), iterations=2,
-            restarts=2, rng=RngStream(14),
-        )
-        assert res.run_budget == PrivacyBudget(2.0 / 4, 1e-5 / 2, "zcdp")
-        per_iter = split_budget(res.run_budget, 2 * 2)
-        for c in res.candidates:
-            for theta, sigma in zip(c.trace.theta, c.trace.noise_sigma):
-                assert sigma == pytest.approx(theta / per_iter.epsilon, rel=1e-12)
-
-    def test_rejects_zero_restarts(self, instance):
-        with pytest.raises(ParameterError):
-            run_with_restarts(
-                instance, PrivacyBudget(1.0, 1e-5), 3, 0, RngStream(0)
-            )
 
 
 class TestDeadIterate:

@@ -11,7 +11,7 @@ from dppca.bench import ExperimentConfig, build_instance, run_algorithm
 from dppca.cli import main
 from dppca.datagen import GaussSpec
 from dppca.errors import ParameterError
-from dppca.matio import load_matrix
+from dppca.matio import load_dpm
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
 
@@ -36,7 +36,7 @@ def gaussian_file(tmp_path):
 class TestGen:
     def test_gaussian_dpm_and_meta(self, gaussian_file):
         out, meta = gaussian_file
-        a = load_matrix(str(out))
+        a = load_dpm(str(out))
         assert (a.n, a.d) == (400, 4)
         assert a.max_row_norm() <= 1.0 + 1e-9
         doc = json.loads(meta.read_text())
@@ -51,24 +51,13 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: gen has d=7 but a spec of 3")
         assert not out.exists()
 
-    def test_csv_output(self, tmp_path):
-        out = tmp_path / "a.csv"
-        rc = run_cli(
-            "gen", "--kind", "low-coh", "--n", "100", "--d", "5",
-            "--sigma1-frac", "0.3", "--gap", "0.5",
-            "--seed", "3", "--out", str(out),
-        )
-        assert rc == 0
-        a = load_matrix(str(out))
-        assert (a.n, a.d) == (100, 5)
-
     def test_high_coh(self, tmp_path):
         out = tmp_path / "h.dpm"
         assert run_cli(
             "gen", "--kind", "high-coh", "--n", "64", "--d", "4",
             "--out", str(out),
         ) == 0
-        assert load_matrix(str(out)).max_row_norm() <= 1.0 + 1e-12
+        assert load_dpm(str(out)).max_row_norm() <= 1.0 + 1e-12
         meta = tmp_path / "h.json"
         assert run_cli(
             "gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--spikes", "16",
@@ -85,7 +74,7 @@ class TestGen:
         ) == 0
         gen = {"kind": "gaussian", "n": 300, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
         scaled, _ = build_instance(gen, RngStream(3), DEFAULT_BETA)
-        assert load_matrix(str(out)).data.tobytes() == scaled.matrix.data.tobytes()
+        assert load_dpm(str(out)).data.tobytes() == scaled.matrix.data.tobytes()
         spiked = GaussSpec.spiked(20, 0.5, 0.5).sigmabar_sq
         assert json.loads(meta.read_text())["spectrum"] == list(spiked)
 
@@ -105,13 +94,13 @@ class TestGen:
         assert not out.exists()
 
     def test_rotate_flag_reaches_low_coh(self, tmp_path):
-        paths = [tmp_path / f"{flag}.csv" for flag in ("rotate", "no-rotate", "default")]
+        paths = [tmp_path / f"{flag}.dpm" for flag in ("rotate", "no-rotate", "default")]
         for path, flag in zip(paths, (["--rotate"], ["--no-rotate"], [])):
             assert run_cli(
                 "gen", "--kind", "low-coh", "--n", "60", "--d", "4",
                 "--sigma1-frac", "0.3", "--gap", "0.5", *flag, "--out", str(path),
             ) == 0
-        rotated, unrotated, default = (p.read_text() for p in paths)
+        rotated, unrotated, default = (p.read_bytes() for p in paths)
         assert rotated == default != unrotated
 
     def test_missing_spec_is_cli_error(self, tmp_path, capsys):
@@ -188,17 +177,6 @@ class TestRun:
         assert doc["accounting"]["runs"] == 3
         assert "selected_kappa_guess" in doc
 
-    def test_restarts(self, gaussian_file, tmp_path):
-        infile, _ = gaussian_file
-        res = tmp_path / "rst.json"
-        rc = run_cli(
-            "run", "--in", str(infile), "--eps-total", "4.0",
-            "--delta-total", "1e-5", "--T", "2", "--restarts", "3",
-            "--out", str(res),
-        )
-        assert rc == 0
-        assert json.loads(res.read_text())["accounting"]["restarts"] == 3
-
     @pytest.mark.parametrize("t_const", [None, "0.1"])
     def test_corollary_rule_with_kappa_and_t_const(self, gaussian_file, tmp_path, t_const):
         infile, _ = gaussian_file
@@ -265,7 +243,7 @@ class TestRun:
         with pytest.raises(ParameterError) as config:
             ExperimentConfig(master_seed=1, trials=1, grid=[dict(cell, gen=gen)])
         with pytest.raises(ParameterError) as api:
-            run_algorithm(cell, load_matrix(str(infile)), RngStream(0))
+            run_algorithm(cell, load_dpm(str(infile)), RngStream(0))
         rc = run_cli("run", "--in", str(infile), "--eps-total", "4.0",
                      "--delta-total", "1e-5", *flags)
         assert rc == 2
@@ -299,14 +277,6 @@ class TestRun:
              "per_mechanism_delta": 1.1111111111111112e-06,
              "composed_epsilon": 4.0, "composed_delta": 1e-05},
             4,
-        ),
-        "restarts": (
-            ["--T", "3", "--restarts", "3"],
-            [-0.15494966214242775, -0.4026009338330845, -0.48679306443407333],
-            {"restarts": 3, "selection_epsilon": 2.0,
-             "per_run_epsilon": 0.6666666666666666,
-             "per_run_delta": 3.3333333333333337e-06},
-            3,
         ),
         "sweep": (
             ["--sweep", "3"],
@@ -379,23 +349,37 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "No such file" in err
 
-    def test_non_utf8_csv_is_cli_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_bytes(b"\xff\xfe0.5,0.5\n")
+    def test_csv_files_are_cli_errors(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        rc = run_cli("gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--out", str(out))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out") and "DPM format" in captured.err
+        assert captured.out == "" and not out.exists()
+        out.write_text("0.5,0.5\n0.25,0.75\n" * 4)  # past DPM's 22-byte header
         rc = run_cli(
-            "run", "--in", str(bad), "--eps-total", "1.0", "--delta-total", "1e-5",
+            "run", "--in", str(out), "--eps-total", "1.0", "--delta-total", "1e-5",
         )
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "not UTF-8" in err
+        assert "bad magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["analyze-gauss", "naive-power"])
+    def test_trace_is_cli_error_for_untraced_algorithms(
+        self, gaussian_file, tmp_path, capsys, algo
+    ):
+        infile, _ = gaussian_file
+        res, trace = tmp_path / "res.json", tmp_path / "trace.json"
+        rc = run_cli(
+            "run", "--algo", algo, "--in", str(infile), "--eps-total", "1.0",
+            "--delta-total", "1e-5", "--out", str(res), "--trace", str(trace),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {algo} does not read --trace\n"
+        assert not res.exists() and not trace.exists()
 
     @pytest.mark.parametrize("extra", [
         ["--algo", "naive-power", "--sweep", "3"],
         ["--algo", "analyze-gauss", "--sweep", "3"],
-        ["--algo", "naive-power", "--restarts", "3"],
-        ["--algo", "analyze-gauss", "--restarts", "3"],
-        ["--sweep", "3", "--restarts", "3"],
-        ["--restarts", "0"],
     ])
     def test_sweep_and_restarts_need_plain_adaptive(
         self, gaussian_file, tmp_path, capsys, extra
@@ -422,34 +406,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"error: T must be an int >= 1 or 'corollary', got {t}" in err
         assert not res.exists()
-
-
-class TestAccountant:
-    def test_compose_worked_value(self, capsys):
-        rc = run_cli(
-            "accountant", "compose", "--eps", "0.1", "--delta", "1e-6",
-            "--T", "10",
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        eps = float(out.split("epsilon=")[1].split()[0])
-        delta = float(out.split("delta=")[1].split()[0])
-        assert eps == pytest.approx(3.52451, abs=1e-5)
-        assert delta == pytest.approx(1.1e-5, rel=1e-12)
-
-    def test_invert_roundtrip(self, capsys):
-        rc = run_cli(
-            "accountant", "invert", "--eps-total", "2.0",
-            "--delta-total", "1e-5", "--T", "8",
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        eps = float(out.split("epsilon=")[1].split()[0])
-        delta = float(out.split("delta=")[1].split()[0])
-        run_cli("accountant", "compose", "--eps", repr(eps),
-                "--delta", repr(delta), "--T", "8")
-        out2 = capsys.readouterr().out
-        assert float(out2.split("epsilon=")[1].split()[0]) == pytest.approx(2.0, rel=1e-9)
 
 
 class TestTheory:

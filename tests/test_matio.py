@@ -1,4 +1,4 @@
-"""Round-trip and malformed-input tests for the matrix file formats."""
+"""Round-trip and malformed-input tests for the DPM matrix file format."""
 
 import struct
 
@@ -7,7 +7,7 @@ import pytest
 
 from dppca.errors import FormatError
 from dppca.matcore import DenseMatrix
-from dppca.matio import load_csv, load_dpm, load_matrix, save_csv, save_dpm
+from dppca.matio import load_dpm, save_dpm
 
 
 @pytest.fixture
@@ -84,39 +84,3 @@ def test_dpm_bad_version(mat, tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         load_dpm(p)
-
-
-def test_csv_roundtrip(mat, tmp_path):
-    p = tmp_path / "m.csv"
-    save_csv(mat, p)
-    back = load_csv(p)
-    assert np.array_equal(back.data, mat.data)  # repr() is exact for float64
-
-
-def test_csv_ragged_rows(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("1,2,3\n4,5\n")
-    with pytest.raises(FormatError):
-        load_csv(p)
-
-
-def test_csv_non_numeric(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("1,2\nx,4\n")
-    with pytest.raises(FormatError):
-        load_csv(p)
-
-
-def test_csv_empty(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("")
-    with pytest.raises(FormatError):
-        load_csv(p)
-
-
-def test_load_matrix_dispatch(mat, tmp_path):
-    pd, pc = tmp_path / "m.dpm", tmp_path / "m.csv"
-    save_dpm(mat, pd)
-    save_csv(mat, pc)
-    assert np.array_equal(load_matrix(pd).data, mat.data)
-    assert np.array_equal(load_matrix(pc).data, mat.data)
