@@ -14,13 +14,12 @@ Core entry points:
 - bench: deterministic experiment grid runner
 """
 
-from .adaptive import AdaptiveParams, run_adaptive_power, run_kappa_sweep
+from .adaptive import run_adaptive_power, run_kappa_sweep
 from .baselines import analyze_gauss, noisy_power_naive
 from .matcore import DenseMatrix, sin_sq, spectrum_stats, sym_eig
 from .mech import PrivacyBudget, RngStream, compose, invert_budget
 
 __all__ = [
-    "AdaptiveParams",
     "DenseMatrix",
     "PrivacyBudget",
     "RngStream",

@@ -10,16 +10,16 @@ data's incoherence instead of paying the worst case: well-spread data
 fires on a small theta and gets small noise.
 
 Accounting: each iteration runs two mechanisms — the threshold search and
-the Gaussian step — so a T-iteration run is composed as 2T mechanisms, and
-its per-mechanism budget is `split_budget(total, 2 * T)` under the total's
-accountant (see `dppca.mech`).  Under the default "paper" accountant that
-is `invert_budget(total, 2 * T)`: advanced composition over 2T mechanisms,
-with delta_total split into 2T+1 equal shares (one per mechanism plus the
-composition's own), although only the T Gaussian steps spend theirs.  Each
-iteration's Gaussian step spends (epsilon, delta) and its threshold search
-spends epsilon.  Under `PrivacyBudget(eps, delta, "zcdp")` every threshold
-search spends epsilon_svt and every Gaussian step draws sigma =
-theta / epsilon_svt, each (epsilon_svt^2 / 2)-zCDP.
+the Gaussian step — so `run_adaptive_power(a, T, per_iter, rng)` composes
+as 2T mechanisms and takes per_iter = `split_budget(total, 2 * T)` under
+the total's accountant (see `dppca.mech`).  Under the default "paper"
+accountant that is `invert_budget(total, 2 * T)`: advanced composition
+over 2T mechanisms, with delta_total split into 2T+1 equal shares (one per
+mechanism plus the composition's own), although only the T Gaussian steps
+spend theirs.  Each iteration's Gaussian step spends (epsilon, delta) and
+its threshold search spends epsilon.  Under `PrivacyBudget(eps, delta,
+"zcdp")` every threshold search spends epsilon_svt and every Gaussian step
+draws sigma = theta / epsilon_svt, each (epsilon_svt^2 / 2)-zCDP.
 """
 
 from __future__ import annotations
@@ -39,30 +39,9 @@ from .mech import (
     sample_gaussian_vec,
     split_budget,
 )
-from .svtfilter import DEFAULT_BETA, SvtConfig, threshold_search
+from .svtfilter import DEFAULT_BETA, threshold_search
 
 _ROW_NORM_SLACK = 1.0 + 1e-9
-
-
-@dataclass
-class AdaptiveParams:
-    """Configuration for one run of the adaptive iteration.
-
-    per_iter is the per-mechanism budget from `split_budget(total,
-    2 * iterations)`; its accountant picks the step's noise scale (see the
-    module docstring).
-    """
-
-    iterations: int
-    per_iter: PrivacyBudget
-    beta: float = DEFAULT_BETA
-    noiseless: bool = False
-
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
 
 
 @dataclass
@@ -103,29 +82,27 @@ def _unit_or_restart(v: np.ndarray, rng: RngStream) -> tuple[np.ndarray, bool]:
 
 
 def run_adaptive_power(
-    a: DenseMatrix, params: AdaptiveParams, rng: RngStream
+    a: DenseMatrix, iterations: int, per_iter: PrivacyBudget, rng: RngStream, *,
+    beta: float = DEFAULT_BETA, noiseless: bool = False,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Run the adaptive iteration; returns (unit estimate, trace).
 
-    With noiseless=True this reduces exactly to plain power iteration on
-    A^T A from the same Gaussian start (the threshold search then returns
-    the smallest grid value keeping every row, which for rows of norm at
-    most 1 keeps all of them).
+    per_iter is `split_budget(total, 2 * iterations)`, whose accountant
+    picks the step's noise scale.  With noiseless=True this reduces
+    exactly to plain power iteration on A^T A from the same Gaussian start
+    (the threshold search then returns the smallest grid value keeping
+    every row, which for rows of norm at most 1 keeps all of them).
     """
+    if iterations < 1:
+        raise ParameterError(f"iterations must be >= 1, got {iterations}")
     check_private_input(a)
     x = rng.standard_normal(a.d)
     trace = IterationTrace()
 
-    svt_cfg = SvtConfig(
-        epsilon=params.per_iter.epsilon, beta=params.beta, noiseless=params.noiseless
-    )
-    for _ in range(params.iterations):
-        found = threshold_search(a, x, svt_cfg, rng)
-
-        if params.noiseless:
-            sigma = 0.0
-        else:
-            sigma = gaussian_sigma(found.theta, params.per_iter)
+    for _ in range(iterations):
+        found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta,
+                                 noiseless=noiseless)
+        sigma = 0.0 if noiseless else gaussian_sigma(found.theta, per_iter)
 
         trace.theta.append(found.theta)
         trace.removed.append(found.removed_count)
@@ -208,8 +185,9 @@ def run_kappa_sweep(
     for j in range(num_guesses):
         kappa = 2.0**-j
         t_j = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
-        params = AdaptiveParams(t_j, split_budget(run_budget, 2 * t_j), beta, noiseless)
-        x_j, trace_j = run_adaptive_power(a, params, rng.child(j))
+        per_iter = split_budget(run_budget, 2 * t_j)
+        x_j, trace_j = run_adaptive_power(a, t_j, per_iter, rng.child(j), beta=beta,
+                                          noiseless=noiseless)
         ax = a.data @ x_j
         candidates.append(SweepCandidate(kappa, t_j, x_j, float(ax @ ax), trace_j))
 

@@ -24,8 +24,8 @@ Each cell names a generator and an algorithm:
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
       "T": 10 | "corollary",              # adaptive / naive-power
-      "t_const": 1.0,                     # corollary-rule multiplier; not analyze-gauss
-      "kappa": 0.5,                       # adaptive / naive-power: corollary gap guess
+      "t_const": 1.0,                     # corollary multiplier (T "corollary", sweep)
+      "kappa": 0.5,                       # corollary gap guess (T "corollary" only)
       "sweep_J": 6,                       # adaptive-sweep only
       "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
@@ -66,7 +66,6 @@ import numpy as np
 
 from . import theory
 from .adaptive import (
-    AdaptiveParams,
     IterationTrace,
     corollary_iterations,
     run_adaptive_power,
@@ -278,6 +277,8 @@ def _check_algo(cell: dict) -> str:
                                      f"kappa must lie in (0, 1], got {kappa}")
         elif not (_number(t, _INTS) and t >= 1):
             raise ParameterError(f"T must be an int >= 1 or 'corollary', got {t!r}")
+        elif "kappa" in cell or "t_const" in cell:
+            raise ParameterError("kappa and t_const are read only with T='corollary'")
     return algo
 
 
@@ -373,8 +374,7 @@ def run_algorithm(
     if algo == "naive-power":
         x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
         return RunResult(x_hat, t, accounting)
-    params = AdaptiveParams(t, per_iter, beta, noiseless)
-    x_hat, trace = run_adaptive_power(a, params, rng)
+    x_hat, trace = run_adaptive_power(a, t, per_iter, rng, beta=beta, noiseless=noiseless)
     if total.accountant == "paper":  # bound_B and compose assume the paper's split
         composed = compose(per_iter, count)
         accounting.update(composed_epsilon=composed.epsilon,

@@ -94,7 +94,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    a = matio.load_dpm(args.infile)
     given = {k: v for k, v in vars(args).items() if v is not None}
     if args.sweep_J is not None and args.algo != "adaptive":
         raise ParameterError(f"--sweep needs --algo adaptive, not {args.algo}")
@@ -107,6 +106,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ParameterError(f"{algo} does not read {', '.join(unread)}")
     keys = _RUN_CELL_KEYS + bench._ALGO_KEYS[algo]
     cell = {"algo": algo, **{k: given[k] for k in keys if k in given}}
+    bench._check_algo(cell)  # before the matrix is read
+    a = matio.load_dpm(args.infile)
     run = bench.run_algorithm(cell, a, RngStream(args.seed), noiseless=args.noiseless)
     out: dict = {
         "algo": args.algo, "n": a.n, "d": a.d, "eps_total": cell["eps_total"],

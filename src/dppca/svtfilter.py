@@ -49,31 +49,6 @@ DEFAULT_BETA = 0.05
 
 
 @dataclass
-class SvtConfig:
-    """Parameters of one threshold search.
-
-    epsilon      privacy cost of the whole search (threshold + all probes)
-    beta         failure probability driving the threshold offset
-    noiseless    debugging switch: no Laplace noise, bar is exactly n
-    """
-
-    epsilon: float
-    beta: float = DEFAULT_BETA
-    noiseless: bool = False
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if not math.isfinite(4.0 / self.epsilon):
-            raise ParameterError(
-                f"epsilon {self.epsilon} is too small: the probe noise scale "
-                "4/epsilon overflows"
-            )
-        if not 0.0 < self.beta < 1.0:
-            raise ParameterError(f"beta must lie in (0, 1), got {self.beta}")
-
-
-@dataclass
 class ThresholdResult:
     theta: float
     queries_issued: int
@@ -103,22 +78,35 @@ def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def threshold_search(
-    a: DenseMatrix, x: np.ndarray, cfg: SvtConfig, rng: RngStream
+    a: DenseMatrix, x: np.ndarray, epsilon: float, rng: RngStream, *,
+    beta: float = DEFAULT_BETA, noiseless: bool = False,
 ) -> ThresholdResult:
     """Smallest grid threshold whose noisy pass-count clears the noisy bar.
 
-    The bar is n - 6 ln(1/beta) / epsilon + Lap(2/epsilon), drawn once per
-    search; each candidate's count gets fresh Lap(4/epsilon) noise, in grid
-    order.  The noise is drawn in one batch, and only the draws up to the
-    first probe that fires are consumed, so `rng` ends where drawing probe
-    by probe would leave it.  If no candidate fires the largest one is
-    returned (flagged in the result).
+    epsilon is the privacy cost of the whole search (the bar and every
+    probe).  The bar is n - 6 ln(1/beta) / epsilon + Lap(2/epsilon), drawn
+    once per search; each candidate's count gets fresh Lap(4/epsilon)
+    noise, in grid order.  The noise is drawn in one batch, and only the
+    draws up to the first probe that fires are consumed, so `rng` ends
+    where drawing probe by probe would leave it.  If no candidate fires the
+    largest one is returned (flagged in the result).  noiseless, a
+    debugging switch, draws no Laplace noise and sets the bar to exactly n.
 
-    Raises ContractViolationError for a probe vector whose grid leaves the
+    Raises ParameterError for a bad epsilon or beta, and
+    ContractViolationError for a probe vector whose grid leaves the
     normal doubles (||x|| * 2^GRID_LO_EXP below 2^-1022, as for a zero x,
     or ||x|| * 2^GRID_HI_EXP overflowing, as for a non-finite x); unit and
     fresh Gaussian iterates never do.
     """
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if not math.isfinite(4.0 / epsilon):
+        raise ParameterError(
+            f"epsilon {epsilon} is too small: the probe noise scale "
+            "4/epsilon overflows"
+        )
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.d,):
         raise ContractViolationError(
@@ -137,20 +125,20 @@ def threshold_search(
     q *= a.row_norms()
     n = a.n
     counts = _grid_counts(q, grid)
-    if cfg.noiseless:
+    if noiseless:
         bar, noise = float(n), 0.0
     else:
         u = rng.peek_uniform_open(grid.size + 1)
         bar = (
             n
-            - 6.0 * math.log(1.0 / cfg.beta) / cfg.epsilon
-            + laplace_inverse_cdf(u[0], 2.0 / cfg.epsilon)
+            - 6.0 * math.log(1.0 / beta) / epsilon
+            + laplace_inverse_cdf(u[0], 2.0 / epsilon)
         )
-        noise = laplace_inverse_cdf(u[1:], 4.0 / cfg.epsilon)
+        noise = laplace_inverse_cdf(u[1:], 4.0 / epsilon)
     fires = np.flatnonzero(counts + noise >= bar)
     fell_through = fires.size == 0
     fired = grid.size - 1 if fell_through else int(fires[0])
-    if not cfg.noiseless:
+    if not noiseless:
         rng.skip(fired + 2)  # the bar and probes 0..fired
     theta = float(grid[fired])
     # Rows with buckets past the firing probe's (q > theta, or NaN) have

@@ -192,6 +192,8 @@ def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> GaussianBounds:
     trace = sum(spec.sigmabar_sq)
     s1sq = spec.sigmabar_sq[0]
     kbar = spec.kappabar
+    if kbar <= 0.0:
+        raise ParameterError(f"the spectrum needs a positive gap, got kappabar {kbar!r}")
 
     el = 1.0 + math.sqrt(2.0 * math.log(n / beta))
     t = math.log(2.0 * n / beta)
@@ -200,7 +202,7 @@ def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> GaussianBounds:
     m = n * s1sq * trace
     logd = math.log(2.0 * d / beta)
     g = max(math.sqrt(2.0 * m * logd), 6.0 * r_b * logd)
-    wedin = 1.0 if kbar <= 0.0 else min(1.0, (g / (n * s1sq * kbar)) ** 2)
+    wedin = min(1.0, (g / (n * s1sq * kbar)) ** 2)
     n_min = max(float(d), (2.0 * k3) ** 2 * d, (4.0 * k3) ** 2 * d / kbar**2)
     return GaussianBounds(el=el, g=g, wedin_bound=wedin, n_min=n_min)
 

@@ -23,11 +23,11 @@ import numpy as np
 import pytest
 
 from dppca import bench
-from dppca.adaptive import AdaptiveParams, run_adaptive_power, run_kappa_sweep
+from dppca.adaptive import run_adaptive_power, run_kappa_sweep
 from dppca.datagen import GaussSpec, gen_gaussian_iid, gen_low_coherence, scale_for_privacy
 from dppca.matcore import DenseMatrix
 from dppca.mech import PrivacyBudget, RngStream, compose, invert_budget
-from dppca.svtfilter import SvtConfig, threshold_search
+from dppca.svtfilter import threshold_search
 from dppca.theory import constants_K, gap_condition_ok, gaussian_bounds, solve_rates
 
 DATA = Path(__file__).parent / "data"
@@ -64,10 +64,9 @@ class FixedX0Stream(RngStream):
 
 def test_criterion_01_noiseless_reduction():
     a = gen_low_coherence(100, 10, 0.3, 0.6, RngStream(41))
-    params = AdaptiveParams(
-        iterations=50, per_iter=PrivacyBudget(0.5, 1e-6), noiseless=True
+    x_hat, _ = run_adaptive_power(
+        a, 50, PrivacyBudget(0.5, 1e-6), RngStream(42, 1), noiseless=True
     )
-    x_hat, _ = run_adaptive_power(a, params, RngStream(42, 1))
     x = RngStream(42, 1).standard_normal(10)
     g = a.data.T @ a.data
     for _ in range(50):
@@ -86,10 +85,9 @@ def test_criterion_02_convergence_rate_law():
     ratio = (0.5**2 / 1.0**2)  # sigma2^2 / sigma1^2
     worst = 0.0
     for t in (1, 5, 10, 20):
-        params = AdaptiveParams(
-            iterations=t, per_iter=PrivacyBudget(0.5, 1e-6), noiseless=True
+        x_hat, _ = run_adaptive_power(
+            a, t, PrivacyBudget(0.5, 1e-6), FixedX0Stream([1.0, tan0]), noiseless=True
         )
-        x_hat, _ = run_adaptive_power(a, params, FixedX0Stream([1.0, tan0]))
         sin2 = x_hat[1] ** 2 / float(x_hat @ x_hat)
         pred = tan0**2 * ratio ** (2 * t)
         worst = max(worst, abs(sin2 - pred) / pred)
@@ -175,13 +173,12 @@ def test_criterion_06_svt_filtered_count():
     _, c2, _ = constants_K(2, 10_000, 0.05, 1e-5)
     eps_iter = 0.5
     bound = c2 / eps_iter
-    cfg = SvtConfig(epsilon=eps_iter, beta=0.05)
     within = 0
     for trial in range(500):
         st = RngStream(77, trial)
         x = st.standard_normal(20)
         x /= np.linalg.norm(x)
-        found = threshold_search(a, x, cfg, st)
+        found = threshold_search(a, x, eps_iter, st, beta=0.05)
         within += found.removed_count <= bound
     ok = within >= 475
     report(6, ok, f"per-iteration removed count <= c2/eps = {bound:.1f} in "

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dppca.adaptive import (
-    AdaptiveParams,
     check_private_input,
     corollary_iterations,
     run_adaptive_power,
@@ -21,7 +20,7 @@ from dppca.mech import (
     sample_gaussian_vec,
     split_budget,
 )
-from dppca.svtfilter import SvtConfig, threshold_search
+from dppca.svtfilter import threshold_search
 
 
 @pytest.fixture
@@ -40,22 +39,24 @@ def power_iteration_oracle(a, x0, iters):
 
 
 class TestParams:
-    def test_rejects_bad_accountant(self):
+    def test_rejects_bad_accountant(self, instance):
         # The accountant rides on the per-iteration budget; an unknown name
-        # is rejected before any params can be built from it.
+        # is rejected before the run can start.
         with pytest.raises(ParameterError, match="accountant must be one of"):
-            AdaptiveParams(
-                iterations=1,
-                per_iter=split_budget(PrivacyBudget(0.1, 1e-6, "rdp"), 2),
+            run_adaptive_power(
+                instance, 1, split_budget(PrivacyBudget(0.1, 1e-6, "rdp"), 2),
+                RngStream(0),
             )
 
-    def test_rejects_zero_iterations(self):
+    def test_rejects_zero_iterations(self, instance):
         with pytest.raises(ParameterError):
-            AdaptiveParams(iterations=0, per_iter=PrivacyBudget(0.1, 1e-6))
+            run_adaptive_power(instance, 0, PrivacyBudget(0.1, 1e-6), RngStream(0))
 
-    def test_rejects_bad_beta(self):
+    def test_rejects_bad_beta(self, instance):
         with pytest.raises(ParameterError):
-            AdaptiveParams(iterations=1, per_iter=PrivacyBudget(0.1, 1e-6), beta=0.0)
+            run_adaptive_power(
+                instance, 1, PrivacyBudget(0.1, 1e-6), RngStream(0), beta=0.0
+            )
 
 
 class TestInputContract:
@@ -70,10 +71,9 @@ class TestInputContract:
 
 class TestNoiselessReduction:
     def test_matches_power_iteration_oracle(self, instance):
-        params = AdaptiveParams(
-            iterations=30, per_iter=PrivacyBudget(0.5, 1e-6), noiseless=True
+        x_hat, trace = run_adaptive_power(
+            instance, 30, PrivacyBudget(0.5, 1e-6), RngStream(5, 2), noiseless=True
         )
-        x_hat, trace = run_adaptive_power(instance, params, RngStream(5, 2))
         x0 = RngStream(5, 2).standard_normal(instance.d)
         oracle = power_iteration_oracle(instance, x0, 30)
         assert np.abs(x_hat - oracle).max() <= 1e-12
@@ -83,66 +83,58 @@ class TestNoiselessReduction:
 
 class TestNoisyRun:
     def test_output_unit_norm(self, instance):
-        params = AdaptiveParams(iterations=5, per_iter=PrivacyBudget(0.5, 1e-6))
-        x_hat, _ = run_adaptive_power(instance, params, RngStream(2))
+        x_hat, _ = run_adaptive_power(instance, 5, PrivacyBudget(0.5, 1e-6), RngStream(2))
         assert np.linalg.norm(x_hat) == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_lengths(self, instance):
-        params = AdaptiveParams(iterations=7, per_iter=PrivacyBudget(0.5, 1e-6))
-        _, trace = run_adaptive_power(instance, params, RngStream(3))
+        _, trace = run_adaptive_power(instance, 7, PrivacyBudget(0.5, 1e-6), RngStream(3))
         for lst in (trace.theta, trace.removed, trace.noise_sigma, trace.queries_issued):
             assert len(lst) == 7
         assert trace.total_removed == sum(trace.removed)
 
     def test_deterministic(self, instance):
-        params = AdaptiveParams(iterations=5, per_iter=PrivacyBudget(0.5, 1e-6))
-        x1, _ = run_adaptive_power(instance, params, RngStream(4, 9))
-        x2, _ = run_adaptive_power(instance, params, RngStream(4, 9))
+        per_iter = PrivacyBudget(0.5, 1e-6)
+        x1, _ = run_adaptive_power(instance, 5, per_iter, RngStream(4, 9))
+        x2, _ = run_adaptive_power(instance, 5, per_iter, RngStream(4, 9))
         assert np.array_equal(x1, x2)
 
     def test_noise_sigma_tracks_theta(self, instance):
-        params = AdaptiveParams(iterations=5, per_iter=PrivacyBudget(0.5, 1e-6))
-        _, trace = run_adaptive_power(instance, params, RngStream(6))
+        _, trace = run_adaptive_power(instance, 5, PrivacyBudget(0.5, 1e-6), RngStream(6))
         factor = np.sqrt(2 * np.log(2 / 1e-6)) / 0.5
         for theta, sigma in zip(trace.theta, trace.noise_sigma):
             assert sigma == pytest.approx(theta * factor)
 
     def test_converges_with_generous_budget(self, instance):
-        params = AdaptiveParams(iterations=20, per_iter=PrivacyBudget(50.0, 1e-6))
-        x_hat, _ = run_adaptive_power(instance, params, RngStream(7))
+        x_hat, _ = run_adaptive_power(instance, 20, PrivacyBudget(50.0, 1e-6), RngStream(7))
         v1 = spectrum_stats(instance).top_vector
         assert sin_sq(x_hat, v1) < 0.05
 
     def test_default_accountant_draws_unchanged(self, instance):
         # Reference values from the paper-accounting iteration as it was
         # before the accountant option existed.
-        params = AdaptiveParams(iterations=5, per_iter=PrivacyBudget(0.5, 1e-6))
         rng = RngStream(11)
-        x_hat, trace = run_adaptive_power(instance, params, rng)
+        x_hat, trace = run_adaptive_power(instance, 5, PrivacyBudget(0.5, 1e-6), rng)
         assert rng.counter == 195
         assert trace.noise_sigma[0] == pytest.approx(0.990369439057216, rel=1e-12)
         assert x_hat[:3] == pytest.approx(
             [0.36719045965363173, 0.48457222203870187, 0.5633134636047399],
             rel=1e-9,
         )
-        explicit = AdaptiveParams(
-            iterations=5, per_iter=PrivacyBudget(0.5, 1e-6, "paper")
+        again, _ = run_adaptive_power(
+            instance, 5, PrivacyBudget(0.5, 1e-6, "paper"), RngStream(11)
         )
-        again, _ = run_adaptive_power(instance, explicit, RngStream(11))
         assert np.array_equal(x_hat, again)
 
     def test_step_matches_kept_gram_reference(self, instance):
         # The step A^T (mask * A x) against the kept-row Gram step it
         # replaced, kept.T @ kept @ x + noise, on the same stream.
         per_iter = PrivacyBudget(0.5, 1e-6)
-        params = AdaptiveParams(iterations=5, per_iter=per_iter)
-        x_hat, trace = run_adaptive_power(instance, params, RngStream(11))
+        x_hat, trace = run_adaptive_power(instance, 5, per_iter, RngStream(11))
         assert trace.total_removed > 0
         rng = RngStream(11)
         x = rng.standard_normal(instance.d)
-        cfg = SvtConfig(epsilon=per_iter.epsilon, beta=params.beta)
-        for _ in range(params.iterations):
-            theta = threshold_search(instance, x, cfg, rng).theta
+        for _ in range(5):
+            theta = threshold_search(instance, x, per_iter.epsilon, rng).theta
             q = instance.row_norms() * np.abs(instance.data @ x)
             kept = instance.data[q <= theta]
             sigma = gaussian_sigma(theta, per_iter)
@@ -152,8 +144,7 @@ class TestNoisyRun:
 
     def test_zcdp_step_sigma_is_theta_over_epsilon(self, instance):
         per_iter = split_budget(PrivacyBudget(1.0, 1e-5, "zcdp"), 2 * 5)
-        params = AdaptiveParams(iterations=5, per_iter=per_iter)
-        _, trace = run_adaptive_power(instance, params, RngStream(6))
+        _, trace = run_adaptive_power(instance, 5, per_iter, RngStream(6))
         for theta, sigma in zip(trace.theta, trace.noise_sigma):
             assert sigma == pytest.approx(theta / per_iter.epsilon, rel=1e-12)
 
@@ -233,9 +224,7 @@ class TestDeadIterate:
         a, rng = DenseMatrix(np.zeros((8, 3))), RngStream(17, 3)
         per_iter = split_budget(PrivacyBudget(1.0, 1e-5), 10)
         if loop == "adaptive":
-            x, trace = run_adaptive_power(
-                a, AdaptiveParams(5, per_iter, noiseless=True), rng
-            )
+            x, trace = run_adaptive_power(a, 5, per_iter, rng, noiseless=True)
             assert trace.restarts == 5
         else:
             x = noisy_power_naive(a, 5, per_iter, rng, noiseless=True)

@@ -233,6 +233,8 @@ class TestRun:
         ({"T": "corollary", "kappa": 1.5}, ["--T", "corollary", "--kappa", "1.5"]),
         ({"T": 10, "t_const": 0.0}, ["--t-const", "0"]),
         ({"algo": "adaptive-sweep", "sweep_J": 0}, ["--sweep", "0"]),
+        ({"T": 4, "kappa": 0.5}, ["--T", "4", "--kappa", "0.5"]),
+        ({"T": 10, "t_const": 0.1}, ["--t-const", "0.1"]),
     ])
     def test_config_api_and_cli_give_one_message(
         self, gaussian_file, capsys, cell, flags
@@ -249,6 +251,20 @@ class TestRun:
         assert rc == 2
         message = str(api.value)
         assert str(config.value) == f"grid[0]: {message}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--algo", "analyze-gauss", "--kappa", "0.5"], "analyze-gauss does not read --kappa"),
+        (["--T", "0"], "T must be an int >= 1 or 'corollary', got 0"),
+    ])
+    def test_flags_are_checked_before_the_matrix_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        infile = tmp_path / "short.dpm"
+        infile.write_bytes(b"DPM1")  # a truncated header
+        rc = run_cli("run", "--in", str(infile), "--eps-total", "4.0",
+                     "--delta-total", "1e-5", *flags)
+        assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flag, value", [("--T", "many"), ("--accountant", "rdp")])
@@ -420,6 +436,15 @@ class TestTheory:
         doc = json.loads(capsys.readouterr().out)
         assert doc["c1"] == pytest.approx(127.49, abs=0.01)
         assert doc["gaussian"]["L"] == pytest.approx(5.9409, abs=1e-3)
+
+    def test_spectrum_without_a_gap_is_an_error(self, capsys):
+        rc = run_cli(
+            "theory", "--n", "1000", "--d", "2", "--T", "5", "--eps", "1.0",
+            "--delta", "1e-6", "--sigma1", "1", "--sigma2", "0.5",
+            "--upsilon", "0.1", "--gauss-spec", "0.5,0.5",
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: the spectrum needs a positive gap")
 
 
 class TestBench:

@@ -17,7 +17,6 @@ from dppca.svtfilter import (
     _MIN_SCALE,
     GRID_HI_EXP,
     GRID_LO_EXP,
-    SvtConfig,
     ThresholdResult,
     _grid_counts,
     threshold_search,
@@ -32,30 +31,37 @@ def unit_rows(seed, n=200, d=5):
 
 
 class TestSvtConfig:
+    """The search's own parameters: epsilon, beta and noiseless."""
+
     def test_defaults(self):
-        cfg = SvtConfig(epsilon=0.5)
-        assert (cfg.beta, cfg.noiseless) == (0.05, False)
+        a = unit_rows(0)
+        x = np.random.default_rng(1).normal(size=a.d)
+        r_default, r_explicit = RngStream(2), RngStream(2)
+        got = threshold_search(a, x, 0.5, r_default)
+        want = threshold_search(a, x, 0.5, r_explicit, beta=0.05, noiseless=False)
+        assert (got.theta, got.queries_issued, got.removed_count) == (
+            want.theta, want.queries_issued, want.removed_count)
+        assert r_default.counter == r_explicit.counter
         assert (GRID_LO_EXP, GRID_HI_EXP) == (-40, 1)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ParameterError):
-            SvtConfig(epsilon=0.0)
+            threshold_search(unit_rows(0), np.ones(5), 0.0, RngStream(0))
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ParameterError):
-            SvtConfig(epsilon=0.5, beta=1.5)
+            threshold_search(unit_rows(0), np.ones(5), 0.5, RngStream(0), beta=1.5)
 
     def test_rejects_epsilon_whose_noise_scale_overflows(self):
         with pytest.raises(ParameterError, match="overflows"):
-            SvtConfig(epsilon=1e-309)
+            threshold_search(unit_rows(0), np.ones(5), 1e-309, RngStream(0))
 
 
 class TestNoiselessSearch:
     def test_returns_smallest_covering_threshold(self):
         a = unit_rows(0)
         x = np.random.default_rng(1).normal(size=a.d)
-        cfg = SvtConfig(epsilon=1.0, noiseless=True)
-        res = threshold_search(a, x, cfg, RngStream(0))
+        res = threshold_search(a, x, 1.0, RngStream(0), noiseless=True)
         q = a.row_norms() * np.abs(a.data @ x)
         # fired threshold covers everything...
         assert np.all(q <= res.theta)
@@ -68,24 +74,21 @@ class TestNoiselessSearch:
         for seed in range(5):
             a = unit_rows(seed)
             x = np.random.default_rng(seed + 100).normal(size=a.d)
-            res = threshold_search(
-                a, x, SvtConfig(epsilon=1.0, noiseless=True), RngStream(0)
-            )
+            res = threshold_search(a, x, 1.0, RngStream(0), noiseless=True)
             assert not res.fell_through
 
     def test_grid_scales_with_x_norm(self):
         a = unit_rows(2)
         x = np.random.default_rng(3).normal(size=a.d)
-        cfg = SvtConfig(epsilon=1.0, noiseless=True)
-        t1 = threshold_search(a, x, cfg, RngStream(0)).theta
-        t2 = threshold_search(a, 8.0 * x, cfg, RngStream(0)).theta
+        t1 = threshold_search(a, x, 1.0, RngStream(0), noiseless=True).theta
+        t2 = threshold_search(a, 8.0 * x, 1.0, RngStream(0), noiseless=True).theta
         assert t2 == pytest.approx(8.0 * t1)
 
     def test_zero_x_rejected_in_scaled_mode(self):
         a = unit_rows(6)
         with pytest.raises(ContractViolationError):
             threshold_search(
-                a, np.zeros(a.d), SvtConfig(epsilon=1.0, noiseless=True), RngStream(0)
+                a, np.zeros(a.d), 1.0, RngStream(0), noiseless=True
             )
 
 
@@ -93,9 +96,8 @@ class TestNoisySearch:
     def test_deterministic_for_fixed_stream(self):
         a = unit_rows(7)
         x = np.random.default_rng(8).normal(size=a.d)
-        cfg = SvtConfig(epsilon=0.5)
-        r1 = threshold_search(a, x, cfg, RngStream(3, 1))
-        r2 = threshold_search(a, x, cfg, RngStream(3, 1))
+        r1 = threshold_search(a, x, 0.5, RngStream(3, 1))
+        r2 = threshold_search(a, x, 0.5, RngStream(3, 1))
         assert r1.theta == r2.theta
         assert r1.queries_issued == r2.queries_issued
 
@@ -103,18 +105,14 @@ class TestNoisySearch:
         # With eps huge the Laplace noise and the bar offset both vanish.
         a = unit_rows(9, n=500)
         x = np.random.default_rng(10).normal(size=a.d)
-        noiseless = threshold_search(
-            a, x, SvtConfig(epsilon=1.0, noiseless=True), RngStream(0)
-        ).theta
-        noisy = threshold_search(
-            a, x, SvtConfig(epsilon=1e9), RngStream(0)
-        ).theta
+        noiseless = threshold_search(a, x, 1.0, RngStream(0), noiseless=True).theta
+        noisy = threshold_search(a, x, 1e9, RngStream(0)).theta
         assert noisy == pytest.approx(noiseless)
 
     def test_queries_counted(self):
         a = unit_rows(11)
         x = np.random.default_rng(12).normal(size=a.d)
-        res = threshold_search(a, x, SvtConfig(epsilon=0.5), RngStream(1))
+        res = threshold_search(a, x, 0.5, RngStream(1))
         assert 1 <= res.queries_issued <= 42  # grid size for [-40, 1]
 
 
@@ -132,17 +130,14 @@ class TestFilter:
         a = DenseMatrix(unit_rows(seed % 100, n=60).data
                         * rng.uniform(0.0, 1.0, size=(60, 1)))
         x = rng.normal(size=a.d)
-        res = threshold_search(
-            a, x, SvtConfig(epsilon=epsilon, noiseless=noiseless),
-            RngStream(seed, 2),
-        )
+        res = threshold_search(a, x, epsilon, RngStream(seed, 2), noiseless=noiseless)
         ax = a.data @ x
         q = a.row_norms() * np.abs(ax)
         assert np.array_equal(res.kept_ax, np.where(q <= res.theta, ax, 0.0))
         assert res.removed_count == int(np.sum(q > res.theta))
 
 
-def reference_search(a, x, cfg, rng):
+def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
     """The search probe by probe, counting with a sort: the oracle for
     threshold_search's bit-pattern counts and batched draws."""
     x = np.asarray(x, dtype=np.float64)
@@ -152,23 +147,23 @@ def reference_search(a, x, cfg, rng):
     scale = float(np.linalg.norm(x))
     if scale == 0.0:
         raise ContractViolationError("zero probe vector")
-    if cfg.noiseless:
+    if noiseless:
         bar = float(n)
     else:
         bar = (
             n
-            - 6.0 * math.log(1.0 / cfg.beta) / cfg.epsilon
-            + laplace_inverse_cdf(rng.uniform_open(), 2.0 / cfg.epsilon)
+            - 6.0 * math.log(1.0 / beta) / epsilon
+            + laplace_inverse_cdf(rng.uniform_open(), 2.0 / epsilon)
         )
     grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
     counts = np.searchsorted(np.sort(q), grid, side="right").tolist()
     fired = len(grid) - 1
     fell_through = True
     for k, count in enumerate(counts):
-        if cfg.noiseless:
+        if noiseless:
             noisy = count
         else:
-            noisy = count + laplace_inverse_cdf(rng.uniform_open(), 4.0 / cfg.epsilon)
+            noisy = count + laplace_inverse_cdf(rng.uniform_open(), 4.0 / epsilon)
         if noisy >= bar:
             fired, fell_through = k, False
             break
@@ -182,15 +177,15 @@ def reference_search(a, x, cfg, rng):
     )
 
 
-def assert_same_search(a, x, cfg, seed, skew=0):
+def assert_same_search(a, x, epsilon, noiseless, seed, skew=0):
     """threshold_search and the reference agree on every result field, the
     stream's counter and its next draw, from a stream `skew` draws in."""
     r_new, r_ref = RngStream(seed, 5), RngStream(seed, 5)
     for rng in (r_new, r_ref):
         for _ in range(skew):
             rng.uniform_open()
-    got = threshold_search(a, x, cfg, r_new)
-    want = reference_search(a, x, cfg, r_ref)
+    got = threshold_search(a, x, epsilon, r_new, noiseless=noiseless)
+    want = reference_search(a, x, epsilon, r_ref, noiseless=noiseless)
     assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
         want.theta, want.queries_issued, want.fell_through, want.removed_count)
     assert got.kept_ax.tobytes() == want.kept_ax.tobytes()
@@ -224,16 +219,15 @@ class TestAgainstReference:
         a = DenseMatrix(data)
         x = rng.normal(size=d)
         x *= 10.0**log10_norm / np.linalg.norm(x)
-        cfg = SvtConfig(epsilon=epsilon, noiseless=noiseless)
 
         with np.errstate(over="ignore", under="ignore"):
             scale = float(np.linalg.norm(x))
         if scale == 0.0 or not math.isfinite(2.0 * scale):
             # sqrt(x.x) under- or overflows: a zero or an infinite grid
             with np.errstate(over="ignore"), pytest.raises(ContractViolationError):
-                threshold_search(a, x, cfg, RngStream(seed, 5))
+                threshold_search(a, x, epsilon, RngStream(seed, 5), noiseless=noiseless)
             return
-        assert_same_search(a, x, cfg, seed, skew)
+        assert_same_search(a, x, epsilon, noiseless, seed, skew)
 
     def test_overflowing_rows_are_removed_as_before(self):
         # Both big rows' norms overflow to inf.  The first's A x entry is
@@ -244,10 +238,7 @@ class TestAgainstReference:
         )
         for noiseless in (True, False):
             with np.errstate(invalid="ignore", over="ignore"):
-                assert_same_search(
-                    a, np.array([0.0, 10.0]),
-                    SvtConfig(epsilon=5.0, noiseless=noiseless), 11,
-                )
+                assert_same_search(a, np.array([0.0, 10.0]), 5.0, noiseless, 11)
 
 
 class TestGridCounts:
@@ -276,9 +267,7 @@ class TestGridCounts:
         with np.errstate(over="ignore"), pytest.raises(
             ContractViolationError, match="normal doubles"
         ):
-            threshold_search(
-                a, np.array([1e200, 1e200]), SvtConfig(epsilon=1.0), RngStream(0)
-            )
+            threshold_search(a, np.array([1e200, 1e200]), 1.0, RngStream(0))
 
 
 class TestNanStatistic:
@@ -296,9 +285,7 @@ class TestNanStatistic:
         with np.errstate(invalid="ignore", over="ignore"):
             ax = a.data @ x
             q = a.row_norms() * np.abs(ax)
-            res = threshold_search(
-                a, x, SvtConfig(epsilon=5.0, noiseless=noiseless), RngStream(4)
-            )
+            res = threshold_search(a, x, 5.0, RngStream(4), noiseless=noiseless)
         assert math.isnan(q[0]) and not math.isfinite(q[1])
         assert res.kept_ax[:2].tobytes() == np.zeros(2).tobytes()
         assert res.removed_count == 2 + int(np.sum(q[2:] > res.theta))
@@ -319,11 +306,11 @@ class TestScaleRange:
     search is fed them through a stand-in for its square root."""
 
     def search_accepts(self, monkeypatch, scale):
-        cfg = SvtConfig(epsilon=1.0, noiseless=True)
-        monkeypatch.setattr(svtfilter, "math", SimpleNamespace(sqrt=lambda _: scale))
+        monkeypatch.setattr(svtfilter, "math", SimpleNamespace(
+            sqrt=lambda _: scale, isfinite=math.isfinite))
         try:
-            res = threshold_search(unit_rows(31, n=20, d=2), np.ones(2), cfg,
-                                   RngStream(0))
+            res = threshold_search(unit_rows(31, n=20, d=2), np.ones(2), 1.0,
+                                   RngStream(0), noiseless=True)
         except ContractViolationError as exc:
             assert "normal doubles" in str(exc)
             return False

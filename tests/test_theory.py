@@ -168,6 +168,11 @@ class TestGaussianBounds:
         for v in (gb.el, gb.g, gb.wedin_bound, gb.n_min):
             assert math.isfinite(v)
 
+    def test_rejects_a_spectrum_without_a_gap(self):
+        # kappabar = 0 would divide n_min by zero.
+        with pytest.raises(ParameterError, match="positive gap"):
+            gaussian_bounds(GaussSpec((0.5, 0.5)), 1000, 0.05)
+
 
 class TestBuildReport:
     def test_report_dict_shape(self):
