@@ -297,11 +297,11 @@ def _cell_id(cell: dict, index: int) -> str:
     return cell.get("cell", str(index))
 
 
-def _gauss_spectrum(gen: dict) -> tuple[float, ...]:
+def _gauss_spec(gen: dict) -> GaussSpec:
     """A checked gaussian gen's population spectrum: its spec or the spiked one."""
     if "spec" in gen:
-        return tuple(gen["spec"])
-    return GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"]).sigmabar_sq
+        return GaussSpec(gen["spec"])
+    return GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"])
 
 
 def build_instance(
@@ -316,8 +316,7 @@ def build_instance(
     kind = gen["kind"]
     options = {k: gen[k] for k in _GEN_OPTIONAL[kind] if k in gen}
     if kind == "gaussian":
-        spec = GaussSpec(_gauss_spectrum(gen), **options)
-        raw, vbar1 = gen_gaussian_iid(gen["n"], spec, rng)
+        raw, vbar1 = gen_gaussian_iid(gen["n"], _gauss_spec(gen), rng, **options)
         return scale_for_privacy(raw, beta), vbar1
     if kind == "low-coh":
         a = gen_low_coherence(
@@ -336,7 +335,6 @@ class RunResult:
     t: int  # iterations behind x_hat; 0 for the one-shot analyze-gauss
     accounting: dict  # the budget split, as `dppca run` reports it
     trace: IterationTrace | None = None
-    removed: int | None = None
     kappa_guess: float | None = None  # adaptive-sweep: the selected guess
 
 
@@ -359,7 +357,7 @@ def run_algorithm(
                       "per_run_epsilon": best.run_budget.epsilon,
                       "per_run_delta": best.run_budget.delta}
         return RunResult(best.estimate, chosen.iterations, accounting, chosen.trace,
-                         chosen.trace.total_removed, chosen.kappa_guess)
+                         chosen.kappa_guess)
 
     # One run: T Gaussian steps, or T (threshold search, Gaussian step) pairs.
     t = cell.get("T")
@@ -379,7 +377,7 @@ def run_algorithm(
         composed = compose(per_iter, count)
         accounting.update(composed_epsilon=composed.epsilon,
                           composed_delta=composed.delta)
-    return RunResult(x_hat, t, accounting, trace, trace.total_removed)
+    return RunResult(x_hat, t, accounting, trace)
 
 
 def _theory_b(a: DenseMatrix, stats, run: RunResult, beta: float) -> float | None:
@@ -421,7 +419,7 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         rec.n, rec.d, rec.clipped = a.n, a.d, scaled.clip_count
         stats = spectrum_stats(a)
         run = run_algorithm(cell, a, stream)
-        rec.t, rec.removed = run.t, run.removed
+        rec.t, rec.removed = run.t, run.trace.total_removed if run.trace else None
         rec.theory_b = _theory_b(a, stats, run, beta)
 
         rec.sin2_emp = sin_sq(run.x_hat, stats.top_vector)

@@ -77,7 +77,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     a = scaled.matrix
     meta: dict = {"kind": args.kind, "seed": args.seed}
     if vbar1 is not None:
-        meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spectrum(gen)),
+        meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spec(gen).sigmabar_sq),
                     L=scaled.scale, clip_count=scaled.clip_count)
 
     stats = spectrum_stats(a)
@@ -143,16 +143,16 @@ def _cmd_theory(args: argparse.Namespace) -> int:
         epsilon=args.eps, sigma1=args.sigma1, sigma2=args.sigma2,
         upsilon=args.upsilon, gauss_spec=gauss_spec,
     )
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = bench.ExperimentConfig.from_json(args.config)
-    records = bench.run_experiment(cfg, threads=args.threads)
     out = args.out or cfg.out
     if out is None:
         raise ParameterError("no output path: pass --out or set 'out' in the config")
+    records = bench.run_experiment(cfg, threads=args.threads)
     bench.write_csv(records, out)
     errors = sum(1 for r in records if r.error)
     # The BLAS thread count can move the CSV's last bits, so name it.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .matcore import DenseMatrix, _row_blocks, _scratch
+from .matcore import DenseMatrix, _row_blocks, _row_norms, _scratch
 from .mech import RngStream
 
 _SMALL_TAIL_FRAC = 0.01  # tail eigenvalues of the planted spectrum
@@ -23,10 +23,9 @@ _SMALL_TAIL_FRAC = 0.01  # tail eigenvalues of the planted spectrum
 
 @dataclass(frozen=True)
 class GaussSpec:
-    """Population spectrum sigmabar_sq (trace 1, nonincreasing) + rotation flag."""
+    """Population spectrum sigmabar_sq (trace 1, nonincreasing), without a basis."""
 
     sigmabar_sq: tuple[float, ...]
-    rotate: bool = True
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.sigmabar_sq)
@@ -58,7 +57,8 @@ class GaussSpec:
 
         sigma2_sq = (1 - kappabar) * sigma1_sq; the remaining mass
         1 - sigma1_sq - sigma2_sq is spread evenly over the other d - 2
-        coordinates (it must be nonnegative and at most sigma2_sq each).
+        coordinates (it must be nonnegative and at most sigma2_sq each;
+        at d = 2 there are none, so it must be zero).
         """
         if d < 2:
             raise ParameterError("spiked spectrum needs d >= 2")
@@ -66,6 +66,8 @@ class GaussSpec:
         tail = 1.0 - sigma1_sq - sigma2_sq
         if tail < -1e-12:
             raise ParameterError("spectrum mass exceeds 1")
+        if d == 2 and tail > 1e-12:
+            raise ParameterError(f"at d = 2 there is no tail for the leftover mass {tail!r}")
         rest = max(tail, 0.0) / (d - 2) if d > 2 else 0.0
         if d > 2 and rest > sigma2_sq + 1e-12:
             raise ParameterError("flat tail would exceed the second eigenvalue")
@@ -83,12 +85,13 @@ def random_orthogonal(n: int, rng: RngStream) -> np.ndarray:
 
 
 def gen_gaussian_iid(
-    n: int, spec: GaussSpec, rng: RngStream
+    n: int, spec: GaussSpec, rng: RngStream, rotate: bool = True
 ) -> tuple[DenseMatrix, np.ndarray]:
     """Rows g_i = Q diag(sigmabar) z_i, z_i ~ N(0, I); returns (A, vbar1 = Q e1).
 
-    Q is identity when spec.rotate is off (the product with it still runs:
-    it turns a zero sigmabar's -0.0 entries into +0.0).  The draw is scaled
+    Q is a Haar rotation drawn before the rows, or the identity when rotate
+    is off (the product with it still runs: it turns a zero sigmabar's -0.0
+    entries into +0.0).  The draw is scaled
     and rotated in its own buffer, one row block at a time through the
     thread's scratch block.  Rows are unbounded; use scale_for_privacy
     before feeding a private algorithm.
@@ -96,7 +99,7 @@ def gen_gaussian_iid(
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     d = spec.d
-    q = random_orthogonal(d, rng) if spec.rotate else np.eye(d)
+    q = random_orthogonal(d, rng) if rotate else np.eye(d)
     a = rng.standard_normal((n, d))
     scale = np.sqrt(np.array(spec.sigmabar_sq))
     for rows in _row_blocks(n, d):
@@ -104,6 +107,11 @@ def gen_gaussian_iid(
         block *= scale
         a[rows] = np.matmul(block, q.T, out=_scratch(*block.shape))
     return DenseMatrix(a), q[:, 0].copy()
+
+
+def _row_length_bound(n: int, beta: float) -> float:
+    """The Gaussian pipeline's row-length bound L = 1 + sqrt(2 ln(n/beta))."""
+    return 1.0 + math.sqrt(2.0 * math.log(n / beta))
 
 
 @dataclass
@@ -114,7 +122,7 @@ class ScaledMatrix:
 
 
 def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
-    """Divide rows by L = 1 + sqrt(2 ln(n/beta)); clip survivors above norm 1.
+    """Divide rows by L = `_row_length_bound(n, beta)`; clip survivors above norm 1.
 
     For trace-1 Gaussian rows, a row exceeds L (hence gets clipped) with
     probability at most beta; the clip count is reported so runs can
@@ -126,16 +134,16 @@ def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    el = 1.0 + math.sqrt(2.0 * math.log(a.n / beta))
+    el = _row_length_bound(a.n, beta)
     data = a.data
     data /= el
-    norms = np.sqrt(np.einsum("ij,ij->i", data, data))
+    norms = _row_norms(data)
     over = norms > 1.0
     clip_count = int(over.sum())
     if clip_count:
         clipped = data[over] / norms[over, None]
         data[over] = clipped
-        norms[over] = np.sqrt(np.einsum("ij,ij->i", clipped, clipped))
+        norms[over] = _row_norms(clipped)
     norms.flags.writeable = False
     a._row_norms, a._gram = norms, None
     return ScaledMatrix(a, el, clip_count)
@@ -179,8 +187,6 @@ def gen_low_coherence(
     sq[0] = s1_sq
     if d > 1:
         sq[1] = s2_sq
-    if d > 1 and s2_sq < tail_sq:
-        raise ParameterError("infeasible spectrum: gap leaves no room for the tail")
     sigma = np.sqrt(sq)
 
     if rotate:
@@ -199,7 +205,7 @@ def gen_low_coherence(
         a = np.zeros((n, d))
         a[:d, :d] = np.diag(sigma)
 
-    max_norm = float(np.sqrt(np.einsum("ij,ij->i", a, a)).max())
+    max_norm = float(_row_norms(a).max())
     if max_norm == 0.0:
         raise ParameterError("infeasible spectrum: generated matrix is zero")
     a /= max_norm
@@ -232,7 +238,7 @@ def gen_high_coherence(
     rest = n - spikes
     if rest > 0 and noise_norm > 0.0 and d > 1:
         g = rng.standard_normal((rest, d - 1))
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        norms = _row_norms(g)
         norms[norms == 0.0] = 1.0
         a[spikes:, 1:] = noise_norm * g / norms[:, None]
     return DenseMatrix(a)

@@ -38,6 +38,11 @@ _local = threading.local()  # each thread's scratch block (`_scratch`)
 _MAX_GROUP = 64
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 @dataclass
 class DenseMatrix:
     """An n x d row-major float64 matrix; rows are data points.
@@ -82,7 +87,7 @@ class DenseMatrix:
 
     def row_norms(self) -> np.ndarray:
         if self._row_norms is None:
-            norms = np.sqrt(np.einsum("ij,ij->i", self.data, self.data))
+            norms = _row_norms(self.data)
             norms.flags.writeable = False
             self._row_norms = norms
         return self._row_norms

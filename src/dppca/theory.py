@@ -11,9 +11,9 @@ treat them as trends.  All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from .datagen import GaussSpec
+from .datagen import GaussSpec, _row_length_bound
 from .errors import ParameterError
 
 
@@ -35,26 +35,6 @@ class GaussianBounds:
     g: float  # spectral concentration bound G
     wedin_bound: float
     n_min: float
-
-
-@dataclass
-class TheoryReport:
-    c1: float
-    c2: float
-    k: float
-    rates: RateSolution
-    r_coeff: float
-    b_bound: float | None
-    gaussian: GaussianBounds | None = field(default=None)
-
-    def as_dict(self) -> dict:
-        out = {"c1": self.c1, "c2": self.c2, "K": self.k, **asdict(self.rates),
-               "R": self.r_coeff, "B": self.b_bound}
-        if self.gaussian is not None:
-            g = self.gaussian
-            out["gaussian"] = {"L": g.el, "G": g.g, "wedin_bound": g.wedin_bound,
-                               "n_min": g.n_min}
-        return out
 
 
 def constants_K(t: int, n: int, beta: float, delta: float) -> tuple[float, float, float]:
@@ -195,7 +175,7 @@ def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> GaussianBounds:
     if kbar <= 0.0:
         raise ParameterError(f"the spectrum needs a positive gap, got kappabar {kbar!r}")
 
-    el = 1.0 + math.sqrt(2.0 * math.log(n / beta))
+    el = _row_length_bound(n, beta)
     t = math.log(2.0 * n / beta)
     k3 = 2.0 + 2.0 * math.sqrt(t) + 2.0 * t
     r_b = k3 * trace
@@ -218,10 +198,15 @@ def build_report(
     sigma2: float,
     upsilon: float,
     gauss_spec: GaussSpec | None = None,
-) -> TheoryReport:
-    """Assemble the full report for the CLI and for bench annotations."""
+) -> dict:
+    """The JSON-ready report `dppca theory` prints: c1, c2, K, the rate
+    fields, R, B and, given a spec, its gaussian bounds (L, G, ...)."""
     c1, c2, k = constants_K(t, n, beta, delta)
     rates = solve_rates(sigma1, sigma2, upsilon, epsilon, k)
     r, b = bound_B(sigma1, sigma2, upsilon, epsilon, t, k, d, n)
-    gb = gaussian_bounds(gauss_spec, n, beta) if gauss_spec is not None else None
-    return TheoryReport(c1=c1, c2=c2, k=k, rates=rates, r_coeff=r, b_bound=b, gaussian=gb)
+    out = {"c1": c1, "c2": c2, "K": k, **asdict(rates), "R": r, "B": b}
+    if gauss_spec is not None:
+        gb = gaussian_bounds(gauss_spec, n, beta)
+        out["gaussian"] = {"L": gb.el, "G": gb.g, "wedin_bound": gb.wedin_bound,
+                           "n_min": gb.n_min}
+    return out

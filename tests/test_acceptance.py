@@ -220,12 +220,12 @@ def test_criterion_08_gaussian_coherence():
 
 
 def test_criterion_09_bernstein_envelope():
-    spec = GaussSpec(GaussSpec.spiked(16, 0.5, 0.5).sigmabar_sq, rotate=False)
+    spec = GaussSpec.spiked(16, 0.5, 0.5)
     g = gaussian_bounds(spec, 4096, 0.05).g
     pop = 4096 * np.diag(spec.sigmabar_sq)
     within = 0
     for seed in range(40):
-        raw, _ = gen_gaussian_iid(4096, spec, RngStream(88, seed))
+        raw, _ = gen_gaussian_iid(4096, spec, RngStream(88, seed), rotate=False)
         dev = float(np.abs(np.linalg.eigvalsh(raw.data.T @ raw.data - pop)).max())
         within += dev <= g
     ok = within >= 38

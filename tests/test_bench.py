@@ -356,6 +356,7 @@ class TestConfig:
          "t_const must be a finite number"),
         (0, {"T": "corollary", "kappa": 0.5, "t_const": 0}, "t_const must be positive"),
         (1, {"eps_total": 10**400}, "eps_total must be a finite number"),  # no float
+        (1, {"beta": 1.5}, "beta must lie in (0, 1), got 1.5"),
     ])
     def test_malformed_cell_names_its_index(self, index, cell, needle):
         grid = small_grid()[:2]
@@ -374,12 +375,18 @@ class TestConfig:
         ("record_walltime", "no", "record_walltime must be true or false"),
         ("out", 5, "out must be a path or null"),
         ("trials", True, "trials must be an integer"),
+        ("threads", 0, "threads must be >= 1, got 0"),
     ])
     def test_mistyped_top_level_field(self, field, value, needle):
         kwargs = dict(master_seed=1, trials=1, grid=small_grid()[:1])
         kwargs[field] = value
         with pytest.raises(ParameterError, match=needle):
             ExperimentConfig(**kwargs)
+
+    def test_cell_that_is_not_an_object_names_its_index(self):
+        grid = [small_grid()[0], ["adaptive"]]
+        with pytest.raises(ParameterError, match=r"grid\[1\]: a cell must be a JSON object"):
+            ExperimentConfig(master_seed=1, trials=1, grid=grid)
 
     def test_accountant_validation(self):
         base = small_grid()[0]
@@ -535,6 +542,7 @@ class TestSinglePath:
                 scaled, _ = build_instance(cell["gen"], stream, beta)
                 run = run_algorithm(cell, scaled.matrix, stream)
                 rec = recs[(cell["cell"], t)]
-                assert (rec.t, rec.removed) == (run.t, run.removed)
+                removed = run.trace.total_removed if run.trace else None
+                assert (rec.t, rec.removed) == (run.t, removed)
                 top = spectrum_stats(scaled.matrix).top_vector
                 assert rec.sin2_emp == sin_sq(run.x_hat, top)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from dppca import bench
 from dppca.adaptive import corollary_iterations
 from dppca.bench import ExperimentConfig, build_instance, run_algorithm
 from dppca.cli import main
@@ -112,6 +113,21 @@ class TestGen:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_unparsable_spec_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "--kind", "gaussian", "--n", "10", "--spec", "0.5,x",
+                    "--out", str(tmp_path / "x.dpm"))
+        assert exc.value.code == 2
+
+    def test_spiked_d2_with_leftover_mass_is_cli_error(self, tmp_path, capsys):
+        out, meta = tmp_path / "x.dpm", tmp_path / "x.json"
+        rc = run_cli("gen", "--kind", "gaussian", "--n", "200", "--d", "2",
+                     "--sigma1-sq", "0.5", "--kappabar", "0.5",
+                     "--out", str(out), "--meta", str(meta))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: at d = 2")
+        assert not out.exists() and not meta.exists()
+
     def test_nan_spec_entry_is_cli_error(self, tmp_path, capsys):
         rc = run_cli(
             "gen", "--kind", "gaussian", "--n", "10", "--spec", "nan,0.5",
@@ -151,6 +167,17 @@ class TestRun:
             )
             outs.append(res.read_text())
         assert outs[0] == outs[1]
+
+    def test_without_out_prints_the_result(self, gaussian_file, tmp_path, capsys):
+        infile, _ = gaussian_file
+        res = tmp_path / "res.json"
+        flags = ["run", "--in", str(infile), "--eps-total", "1.0",
+                 "--delta-total", "1e-5", "--T", "2", "--seed", "9"]
+        assert run_cli(*flags) == 0
+        printed = capsys.readouterr().out
+        assert run_cli(*flags, "--out", str(res)) == 0
+        assert printed == res.read_text()
+        assert json.loads(printed)["T"] == 2
 
     def test_analyze_gauss_and_naive(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -547,7 +574,12 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
 
-    def test_bench_without_out_is_error(self, tmp_path, capsys):
+    def test_bench_without_out_is_error(self, tmp_path, capsys, monkeypatch):
+        # The output path is checked before the grid runs, not after.
+        def fail(*args, **kwargs):
+            pytest.fail("the grid ran before the output path was checked")
+
+        monkeypatch.setattr(bench, "run_experiment", fail)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "master_seed": 1, "trials": 1,
@@ -558,4 +590,5 @@ class TestBench:
         }))
         rc = run_cli("bench", "--config", str(cfg_path))
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no output path: pass --out or set 'out' in the config\n")

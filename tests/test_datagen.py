@@ -45,6 +45,23 @@ class TestGaussSpec:
         with pytest.raises(ParameterError, match="finite"):
             GaussSpec((bad, 0.5))
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: GaussSpec(()), "at least one entry"),
+        (lambda: GaussSpec.spiked(1, 0.5, 0.5), "needs d >= 2"),
+        (lambda: GaussSpec.spiked(4, 0.8, 0.5), "mass exceeds 1"),
+        (lambda: GaussSpec.spiked(4, 0.3, 0.9), "flat tail would exceed"),
+        # At d = 2 there is no tail to take the mass sigma1_sq + sigma2_sq leaves.
+        (lambda: GaussSpec.spiked(2, 0.5, 0.5), "at d = 2"),
+    ], ids=["empty", "spiked-d1", "spiked-mass", "spiked-tail", "spiked-d2-leftover"])
+    def test_rejects_bad_spectrum(self, build, match):
+        with pytest.raises(ParameterError, match=match):
+            build()
+
+    def test_spiked_d2_keeps_its_gap(self):
+        s = GaussSpec.spiked(2, 2.0 / 3.0, 0.5)
+        assert s.kappabar == pytest.approx(0.5, abs=1e-15)
+        assert s.sigmabar_sq[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+
     def test_spiked_builder(self):
         s = GaussSpec.spiked(20, 0.5, 0.5)
         assert s.sigmabar_sq[0] == pytest.approx(0.5)
@@ -66,24 +83,24 @@ class TestRandomOrthogonal:
 
 class TestGenGaussianIid:
     def test_rank1_spec_rows_along_e1(self):
-        spec = GaussSpec((1.0, 0.0, 0.0), rotate=False)
-        a, vbar1 = gen_gaussian_iid(50, spec, RngStream(2))
+        spec = GaussSpec((1.0, 0.0, 0.0))
+        a, vbar1 = gen_gaussian_iid(50, spec, RngStream(2), rotate=False)
         assert np.allclose(vbar1, [1.0, 0.0, 0.0])
         assert np.all(a.data[:, 1:] == 0.0)
 
     def test_covariance_concentration(self):
         # ||(1/n) gram - diag(spec)||_F <= 5 sqrt(d/n) for iid rows
         n, d = 20_000, 8
-        spec = GaussSpec((0.125,) * 8, rotate=False)
-        a, _ = gen_gaussian_iid(n, spec, RngStream(3))
+        spec = GaussSpec((0.125,) * 8)
+        a, _ = gen_gaussian_iid(n, spec, RngStream(3), rotate=False)
         emp = gram(a) / n
         err = np.linalg.norm(emp - np.diag(spec.sigmabar_sq))
         assert err <= 5 * np.sqrt(d / n)
 
     def test_per_coordinate_variance_unrotated(self):
         n = 100_000
-        spec = GaussSpec((0.6, 0.3, 0.1), rotate=False)
-        a, _ = gen_gaussian_iid(n, spec, RngStream(4))
+        spec = GaussSpec((0.6, 0.3, 0.1))
+        a, _ = gen_gaussian_iid(n, spec, RngStream(4), rotate=False)
         var = a.data.var(axis=0)
         for j, s2 in enumerate(spec.sigmabar_sq):
             se = s2 * np.sqrt(2.0 / n)  # sd of a chi^2 variance estimate
@@ -250,9 +267,9 @@ def harmonic(d):
     return tuple(w / w.sum())
 
 
-def one_shot_gaussian(n, spec, rng):
+def one_shot_gaussian(n, spec, rng, rotate):
     """gen_gaussian_iid as one product of a separate scaled draw."""
-    q = random_orthogonal(spec.d, rng) if spec.rotate else np.eye(spec.d)
+    q = random_orthogonal(spec.d, rng) if rotate else np.eye(spec.d)
     z = rng.standard_normal((n, spec.d))
     return (z * np.sqrt(spec.sigmabar_sq)) @ q.T
 
@@ -271,13 +288,13 @@ def one_shot_low_coherence(n, d, sigma1_frac, gap, rng):
     return a / np.sqrt(np.einsum("ij,ij->i", a, a)).max()
 
 
-def two_pass_gaussian(n, spec, rng):
+def two_pass_gaussian(n, spec, rng, rotate):
     """gen_gaussian_iid with the scaling as its own pass over the draw,
     before the blocked rotation: the bytes the per-block scaling keeps."""
-    q = random_orthogonal(spec.d, rng) if spec.rotate else np.eye(spec.d)
+    q = random_orthogonal(spec.d, rng) if rotate else np.eye(spec.d)
     a = rng.standard_normal((n, spec.d))
     a *= np.sqrt(np.array(spec.sigmabar_sq))
-    if spec.rotate:
+    if rotate:
         for rows in _row_blocks(n, spec.d):
             a[rows] = a[rows] @ q.T
     return a + 0.0
@@ -295,15 +312,15 @@ class TestBlockedGenerators:
         ids=["1", "2", "20", "128", "zero-entry"],  # a zero entry: signed zeros
     )
     def test_gaussian_matches_one_shot(self, spectrum, rotate):
-        spec = GaussSpec(spectrum, rotate=rotate)
+        spec = GaussSpec(spectrum)
         for n in edge_rows(spec.d):
             ref_rng, rng = RngStream(31, n), RngStream(31, n)
-            ref = one_shot_gaussian(n, spec, ref_rng)
-            a, _ = gen_gaussian_iid(n, spec, rng)
+            ref = one_shot_gaussian(n, spec, ref_rng, rotate)
+            a, _ = gen_gaussian_iid(n, spec, rng, rotate)
             assert np.abs(a.data - ref).max() <= 1e-14 * np.abs(ref).max()
             assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
             # The per-block scaling gives the bits of one scaling pass.
-            two_pass = two_pass_gaussian(n, spec, RngStream(31, n))
+            two_pass = two_pass_gaussian(n, spec, RngStream(31, n), rotate)
             assert a.data.tobytes() == two_pass.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 20, 128])
@@ -437,6 +454,17 @@ class TestGenHighCoherence:
         assert a.max_row_norm() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: gen_gaussian_iid(0, GaussSpec((1.0,)), RngStream(0)), "n must be >= 1"),
+    (lambda: scale_for_privacy(DenseMatrix(np.ones((4, 2))), 1.5), "beta must lie"),
+    (lambda: gen_high_coherence(10, 3, RngStream(0), spikes=0), "spikes must lie"),
+    (lambda: gen_high_coherence(10, 3, RngStream(0), noise_norm=1.5), "noise_norm must lie"),
+], ids=["gaussian-n0", "scale-beta", "high-coh-spikes", "high-coh-noise"])
+def test_generators_reject_bad_params(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
+
+
 class TestBernsteinEnvelope:
     def test_spectral_concentration_within_G(self):
         # ||A^T A - n Sigma^2||_2 <= G in >= 95% of 40 seeds
@@ -446,8 +474,7 @@ class TestBernsteinEnvelope:
         sigma2 = np.diag(spec.sigmabar_sq)
         hits = 0
         for seed in range(40):
-            a, _ = gen_gaussian_iid(n, GaussSpec(spec.sigmabar_sq, rotate=False),
-                                    RngStream(17, seed))
+            a, _ = gen_gaussian_iid(n, spec, RngStream(17, seed), rotate=False)
             dev = np.linalg.norm(gram(a) - n * sigma2, ord=2)
             hits += dev <= g_bound
         assert hits >= 38

@@ -49,6 +49,13 @@ def test_dpm_bad_magic(tmp_path):
         load_dpm(p)
 
 
+def test_dpm_truncated_header(tmp_path):
+    p = tmp_path / "m.dpm"
+    p.write_bytes(b"DPM1")
+    with pytest.raises(FormatError, match="truncated header"):
+        load_dpm(p)
+
+
 def test_dpm_truncated_payload(mat, tmp_path):
     p = tmp_path / "m.dpm"
     save_dpm(mat, p)

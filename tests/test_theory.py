@@ -176,12 +176,11 @@ class TestGaussianBounds:
 
 class TestBuildReport:
     def test_report_dict_shape(self):
-        rep = build_report(
+        doc = build_report(
             t=10, n=1000, d=8, beta=0.05, delta=1e-6, epsilon=1.0,
             sigma1=10.0, sigma2=2.0, upsilon=0.01,
             gauss_spec=GaussSpec.spiked(8, 0.5, 0.5),
         )
-        doc = rep.as_dict()
         for key in ("c1", "c2", "K", "s1", "s2", "alpha1", "alpha2",
                     "condition_ok", "rate_ratio", "R", "B", "gaussian"):
             assert key in doc
