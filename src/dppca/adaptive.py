@@ -39,7 +39,7 @@ from .mech import (
     sample_gaussian_vec,
     split_budget,
 )
-from .svtfilter import DEFAULT_BETA, threshold_search
+from .svtfilter import DEFAULT_BETA, ThresholdResult, threshold_search
 
 _ROW_NORM_SLACK = 1.0 + 1e-9
 
@@ -70,17 +70,6 @@ def check_private_input(a: DenseMatrix) -> None:
         )
 
 
-def _unit_or_restart(v: np.ndarray, rng: RngStream) -> tuple[np.ndarray, bool]:
-    """(v / ||v||, False), or for a dead iterate (v exactly zero: every row
-    dropped and no noise) the same for a fresh Gaussian draw, with True."""
-    norm = float(np.linalg.norm(v))
-    restarted = norm == 0.0
-    if restarted:
-        v = rng.standard_normal(v.size)
-        norm = float(np.linalg.norm(v))
-    return v / norm, restarted
-
-
 def run_adaptive_power(
     a: DenseMatrix, iterations: int, per_iter: PrivacyBudget, rng: RngStream, *,
     beta: float = DEFAULT_BETA, noiseless: bool = False,
@@ -93,6 +82,20 @@ def run_adaptive_power(
     (the threshold search then returns the smallest grid value keeping
     every row, which for rows of norm at most 1 keeps all of them).
     """
+    return _power_loop(a, iterations, per_iter, rng, beta=beta, noiseless=noiseless)
+
+
+def _power_loop(
+    a: DenseMatrix, iterations: int, per_iter: PrivacyBudget, rng: RngStream, *,
+    search: bool = True, beta: float = DEFAULT_BETA, noiseless: bool = False,
+) -> tuple[np.ndarray, IterationTrace]:
+    """The one noisy power loop: from a Gaussian start, `iterations` times
+    x <- unit(A^T (mask * A x) + N(0, sigma^2 I)), sigma =
+    gaussian_sigma(theta, per_iter).  With search, theta and the mask come
+    from threshold_search; without it (naive-power) theta = 1 and no row
+    is masked.  A step that is exactly zero (every row dropped and no
+    noise) restarts from a fresh Gaussian draw, counted in the trace.
+    """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     check_private_input(a)
@@ -100,8 +103,11 @@ def run_adaptive_power(
     trace = IterationTrace()
 
     for _ in range(iterations):
-        found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta,
-                                 noiseless=noiseless)
+        if search:
+            found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta,
+                                     noiseless=noiseless)
+        else:
+            found = ThresholdResult(1.0, 0, False, 0, a.data @ x)
         sigma = 0.0 if noiseless else gaussian_sigma(found.theta, per_iter)
 
         trace.theta.append(found.theta)
@@ -110,9 +116,13 @@ def run_adaptive_power(
         trace.queries_issued.append(found.queries_issued)
 
         # np.dot, not @: matmul holds the GIL for a transposed operand.
-        x_new = np.dot(a.data.T, found.kept_ax) + sample_gaussian_vec(a.d, sigma, rng)
-        x, restarted = _unit_or_restart(x_new, rng)
-        trace.restarts += restarted
+        x = np.dot(a.data.T, found.kept_ax) + sample_gaussian_vec(a.d, sigma, rng)
+        norm = float(np.linalg.norm(x))
+        if norm == 0.0:
+            x = rng.standard_normal(a.d)
+            norm = float(np.linalg.norm(x))
+            trace.restarts += 1
+        x = x / norm
 
     trace.total_removed = int(sum(trace.removed))
     return x / float(np.linalg.norm(x)), trace

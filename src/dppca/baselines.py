@@ -1,24 +1,19 @@
-"""Non-adaptive baselines: input perturbation and naive noisy power iteration.
+"""Non-adaptive baseline: Analyze-Gauss input perturbation.
 
-Both assume rows with norm at most 1 (the same precondition as the
-adaptive method) and share its RNG and linear-algebra conventions so that
-head-to-head comparisons differ only in the mechanism.
+It assumes rows with norm at most 1 (the same precondition as the
+adaptive method) and shares its RNG and linear-algebra conventions so that
+head-to-head comparisons differ only in the mechanism.  The other
+baseline, naive noisy power iteration, is the adaptive module's power
+loop without the threshold search (`run_algorithm`'s "naive-power").
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .adaptive import _unit_or_restart, check_private_input
-from .errors import ParameterError
+from .adaptive import _power_loop, check_private_input
 from .matcore import DenseMatrix, _mirror_upper, gram, sym_eig
-from .mech import (
-    PrivacyBudget,
-    RngStream,
-    gaussian_sigma,
-    sample_gaussian_vec,
-    split_budget,
-)
+from .mech import PrivacyBudget, RngStream, gaussian_sigma, split_budget
 
 
 def analyze_gauss(
@@ -47,6 +42,7 @@ def analyze_gauss(
     return sym_eig(g).vectors[:, 0].copy()
 
 
+
 def noisy_power_naive(
     a: DenseMatrix,
     iterations: int,
@@ -54,19 +50,5 @@ def noisy_power_naive(
     rng: RngStream,
     noiseless: bool = False,
 ) -> np.ndarray:
-    """Power iteration with worst-case per-step Gaussian noise.
-
-    Each step applies the full Gram matrix and adds N(0, sigma^2 I) with
-    sigma calibrated to sensitivity 1 (no leverage filtering), then
-    normalizes.  Composes as `iterations` Gaussian mechanisms, so per_iter
-    is `split_budget(total, iterations)`.
-    """
-    if iterations < 1:
-        raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    check_private_input(a)
-    g = gram(a)
-    sigma = 0.0 if noiseless else gaussian_sigma(1.0, per_iter)
-    x = rng.standard_normal(a.d)
-    for _ in range(iterations):
-        x, _ = _unit_or_restart(g @ x + sample_gaussian_vec(a.d, sigma, rng), rng)
-    return x
+    """The adaptive module's power loop without the threshold search."""
+    return _power_loop(a, iterations, per_iter, rng, search=False, noiseless=noiseless)[0]

@@ -67,11 +67,12 @@ import numpy as np
 from . import theory
 from .adaptive import (
     IterationTrace,
+    _power_loop,
     corollary_iterations,
     run_adaptive_power,
     run_kappa_sweep,
 )
-from .baselines import analyze_gauss, noisy_power_naive
+from .baselines import analyze_gauss
 from .datagen import (
     GaussSpec,
     ScaledMatrix,
@@ -370,7 +371,7 @@ def run_algorithm(
     accounting = {"mechanisms": count, "per_mechanism_epsilon": per_iter.epsilon,
                   "per_mechanism_delta": per_iter.delta}
     if algo == "naive-power":
-        x_hat = noisy_power_naive(a, t, per_iter, rng, noiseless=noiseless)
+        x_hat, _ = _power_loop(a, t, per_iter, rng, search=False, noiseless=noiseless)
         return RunResult(x_hat, t, accounting)
     x_hat, trace = run_adaptive_power(a, t, per_iter, rng, beta=beta, noiseless=noiseless)
     if total.accountant == "paper":  # bound_B and compose assume the paper's split
