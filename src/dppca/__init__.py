@@ -8,14 +8,14 @@ Core entry points:
   seeded counter-based RNG streams
 - svtfilter: private threshold search and leverage-based row filtering
 - adaptive: the coherence-adaptive noisy power iteration and its kappa sweep
-- baselines: analyze-Gauss input perturbation and naive noisy power iteration
+- baselines: analyze-Gauss input perturbation
 - datagen: synthetic generators across coherence regimes
 - theory: closed-form constants and error bounds
 - bench: deterministic experiment grid runner
 """
 
 from .adaptive import run_adaptive_power, run_kappa_sweep
-from .baselines import analyze_gauss, noisy_power_naive
+from .baselines import analyze_gauss
 from .matcore import DenseMatrix, sin_sq, spectrum_stats, sym_eig
 from .mech import PrivacyBudget, RngStream, compose, invert_budget
 
@@ -26,7 +26,6 @@ __all__ = [
     "analyze_gauss",
     "compose",
     "invert_budget",
-    "noisy_power_naive",
     "run_adaptive_power",
     "run_kappa_sweep",
     "sin_sq",

@@ -7,7 +7,10 @@ noise calibrated to sensitivity theta, where mask keeps the rows at or
 below theta.  A x comes from the threshold search, so each iteration reads
 A through one A x and one A^T y.  The threshold adapts the noise to the
 data's incoherence instead of paying the worst case: well-spread data
-fires on a small theta and gets small noise.
+fires on a small theta and gets small noise.  The worst case is the naive
+noisy power method (naive-power): the same loop without the search, with
+nothing dropped and theta = ||x||, the per-step sensitivity of A^T A x to
+one row of norm at most 1.
 
 Accounting: each iteration runs two mechanisms — the threshold search and
 the Gaussian step — so `run_adaptive_power(a, T, per_iter, rng)` composes
@@ -91,10 +94,14 @@ def _power_loop(
 ) -> tuple[np.ndarray, IterationTrace]:
     """The one noisy power loop: from a Gaussian start, `iterations` times
     x <- unit(A^T (mask * A x) + N(0, sigma^2 I)), sigma =
-    gaussian_sigma(theta, per_iter).  With search, theta and the mask come
-    from threshold_search; without it (naive-power) theta = 1 and no row
-    is masked.  A step that is exactly zero (every row dropped and no
-    noise) restarts from a fresh Gaussian draw, counted in the trace.
+    gaussian_sigma(theta, per_iter), where theta bounds the step's
+    per-row sensitivity.  With search, theta and the mask come from
+    threshold_search.  Without it (naive-power, per_iter =
+    `split_budget(total, iterations)`) nothing is masked and theta = ||x||:
+    one row a of norm <= 1 moves A^T A x by ||a|| |<a, x>| <= ||x||, a
+    data-free bound that also covers the unnormalised Gaussian start.  A
+    step that is exactly zero (every row dropped and no noise) restarts
+    from a fresh Gaussian draw, counted in the trace.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
@@ -107,7 +114,7 @@ def _power_loop(
             found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta,
                                      noiseless=noiseless)
         else:
-            found = ThresholdResult(1.0, 0, False, 0, a.data @ x)
+            found = ThresholdResult(math.sqrt(x @ x), 0, False, 0, a.data @ x)
         sigma = 0.0 if noiseless else gaussian_sigma(found.theta, per_iter)
 
         trace.theta.append(found.theta)

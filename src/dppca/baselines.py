@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adaptive import _power_loop, check_private_input
+from .adaptive import check_private_input
 from .matcore import DenseMatrix, _mirror_upper, gram, sym_eig
 from .mech import PrivacyBudget, RngStream, gaussian_sigma, split_budget
 
@@ -41,14 +41,3 @@ def analyze_gauss(
         g = g + _mirror_upper(sigma * rng.standard_normal((a.d, a.d)))
     return sym_eig(g).vectors[:, 0].copy()
 
-
-
-def noisy_power_naive(
-    a: DenseMatrix,
-    iterations: int,
-    per_iter: PrivacyBudget,
-    rng: RngStream,
-    noiseless: bool = False,
-) -> np.ndarray:
-    """The adaptive module's power loop without the threshold search."""
-    return _power_loop(a, iterations, per_iter, rng, search=False, noiseless=noiseless)[0]

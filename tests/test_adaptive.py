@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dppca.adaptive import (
+    _power_loop,
     check_private_input,
     corollary_iterations,
     run_adaptive_power,
     run_kappa_sweep,
 )
-from dppca.baselines import noisy_power_naive
 from dppca.datagen import gen_low_coherence
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, gram, sin_sq, spectrum_stats
@@ -217,7 +217,7 @@ class TestKappaSweep:
 
 class TestDeadIterate:
     """A step that is exactly zero (every row dropped, no noise) restarts the
-    loop from a fresh Gaussian draw, the same way in both power loops."""
+    loop from a fresh Gaussian draw, with and without the threshold search."""
 
     @pytest.mark.parametrize("loop", ["adaptive", "naive-power"])
     def test_every_zero_step_restarts(self, loop):
@@ -227,7 +227,7 @@ class TestDeadIterate:
             x, trace = run_adaptive_power(a, 5, per_iter, rng, noiseless=True)
             assert trace.restarts == 5
         else:
-            x = noisy_power_naive(a, 5, per_iter, rng, noiseless=True)
+            x, _ = _power_loop(a, 5, per_iter, rng, search=False, noiseless=True)
         assert rng.counter == 6  # the start draw and five restarts
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
         ref = RngStream(17, 3)

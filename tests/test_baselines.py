@@ -1,13 +1,15 @@
-"""Tests for the analyze-Gauss and naive noisy power iteration baselines."""
+"""Tests for the analyze-Gauss baseline and the naive noisy power iteration
+(naive-power, run through `run_algorithm`)."""
 
 import numpy as np
 import pytest
 
-from dppca.baselines import analyze_gauss, noisy_power_naive
+from dppca.baselines import analyze_gauss
+from dppca.bench import run_algorithm
 from dppca.datagen import gen_low_coherence
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, sin_sq, spectrum_stats
-from dppca.mech import PrivacyBudget, RngStream, zcdp_rho
+from dppca.mech import PrivacyBudget, RngStream, gaussian_sigma, split_budget, zcdp_rho
 
 
 @pytest.fixture
@@ -81,11 +83,15 @@ class TestAnalyzeGauss:
             analyze_gauss(bad, PrivacyBudget(1.0, 1e-5), RngStream(0))
 
 
+def naive_power(a, t, eps, delta, rng, noiseless=False, accountant="paper"):
+    cell = {"algo": "naive-power", "eps_total": eps, "delta_total": delta, "T": t,
+            "accountant": accountant}
+    return run_algorithm(cell, a, rng, noiseless=noiseless).x_hat
+
+
 class TestNoisyPowerNaive:
     def test_noiseless_matches_power_iteration(self, instance):
-        x = noisy_power_naive(
-            instance, 40, PrivacyBudget(1.0, 1e-5), RngStream(7, 1), noiseless=True
-        )
+        x = naive_power(instance, 40, 1.0, 1e-5, RngStream(7, 1), noiseless=True)
         g = instance.data.T @ instance.data
         y = RngStream(7, 1).standard_normal(instance.d)
         for _ in range(40):
@@ -94,14 +100,33 @@ class TestNoisyPowerNaive:
         assert np.abs(x - y).max() <= 1e-12
 
     def test_unit_output(self, instance):
-        x = noisy_power_naive(instance, 5, PrivacyBudget(0.2, 1e-6), RngStream(8))
+        x = naive_power(instance, 5, 0.2, 1e-6, RngStream(8))
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self, instance):
-        a = noisy_power_naive(instance, 5, PrivacyBudget(0.2, 1e-6), RngStream(9))
-        b = noisy_power_naive(instance, 5, PrivacyBudget(0.2, 1e-6), RngStream(9))
+        a = naive_power(instance, 5, 0.2, 1e-6, RngStream(9))
+        b = naive_power(instance, 5, 0.2, 1e-6, RngStream(9))
         assert np.array_equal(a, b)
 
     def test_rejects_zero_iterations(self, instance):
         with pytest.raises(ParameterError):
-            noisy_power_naive(instance, 0, PrivacyBudget(0.2, 1e-6), RngStream(0))
+            naive_power(instance, 0, 0.2, 1e-6, RngStream(0))
+
+    @pytest.mark.parametrize("accountant", ["paper", "zcdp"])
+    def test_each_step_is_calibrated_to_the_iterate_norm(self, instance, accountant):
+        # The noisy power method written out: one row of norm <= 1 moves
+        # A^T A x by at most ||x||, so step k draws sigma_k =
+        # gaussian_sigma(||x_k||, per_iter) from the unnormalised start on.
+        t, total = 4, PrivacyBudget(0.05, 1e-6, accountant)
+        x_hat = naive_power(instance, t, total.epsilon, total.delta, RngStream(21),
+                            accountant=accountant)
+        per_iter = split_budget(total, t)
+        g = instance.data.T @ instance.data
+        ref = RngStream(21)
+        x = ref.standard_normal(instance.d)
+        assert np.linalg.norm(x) > 1.5  # the start is far from unit
+        for _ in range(t):
+            sigma = gaussian_sigma(float(np.linalg.norm(x)), per_iter)
+            y = g @ x + sigma * ref.standard_normal(instance.d)
+            x = y / np.linalg.norm(y)
+        np.testing.assert_allclose(x_hat, x, rtol=1e-12)
