@@ -37,8 +37,7 @@ def main() -> int:
 
     try:
         cfg = bench.ExperimentConfig.from_json(args.config)
-        records = bench.run_experiment(cfg, threads=args.threads)
-        bench.write_csv(records, args.out)
+        records = bench.run_to_csv(cfg, args.out, threads=args.threads)
     except (DppcaError, OSError) as exc:  # OSError: an unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -443,9 +443,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[Re
     because each trial's randomness is a pure function of (master_seed,
     cell index, trial index).
     """
-    if threads is not None and not (_number(threads, _INTS) and threads >= 1):
-        raise ParameterError(f"--threads must be >= 1, got {threads!r}")
-    workers = threads if threads is not None else cfg.threads
+    workers = _workers(cfg, threads)
     jobs = [
         (ci, tr) for ci in range(len(cfg.grid)) for tr in range(cfg.trials)
     ]
@@ -455,6 +453,23 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[Re
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda j: _run_one(cfg, *j), jobs))
     records.sort(key=lambda r: (r.cell, r.trial))
+    return records
+
+
+def _workers(cfg: ExperimentConfig, threads: int | None) -> int:
+    if threads is not None and not (_number(threads, _INTS) and threads >= 1):
+        raise ParameterError(f"--threads must be >= 1, got {threads!r}")
+    return threads if threads is not None else cfg.threads
+
+
+def run_to_csv(cfg: ExperimentConfig, path: str | Path,
+               threads: int | None = None) -> list[ResultRecord]:
+    """run_experiment(cfg, threads), written to `path` as CSV.  A bad threads
+    or an unwritable path fails before the grid runs and leaves no file."""
+    workers = _workers(cfg, threads)
+    with open(path, "w") as out:
+        records = run_experiment(cfg, workers)
+        out.write(records_to_csv(records))
     return records
 
 
@@ -473,10 +488,6 @@ def _fmt(value) -> str:
 def records_to_csv(records: list[ResultRecord]) -> str:
     lines = [CSV_HEADER] + [",".join(map(_fmt, astuple(r))) for r in records]
     return "\n".join(lines) + "\n"
-
-
-def write_csv(records: list[ResultRecord], path: str | Path) -> None:
-    Path(path).write_text(records_to_csv(records))
 
 
 _METRICS = [f.name for f in fields(ResultRecord) if f.default is None]  # measured columns

@@ -152,8 +152,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out = args.out or cfg.out
     if out is None:
         raise ParameterError("no output path: pass --out or set 'out' in the config")
-    records = bench.run_experiment(cfg, threads=args.threads)
-    bench.write_csv(records, out)
+    records = bench.run_to_csv(cfg, out, threads=args.threads)
     errors = sum(1 for r in records if r.error)
     # The BLAS thread count can move the CSV's last bits, so name it.
     blas = " ".join(f"{var}={os.environ.get(var, 'unset')}"

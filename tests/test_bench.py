@@ -15,8 +15,8 @@ from dppca.bench import (
     records_to_csv,
     run_algorithm,
     run_experiment,
+    run_to_csv,
     summarize,
-    write_csv,
 )
 from dppca.errors import BudgetError, ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, sin_sq, spectrum_stats
@@ -213,10 +213,11 @@ class TestCsv:
         )
 
     def test_write_and_reread(self, small_run, tmp_path):
-        _, recs = small_run
+        cfg, recs = small_run
         path = tmp_path / "out.csv"
-        write_csv(recs, path)
+        run_to_csv(cfg, path)
         text = path.read_text()
+        assert text == records_to_csv(recs)
         assert text.startswith(CSV_HEADER + "\n")
         assert len(text.strip().split("\n")) == 16
 

@@ -1,7 +1,11 @@
 """End-to-end tests driving the command-line interface through main()."""
 
+import importlib.util
 import json
+import os
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,10 @@ from dppca.errors import ParameterError
 from dppca.matio import load_dpm
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
+
+
+DATA = Path(__file__).parent / "data"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(*argv):
@@ -595,3 +603,36 @@ class TestBench:
         assert capsys.readouterr().err == (
             "error: no output path: pass --out or set 'out' in the config\n")
 
+    def test_bench_unwritable_out_fails_before_the_grid(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("the grid ran before the output path was opened")
+
+        monkeypatch.setattr(bench, "run_experiment", fail)
+        out = tmp_path / "missing" / "x.csv"
+        rc = run_cli("bench", "--config", str(DATA / "acceptance_bench.json"),
+                     "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err
+        assert not out.parent.exists()
+
+    def test_grid_script_unwritable_out_fails_before_the_grid(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("the grid ran before the output path was opened")
+
+        # The script pins BLAS threads and prepends src/ to sys.path on import.
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("run_grid", SCRIPTS / "run_grid.py")
+        run_grid = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_grid)
+        monkeypatch.setattr(bench, "run_experiment", fail)
+        out = tmp_path / "missing" / "x.csv"
+        monkeypatch.setattr(sys, "argv", ["run_grid.py", "--out", str(out)])
+        assert run_grid.main() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err
+        assert not out.parent.exists()
