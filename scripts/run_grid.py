@@ -8,8 +8,9 @@ Defaults to the acceptance grid shipped with the test suite.  The CSV is
 byte-identical for a fixed master seed regardless of the thread count.
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS is already set, so the CSV does not depend on the host's
-default BLAS threading.  A malformed config, a --threads below 1 or an
-unreadable file prints `error: ...` and exits 2, as `dppca bench` does.
+default BLAS threading.  A malformed config, a --threads below 1, an
+unreadable config or an output path that cannot be opened prints
+`error: ...` and exits 2 before the grid runs, as `dppca bench` does.
 """
 
 import argparse
