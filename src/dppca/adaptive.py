@@ -4,8 +4,13 @@ Per iteration the algorithm (1) privately finds a threshold theta so that
 almost all rows have bounded leverage against the current iterate, (2)
 drops the offending rows, and (3) steps to A^T (mask * A x) plus Gaussian
 noise calibrated to sensitivity theta, where mask keeps the rows at or
-below theta.  A x comes from the threshold search, so each iteration reads
-A through one A x and one A^T y.  The threshold adapts the noise to the
+below theta.  The step is taken as G x - A_R^T (A x)_R, with G = A^T A
+(`matcore.gram`, kept on the matrix) and R the removed rows, so each
+iteration reads A once, for the search's A x, plus the rows in R.  Both
+forms are the same function of the data in exact arithmetic, so the
+step's sensitivity theta and its sigma are unchanged; in floating point
+they differ by rounding (at most 2e-12 relative in any acceptance-grid
+output).  The threshold adapts the noise to the
 data's incoherence instead of paying the worst case: well-spread data
 fires on a small theta and gets small noise.  The worst case is the naive
 noisy power method (naive-power): the same loop without the search, with
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .matcore import DenseMatrix
+from .matcore import DenseMatrix, _row_blocks, _scratch, gram
 from .mech import (
     PrivacyBudget,
     RngStream,
@@ -95,35 +100,45 @@ def _power_loop(
     """The one noisy power loop: from a Gaussian start, `iterations` times
     x <- unit(A^T (mask * A x) + N(0, sigma^2 I)), sigma =
     gaussian_sigma(theta, per_iter), where theta bounds the step's
-    per-row sensitivity.  With search, theta and the mask come from
-    threshold_search.  Without it (naive-power, per_iter =
-    `split_budget(total, iterations)`) nothing is masked and theta = ||x||:
-    one row a of norm <= 1 moves A^T A x by ||a|| |<a, x>| <= ||x||, a
-    data-free bound that also covers the unnormalised Gaussian start.  A
-    step that is exactly zero (every row dropped and no noise) restarts
-    from a fresh Gaussian draw, counted in the trace.
+    per-row sensitivity, and G = gram(a) is fetched once per run.  With
+    search, theta and the mask come from threshold_search and the step is
+    G x - A_R^T (A x)_R over the removed rows R (exactly zero when every
+    row is removed).  Without it (naive-power, per_iter =
+    `split_budget(total, iterations)`) nothing is masked, the step is G x,
+    which reads no A, and theta = ||x||: one row a of norm <= 1 moves
+    A^T A x by ||a|| |<a, x>| <= ||x||, a data-free bound that also covers
+    the unnormalised Gaussian start.  A step that is exactly zero (every
+    row dropped and no noise) restarts from a fresh Gaussian draw, counted
+    in the trace.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     check_private_input(a)
+    g = gram(a)
     x = rng.standard_normal(a.d)
     trace = IterationTrace()
 
     for _ in range(iterations):
+        step = np.dot(g, x)
         if search:
             found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta,
                                      noiseless=noiseless)
+            theta, removed, queries = found.theta, found.removed_count, found.queries_issued
+            if removed == a.n:  # exactly zero, not G x minus its own rounding
+                step[:] = 0.0
+            elif removed:
+                step -= _removed_rows_product(a, found)
+            del found  # free its A x and indices before the next search makes its own
         else:
-            found = ThresholdResult(math.sqrt(x @ x), 0, False, 0, a.data @ x)
-        sigma = 0.0 if noiseless else gaussian_sigma(found.theta, per_iter)
+            theta, removed, queries = math.sqrt(x @ x), 0, 0
+        sigma = 0.0 if noiseless else gaussian_sigma(theta, per_iter)
 
-        trace.theta.append(found.theta)
-        trace.removed.append(found.removed_count)
+        trace.theta.append(theta)
+        trace.removed.append(removed)
         trace.noise_sigma.append(sigma)
-        trace.queries_issued.append(found.queries_issued)
+        trace.queries_issued.append(queries)
 
-        # np.dot, not @: matmul holds the GIL for a transposed operand.
-        x = np.dot(a.data.T, found.kept_ax) + sample_gaussian_vec(a.d, sigma, rng)
+        x = step + sample_gaussian_vec(a.d, sigma, rng)
         norm = float(np.linalg.norm(x))
         if norm == 0.0:
             x = rng.standard_normal(a.d)
@@ -133,6 +148,20 @@ def _power_loop(
 
     trace.total_removed = int(sum(trace.removed))
     return x / float(np.linalg.norm(x)), trace
+
+
+def _removed_rows_product(a: DenseMatrix, found: ThresholdResult) -> np.ndarray:
+    """A_R^T (A x)_R over the rows R the search removed, reading A only on
+    R: the rows are gathered a row block at a time into the thread's
+    scratch block, so no buffer of |R| rows is made."""
+    out = np.zeros(a.d)
+    for part in _row_blocks(found.removed_count, a.d):
+        idx = found.removed[part]
+        rows = np.take(a.data, idx, axis=0, mode="clip",  # "raise" buffers
+                       out=_scratch(idx.size, a.d))
+        # np.dot, not @: matmul holds the GIL for a transposed operand.
+        out += np.dot(rows.T, found.ax[idx])
+    return out
 
 
 def corollary_iterations(
@@ -205,8 +234,8 @@ def run_kappa_sweep(
         per_iter = split_budget(run_budget, 2 * t_j)
         x_j, trace_j = run_adaptive_power(a, t_j, per_iter, rng.child(j), beta=beta,
                                           noiseless=noiseless)
-        ax = a.data @ x_j
-        candidates.append(SweepCandidate(kappa, t_j, x_j, float(ax @ ax), trace_j))
+        quality = float(x_j @ np.dot(gram(a), x_j))  # ||A x_j||^2
+        candidates.append(SweepCandidate(kappa, t_j, x_j, quality, trace_j))
 
     qualities = np.array([c.quality for c in candidates])
     winner = exp_mech_select(qualities, 1.0, sel_eps, rng.child(num_guesses))

@@ -100,6 +100,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     algo = args.algo if args.sweep_J is None else "adaptive-sweep"
     unread = [_flag(k) for k in _RUN_ALGO_KEYS  # --T has a default, so it may go unread
               if k in given and k != "T" and k not in bench._ALGO_KEYS[algo]]
+    # beta is read by the search and by the corollary rule, not by the DPM file.
+    if "beta" in given and (algo == "analyze-gauss"
+                            or algo == "naive-power" and args.T != "corollary"):
+        unread.append("--beta")
     if args.trace is not None and algo in ("analyze-gauss", "naive-power"):
         unread.append("--trace")
     if unread:

@@ -91,21 +91,21 @@ def gen_gaussian_iid(
 
     Q is a Haar rotation drawn before the rows, or the identity when rotate
     is off (the product with it still runs: it turns a zero sigmabar's -0.0
-    entries into +0.0).  The draw is scaled
-    and rotated in its own buffer, one row block at a time through the
-    thread's scratch block.  Rows are unbounded; use scale_for_privacy
-    before feeding a private algorithm.
+    entries into +0.0).  Each row block of z is drawn into the thread's
+    scratch block, scaled there and rotated straight into A; Philox draws
+    in order, so the blocks hold the one-shot draw.  Rows are unbounded;
+    use scale_for_privacy before feeding a private algorithm.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     d = spec.d
     q = random_orthogonal(d, rng) if rotate else np.eye(d)
-    a = rng.standard_normal((n, d))
+    a = np.empty((n, d))
     scale = np.sqrt(np.array(spec.sigmabar_sq))
     for rows in _row_blocks(n, d):
-        block = a[rows]
+        block = rng.standard_normal(out=_scratch(rows.stop - rows.start, d))
         block *= scale
-        a[rows] = np.matmul(block, q.T, out=_scratch(*block.shape))
+        np.matmul(block, q.T, out=a[rows])
     return DenseMatrix(a), q[:, 0].copy()
 
 

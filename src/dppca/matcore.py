@@ -322,8 +322,7 @@ def rayleigh_ratio(a: DenseMatrix, x: np.ndarray, sigma1: float) -> float:
     nx = float(x @ x)
     if nx == 0.0:
         raise ContractViolationError("rayleigh_ratio of a zero vector")
-    ax = a.data @ x
-    num = float(ax @ ax)
+    num = float(x @ np.dot(gram(a), x))  # ||A x||^2 from the cached Gram
     s1sq = float(sigma1) ** 2
     if s1sq == 0.0:
         raise RankZeroError("rayleigh_ratio against an all-zero matrix")

@@ -67,6 +67,7 @@ class RngStream:
     calls, so a threshold search that reads its probe noise in one batch
     (`peek_uniform_open`) and consumes only the draws up to the firing
     probe leaves `counter` where one scalar draw per probe would.
+    `standard_normal(out=buf)` fills buf and counts as one call.
     """
 
     master_seed: int
@@ -89,9 +90,10 @@ class RngStream:
         mixed = ((self.stream_id * _CHILD_MIX) + operator.index(index) + 1) % 2**64
         return RngStream(self.master_seed, mixed)
 
-    def standard_normal(self, size: int | tuple[int, ...]) -> np.ndarray:
+    def standard_normal(self, size: int | tuple[int, ...] | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
         self.counter += 1
-        return self._gen.standard_normal(size)
+        return self._gen.standard_normal(size, out=out)
 
     def uniform_open(self) -> float:
         """Uniform on the open interval (0, 1)."""

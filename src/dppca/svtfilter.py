@@ -13,11 +13,11 @@ own buffer.  The probe noise is drawn in one batch, and only the draws up
 to the firing probe are consumed, so the stream moves as a probe-by-probe
 search would move it.
 
-The search computes A x once for its row statistics and also returns the
-filter it implies: A x with the entries of the rows above theta set to
-zero, so the caller's step A^T (mask * A x) reads A only through A x and
-A^T y.  The filter comes from the buckets: a row is kept exactly when its
-bucket is at most the firing probe's.
+The search computes A x once for its row statistics and returns it with
+the rows it removed, so the caller's step A^T (mask * A x) = A^T A x -
+A_R^T (A x)_R needs no second pass over A: only A's Gram and a read of
+the removed rows R.  R comes from the buckets: a row is removed exactly
+when its bucket is past the firing probe's.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class ThresholdResult:
     theta: float
     queries_issued: int
     fell_through: bool  # no candidate fired; largest grid value returned
-    removed_count: int  # rows with ||a_i|| * |<a_i, x>| > theta
-    kept_ax: np.ndarray  # A x with the removed rows' entries set to 0
+    removed_count: int  # rows with ||a_i|| * |<a_i, x>| > theta, or NaN
+    ax: np.ndarray  # A x
+    removed: np.ndarray  # those rows' indices, ascending
 
 
 def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -140,17 +141,7 @@ def threshold_search(
     fired = grid.size - 1 if fell_through else int(fires[0])
     if not noiseless:
         rng.skip(fired + 2)  # the bar and probes 0..fired
-    theta = float(grid[fired])
-    # Rows with buckets past the firing probe's (q > theta, or NaN) have
-    # k - fired - 1 >= 0; its sign, spread over the word, masks ax to +0.0.
-    k = q.view(np.int64)
-    k -= fired + 1
-    k >>= 63
-    ax.view(np.int64)[...] &= k
-    return ThresholdResult(
-        theta=theta,
-        queries_issued=fired + 1,
-        fell_through=fell_through,
-        removed_count=n - int(counts[fired]),
-        kept_ax=ax,
-    )
+    # Rows with buckets past the firing probe's have q > theta, or NaN.
+    removed = np.flatnonzero(q.view(np.int64) > fired)
+    return ThresholdResult(float(grid[fired]), fired + 1, fell_through, removed.size,
+                           ax, removed)

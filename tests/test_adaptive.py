@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dppca import adaptive
 from dppca.adaptive import (
     _power_loop,
     check_private_input,
@@ -10,7 +11,13 @@ from dppca.adaptive import (
     run_adaptive_power,
     run_kappa_sweep,
 )
-from dppca.datagen import gen_low_coherence
+from dppca.datagen import (
+    GaussSpec,
+    gen_gaussian_iid,
+    gen_high_coherence,
+    gen_low_coherence,
+    scale_for_privacy,
+)
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, gram, sin_sq, spectrum_stats
 from dppca.mech import (
@@ -234,3 +241,86 @@ class TestDeadIterate:
         draws = [ref.standard_normal(3) for _ in range(6)]
         np.testing.assert_allclose(x, draws[-1] / np.linalg.norm(draws[-1]), rtol=1e-15)
         assert np.array_equal(rng.standard_normal(2), ref.standard_normal(2))
+
+
+def record_steps(monkeypatch):
+    """Run-time record of the loop: each threshold search's probe vector and
+    result, and each step's noise, in call order."""
+    searches, noises = [], []
+
+    def search_and_record(a, x, *args, **kwargs):
+        found = threshold_search(a, x, *args, **kwargs)
+        searches.append((x.copy(), found))
+        return found
+
+    def noise_and_record(dim, sigma, rng):
+        noise = sample_gaussian_vec(dim, sigma, rng)
+        noises.append(noise)
+        return noise
+
+    monkeypatch.setattr(adaptive, "threshold_search", search_and_record)
+    monkeypatch.setattr(adaptive, "sample_gaussian_vec", noise_and_record)
+    return searches, noises
+
+
+def masked_step(a, x, theta):
+    """The filtered step as the paper writes it: A^T (mask * A x)."""
+    ax = a.data @ x
+    q = a.row_norms() * np.abs(ax)
+    return np.dot(a.data.T, np.where(q <= theta, ax, 0.0))
+
+
+class TestGramStep:
+    """The loop steps to G x - A_R^T (A x)_R, with G = A^T A and R the rows
+    the search removed: the masked product A^T (mask * A x) in exact
+    arithmetic."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "low-coh", "high-coh"])
+    def test_matches_the_masked_product(self, monkeypatch, kind):
+        rng = RngStream(31)
+        if kind == "gaussian":
+            a = scale_for_privacy(
+                gen_gaussian_iid(3000, GaussSpec.spiked(12, 0.5, 0.5), rng)[0], 0.05
+            ).matrix
+        elif kind == "low-coh":
+            a = gen_low_coherence(3000, 12, 0.3, 0.6, rng)
+        else:
+            a = gen_high_coherence(3000, 12, rng)
+        searches, noises = record_steps(monkeypatch)
+        x_hat, trace = run_adaptive_power(a, 6, PrivacyBudget(0.5, 1e-6), RngStream(32))
+        assert trace.total_removed > 0
+        if kind == "high-coh":  # the spikes e1 carry the top direction
+            assert any(found.removed[:4].tolist() == [0, 1, 2, 3] for _, found in searches)
+        nexts = [x for x, _ in searches[1:]] + [x_hat]
+        for (x, found), noise, got in zip(searches, noises, nexts, strict=True):
+            want = masked_step(a, x, found.theta) + noise
+            want /= np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= 1e-12
+
+    def test_every_row_removed_is_an_exact_zero_step(self, monkeypatch):
+        # A tiny epsilon sinks the bar, so the first probe fires and every
+        # row is above theta; with the noise zeroed, each step is then
+        # exactly zero (not G x less its own rounding) and restarts.
+        a = gen_low_coherence(200, 6, 0.3, 0.6, RngStream(33))
+        monkeypatch.setattr(adaptive, "sample_gaussian_vec",
+                            lambda dim, sigma, rng: np.zeros(dim))
+        _, trace = run_adaptive_power(a, 4, PrivacyBudget(1e-4, 1e-6), RngStream(34))
+        assert trace.removed == [a.n] * 4
+        assert trace.restarts == 4
+
+    def test_naive_step_is_gram_times_x_plus_noise(self, monkeypatch, instance):
+        # The unsearched step reads no A: with G and the row norms cached,
+        # A's entries are overwritten with NaN and the run is unchanged.
+        per_iter = split_budget(PrivacyBudget(1.0, 1e-5), 5)
+        want, _ = _power_loop(instance, 5, per_iter, RngStream(35), search=False)
+        g = gram(instance)
+        instance.row_norms()
+        instance.data = np.full_like(instance.data, np.nan)
+        _, noises = record_steps(monkeypatch)
+        got, _ = _power_loop(instance, 5, per_iter, RngStream(35), search=False)
+        assert np.array_equal(got, want)
+        x = RngStream(35).standard_normal(instance.d)
+        for noise in noises:
+            x = g @ x + noise
+            x /= np.linalg.norm(x)
+        assert np.array_equal(got, x / np.linalg.norm(x))

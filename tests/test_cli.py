@@ -225,6 +225,19 @@ class TestRun:
         want = corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5, float(t_const or 1.0))
         assert json.loads(res.read_text())["T"] == want
 
+    def test_naive_corollary_rule_reads_beta(self, gaussian_file, tmp_path):
+        infile, _ = gaussian_file
+        res = tmp_path / "cor.json"
+        rc = run_cli(
+            "run", "--algo", "naive-power", "--in", str(infile), "--eps-total", "4.0",
+            "--delta-total", "1e-5", "--T", "corollary", "--kappa", "0.5",
+            "--beta", "1e-6", "--out", str(res),
+        )
+        assert rc == 0
+        want = corollary_iterations(400, 1e-6, 1e-5, 4.0, 0.5)
+        assert want != corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5)
+        assert json.loads(res.read_text())["T"] == want
+
     def test_zcdp_accountant(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
         res = tmp_path / "zcdp.json"
@@ -248,6 +261,9 @@ class TestRun:
         (["--algo", "analyze-gauss", "--kappa", "0.5"], "does not read --kappa"),
         (["--sweep", "3", "--kappa", "0.5"], "does not read --kappa"),
         (["--algo", "analyze-gauss", "--t-const", "2"], "does not read --t-const"),
+        (["--algo", "analyze-gauss", "--beta", "0.5"], "analyze-gauss does not read --beta"),
+        (["--algo", "naive-power", "--T", "3", "--beta", "0.5"],
+         "naive-power does not read --beta"),
     ])
     def test_bad_algorithm_flags_are_cli_errors(
         self, gaussian_file, tmp_path, capsys, extra, needle

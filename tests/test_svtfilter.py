@@ -118,6 +118,14 @@ class TestNoisySearch:
 
 
 
+def kept_ax(res):
+    """A x with the removed rows' entries set to +0.0: the masked vector
+    whose A^T product is the filtered step."""
+    kept = res.ax.copy()
+    kept[res.removed] = 0.0
+    return kept
+
+
 class TestFilter:
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -133,7 +141,9 @@ class TestFilter:
         res = threshold_search(a, x, epsilon, RngStream(seed, 2), noiseless=noiseless)
         ax = a.data @ x
         q = a.row_norms() * np.abs(ax)
-        assert np.array_equal(res.kept_ax, np.where(q <= res.theta, ax, 0.0))
+        assert res.ax.tobytes() == ax.tobytes()
+        assert np.array_equal(res.removed, np.flatnonzero(q > res.theta))
+        assert np.array_equal(kept_ax(res), np.where(q <= res.theta, ax, 0.0))
         assert res.removed_count == int(np.sum(q > res.theta))
 
 
@@ -173,13 +183,15 @@ def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
         queries_issued=fired + 1,
         fell_through=fell_through,
         removed_count=n - counts[fired],
-        kept_ax=np.where(q <= theta, ax, 0.0),
+        ax=ax,
+        removed=np.flatnonzero(~(q <= theta)),
     )
 
 
 def assert_same_search(a, x, epsilon, noiseless, seed, skew=0):
     """threshold_search and the reference agree on every result field, the
-    stream's counter and its next draw, from a stream `skew` draws in."""
+    stream's counter and its next draw, from a stream `skew` draws in;
+    returns threshold_search's result."""
     r_new, r_ref = RngStream(seed, 5), RngStream(seed, 5)
     for rng in (r_new, r_ref):
         for _ in range(skew):
@@ -188,9 +200,12 @@ def assert_same_search(a, x, epsilon, noiseless, seed, skew=0):
     want = reference_search(a, x, epsilon, r_ref, noiseless=noiseless)
     assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
         want.theta, want.queries_issued, want.fell_through, want.removed_count)
-    assert got.kept_ax.tobytes() == want.kept_ax.tobytes()
+    assert got.ax.tobytes() == want.ax.tobytes()
+    assert np.array_equal(got.removed, want.removed)
+    assert kept_ax(got).tobytes() == kept_ax(want).tobytes()
     assert r_new.counter == r_ref.counter
     assert r_new.uniform_open() == r_ref.uniform_open()
+    return got
 
 
 class TestAgainstReference:
@@ -238,7 +253,8 @@ class TestAgainstReference:
         )
         for noiseless in (True, False):
             with np.errstate(invalid="ignore", over="ignore"):
-                assert_same_search(a, np.array([0.0, 10.0]), 5.0, noiseless, 11)
+                res = assert_same_search(a, np.array([0.0, 10.0]), 5.0, noiseless, 11)
+            assert res.removed[:2].tolist() == [0, 1]
 
 
 class TestGridCounts:
@@ -287,9 +303,12 @@ class TestNanStatistic:
             q = a.row_norms() * np.abs(ax)
             res = threshold_search(a, x, 5.0, RngStream(4), noiseless=noiseless)
         assert math.isnan(q[0]) and not math.isfinite(q[1])
-        assert res.kept_ax[:2].tobytes() == np.zeros(2).tobytes()
+        assert res.ax.tobytes() == ax.tobytes()
+        assert res.removed[:2].tolist() == [0, 1]
+        assert kept_ax(res)[:2].tobytes() == np.zeros(2).tobytes()
         assert res.removed_count == 2 + int(np.sum(q[2:] > res.theta))
-        assert np.array_equal(res.kept_ax[2:], np.where(q[2:] <= res.theta, ax[2:], 0.0))
+        assert np.array_equal(res.removed[2:], 2 + np.flatnonzero(q[2:] > res.theta))
+        assert np.array_equal(kept_ax(res)[2:], np.where(q[2:] <= res.theta, ax[2:], 0.0))
 
 
 def old_scale_check(scale):
