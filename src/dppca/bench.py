@@ -7,7 +7,6 @@ A config is a JSON document:
       "trials": 20,
       "threads": 4,                # optional; CLI flag wins
       "out": "results.csv",        # optional; CLI flag wins
-      "record_walltime": false,    # optional; true trades determinism for timing
       "grid": [ {cell}, ... ]
     }
 
@@ -47,9 +46,7 @@ make the one PrivacyBudget that `run_algorithm` splits.
 
 Every (cell, trial) pair owns the RngStream (master_seed, cell_index *
 trials + trial), so records do not depend on scheduling; they are sorted
-by (cell id, trial) before writing.  Wall-clock times are recorded only
-when record_walltime is on, because the determinism contract promises
-byte-identical CSV output across runs and thread counts.
+by (cell id, trial) before writing.
 """
 
 from __future__ import annotations
@@ -57,14 +54,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import theory
 from .adaptive import (
     IterationTrace,
     _power_loop,
@@ -114,7 +108,7 @@ _INTS = (int, np.integer)  # a numpy integer passes wherever an int does
 _INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
                "eps_total", "delta_total", "beta", "kappa", "t_const")  # and finite
-_BOOL_KEYS = ("record_walltime", "rotate")
+_BOOL_KEYS = ("rotate",)
 # Every key a gen may carry besides kind.
 _GEN_ALL = tuple(dict.fromkeys(
     sum(_GEN_KEYS.values(), ()) + ("spec",) + _GAUSS_SPIKED + sum(_GEN_OPTIONAL.values(), ())
@@ -140,13 +134,11 @@ class ResultRecord:
     u_inf: float | None = None
     removed: int | None = None
     clipped: int | None = None
-    theory_b: float | None = None
-    wall_ms: float | None = None
     error: str = ""
 
 
 CSV_HEADER = ",".join(
-    {"t": "T", "theory_b": "theory_B"}.get(f.name, f.name) for f in fields(ResultRecord)
+    "T" if f.name == "t" else f.name for f in fields(ResultRecord)
 )
 
 
@@ -157,7 +149,6 @@ class ExperimentConfig:
     grid: list[dict]
     threads: int = 1
     out: str | None = None
-    record_walltime: bool = False
 
     def __post_init__(self) -> None:
         _check_types(vars(self))
@@ -374,27 +365,11 @@ def run_algorithm(
         x_hat, _ = _power_loop(a, t, per_iter, rng, search=False, noiseless=noiseless)
         return RunResult(x_hat, t, accounting)
     x_hat, trace = run_adaptive_power(a, t, per_iter, rng, beta=beta, noiseless=noiseless)
-    if total.accountant == "paper":  # bound_B and compose assume the paper's split
+    if total.accountant == "paper":  # compose assumes the paper's split
         composed = compose(per_iter, count)
         accounting.update(composed_epsilon=composed.epsilon,
                           composed_delta=composed.delta)
     return RunResult(x_hat, t, accounting, trace)
-
-
-def _theory_b(a: DenseMatrix, stats, run: RunResult, beta: float) -> float | None:
-    """The bound B of a paper-accounted single adaptive run (whose accounting
-    holds composed_*), or None for other runs and where B is undefined."""
-    spend = run.accounting
-    if "composed_epsilon" not in spend:
-        return None
-    try:
-        _, _, k = theory.constants_K(run.t, a.n, beta, spend["per_mechanism_delta"])
-        return theory.bound_B(
-            stats.sigma1, stats.sigma2, stats.upsilon, spend["per_mechanism_epsilon"],
-            run.t, k, a.d, a.n,
-        )[1]
-    except DppcaError:
-        return None
 
 
 def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
@@ -413,7 +388,6 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         gen=gen["kind"],
     )
     stream = RngStream(cfg.master_seed, cell_idx * cfg.trials + trial)
-    start = time.perf_counter()
     try:
         scaled, vbar1 = build_instance(gen, stream, beta)
         a = scaled.matrix
@@ -421,7 +395,6 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         stats = spectrum_stats(a)
         run = run_algorithm(cell, a, stream)
         rec.t, rec.removed = run.t, run.trace.total_removed if run.trace else None
-        rec.theory_b = _theory_b(a, stats, run, beta)
 
         rec.sin2_emp = sin_sq(run.x_hat, stats.top_vector)
         if vbar1 is not None:
@@ -430,8 +403,6 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         rec.kappa, rec.upsilon, rec.u_inf = stats.kappa, stats.upsilon, stats.u_inf
     except DppcaError as exc:
         rec.error = f"{exc.reason}:{exc}"
-    if cfg.record_walltime:
-        rec.wall_ms = (time.perf_counter() - start) * 1000.0
     return rec
 
 
@@ -450,6 +421,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[Re
     if workers <= 1:
         records = [_run_one(cfg, ci, tr) for ci, tr in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pooled run imports it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda j: _run_one(cfg, *j), jobs))
     records.sort(key=lambda r: (r.cell, r.trial))

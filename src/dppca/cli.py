@@ -75,17 +75,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
            if getattr(args, k) is not None}
     scaled, vbar1 = bench.build_instance(gen, RngStream(args.seed), args.beta)
     a = scaled.matrix
-    meta: dict = {"kind": args.kind, "seed": args.seed}
-    if vbar1 is not None:
-        meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spec(gen).sigmabar_sq),
-                    L=scaled.scale, clip_count=scaled.clip_count)
-
-    stats = spectrum_stats(a)
-    meta.update(
-        n=a.n, d=a.d,
-        sigma1=stats.sigma1, sigma2=stats.sigma2,
-        kappa=stats.kappa, upsilon=stats.upsilon, mu=stats.mu,
-    )
+    if args.meta:
+        meta: dict = {"kind": args.kind, "seed": args.seed}
+        if vbar1 is not None:
+            meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spec(gen).sigmabar_sq),
+                        L=scaled.scale, clip_count=scaled.clip_count)
+        stats = spectrum_stats(a)
+        meta.update(
+            n=a.n, d=a.d,
+            sigma1=stats.sigma1, sigma2=stats.sigma2,
+            kappa=stats.kappa, upsilon=stats.upsilon, mu=stats.mu,
+        )
     matio.save_dpm(a, args.out)
     if args.meta:
         Path(args.meta).write_text(json.dumps(meta, indent=2) + "\n")

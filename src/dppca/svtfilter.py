@@ -3,11 +3,12 @@
 Each iteration of the adaptive method asks: what is the smallest threshold
 theta such that (almost) all rows satisfy ||a_i|| * |<a_i, x>| <= theta?
 The search walks a geometric grid of candidate thresholds and fires on the
-first noisy count that clears a noisy bar slightly below n.  Candidates
-are scaled by ||x||: theta_k = 2^k * ||x|| keeps the grid independent of
-the iterate's scale, and the scaling is data-free so it costs no privacy.
+first whose noisy count of rows above it is under a small noisy bar, so it
+reads no row count n.  Candidates are scaled by ||x||: theta_k = 2^k * ||x||
+keeps the grid independent of the iterate's scale, and the scaling is
+data-free so it costs no privacy.
 
-The grid counts come from the statistics' bit patterns, without a sort
+The counts come from the statistics' bit patterns, without a sort
 (`_grid_counts`), which leaves each row's grid bucket in the statistic's
 own buffer.  The probe noise is drawn in one batch, and only the draws up
 to the firing probe are consumed, so the stream moves as a probe-by-probe
@@ -59,15 +60,15 @@ class ThresholdResult:
 
 
 def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """counts[k] = #{i : q_i <= grid[k]}, for q >= 0 (NaN counts nowhere)
-    and grid[k] = grid[0] * 2^k, every point a normal double.
+    """over[k] = #{i : q_i > grid[k] or NaN}, the rows probe k removes, for
+    q >= 0 and grid[k] = grid[0] * 2^k, every point a normal double.
 
     The int64 view of a non-negative double orders like its value, and
     grid[k]'s is grid[0]'s plus k * 2^52, so
     ceil((bits(q_i) - bits(grid[0])) / 2^52), clipped to [0, K], is the
     first k with q_i <= grid[k] (K: none).  Clearing the sign bit sends a
     negative NaN, such as inf * 0 gives, above the grid with the others.
-    These bucket indices overwrite q, as int64.
+    These bucket indices overwrite q, as int64; over[k] sums the buckets past k.
     """
     b = q.view(np.int64)
     b &= _NO_SIGN
@@ -75,23 +76,26 @@ def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     b >>= _EXP_SHIFT
     np.minimum(b, grid.size, out=b)
     np.maximum(b, 0, out=b)
-    return np.cumsum(np.bincount(b, minlength=grid.size + 1))[: grid.size]
+    return np.cumsum(np.bincount(b, minlength=grid.size + 1)[:0:-1])[::-1]
 
 
 def threshold_search(
     a: DenseMatrix, x: np.ndarray, epsilon: float, rng: RngStream, *,
     beta: float = DEFAULT_BETA, noiseless: bool = False,
 ) -> ThresholdResult:
-    """Smallest grid threshold whose noisy pass-count clears the noisy bar.
+    """Smallest grid threshold whose noisy removed-row count is under the noisy bar.
 
-    epsilon is the privacy cost of the whole search (the bar and every
-    probe).  The bar is n - 6 ln(1/beta) / epsilon + Lap(2/epsilon), drawn
-    once per search; each candidate's count gets fresh Lap(4/epsilon)
-    noise, in grid order.  The noise is drawn in one batch, and only the
-    draws up to the first probe that fires are consumed, so `rng` ends
-    where drawing probe by probe would leave it.  If no candidate fires the
-    largest one is returned (flagged in the result).  noiseless, a
-    debugging switch, draws no Laplace noise and sets the bar to exactly n.
+    epsilon is the privacy cost of the whole search.  Probe k fires when
+    over_k, the count of rows above candidate k, is at most the bar
+    6 ln(1/beta) / epsilon - Lap(2/epsilon), drawn once, plus a fresh
+    Lap(4/epsilon) per probe in grid order.  This is the sparse vector
+    technique, epsilon-DP under add/remove with no public n: one row moves
+    each over_k by at most 1, and nothing here reads n.  The noise is drawn
+    in one batch and only the draws up to the firing probe are consumed, so
+    `rng` ends where a probe-by-probe search would leave it.  If no
+    candidate fires the largest is returned (flagged in the result).
+    noiseless, a debugging switch, draws no noise and fires on the first
+    probe that removes no row.
 
     Raises ParameterError for a bad epsilon or beta, and
     ContractViolationError for a probe vector whose grid leaves the
@@ -124,19 +128,15 @@ def threshold_search(
     ax = a.data @ x
     q = np.abs(ax)
     q *= a.row_norms()
-    n = a.n
-    counts = _grid_counts(q, grid)
+    over = _grid_counts(q, grid)
     if noiseless:
-        bar, noise = float(n), 0.0
+        bar = noise = 0.0
     else:
         u = rng.peek_uniform_open(grid.size + 1)
-        bar = (
-            n
-            - 6.0 * math.log(1.0 / beta) / epsilon
-            + laplace_inverse_cdf(u[0], 2.0 / epsilon)
-        )
+        bar = (6.0 * math.log(1.0 / beta) / epsilon
+               - laplace_inverse_cdf(u[0], 2.0 / epsilon))
         noise = laplace_inverse_cdf(u[1:], 4.0 / epsilon)
-    fires = np.flatnonzero(counts + noise >= bar)
+    fires = np.flatnonzero(over <= bar + noise)
     fell_through = fires.size == 0
     fired = grid.size - 1 if fell_through else int(fires[0])
     if not noiseless:

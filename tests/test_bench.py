@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dppca import theory
 from dppca.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -109,18 +108,6 @@ class TestRunExperiment:
         spelled = run_experiment(ExperimentConfig(master_seed=7, trials=5, grid=grid))
         assert records_to_csv(spelled) == records_to_csv(recs)
 
-    def test_wall_ms_blank_by_default(self, small_run):
-        _, recs = small_run
-        assert all(r.wall_ms is None for r in recs)
-
-    def test_record_walltime_flag(self):
-        cfg = ExperimentConfig(
-            master_seed=7, trials=1, grid=small_grid()[:1],
-            record_walltime=True,
-        )
-        recs = run_experiment(cfg)
-        assert recs[0].wall_ms is not None and recs[0].wall_ms >= 0.0
-
 
 class TestErrorRows:
     def test_reason_code_prefix(self):
@@ -208,8 +195,7 @@ class TestCsv:
     def test_header_exact(self):
         assert CSV_HEADER == (
             "cell,trial,algo,n,d,eps_total,delta_total,T,gen,sin2_emp,"
-            "sin2_pop,rayleigh,kappa,upsilon,u_inf,removed,clipped,"
-            "theory_B,wall_ms,error"
+            "sin2_pop,rayleigh,kappa,upsilon,u_inf,removed,clipped,error"
         )
 
     def test_write_and_reread(self, small_run, tmp_path):
@@ -265,13 +251,12 @@ class TestSummarize:
 
 class TestConfig:
     def test_from_json(self, tmp_path):
-        doc = {"master_seed": 3, "trials": 2, "threads": 2,
-               "record_walltime": True, "grid": small_grid()}
+        doc = {"master_seed": 3, "trials": 2, "threads": 2, "grid": small_grid()}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         cfg = ExperimentConfig.from_json(path)
         assert cfg.master_seed == 3 and cfg.threads == 2
-        assert cfg.record_walltime and len(cfg.grid) == 3
+        assert len(cfg.grid) == 3
 
     def test_validation_errors(self):
         base = small_grid()[0]
@@ -373,7 +358,6 @@ class TestConfig:
         ("trials", "2", "trials must be an integer"),
         ("threads", 2.0, "threads must be an integer"),
         ("master_seed", -1, "master_seed must lie in"),
-        ("record_walltime", "no", "record_walltime must be true or false"),
         ("out", 5, "out must be a path or null"),
         ("trials", True, "trials must be an integer"),
         ("threads", 0, "threads must be >= 1, got 0"),
@@ -501,37 +485,6 @@ class TestSinglePath:
         cfg, recs = small_run
         typed_threads = run_experiment(cfg, threads=np.int64(2))
         assert records_to_csv(typed_threads) == records_to_csv(recs)
-
-    def test_theory_b_only_for_paper_accounted_adaptive(self, monkeypatch):
-        seen = {"bound_B": [], "constants_K": []}
-        constants_k = theory.constants_K
-
-        def fake_constants_k(t, n, beta, delta):
-            seen["constants_K"].append(delta)
-            return constants_k(t, n, beta, delta)
-
-        def fake_bound_b(sigma1, sigma2, upsilon, epsilon, t, k, d, n):
-            seen["bound_B"].append(epsilon)
-            return None, 0.25
-
-        monkeypatch.setattr(theory, "constants_K", fake_constants_k)
-        monkeypatch.setattr(theory, "bound_B", fake_bound_b)
-        adaptive = small_grid()[0]  # eps_total 2.0, delta_total 1e-5, T 3
-        no_t = {k: v for k, v in adaptive.items() if k != "T"}
-        grid = [
-            adaptive,
-            dict(adaptive, cell="zcdp", accountant="zcdp"),
-            dict(adaptive, cell="naive", algo="naive-power"),
-            dict(no_t, cell="sweep", algo="adaptive-sweep", sweep_J=2),
-            dict(no_t, cell="ag", algo="analyze-gauss"),
-        ]
-        recs = run_experiment(ExperimentConfig(master_seed=2, trials=2, grid=grid))
-        assert not any(r.error for r in recs)
-        for r in recs:
-            assert r.theory_b == (0.25 if r.cell == "adaptive-small" else None)
-        per_iter = split_budget(PrivacyBudget(2.0, 1e-5), 2 * 3)
-        assert seen["bound_B"] == [per_iter.epsilon] * 2
-        assert seen["constants_K"] == [per_iter.delta] * 2
 
     def test_bench_row_is_run_algorithm_on_its_stream(self):
         cfg = ExperimentConfig(master_seed=5, trials=2, grid=small_grid())

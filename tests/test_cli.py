@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dppca import bench
+from dppca import bench, cli
 from dppca.adaptive import corollary_iterations
 from dppca.bench import ExperimentConfig, build_instance, run_algorithm
 from dppca.cli import main
 from dppca.datagen import GaussSpec
 from dppca.errors import ParameterError
+from dppca.matcore import spectrum_stats
 from dppca.matio import load_dpm
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
@@ -86,6 +87,24 @@ class TestGen:
         assert load_dpm(str(out)).data.tobytes() == scaled.matrix.data.tobytes()
         spiked = GaussSpec.spiked(20, 0.5, 0.5).sigmabar_sq
         assert json.loads(meta.read_text())["spectrum"] == list(spiked)
+
+    def test_ground_truth_only_for_meta(self, tmp_path, monkeypatch):
+        flags = ("gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--seed", "2")
+        out, meta = tmp_path / "h.dpm", tmp_path / "h.json"
+
+        def unread(a):
+            raise AssertionError("dppca gen computed a ground truth it does not write")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "spectrum_stats", unread)
+            assert run_cli(*flags, "--out", str(out)) == 0
+        without = out.read_bytes()
+        assert run_cli(*flags, "--out", str(out), "--meta", str(meta)) == 0
+        assert out.read_bytes() == without
+        stats = spectrum_stats(load_dpm(str(out)))
+        doc = json.loads(meta.read_text())
+        assert (doc["sigma1"], doc["upsilon"], doc["mu"]) == (
+            stats.sigma1, stats.upsilon, stats.mu)
 
     @pytest.mark.parametrize("extra, needle", [
         (("--kind", "high-coh", "--no-rotate"), "high-coh gen has unknown key(s) 'rotate'"),
@@ -590,6 +609,8 @@ class TestBench:
         ("[1, 2]", "must be a JSON object"),
         ('{"master_seed": 1, "trials": 1, "grid": [], "treads": 2}',
          "config has unknown key(s) 'treads'"),
+        ('{"master_seed": 1, "trials": 1, "grid": [], "record_walltime": false}',
+         "config has unknown key(s) 'record_walltime'"),
     ])
     def test_unreadable_config_is_cli_error(self, tmp_path, capsys, text, needle):
         cfg_path = tmp_path / "cfg.json"

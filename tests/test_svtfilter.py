@@ -115,6 +115,24 @@ class TestNoisySearch:
         res = threshold_search(a, x, 0.5, RngStream(1))
         assert 1 <= res.queries_issued <= 42  # grid size for [-40, 1]
 
+    @pytest.mark.parametrize("noiseless", [True, False])
+    def test_reads_no_row_count(self, noiseless):
+        # Under add/remove the row count is not public, so the search must
+        # not read it: the same rows behind an n that raises search alike.
+        class NoCount(DenseMatrix):
+            @property
+            def n(self):
+                raise AssertionError("the search read n")
+
+        plain = unit_rows(13, n=300)
+        hidden = NoCount(plain.data)
+        x = np.random.default_rng(14).normal(size=plain.d)
+        got, want = (threshold_search(a, x, 0.5, RngStream(4), noiseless=noiseless)
+                     for a in (hidden, plain))
+        assert (got.theta, got.queries_issued, got.removed_count) == (
+            want.theta, want.queries_issued, want.removed_count)
+        assert np.array_equal(got.removed, want.removed)
+
 
 
 
@@ -274,7 +292,7 @@ class TestGridCounts:
         q[1000:1100] = 1e-320
         q[1100:1110] = np.inf
         rng.shuffle(q)
-        want = np.searchsorted(np.sort(q), grid, side="right")
+        want = n - np.searchsorted(np.sort(q), grid, side="right")
         assert np.array_equal(_grid_counts(q, grid), want)
 
     def test_grid_outside_normal_range_raises(self):
