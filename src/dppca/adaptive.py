@@ -65,11 +65,9 @@ class IterationTrace:
 
 
 def check_private_input(a: DenseMatrix) -> None:
-    """Preconditions shared by all privacy-facing algorithms."""
-    if a.d > a.n:
-        raise ContractViolationError(
-            f"matrix has d={a.d} > n={a.n}; the analysis requires n >= d"
-        )
+    """Preconditions shared by all privacy-facing algorithms: every row has
+    norm at most 1.  No check reads n, since one added row would turn a
+    refused wide matrix into an accepted one."""
     m = a.max_row_norm()
     if m > _ROW_NORM_SLACK:
         raise ContractViolationError(

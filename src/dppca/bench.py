@@ -69,14 +69,19 @@ from .adaptive import (
 from .baselines import analyze_gauss
 from .datagen import (
     GaussSpec,
-    ScaledMatrix,
     gen_gaussian_iid,
     gen_high_coherence,
     gen_low_coherence,
     scale_for_privacy,
 )
-from .errors import BudgetError, ContractViolationError, DppcaError, ParameterError
-from .matcore import DenseMatrix, rayleigh_ratio, sin_sq, spectrum_stats
+from .errors import (
+    BudgetError,
+    ContractViolationError,
+    DppcaError,
+    ParameterError,
+    SizingError,
+)
+from .matcore import DenseMatrix, _check_sizing, rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import PrivacyBudget, RngStream, compose, split_budget
 from .svtfilter import DEFAULT_BETA
 
@@ -218,9 +223,10 @@ def _check_types(doc: dict) -> None:
             raise ParameterError(f"{key} must be true or false, got {value!r}")
 
 
-def _check_gen(gen) -> None:
+def _check_gen(gen) -> tuple[int, int]:
     """Raise ParameterError unless `gen` names a kind, carries its keys and
-    no key its kind does not read, and a d it gives matches its spec."""
+    no key its kind does not read, and a d it gives matches its spec;
+    return its (n, d), where a spec's d is its length."""
     if not isinstance(gen, dict) or gen.get("kind") not in _GEN_KEYS:
         raise ParameterError(f"gen.kind must be one of {tuple(_GEN_KEYS)}")
     kind = gen["kind"]
@@ -235,6 +241,7 @@ def _check_gen(gen) -> None:
         raise ParameterError(f"spec must be a list of finite numbers, got {spec!r}")
     if "spec" in gen and gen.get("d", len(spec)) != len(spec):
         raise ParameterError(f"gen has d={gen['d']} but a spec of {len(spec)} entries")
+    return gen["n"], gen.get("d", len(spec))
 
 
 def _check_cell(cell) -> None:
@@ -298,25 +305,28 @@ def _gauss_spec(gen: dict) -> GaussSpec:
 
 def build_instance(
     gen: dict, rng: RngStream, beta: float
-) -> tuple[ScaledMatrix, np.ndarray | None]:
+) -> tuple[DenseMatrix, np.ndarray | None, int]:
     """Generate the instance a `gen` spec describes (see the module
-    docstring) with rows of norm <= 1; returns (scaled matrix, population
-    top direction vbar1 or None).  Gaussian rows go through
+    docstring) with rows of norm <= 1; returns (matrix, population top
+    direction vbar1, rows clipped).  Gaussian rows go through
     scale_for_privacy(beta), which rescales the draw in place; the other
-    kinds come out unscaled (L = 1)."""
-    _check_gen(gen)
+    kinds come out unscaled, with (None, 0).  An n x d that `matcore`'s
+    sizing rule refuses, or that cannot be allocated, is a SizingError."""
+    n, d = _check_gen(gen)
+    _check_sizing(n, d)
     kind = gen["kind"]
     options = {k: gen[k] for k in _GEN_OPTIONAL[kind] if k in gen}
-    if kind == "gaussian":
-        raw, vbar1 = gen_gaussian_iid(gen["n"], _gauss_spec(gen), rng, **options)
-        return scale_for_privacy(raw, beta), vbar1
-    if kind == "low-coh":
-        a = gen_low_coherence(
-            gen["n"], gen["d"], gen["sigma1_frac"], gen["gap"], rng, **options
-        )
-    else:
-        a = gen_high_coherence(gen["n"], gen["d"], rng, **options)
-    return ScaledMatrix(a, 1.0, 0), None
+    try:
+        if kind == "gaussian":
+            a, vbar1 = gen_gaussian_iid(n, _gauss_spec(gen), rng, **options)
+            return a, vbar1, scale_for_privacy(a, beta)
+        if kind == "low-coh":
+            a = gen_low_coherence(n, d, gen["sigma1_frac"], gen["gap"], rng, **options)
+        else:
+            a = gen_high_coherence(n, d, rng, **options)
+    except MemoryError:
+        raise SizingError(f"a {n} x {d} instance does not fit in memory") from None
+    return a, None, 0
 
 
 @dataclass
@@ -376,12 +386,13 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
     cell = cfg.grid[cell_idx]
     gen = cell["gen"]
     total, beta = _cell_budget(cell)
+    n, d = _check_gen(gen)
     rec = ResultRecord(
         cell=_cell_id(cell, cell_idx),
         trial=trial,
         algo=cell["algo"],
-        n=gen["n"],
-        d=gen.get("d", len(gen.get("spec", []))),
+        n=n,
+        d=d,
         eps_total=total.epsilon,
         delta_total=total.delta,
         t=None,
@@ -389,9 +400,7 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
     )
     stream = RngStream(cfg.master_seed, cell_idx * cfg.trials + trial)
     try:
-        scaled, vbar1 = build_instance(gen, stream, beta)
-        a = scaled.matrix
-        rec.n, rec.d, rec.clipped = a.n, a.d, scaled.clip_count
+        a, vbar1, rec.clipped = build_instance(gen, stream, beta)
         stats = spectrum_stats(a)
         run = run_algorithm(cell, a, stream)
         rec.t, rec.removed = run.t, run.trace.total_removed if run.trace else None

@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import bench, matio, theory
-from .datagen import GaussSpec
+from .datagen import GaussSpec, _row_length_bound
 from .errors import DppcaError, ParameterError
 from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import ACCOUNTANTS, RngStream
@@ -73,13 +73,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                              "so the path must end in .dpm")
     gen = {k: getattr(args, k) for k in ("kind",) + bench._GEN_ALL
            if getattr(args, k) is not None}
-    scaled, vbar1 = bench.build_instance(gen, RngStream(args.seed), args.beta)
-    a = scaled.matrix
+    a, vbar1, clip_count = bench.build_instance(gen, RngStream(args.seed), args.beta)
     if args.meta:
         meta: dict = {"kind": args.kind, "seed": args.seed}
         if vbar1 is not None:
             meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spec(gen).sigmabar_sq),
-                        L=scaled.scale, clip_count=scaled.clip_count)
+                        L=_row_length_bound(a.n, args.beta), clip_count=clip_count)
         stats = spectrum_stats(a)
         meta.update(
             n=a.n, d=a.d,
@@ -98,8 +97,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.sweep_J is not None and args.algo != "adaptive":
         raise ParameterError(f"--sweep needs --algo adaptive, not {args.algo}")
     algo = args.algo if args.sweep_J is None else "adaptive-sweep"
-    unread = [_flag(k) for k in _RUN_ALGO_KEYS  # --T has a default, so it may go unread
-              if k in given and k != "T" and k not in bench._ALGO_KEYS[algo]]
+    unread = [_flag(k) for k in _RUN_ALGO_KEYS
+              if k in given and k not in bench._ALGO_KEYS[algo]]
     # beta is read by the search and by the corollary rule, not by the DPM file.
     if "beta" in given and (algo == "analyze-gauss"
                             or algo == "naive-power" and args.T != "corollary"):
@@ -110,6 +109,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ParameterError(f"{algo} does not read {', '.join(unread)}")
     keys = _RUN_CELL_KEYS + bench._ALGO_KEYS[algo]
     cell = {"algo": algo, **{k: given[k] for k in keys if k in given}}
+    if "T" in keys:  # --T's default, given only where T is read
+        cell.setdefault("T", 10)
     bench._check_algo(cell)  # before the matrix is read
     a = matio.load_dpm(args.infile)
     run = bench.run_algorithm(cell, a, RngStream(args.seed), noiseless=args.noiseless)
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out")
     r.add_argument("--trace")
-    r.set_defaults(func=_cmd_run, T=10)
+    r.set_defaults(func=_cmd_run)
 
     t = sub.add_parser("theory", help="print the closed-form bound report")
     t.add_argument("--n", type=int, required=True)

@@ -114,23 +114,17 @@ def _row_length_bound(n: int, beta: float) -> float:
     return 1.0 + math.sqrt(2.0 * math.log(n / beta))
 
 
-@dataclass
-class ScaledMatrix:
-    matrix: DenseMatrix
-    scale: float  # the divisor L
-    clip_count: int
-
-
-def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
-    """Divide rows by L = `_row_length_bound(n, beta)`; clip survivors above norm 1.
+def scale_for_privacy(a: DenseMatrix, beta: float) -> int:
+    """Divide rows by L = `_row_length_bound(n, beta)`; clip survivors above
+    norm 1; return the number of rows clipped.
 
     For trace-1 Gaussian rows, a row exceeds L (hence gets clipped) with
     probability at most beta; the clip count is reported so runs can
     confirm the bounded-row event held.
 
-    `a` is rescaled in place and returned as the result's matrix.  The row
-    norms computed for the clip are kept as its `row_norms()` (only the
-    clipped rows' are recomputed), and its cached Gram is dropped.
+    `a` is rescaled in place.  The row norms computed for the clip are kept
+    as its `row_norms()` (only the clipped rows' are recomputed), and its
+    cached Gram is dropped.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
@@ -146,7 +140,7 @@ def scale_for_privacy(a: DenseMatrix, beta: float) -> ScaledMatrix:
         norms[over] = _row_norms(clipped)
     norms.flags.writeable = False
     a._row_norms, a._gram = norms, None
-    return ScaledMatrix(a, el, clip_count)
+    return clip_count
 
 
 def gen_low_coherence(

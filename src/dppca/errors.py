@@ -41,10 +41,6 @@ class SizingError(DppcaError, ValueError):
     reason = "sizing_error"
 
 
-class RankZeroError(ContractViolationError):
-    """Spectrum statistics were requested for an all-zero matrix."""
-
-
 class FormatError(DppcaError, ValueError):
     """A serialized matrix file was malformed."""
 

@@ -16,19 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    NumericalError,
-    RankZeroError,
-    SizingError,
-)
+from .errors import ContractViolationError, NumericalError, SizingError
 
 # Relative rank cutoff of the compact SVD and the magnitude below which an
 # eigenvector entry does not decide the column's sign.
 _REL_TOL = 1e-12
 
-# Largest element count we will allocate for a Gram product (bytes / 8).
-_MAX_ELEMENTS = 2**60
+# Largest element count of an instance or a Gram (2**60 float64 overflow numpy).
+_MAX_ELEMENTS = 2**60 - 1
 
 # Entries per row block of the blocked n x d kernels: 2 MiB of float64.
 _BLOCK_ELEMENTS = 2**18
@@ -48,12 +43,12 @@ class DenseMatrix:
     """An n x d row-major float64 matrix; rows are data points.
 
     Construction validates shape and finiteness.  `n >= 1` and `d >= 1`
-    are required; matrices with more columns than rows are rejected by the
-    privacy-facing routines (not here) since the analysis assumes n >= d.
+    are required, in any ratio: a private algorithm that refused d > n
+    would turn an error into an output when one row is added.
     Nothing mutates `data` after construction, so the row norms and the
     Gram are computed once, on first use, and kept (read-only).  The one
     exception is `datagen.scale_for_privacy`, which rescales its argument
-    in place and returns it, with its row norms reset and its Gram dropped.
+    in place, with its row norms reset and its Gram dropped.
     """
 
     data: np.ndarray
@@ -268,7 +263,7 @@ def spectrum_stats(a: DenseMatrix) -> CoherenceStats:
     s = np.sqrt(np.maximum(spec.values, 0.0))
     rank = int(np.count_nonzero(s > _REL_TOL * s[0]))
     if rank == 0:
-        raise RankZeroError("spectrum statistics of an all-zero matrix")
+        raise ContractViolationError("spectrum statistics of an all-zero matrix")
     v = spec.vectors[:, :rank]
     col_max = np.zeros(rank)
     for rows in _row_blocks(a.n, a.d):
@@ -325,6 +320,6 @@ def rayleigh_ratio(a: DenseMatrix, x: np.ndarray, sigma1: float) -> float:
     num = float(x @ np.dot(gram(a), x))  # ||A x||^2 from the cached Gram
     s1sq = float(sigma1) ** 2
     if s1sq == 0.0:
-        raise RankZeroError("rayleigh_ratio against an all-zero matrix")
+        raise ContractViolationError("rayleigh_ratio against an all-zero matrix")
     return num / (s1sq * nx)
 

@@ -11,30 +11,9 @@ treat them as trends.  All logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 from .datagen import GaussSpec, _row_length_bound
 from .errors import ParameterError
-
-
-@dataclass
-class RateSolution:
-    """Roots and growth rates of the per-iteration progress quadratic."""
-
-    s1: float | None
-    s2: float | None
-    alpha1: float | None
-    alpha2: float | None
-    condition_ok: bool
-    rate_ratio: float | None
-
-
-@dataclass
-class GaussianBounds:
-    el: float  # row-length bound L
-    g: float  # spectral concentration bound G
-    wedin_bound: float
-    n_min: float
 
 
 def constants_K(t: int, n: int, beta: float, delta: float) -> tuple[float, float, float]:
@@ -74,9 +53,9 @@ def gap_condition_ok(
 
 def solve_rates(
     sigma1: float, sigma2: float, upsilon: float, epsilon: float, k: float
-) -> RateSolution:
+) -> dict:
     """Solve (K/e) s^2 - (sigma1^2 - (K/e) sigma1 Y - sigma2^2 - K/e) s
-    + (K/e) sigma1 Y = 0 and report growth rates alpha_i.
+    + (K/e) sigma1 Y = 0 and report its roots s1 >= s2 and growth rates alpha_i.
 
     A negative discriminant is reported as absent roots with
     condition_ok false, not an error.
@@ -99,7 +78,8 @@ def solve_rates(
     c = ke * sigma1 * upsilon
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
-        return RateSolution(None, None, None, None, False, None)
+        return {"s1": None, "s2": None, "alpha1": None, "alpha2": None,
+                "condition_ok": False, "rate_ratio": None}
 
     # Stable root pair: compute the larger-magnitude one first.
     sq = math.sqrt(disc)
@@ -111,9 +91,9 @@ def solve_rates(
     s1, s2 = max(r1, r2), min(r1, r2)
     alpha1 = sigma2**2 + ke + ke * s1
     alpha2 = sigma2**2 + ke + ke * s2
-    ok = gap_condition_ok(sigma1, sigma2, upsilon, epsilon, k)
-    ratio = alpha1 / alpha2 if alpha2 != 0.0 else None
-    return RateSolution(s1, s2, alpha1, alpha2, ok, ratio)
+    return {"s1": s1, "s2": s2, "alpha1": alpha1, "alpha2": alpha2,
+            "condition_ok": gap_condition_ok(sigma1, sigma2, upsilon, epsilon, k),
+            "rate_ratio": alpha1 / alpha2 if alpha2 != 0.0 else None}
 
 
 def bound_B(
@@ -153,9 +133,9 @@ def bound_B(
     return r, b
 
 
-def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> GaussianBounds:
+def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> dict:
     """Row-length, concentration, Wedin, and sample-size bounds for the
-    Gaussian pipeline.
+    Gaussian pipeline, as the report's L, G, wedin_bound and n_min.
 
     L = 1 + sqrt(2 ln(n/beta))
     G = max(sqrt(2 M ln(2d/beta)), 6 R_B ln(2d/beta)),
@@ -175,7 +155,6 @@ def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> GaussianBounds:
     if kbar <= 0.0:
         raise ParameterError(f"the spectrum needs a positive gap, got kappabar {kbar!r}")
 
-    el = _row_length_bound(n, beta)
     t = math.log(2.0 * n / beta)
     k3 = 2.0 + 2.0 * math.sqrt(t) + 2.0 * t
     r_b = k3 * trace
@@ -184,7 +163,7 @@ def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> GaussianBounds:
     g = max(math.sqrt(2.0 * m * logd), 6.0 * r_b * logd)
     wedin = min(1.0, (g / (n * s1sq * kbar)) ** 2)
     n_min = max(float(d), (2.0 * k3) ** 2 * d, (4.0 * k3) ** 2 * d / kbar**2)
-    return GaussianBounds(el=el, g=g, wedin_bound=wedin, n_min=n_min)
+    return {"L": _row_length_bound(n, beta), "G": g, "wedin_bound": wedin, "n_min": n_min}
 
 
 def build_report(
@@ -204,9 +183,7 @@ def build_report(
     c1, c2, k = constants_K(t, n, beta, delta)
     rates = solve_rates(sigma1, sigma2, upsilon, epsilon, k)
     r, b = bound_B(sigma1, sigma2, upsilon, epsilon, t, k, d, n)
-    out = {"c1": c1, "c2": c2, "K": k, **asdict(rates), "R": r, "B": b}
+    out = {"c1": c1, "c2": c2, "K": k, **rates, "R": r, "B": b}
     if gauss_spec is not None:
-        gb = gaussian_bounds(gauss_spec, n, beta)
-        out["gaussian"] = {"L": gb.el, "G": gb.g, "wedin_bound": gb.wedin_bound,
-                           "n_min": gb.n_min}
+        out["gaussian"] = gaussian_bounds(gauss_spec, n, beta)
     return out

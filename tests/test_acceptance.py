@@ -137,12 +137,12 @@ def test_criterion_04_bound_rate_lemma():
         b = -(sigma1**2 - ke * sigma1 * upsilon - sigma2**2 - ke)
         c = ke * sigma1 * upsilon
         scale = max(ke, abs(b), c)
-        for s in (rs.s1, rs.s2):
+        for s in (rs["s1"], rs["s2"]):
             if abs(ke * s * s + b * s + c) > 1e-9 * scale * max(1.0, s * s):
                 violations += 1
-        if rs.s2 > sigma1 * upsilon + 1e-12:
+        if rs["s2"] > sigma1 * upsilon + 1e-12:
             violations += 1
-        if rs.rate_ratio < 1.0 + kappa / 2.0 - 1e-12:
+        if rs["rate_ratio"] < 1.0 + kappa / 2.0 - 1e-12:
             violations += 1
     ok = violations == 0
     report(4, ok, f"1000 gap-condition tuples: residual <= 1e-9*scale, "
@@ -168,8 +168,8 @@ def test_criterion_05_sin2_triangle():
 
 def test_criterion_06_svt_filtered_count():
     spec = GaussSpec.spiked(20, 0.5, 0.5)
-    raw, _ = gen_gaussian_iid(10_000, spec, RngStream(77, 1000))
-    a = scale_for_privacy(raw, 0.05).matrix
+    a, _ = gen_gaussian_iid(10_000, spec, RngStream(77, 1000))
+    scale_for_privacy(a, 0.05)  # in place
     _, c2, _ = constants_K(2, 10_000, 0.05, 1e-5)
     eps_iter = 0.5
     bound = c2 / eps_iter
@@ -221,7 +221,7 @@ def test_criterion_08_gaussian_coherence():
 
 def test_criterion_09_bernstein_envelope():
     spec = GaussSpec.spiked(16, 0.5, 0.5)
-    g = gaussian_bounds(spec, 4096, 0.05).g
+    g = gaussian_bounds(spec, 4096, 0.05)["G"]
     pop = 4096 * np.diag(spec.sigmabar_sq)
     within = 0
     for seed in range(40):

@@ -146,7 +146,8 @@ class TestErrorRows:
 
     def test_every_dppca_error_becomes_a_row(self, monkeypatch):
         # An error outside the four classic classes (here a SizingError from
-        # the Gram product) ends the trial, not the grid.
+        # the sizing check before the instance is built) ends the trial, not
+        # the grid.
         from dppca import matcore
 
         monkeypatch.setattr(matcore, "_MAX_ELEMENTS", 10)
@@ -156,6 +157,22 @@ class TestErrorRows:
         for r in recs:
             assert r.error.startswith("sizing_error:")
             assert r.sin2_emp is None
+
+    def test_generator_out_of_memory_becomes_a_sizing_row(self, monkeypatch):
+        from dppca import bench
+
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(bench, "gen_gaussian_iid", fail)
+        recs = run_experiment(ExperimentConfig(master_seed=1, trials=2, grid=small_grid()))
+        assert len(recs) == 6
+        for r in recs:
+            if r.gen == "gaussian":
+                assert r.error == "sizing_error:a 200 x 4 instance does not fit in memory"
+                assert (r.n, r.d, r.clipped) == (200, 4, None)
+            else:
+                assert not r.error
 
     def test_eigensolver_failure_becomes_a_row(self, monkeypatch):
         # A LAPACK failure in the ground-truth spectrum is a NumericalError,
@@ -458,6 +475,25 @@ class TestConfig:
 class TestSinglePath:
     """A bench trial and `run_algorithm` run the same cell the same way."""
 
+    @pytest.mark.parametrize("accountant", ["paper", "zcdp"])
+    @pytest.mark.parametrize("own", [
+        {"algo": "adaptive", "T": 3},
+        {"algo": "adaptive", "T": "corollary", "kappa": 0.5, "t_const": 0.1},
+        {"algo": "naive-power", "T": 3},
+        {"algo": "analyze-gauss"},
+        {"algo": "adaptive-sweep", "sweep_J": 2},
+    ], ids=["adaptive", "corollary", "naive-power", "analyze-gauss", "sweep"])
+    def test_runs_on_neighbours_across_n_equals_d(self, own, accountant):
+        # Adding one row to a 4 x 5 matrix makes it 5 x 5: both give an
+        # estimate, so the cell's outcome does not reveal which one ran.
+        data = np.random.default_rng(8).normal(size=(5, 5))
+        data /= np.linalg.norm(data, axis=1, keepdims=True)
+        cell = {"eps_total": 1.0, "delta_total": 1e-5, "accountant": accountant, **own}
+        for rows in (4, 5):
+            run = run_algorithm(cell, DenseMatrix(data[:rows]), RngStream(2))
+            assert run.x_hat.shape == (5,)
+            assert np.linalg.norm(run.x_hat) == pytest.approx(1.0, rel=1e-12)
+
     def test_nan_spec_entry_names_spec(self):
         cell = dict(small_grid()[0], gen={"kind": "gaussian", "n": 200,
                                           "spec": [float("nan"), 0.5]})
@@ -493,10 +529,10 @@ class TestSinglePath:
             for t in range(cfg.trials):
                 stream = RngStream(cfg.master_seed, i * cfg.trials + t)
                 beta = cell.get("beta", DEFAULT_BETA)
-                scaled, _ = build_instance(cell["gen"], stream, beta)
-                run = run_algorithm(cell, scaled.matrix, stream)
+                a, _, _ = build_instance(cell["gen"], stream, beta)
+                run = run_algorithm(cell, a, stream)
                 rec = recs[(cell["cell"], t)]
                 removed = run.trace.total_removed if run.trace else None
                 assert (rec.t, rec.removed) == (run.t, removed)
-                top = spectrum_stats(scaled.matrix).top_vector
+                top = spectrum_stats(a).top_vector
                 assert rec.sin2_emp == sin_sq(run.x_hat, top)

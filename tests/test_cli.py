@@ -83,8 +83,8 @@ class TestGen:
             "--out", str(out), "--meta", str(meta),
         ) == 0
         gen = {"kind": "gaussian", "n": 300, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
-        scaled, _ = build_instance(gen, RngStream(3), DEFAULT_BETA)
-        assert load_dpm(str(out)).data.tobytes() == scaled.matrix.data.tobytes()
+        a, _, _ = build_instance(gen, RngStream(3), DEFAULT_BETA)
+        assert load_dpm(str(out)).data.tobytes() == a.data.tobytes()
         spiked = GaussSpec.spiked(20, 0.5, 0.5).sigmabar_sq
         assert json.loads(meta.read_text())["spectrum"] == list(spiked)
 
@@ -105,6 +105,15 @@ class TestGen:
         doc = json.loads(meta.read_text())
         assert (doc["sigma1"], doc["upsilon"], doc["mu"]) == (
             stats.sigma1, stats.upsilon, stats.mu)
+
+    @pytest.mark.parametrize("d", ["20", "4"])  # n x 4 = 2**60 entries: past numpy's limit
+    def test_instance_too_large_is_cli_error(self, tmp_path, capsys, d):
+        out = tmp_path / "big.dpm"
+        rc = run_cli("gen", "--kind", "gaussian", "--n", str(2**58), "--d", d,
+                     "--sigma1-sq", "0.5", "--kappabar", "0.5", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: product of shape (288230376151711744,")
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, needle", [
         (("--kind", "high-coh", "--no-rotate"), "high-coh gen has unknown key(s) 'rotate'"),
@@ -208,12 +217,12 @@ class TestRun:
 
     def test_analyze_gauss_and_naive(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
-        for algo in ("analyze-gauss", "naive-power"):
+        for algo, extra in (("analyze-gauss", []), ("naive-power", ["--T", "3"])):
             res = tmp_path / f"{algo}.json"
             rc = run_cli(
                 "run", "--algo", algo, "--in", str(infile),
                 "--eps-total", "2.0", "--delta-total", "1e-5",
-                "--T", "3", "--out", str(res),
+                *extra, "--out", str(res),
             )
             assert rc == 0
             doc = json.loads(res.read_text())
@@ -283,6 +292,8 @@ class TestRun:
         (["--algo", "analyze-gauss", "--beta", "0.5"], "analyze-gauss does not read --beta"),
         (["--algo", "naive-power", "--T", "3", "--beta", "0.5"],
          "naive-power does not read --beta"),
+        (["--algo", "analyze-gauss", "--T", "5"], "analyze-gauss does not read --T"),
+        (["--sweep", "2", "--T", "7"], "adaptive-sweep does not read --T"),
     ])
     def test_bad_algorithm_flags_are_cli_errors(
         self, gaussian_file, tmp_path, capsys, extra, needle
@@ -544,6 +555,24 @@ class TestBench:
         )
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3 and lines[0].startswith("cell,trial,")
+
+    def test_instance_too_large_is_a_row(self, tmp_path, capsys):
+        small = {"cell": "a", "gen": {"kind": "high-coh", "n": 80, "d": 4},
+                 "algo": "analyze-gauss", "eps_total": 1.0, "delta_total": 1e-5}
+        huge = dict(small, cell="b", gen={"kind": "gaussian", "n": 2**58, "d": 20,
+                                          "sigma1_sq": 0.5, "kappabar": 0.5})
+        rows = {}
+        for name, grid in (("one", [small]), ("two", [small, huge])):
+            cfg_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            cfg_path.write_text(json.dumps({"master_seed": 5, "trials": 1, "grid": grid}))
+            assert run_cli("bench", "--config", str(cfg_path), "--out", str(out)) == 0
+            rows[name] = out.read_text().splitlines()
+        assert "(1 errors)" in capsys.readouterr().out
+        assert rows["two"][:2] == rows["one"]
+        assert len(rows["two"]) == 3
+        assert rows["two"][2].startswith(f"b,0,analyze-gauss,{2**58},20,")
+        assert rows["two"][2].endswith(",sizing_error:product of shape "
+                                       f"({2**58}; 20) exceeds addressable size")
 
     def test_malformed_cell_is_cli_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -125,22 +125,22 @@ class TestGenGaussianIid:
 class TestScaleForPrivacy:
     def test_scale_matches_formula(self):
         a = DenseMatrix(np.ones((100, 2)))
-        sc = scale_for_privacy(a, 0.05)
-        assert sc.scale == pytest.approx(1.0 + np.sqrt(2 * np.log(100 / 0.05)))
+        assert scale_for_privacy(a, 0.05) == 0
+        assert 1.0 / a.data == pytest.approx(1.0 + np.sqrt(2 * np.log(100 / 0.05)))
 
     def test_row_norms_bounded_after(self):
         spec = GaussSpec.spiked(10, 0.5, 0.5)
         a, _ = gen_gaussian_iid(5000, spec, RngStream(7))
-        sc = scale_for_privacy(a, 0.05)
-        assert sc.matrix.max_row_norm() <= 1.0 + 1e-12
+        scale_for_privacy(a, 0.05)
+        assert a.max_row_norm() <= 1.0 + 1e-12
 
     def test_clip_count(self):
         data = np.zeros((10, 2))
         data[0, 0] = 1000.0  # this row survives scaling above norm 1
         data[1:, 0] = 0.001
-        sc = scale_for_privacy(DenseMatrix(data), 0.05)
-        assert sc.clip_count == 1
-        assert np.linalg.norm(sc.matrix.data[0]) == pytest.approx(1.0)
+        a = DenseMatrix(data)
+        assert scale_for_privacy(a, 0.05) == 1
+        assert np.linalg.norm(a.data[0]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [7, 20, 128])
     def test_rescales_in_place_and_keeps_exact_row_norms(self, d):
@@ -151,8 +151,7 @@ class TestScaleForPrivacy:
         ref = raw.data / el
         over = np.sqrt(np.einsum("ij,ij->i", ref, ref)) > 1.0
         ref[over] /= np.sqrt(np.einsum("ij,ij->i", ref[over], ref[over]))[:, None]
-        sc = scale_for_privacy(raw, 0.05)
-        assert sc.matrix is raw and sc.clip_count == over.sum() > 0
+        assert scale_for_privacy(raw, 0.05) == over.sum() > 0
         assert raw._gram is None
         assert raw.data.tobytes() == ref.tobytes()
         fresh = DenseMatrix(raw.data.copy()).row_norms()
@@ -165,9 +164,8 @@ class TestScaleForPrivacy:
         total_rows, clipped = 0, 0
         for seed in range(10):
             a, _ = gen_gaussian_iid(2000, spec, RngStream(8, seed))
-            sc = scale_for_privacy(a, 0.05)
+            clipped += scale_for_privacy(a, 0.05)
             total_rows += a.n
-            clipped += sc.clip_count
         assert clipped / total_rows <= 0.05
 
 
@@ -354,12 +352,12 @@ class TestPeakMemory:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            scaled, _ = build_instance(
+            a, _, _ = build_instance(
                 {**gen, "n": self.N, "d": self.D}, RngStream(41), 0.05
             )
             built = tracemalloc.get_traced_memory()[1] - base
             tracemalloc.reset_peak()
-            spectrum_stats(scaled.matrix)
+            spectrum_stats(a)
             stats = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -470,7 +468,7 @@ class TestBernsteinEnvelope:
         # ||A^T A - n Sigma^2||_2 <= G in >= 95% of 40 seeds
         n, d = 4096, 16
         spec = GaussSpec.spiked(d, 0.5, 0.5)
-        g_bound = gaussian_bounds(spec, n, 0.05).g
+        g_bound = gaussian_bounds(spec, n, 0.05)["G"]
         sigma2 = np.diag(spec.sigmabar_sq)
         hits = 0
         for seed in range(40):

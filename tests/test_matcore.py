@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from dppca.errors import (
     ContractViolationError,
-    RankZeroError,
 )
 from dppca.matcore import (
     _BLOCK_ELEMENTS,
@@ -315,7 +314,7 @@ class TestSpectrumStats:
             assert st_.u_inf >= 1.0 / np.sqrt(a.n) - 1e-12
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(RankZeroError):
+        with pytest.raises(ContractViolationError):
             spectrum_stats(DenseMatrix(np.zeros((4, 2))))
 
     @pytest.mark.parametrize("d", [2, 20, 128])

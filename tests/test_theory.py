@@ -54,14 +54,14 @@ class TestSolveRates:
         # sigma1^2 = 10, sigma2^2 = 2, K/eps = 1, sigma1*upsilon = 0.1
         s1 = math.sqrt(10)
         rs = solve_rates(s1, math.sqrt(2), 0.1 / s1, 1.0, 1.0)
-        assert rs.s1 == pytest.approx(6.8855, abs=1e-3)
-        assert rs.s2 == pytest.approx(0.0145, abs=1e-3)
-        assert rs.alpha1 == pytest.approx(9.8855, abs=1e-3)
-        assert rs.alpha2 == pytest.approx(3.0145, abs=1e-3)
-        assert rs.rate_ratio == pytest.approx(3.279, abs=1e-3)
+        assert rs["s1"] == pytest.approx(6.8855, abs=1e-3)
+        assert rs["s2"] == pytest.approx(0.0145, abs=1e-3)
+        assert rs["alpha1"] == pytest.approx(9.8855, abs=1e-3)
+        assert rs["alpha2"] == pytest.approx(3.0145, abs=1e-3)
+        assert rs["rate_ratio"] == pytest.approx(3.279, abs=1e-3)
         # kappa = 0.8, so the claimed ratio floor is 1.4
-        assert rs.rate_ratio >= 1.4
-        assert rs.condition_ok
+        assert rs["rate_ratio"] >= 1.4
+        assert rs["condition_ok"]
 
     def test_roots_satisfy_quadratic(self):
         rs = solve_rates(3.0, 1.0, 0.02, 2.0, 5.0)
@@ -69,14 +69,14 @@ class TestSolveRates:
         b = -(9.0 - ke * 3.0 * 0.02 - 1.0 - ke)
         c = ke * 3.0 * 0.02
         scale = max(abs(ke), abs(b), abs(c))
-        for s in (rs.s1, rs.s2):
+        for s in (rs["s1"], rs["s2"]):
             assert abs(ke * s * s + b * s + c) <= 1e-9 * scale * max(1.0, s * s)
 
     def test_negative_discriminant_reported_absent(self):
         # Chosen so the linear coefficient nearly vanishes: no real roots.
         rs = solve_rates(2.0, 1.0, 0.02, 1.0, 2.9)
-        assert rs.s1 is None and rs.s2 is None
-        assert not rs.condition_ok
+        assert rs["s1"] is None and rs["s2"] is None
+        assert not rs["condition_ok"]
 
     def test_input_validation(self):
         with pytest.raises(ParameterError):
@@ -104,13 +104,13 @@ class TestBoundRateInequalities:
         sigma2 = max(frac * sigma1, 1e-6)
         upsilon = ups_scale / sigma1
         rs = solve_rates(sigma1, sigma2, upsilon, eps, k)
-        if not rs.condition_ok or rs.s1 is None:
+        if not rs["condition_ok"] or rs["s1"] is None:
             return
         kappa = (sigma1**2 - sigma2**2) / sigma1**2
-        assert rs.s1 > rs.s2 > 0.0
-        assert rs.alpha1 > rs.alpha2 > 0.0
-        assert rs.s2 <= sigma1 * upsilon + 1e-12
-        assert rs.rate_ratio >= 1.0 + kappa / 2.0 - 1e-12
+        assert rs["s1"] > rs["s2"] > 0.0
+        assert rs["alpha1"] > rs["alpha2"] > 0.0
+        assert rs["s2"] <= sigma1 * upsilon + 1e-12
+        assert rs["rate_ratio"] >= 1.0 + kappa / 2.0 - 1e-12
 
 
 class TestBoundB:
@@ -142,30 +142,30 @@ class TestBoundB:
 class TestGaussianBounds:
     def test_worked_L(self):
         gb = gaussian_bounds(GaussSpec.spiked(8, 0.5, 0.5), 10**4, 0.05)
-        assert gb.el == pytest.approx(5.9409, abs=1e-4)
+        assert gb["L"] == pytest.approx(5.9409, abs=1e-4)
 
     def test_wedin_vanishes_large_n_large_gap(self):
         spec = GaussSpec.spiked(4, 0.98, 0.99)
-        vals = [gaussian_bounds(spec, n, 0.05).wedin_bound
+        vals = [gaussian_bounds(spec, n, 0.05)["wedin_bound"]
                 for n in (10**4, 10**6, 10**8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-3
 
     def test_G_monotone_in_n_and_inverse_beta(self):
         spec = GaussSpec.spiked(6, 0.5, 0.5)
-        gs_n = [gaussian_bounds(spec, n, 0.05).g for n in (100, 1000, 10_000)]
+        gs_n = [gaussian_bounds(spec, n, 0.05)["G"] for n in (100, 1000, 10_000)]
         assert all(a < b for a, b in zip(gs_n, gs_n[1:]))
-        gs_b = [gaussian_bounds(spec, 1000, b).g for b in (0.2, 0.05, 0.001)]
+        gs_b = [gaussian_bounds(spec, 1000, b)["G"] for b in (0.2, 0.05, 0.001)]
         assert all(a < b for a, b in zip(gs_b, gs_b[1:]))
 
     def test_n_min_shrinks_with_gap(self):
-        wide = gaussian_bounds(GaussSpec.spiked(6, 0.5, 0.8), 1000, 0.05).n_min
-        narrow = gaussian_bounds(GaussSpec.spiked(6, 0.5, 0.1), 1000, 0.05).n_min
+        wide = gaussian_bounds(GaussSpec.spiked(6, 0.5, 0.8), 1000, 0.05)["n_min"]
+        narrow = gaussian_bounds(GaussSpec.spiked(6, 0.5, 0.1), 1000, 0.05)["n_min"]
         assert wide < narrow
 
     def test_all_finite(self):
         gb = gaussian_bounds(GaussSpec.spiked(12, 0.4, 0.3), 5000, 0.01)
-        for v in (gb.el, gb.g, gb.wedin_bound, gb.n_min):
+        for v in (gb["L"], gb["G"], gb["wedin_bound"], gb["n_min"]):
             assert math.isfinite(v)
 
     def test_rejects_a_spectrum_without_a_gap(self):
