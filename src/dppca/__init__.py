@@ -10,7 +10,8 @@ Core entry points:
 - adaptive: the coherence-adaptive noisy power iteration and its kappa sweep
 - baselines: analyze-Gauss input perturbation
 - datagen: synthetic generators across coherence regimes
-- theory: closed-form constants and error bounds
+- theory: the analysis constants the acceptance criteria check (the rate
+  lemma, the SVT count constant c2 and the Gaussian concentration bound G)
 - bench: deterministic experiment grid runner
 """
 

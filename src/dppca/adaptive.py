@@ -54,7 +54,13 @@ _ROW_NORM_SLACK = 1.0 + 1e-9
 
 @dataclass
 class IterationTrace:
-    """Per-iteration diagnostics; every list has length `iterations`."""
+    """Per-iteration diagnostics; every list has length `iterations`.
+
+    `removed` and `total_removed` are exact counts of the rows above each
+    released theta, which no mechanism noises: they are evaluation (the
+    bench CSV's `removed` column), not released, and `dppca run --trace`
+    leaves them out.
+    """
 
     theta: list[float] = field(default_factory=list)
     removed: list[int] = field(default_factory=list)

@@ -1,5 +1,5 @@
-"""Command-line interface: generate data, run algorithms, evaluate theory
-bounds, and drive benchmark grids.  Matrix files are DPM (see `dppca.matio`).
+"""Command-line interface: generate data, run algorithms and drive
+benchmark grids.  Matrix files are DPM (see `dppca.matio`).
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import bench, matio, theory
-from .datagen import GaussSpec, _row_length_bound
+from . import bench, matio
+from .datagen import _row_length_bound
 from .errors import DppcaError, ParameterError
 from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import ACCOUNTANTS, RngStream
@@ -71,14 +71,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if not args.out.endswith(".dpm"):
         raise ParameterError(f"--out {args.out}: dppca gen writes the DPM format, "
                              "so the path must end in .dpm")
+    if args.beta is not None and args.kind != "gaussian":  # only its scaling reads beta
+        raise ParameterError(f"{args.kind} gen does not read --beta")
+    beta = DEFAULT_BETA if args.beta is None else args.beta
     gen = {k: getattr(args, k) for k in ("kind",) + bench._GEN_ALL
            if getattr(args, k) is not None}
-    a, vbar1, clip_count = bench.build_instance(gen, RngStream(args.seed), args.beta)
+    a, vbar1, clip_count = bench.build_instance(gen, RngStream(args.seed), beta)
     if args.meta:
         meta: dict = {"kind": args.kind, "seed": args.seed}
         if vbar1 is not None:
             meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spec(gen).sigmabar_sq),
-                        L=_row_length_bound(a.n, args.beta), clip_count=clip_count)
+                        L=_row_length_bound(a.n, beta), clip_count=clip_count)
         stats = spectrum_stats(a)
         meta.update(
             n=a.n, d=a.d,
@@ -135,20 +138,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"sin2_vs_v1={out['sin2_vs_v1']:.6g} -> {args.out}")
     else:
         print(doc, end="")
-    if args.trace:
-        trace_doc = json.dumps(run.trace, indent=2, default=asdict)
-        Path(args.trace).write_text(trace_doc + "\n")
-    return 0
-
-
-def _cmd_theory(args: argparse.Namespace) -> int:
-    gauss_spec = GaussSpec(args.gauss_spec) if args.gauss_spec else None
-    report = theory.build_report(
-        t=args.iterations, n=args.n, d=args.d, beta=args.beta, delta=args.delta,
-        epsilon=args.eps, sigma1=args.sigma1, sigma2=args.sigma2,
-        upsilon=args.upsilon, gauss_spec=gauss_spec,
-    )
-    print(json.dumps(report, indent=2))
+    if args.trace:  # the exact removal counts are evaluation, not released
+        released = {k: v for k, v in asdict(run.trace).items()
+                    if k not in ("removed", "total_removed")}
+        Path(args.trace).write_text(json.dumps(released, indent=2) + "\n")
     return 0
 
 
@@ -176,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a synthetic instance")
     g.add_argument("--kind", required=True, choices=tuple(bench._GEN_KEYS))
     _add_key_flags(g, bench._GEN_ALL)
-    g.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    g.add_argument("--beta", type=float)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--meta")
@@ -193,19 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out")
     r.add_argument("--trace")
     r.set_defaults(func=_cmd_run)
-
-    t = sub.add_parser("theory", help="print the closed-form bound report")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--d", type=int, required=True)
-    t.add_argument("--T", type=int, required=True, dest="iterations")
-    t.add_argument("--eps", type=float, required=True)
-    t.add_argument("--delta", type=float, required=True)
-    t.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    t.add_argument("--sigma1", type=float, required=True)
-    t.add_argument("--sigma2", type=float, required=True)
-    t.add_argument("--upsilon", type=float, required=True)
-    t.add_argument("--gauss-spec", dest="gauss_spec", type=_parse_spec)
-    t.set_defaults(func=_cmd_theory)
 
     b = sub.add_parser("bench", help="run an experiment grid from a JSON config")
     b.add_argument("--config", required=True)

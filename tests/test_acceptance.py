@@ -170,7 +170,7 @@ def test_criterion_06_svt_filtered_count():
     spec = GaussSpec.spiked(20, 0.5, 0.5)
     a, _ = gen_gaussian_iid(10_000, spec, RngStream(77, 1000))
     scale_for_privacy(a, 0.05)  # in place
-    _, c2, _ = constants_K(2, 10_000, 0.05, 1e-5)
+    c2 = constants_K(2, 10_000, 0.05)
     eps_iter = 0.5
     bound = c2 / eps_iter
     within = 0
@@ -221,7 +221,7 @@ def test_criterion_08_gaussian_coherence():
 
 def test_criterion_09_bernstein_envelope():
     spec = GaussSpec.spiked(16, 0.5, 0.5)
-    g = gaussian_bounds(spec, 4096, 0.05)["G"]
+    g = gaussian_bounds(spec, 4096, 0.05)
     pop = 4096 * np.diag(spec.sigmabar_sq)
     within = 0
     for seed in range(40):

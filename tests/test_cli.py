@@ -16,8 +16,8 @@ from dppca.bench import ExperimentConfig, build_instance, run_algorithm
 from dppca.cli import main
 from dppca.datagen import GaussSpec
 from dppca.errors import ParameterError
-from dppca.matcore import spectrum_stats
-from dppca.matio import load_dpm
+from dppca.matcore import DenseMatrix, spectrum_stats
+from dppca.matio import load_dpm, save_dpm
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
 
@@ -51,7 +51,8 @@ class TestGen:
         assert a.max_row_norm() <= 1.0 + 1e-9
         doc = json.loads(meta.read_text())
         assert doc["kind"] == "gaussian" and len(doc["vbar1"]) == 4
-        assert doc["L"] > 1.0 and doc["sigma1"] > doc["sigma2"]
+        assert doc["L"] == pytest.approx(5.2396, abs=1e-4)  # 1 + sqrt(2 ln(400 / 0.05))
+        assert doc["sigma1"] > doc["sigma2"]
 
     def test_gaussian_d_must_match_spec(self, tmp_path, capsys):
         out = tmp_path / "a.dpm"
@@ -76,12 +77,16 @@ class TestGen:
         assert json.loads(meta.read_text())["upsilon"] == pytest.approx(0.25)
 
     def test_spiked_gaussian_matches_build_instance(self, tmp_path):
-        out, meta = tmp_path / "s.dpm", tmp_path / "s.json"
-        assert run_cli(
-            "gen", "--kind", "gaussian", "--n", "300", "--d", "20",
-            "--sigma1-sq", "0.5", "--kappabar", "0.5", "--seed", "3",
-            "--out", str(out), "--meta", str(meta),
-        ) == 0
+        files = []
+        for name, extra in (("s", []), ("b", ["--beta", str(DEFAULT_BETA)])):
+            out, meta = tmp_path / f"{name}.dpm", tmp_path / f"{name}.json"
+            assert run_cli(
+                "gen", "--kind", "gaussian", "--n", "300", "--d", "20",
+                "--sigma1-sq", "0.5", "--kappabar", "0.5", "--seed", "3", *extra,
+                "--out", str(out), "--meta", str(meta),
+            ) == 0
+            files.append((out.read_bytes(), meta.read_bytes()))
+        assert files[0] == files[1]  # the default --beta is the explicit one
         gen = {"kind": "gaussian", "n": 300, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
         a, _, _ = build_instance(gen, RngStream(3), DEFAULT_BETA)
         assert load_dpm(str(out)).data.tobytes() == a.data.tobytes()
@@ -119,6 +124,9 @@ class TestGen:
         (("--kind", "high-coh", "--no-rotate"), "high-coh gen has unknown key(s) 'rotate'"),
         (("--kind", "high-coh", "--rotate"), "'rotate'"),
         (("--kind", "gaussian", "--spec", "0.5,0.5", "--gap", "0.5"), "'gap'"),
+        (("--kind", "high-coh", "--beta", "0.1"), "high-coh gen does not read --beta"),
+        (("--kind", "low-coh", "--sigma1-frac", "0.6", "--gap", "0.5", "--beta", "7"),
+         "low-coh gen does not read --beta"),
     ])
     def test_key_its_kind_does_not_read_is_cli_error(
         self, tmp_path, capsys, extra, needle
@@ -190,6 +198,28 @@ class TestRun:
         assert doc["accounting"]["mechanisms"] == 6
         tr = json.loads(trace.read_text())
         assert len(tr["theta"]) == 3
+
+    def test_trace_is_the_same_on_neighbouring_inputs(self, tmp_path):
+        # Add/remove neighbours: A and A plus the row e1.  The released thetas
+        # agree; the exact removal counts differ, so the trace file omits them.
+        gen = {"kind": "gaussian", "n": 2000, "d": 10, "sigma1_sq": 0.5, "kappabar": 0.5}
+        a, _, _ = build_instance(gen, RngStream(1), 0.05)
+        traces = []
+        for name, rows in (("a", a.data), ("b", np.vstack([a.data, np.eye(10)[:1]]))):
+            infile, trace = tmp_path / f"{name}.dpm", tmp_path / f"{name}.trace.json"
+            save_dpm(DenseMatrix(rows), str(infile))
+            assert run_cli(
+                "run", "--in", str(infile), "--eps-total", "1", "--delta-total", "1e-5",
+                "--T", "4", "--seed", "3", "--out", str(tmp_path / "res.json"),
+                "--trace", str(trace),
+            ) == 0
+            traces.append(json.loads(trace.read_text()))
+        ta, tb = traces
+        assert list(ta) == list(tb)
+        assert "removed" not in ta and "total_removed" not in ta
+        assert ta["queries_issued"] == tb["queries_issued"]
+        for key in ("theta", "noise_sigma"):
+            assert ta[key] == pytest.approx(tb[key], rel=1e-12)
 
     def test_run_is_deterministic(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -417,9 +447,6 @@ class TestRun:
         assert doc["algo"] == (extra[1] if extra[0] == "--algo" else "adaptive")
 
     def test_oversize_rows_need_auto_scale(self, tmp_path, capsys):
-        from dppca.matcore import DenseMatrix
-        from dppca.matio import save_dpm
-
         big = tmp_path / "big.dpm"
         save_dpm(DenseMatrix(np.eye(4) * 3.0), str(big))
         rc = run_cli(
@@ -505,29 +532,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"error: T must be an int >= 1 or 'corollary', got {t}" in err
         assert not res.exists()
-
-
-class TestTheory:
-    def test_report_json(self, capsys):
-        rc = run_cli(
-            "theory", "--n", "10000", "--d", "8", "--T", "100",
-            "--eps", "1.0", "--delta", "1e-6", "--sigma1", "10",
-            "--sigma2", "2", "--upsilon", "0.01",
-            "--gauss-spec", "0.5,0.25,0.125,0.125",
-        )
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["c1"] == pytest.approx(127.49, abs=0.01)
-        assert doc["gaussian"]["L"] == pytest.approx(5.9409, abs=1e-3)
-
-    def test_spectrum_without_a_gap_is_an_error(self, capsys):
-        rc = run_cli(
-            "theory", "--n", "1000", "--d", "2", "--T", "5", "--eps", "1.0",
-            "--delta", "1e-6", "--sigma1", "1", "--sigma2", "0.5",
-            "--upsilon", "0.1", "--gauss-spec", "0.5,0.5",
-        )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: the spectrum needs a positive gap")
 
 
 class TestBench:

@@ -468,7 +468,7 @@ class TestBernsteinEnvelope:
         # ||A^T A - n Sigma^2||_2 <= G in >= 95% of 40 seeds
         n, d = 4096, 16
         spec = GaussSpec.spiked(d, 0.5, 0.5)
-        g_bound = gaussian_bounds(spec, n, 0.05)["G"]
+        g_bound = gaussian_bounds(spec, n, 0.05)
         sigma2 = np.diag(spec.sigmabar_sq)
         hits = 0
         for seed in range(40):
