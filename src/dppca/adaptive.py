@@ -56,9 +56,9 @@ _ROW_NORM_SLACK = 1.0 + 1e-9
 class IterationTrace:
     """Per-iteration diagnostics; every list has length `iterations`.
 
-    `removed` and `total_removed` are exact counts of the rows above each
-    released theta, which no mechanism noises: they are evaluation (the
-    bench CSV's `removed` column), not released, and `dppca run --trace`
+    `removed` holds exact counts of the rows above each released theta,
+    which no mechanism noises: they are evaluation (the bench CSV's
+    `removed` column is their sum), not released, and `dppca run --trace`
     leaves them out.
     """
 
@@ -67,7 +67,6 @@ class IterationTrace:
     noise_sigma: list[float] = field(default_factory=list)
     queries_issued: list[int] = field(default_factory=list)
     restarts: int = 0
-    total_removed: int = 0
 
 
 def check_private_input(a: DenseMatrix) -> None:
@@ -150,7 +149,6 @@ def _power_loop(
             trace.restarts += 1
         x = x / norm
 
-    trace.total_removed = int(sum(trace.removed))
     return x / float(np.linalg.norm(x)), trace
 
 
@@ -173,17 +171,15 @@ def corollary_iterations(
 ) -> int:
     """Iteration count T = ceil(const * ln(n / (beta delta epsilon)) / kappa).
 
-    Clamped below at 1 (the log argument can drop under 1 for enormous
-    epsilon; a single iteration is the sensible floor there).
+    Clamped below at 1 (the log drops under 0 for enormous epsilon).  The
+    log is taken as a sum of logs, so a tiny epsilon cannot underflow it.
     """
     if not 0.0 < kappa <= 1.0:
         raise ParameterError(f"kappa must lie in (0, 1], got {kappa}")
     if not 0.0 < const < math.inf:
         raise ParameterError(f"t_const must be positive and finite, got {const}")
-    arg = n / (beta * delta * epsilon)
-    if arg <= 1.0:
-        return 1
-    return max(1, math.ceil(const * math.log(arg) / kappa))
+    log_arg = math.log(n) - math.log(beta) - math.log(delta) - math.log(epsilon)
+    return max(1, math.ceil(const * log_arg / kappa))
 
 
 @dataclass

@@ -6,7 +6,6 @@ A config is a JSON document:
       "master_seed": 7,
       "trials": 20,
       "threads": 4,                # optional; CLI flag wins
-      "out": "results.csv",        # optional; CLI flag wins
       "grid": [ {cell}, ... ]
     }
 
@@ -14,11 +13,8 @@ Each cell names a generator and an algorithm:
 
     {
       "cell": "adaptive-n16000",          # optional unique id; defaults to the index
-      "gen": {"kind": "gaussian", "n": 16000, "d": 20,
-              "sigma1_sq": 0.5, "kappabar": 0.5, "rotate": true}
-            | {"kind": "gaussian", "n": ..., "spec": [s1, s2, ...], "rotate": true}
-            | {"kind": "low-coh", "n": ..., "d": ..., "sigma1_frac": ...,
-               "gap": ..., "rotate": true}
+      "gen": {"kind": "gaussian", "n": 16000, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
+            | {"kind": "low-coh", "n": ..., "d": ..., "sigma1_frac": ..., "gap": ...}
             | {"kind": "high-coh", "n": ..., "d": ..., "spikes": 4, "noise_norm": 0.05},
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
@@ -29,12 +25,12 @@ Each cell names a generator and an algorithm:
       "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
 
-"rotate", "spikes" and "noise_norm" are optional, with datagen's
-defaults.  A gen or a cell carries only the keys its kind or algorithm
-reads, and a gaussian gen takes either spec (with d == len(spec) if d is
-given) or sigma1_sq and kappabar, not both.  Float keys and spec entries
-must be finite (JSON's NaN and Infinity are rejected) and t_const
-positive.  Cell ids are unique strings without commas or newlines.
+"spikes" and "noise_norm" are optional, with datagen's defaults.  A gen
+or a cell carries only the keys its kind or algorithm reads; beta is
+read by a gaussian gen's scaling, by the threshold search (adaptive and
+adaptive-sweep) and by T "corollary".  Float keys must be finite (JSON's
+NaN and Infinity are rejected) and t_const positive.  Cell ids are
+unique strings without commas or newlines.
 Cells are checked when the config is built (a malformed one raises a
 ParameterError or BudgetError naming grid[i]); a trial that fails at run
 time becomes a record whose error column starts with the error's reason
@@ -85,21 +81,16 @@ from .matcore import DenseMatrix, _check_sizing, rayleigh_ratio, sin_sq, spectru
 from .mech import PrivacyBudget, RngStream, compose, split_budget
 from .svtfilter import DEFAULT_BETA
 
-# Keys each kind of gen needs (a gaussian one also needs "spec", with "d" optional,
-# or else _GAUSS_SPIKED), its generator's keyword arguments, the keys of every
-# cell and of each algorithm, and the type of each typed key at every config
-# level (top level, cell and gen).  `dppca gen`'s flags are built from these.
+# Keys each kind of gen needs, high-coh's optional generator keyword arguments,
+# the keys of every cell and of each algorithm, and the type of each typed key
+# at every config level (top level, cell and gen).  `dppca gen`'s flags are
+# built from these.
 _GEN_KEYS = {
-    "gaussian": ("n",),
+    "gaussian": ("n", "d", "sigma1_sq", "kappabar"),
     "low-coh": ("n", "d", "sigma1_frac", "gap"),
     "high-coh": ("n", "d"),
 }
-_GEN_OPTIONAL = {
-    "gaussian": ("rotate",),
-    "low-coh": ("rotate",),
-    "high-coh": ("spikes", "noise_norm"),
-}
-_GAUSS_SPIKED = ("d", "sigma1_sq", "kappabar")
+_HIGH_COH_OPTIONAL = ("spikes", "noise_norm")
 _CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "accountant")
 _CELL_NEED = ("eps_total", "delta_total")
 _ALGO_KEYS = {
@@ -113,11 +104,8 @@ _INTS = (int, np.integer)  # a numpy integer passes wherever an int does
 _INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
                "eps_total", "delta_total", "beta", "kappa", "t_const")  # and finite
-_BOOL_KEYS = ("rotate",)
 # Every key a gen may carry besides kind.
-_GEN_ALL = tuple(dict.fromkeys(
-    sum(_GEN_KEYS.values(), ()) + ("spec",) + _GAUSS_SPIKED + sum(_GEN_OPTIONAL.values(), ())
-))
+_GEN_ALL = tuple(dict.fromkeys(sum(_GEN_KEYS.values(), ()) + _HIGH_COH_OPTIONAL))
 
 
 @dataclass
@@ -153,7 +141,6 @@ class ExperimentConfig:
     trials: int
     grid: list[dict]
     threads: int = 1
-    out: str | None = None
 
     def __post_init__(self) -> None:
         _check_types(vars(self))
@@ -165,8 +152,6 @@ class ExperimentConfig:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise ParameterError(f"threads must be >= 1, got {self.threads}")
-        if not isinstance(self.out, (str, type(None))):
-            raise ParameterError(f"out must be a path or null, got {self.out!r}")
         if not self.grid:
             raise ParameterError("grid must contain at least one cell")
         first: dict[str, int] = {}  # cell id -> index of the first cell with it
@@ -219,29 +204,19 @@ def _check_types(doc: dict) -> None:
             raise ParameterError(f"{key} must be an integer, got {value!r}")
         if key in _FLOAT_KEYS and not _finite(value):
             raise ParameterError(f"{key} must be a finite number, got {value!r}")
-        if key in _BOOL_KEYS and not isinstance(value, bool):
-            raise ParameterError(f"{key} must be true or false, got {value!r}")
 
 
 def _check_gen(gen) -> tuple[int, int]:
     """Raise ParameterError unless `gen` names a kind, carries its keys and
-    no key its kind does not read, and a d it gives matches its spec;
-    return its (n, d), where a spec's d is its length."""
+    no key its kind does not read; return its (n, d)."""
     if not isinstance(gen, dict) or gen.get("kind") not in _GEN_KEYS:
         raise ParameterError(f"gen.kind must be one of {tuple(_GEN_KEYS)}")
     kind = gen["kind"]
-    need, what = _GEN_KEYS[kind], f"{kind} gen"
-    if kind == "gaussian":
-        need += ("spec",) if "spec" in gen else _GAUSS_SPIKED
-        what += " with spec" if "spec" in gen else ""
-    _check_keys(gen, ("kind", "d") + need + _GEN_OPTIONAL[kind], what, need)
+    need = _GEN_KEYS[kind]
+    optional = _HIGH_COH_OPTIONAL if kind == "high-coh" else ()
+    _check_keys(gen, ("kind",) + need + optional, f"{kind} gen", need)
     _check_types(gen)
-    spec = gen.get("spec", [])
-    if not isinstance(spec, list) or not all(map(_finite, spec)):
-        raise ParameterError(f"spec must be a list of finite numbers, got {spec!r}")
-    if "spec" in gen and gen.get("d", len(spec)) != len(spec):
-        raise ParameterError(f"gen has d={gen['d']} but a spec of {len(spec)} entries")
-    return gen["n"], gen.get("d", len(spec))
+    return gen["n"], gen["d"]
 
 
 def _check_cell(cell) -> None:
@@ -251,7 +226,18 @@ def _check_cell(cell) -> None:
     if not isinstance(cell_id, str) or "," in cell_id or "\n" in cell_id:
         raise ParameterError(f"cell id must be a string without ',' or '\\n': {cell_id!r}")
     _check_gen(cell.get("gen"))
-    _check_algo(cell)
+    algo = _check_algo(cell)
+    if "beta" in cell and not _reads_beta(cell):
+        kind = cell["gen"]["kind"]
+        raise ParameterError(f"{algo} cell with a {kind} gen does not read beta")
+
+
+def _reads_beta(cell: dict) -> bool:
+    """Whether a checked cell reads beta (see the module docstring); one
+    without a gen, as `dppca run` builds, is judged by its algorithm alone."""
+    return (cell.get("gen", {}).get("kind") == "gaussian"
+            or cell["algo"] in ("adaptive", "adaptive-sweep")
+            or cell.get("T") == "corollary")
 
 
 def _check_algo(cell: dict) -> str:
@@ -297,9 +283,7 @@ def _cell_id(cell: dict, index: int) -> str:
 
 
 def _gauss_spec(gen: dict) -> GaussSpec:
-    """A checked gaussian gen's population spectrum: its spec or the spiked one."""
-    if "spec" in gen:
-        return GaussSpec(gen["spec"])
+    """A checked gaussian gen's spiked population spectrum."""
     return GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"])
 
 
@@ -315,14 +299,14 @@ def build_instance(
     n, d = _check_gen(gen)
     _check_sizing(n, d)
     kind = gen["kind"]
-    options = {k: gen[k] for k in _GEN_OPTIONAL[kind] if k in gen}
     try:
         if kind == "gaussian":
-            a, vbar1 = gen_gaussian_iid(n, _gauss_spec(gen), rng, **options)
+            a, vbar1 = gen_gaussian_iid(n, _gauss_spec(gen), rng)
             return a, vbar1, scale_for_privacy(a, beta)
         if kind == "low-coh":
-            a = gen_low_coherence(n, d, gen["sigma1_frac"], gen["gap"], rng, **options)
+            a = gen_low_coherence(n, d, gen["sigma1_frac"], gen["gap"], rng)
         else:
+            options = {k: gen[k] for k in _HIGH_COH_OPTIONAL if k in gen}
             a = gen_high_coherence(n, d, rng, **options)
     except MemoryError:
         raise SizingError(f"a {n} x {d} instance does not fit in memory") from None
@@ -340,9 +324,7 @@ class RunResult:
     kappa_guess: float | None = None  # adaptive-sweep: the selected guess
 
 
-def run_algorithm(
-    cell: dict, a: DenseMatrix, rng: RngStream, *, noiseless: bool = False
-) -> RunResult:
+def run_algorithm(cell: dict, a: DenseMatrix, rng: RngStream) -> RunResult:
     """Run a cell's algorithm on `a`, reading the cell's keys (not its gen)
     under their config names."""
     algo = _check_algo(cell)
@@ -350,10 +332,10 @@ def run_algorithm(
     t_const = cell.get("t_const", 1.0)
 
     if algo == "analyze-gauss":
-        x_hat = analyze_gauss(a, total, rng, noiseless=noiseless)
+        x_hat = analyze_gauss(a, total, rng)
         return RunResult(x_hat, 0, {"mechanisms": 1})
     if algo == "adaptive-sweep":
-        best = run_kappa_sweep(a, total, rng, cell["sweep_J"], beta, t_const, noiseless)
+        best = run_kappa_sweep(a, total, rng, cell["sweep_J"], beta, t_const)
         chosen = best.candidates[best.selected]
         accounting = {"runs": cell["sweep_J"], "selection_epsilon": best.selection_epsilon,
                       "per_run_epsilon": best.run_budget.epsilon,
@@ -372,9 +354,9 @@ def run_algorithm(
     accounting = {"mechanisms": count, "per_mechanism_epsilon": per_iter.epsilon,
                   "per_mechanism_delta": per_iter.delta}
     if algo == "naive-power":
-        x_hat, _ = _power_loop(a, t, per_iter, rng, search=False, noiseless=noiseless)
+        x_hat, _ = _power_loop(a, t, per_iter, rng, search=False)
         return RunResult(x_hat, t, accounting)
-    x_hat, trace = run_adaptive_power(a, t, per_iter, rng, beta=beta, noiseless=noiseless)
+    x_hat, trace = run_adaptive_power(a, t, per_iter, rng, beta=beta)
     if total.accountant == "paper":  # compose assumes the paper's split
         composed = compose(per_iter, count)
         accounting.update(composed_epsilon=composed.epsilon,
@@ -403,7 +385,7 @@ def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:
         a, vbar1, rec.clipped = build_instance(gen, stream, beta)
         stats = spectrum_stats(a)
         run = run_algorithm(cell, a, stream)
-        rec.t, rec.removed = run.t, run.trace.total_removed if run.trace else None
+        rec.t, rec.removed = run.t, sum(run.trace.removed) if run.trace else None
 
         rec.sin2_emp = sin_sq(run.x_hat, stats.top_vector)
         if vbar1 is not None:

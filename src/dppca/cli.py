@@ -18,9 +18,7 @@ from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import ACCOUNTANTS, RngStream
 from .svtfilter import DEFAULT_BETA
 
-_HELP = {"spec": "comma-separated population spectrum (gaussian)",
-         "rotate": "rotate the population basis (gaussian, low-coh; default on)",
-         "T": "iterations (default 10), or 'corollary' for the rule at --kappa",
+_HELP = {"T": "iterations (default 10), or 'corollary' for the rule at --kappa",
          "kappa": "gap guess of the corollary rule",
          "t_const": "multiplier of the corollary rule",
          "sweep_J": "run a kappa sweep with J guesses",
@@ -34,13 +32,6 @@ _FLAG_NAMES = {"sweep_J": "--sweep"}
 
 def _flag(key: str) -> str:
     return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
-
-
-def _parse_spec(raw: str) -> list[float]:
-    try:
-        return [float(p) for p in raw.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad spectrum list {raw!r}") from None
 
 
 def _parse_t(raw: str) -> int | str:
@@ -57,13 +48,11 @@ def _add_key_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
     """One flag per config key, typed by bench's key tables."""
     for key in keys:
         kwargs = {"dest": key, "help": _HELP.get(key), "required": key in required}
-        if key in bench._BOOL_KEYS:
-            kwargs["action"] = argparse.BooleanOptionalAction
-        elif key == "accountant":
+        if key == "accountant":
             kwargs["choices"] = ACCOUNTANTS
         else:
-            kwargs["type"] = {"spec": _parse_spec, "T": _parse_t}.get(
-                key, int if key in bench._INT_KEYS else float)
+            kwargs["type"] = (_parse_t if key == "T"
+                              else int if key in bench._INT_KEYS else float)
         p.add_argument(_flag(key), **kwargs)
 
 
@@ -102,9 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     algo = args.algo if args.sweep_J is None else "adaptive-sweep"
     unread = [_flag(k) for k in _RUN_ALGO_KEYS
               if k in given and k not in bench._ALGO_KEYS[algo]]
-    # beta is read by the search and by the corollary rule, not by the DPM file.
-    if "beta" in given and (algo == "analyze-gauss"
-                            or algo == "naive-power" and args.T != "corollary"):
+    if "beta" in given and not bench._reads_beta({"algo": algo, "T": args.T}):
         unread.append("--beta")
     if args.trace is not None and algo in ("analyze-gauss", "naive-power"):
         unread.append("--trace")
@@ -116,7 +103,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cell.setdefault("T", 10)
     bench._check_algo(cell)  # before the matrix is read
     a = matio.load_dpm(args.infile)
-    run = bench.run_algorithm(cell, a, RngStream(args.seed), noiseless=args.noiseless)
+    run = bench.run_algorithm(cell, a, RngStream(args.seed))
     out: dict = {
         "algo": args.algo, "n": a.n, "d": a.d, "eps_total": cell["eps_total"],
         "delta_total": cell["delta_total"], "accountant": cell.get("accountant", "paper"),
@@ -139,23 +126,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print(doc, end="")
     if args.trace:  # the exact removal counts are evaluation, not released
-        released = {k: v for k, v in asdict(run.trace).items()
-                    if k not in ("removed", "total_removed")}
+        released = {k: v for k, v in asdict(run.trace).items() if k != "removed"}
         Path(args.trace).write_text(json.dumps(released, indent=2) + "\n")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = bench.ExperimentConfig.from_json(args.config)
-    out = args.out or cfg.out
-    if out is None:
-        raise ParameterError("no output path: pass --out or set 'out' in the config")
-    records = bench.run_to_csv(cfg, out, threads=args.threads)
+    records = bench.run_to_csv(cfg, args.out, threads=args.threads)
     errors = sum(1 for r in records if r.error)
     # The BLAS thread count can move the CSV's last bits, so name it.
     blas = " ".join(f"{var}={os.environ.get(var, 'unset')}"
                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    print(f"wrote {len(records)} records ({errors} errors) to {out}; {blas}")
+    print(f"wrote {len(records)} records ({errors} errors) to {args.out}; {blas}")
     return 0
 
 
@@ -181,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True)
     _add_key_flags(r, _RUN_CELL_KEYS, required=bench._CELL_NEED)
     _add_key_flags(r, _RUN_ALGO_KEYS)
-    r.add_argument("--noiseless", action="store_true")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out")
     r.add_argument("--trace")
@@ -189,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run an experiment grid from a JSON config")
     b.add_argument("--config", required=True)
-    b.add_argument("--out")
+    b.add_argument("--out", required=True)
     b.add_argument("--threads", type=int)
     b.set_defaults(func=_cmd_bench)
     return p

@@ -149,14 +149,13 @@ def gen_low_coherence(
     sigma1_frac: float,
     gap: float,
     rng: RngStream,
-    rotate: bool = True,
 ) -> DenseMatrix:
     """Planted deterministic spectrum with spread-out singular vectors.
 
     sigma1^2 = sigma1_frac * n, sigma2^2 = (1 - gap) * sigma1^2, tail
     eigenvalues equal and small.  The diagonal core is conjugated by
-    seeded random orthogonal factors on both sides (skipped when rotate is
-    off), then rescaled so the max row norm is exactly 1.
+    seeded random orthogonal factors on both sides, then rescaled so the
+    max row norm is exactly 1.
 
     The right factor is a d x d Haar rotation from `random_orthogonal`.  The
     tall left factor is the Q of a Gaussian n x d draw g, without a QR of
@@ -183,27 +182,22 @@ def gen_low_coherence(
         sq[1] = s2_sq
     sigma = np.sqrt(sq)
 
-    if rotate:
-        g = rng.standard_normal((n, d))
-        right = random_orthogonal(d, rng)
-        try:
-            # np.dot, not @: matmul holds the GIL for a transposed operand.
-            r = np.linalg.cholesky(np.dot(g.T, g)).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"low-coherence draw is rank-deficient: {exc}") from None
-        core = np.linalg.solve(r, sigma[:, None] * right.T)
-        for rows in _row_blocks(n, d):
-            g[rows] = np.matmul(g[rows], core, out=_scratch(rows.stop - rows.start, d))
-        a = g
-    else:
-        a = np.zeros((n, d))
-        a[:d, :d] = np.diag(sigma)
+    g = rng.standard_normal((n, d))
+    right = random_orthogonal(d, rng)
+    try:
+        # np.dot, not @: matmul holds the GIL for a transposed operand.
+        r = np.linalg.cholesky(np.dot(g.T, g)).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"low-coherence draw is rank-deficient: {exc}") from None
+    core = np.linalg.solve(r, sigma[:, None] * right.T)
+    for rows in _row_blocks(n, d):
+        g[rows] = np.matmul(g[rows], core, out=_scratch(rows.stop - rows.start, d))
 
-    max_norm = float(_row_norms(a).max())
+    max_norm = float(_row_norms(g).max())
     if max_norm == 0.0:
         raise ParameterError("infeasible spectrum: generated matrix is zero")
-    a /= max_norm
-    return DenseMatrix(a)
+    g /= max_norm
+    return DenseMatrix(g)
 
 
 def gen_high_coherence(

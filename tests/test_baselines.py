@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from dppca.adaptive import _power_loop
 from dppca.baselines import analyze_gauss
 from dppca.bench import run_algorithm
 from dppca.datagen import gen_low_coherence
@@ -83,15 +84,16 @@ class TestAnalyzeGauss:
             analyze_gauss(bad, PrivacyBudget(1.0, 1e-5), RngStream(0))
 
 
-def naive_power(a, t, eps, delta, rng, noiseless=False, accountant="paper"):
+def naive_power(a, t, eps, delta, rng, accountant="paper"):
     cell = {"algo": "naive-power", "eps_total": eps, "delta_total": delta, "T": t,
             "accountant": accountant}
-    return run_algorithm(cell, a, rng, noiseless=noiseless).x_hat
+    return run_algorithm(cell, a, rng).x_hat
 
 
 class TestNoisyPowerNaive:
     def test_noiseless_matches_power_iteration(self, instance):
-        x = naive_power(instance, 40, 1.0, 1e-5, RngStream(7, 1), noiseless=True)
+        x, _ = _power_loop(instance, 40, PrivacyBudget(1.0, 1e-5), RngStream(7, 1),
+                           search=False, noiseless=True)
         g = instance.data.T @ instance.data
         y = RngStream(7, 1).standard_normal(instance.d)
         for _ in range(40):

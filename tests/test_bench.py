@@ -102,8 +102,6 @@ class TestRunExperiment:
         # the config changes nothing.
         _, recs = small_run
         grid = small_grid()
-        grid[0]["gen"]["rotate"] = True
-        grid[1]["gen"]["rotate"] = True
         grid[2]["gen"].update(spikes=4, noise_norm=0.05)
         spelled = run_experiment(ExperimentConfig(master_seed=7, trials=5, grid=grid))
         assert records_to_csv(spelled) == records_to_csv(recs)
@@ -126,6 +124,13 @@ class TestErrorRows:
         for r in recs:
             assert r.error.startswith("parameter_error:")
             assert r.sin2_emp is None
+
+    def test_tiny_epsilon_corollary_cell_is_an_error_row(self):
+        # beta * delta * epsilon underflows to 0; the corollary rule still
+        # gives a T, and the budget too small to spend ends the trial.
+        cell = dict(small_grid()[0], eps_total=1e-320, T="corollary", kappa=0.5)
+        recs = run_experiment(ExperimentConfig(master_seed=1, trials=1, grid=[cell]))
+        assert len(recs) == 1 and recs[0].error.startswith("parameter_error:")
 
     def test_error_rows_fill_csv_columns(self):
         cfg = ExperimentConfig(
@@ -313,8 +318,8 @@ class TestConfig:
         (1, {"beta": "0.1"}, "beta"),
         (1, {"T": "corollary", "kappa": "half", "algo": "adaptive"}, "kappa"),
         (0, {"gen": ["gaussian"]}, "gen.kind"),
-        (0, {"gen": {"kind": "low-coh", "n": 150, "d": 5, "sigma1_frac": 0.3,
-                     "gap": 0.5, "rotate": "x"}}, "rotate must be"),
+        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4, "sigma1_sq": 0.5,
+                     "kappabar": 0.5, "rotate": True}}, "unknown key(s) 'rotate'"),
         (1, {"eps_total": -1}, "epsilon must be positive"),
         (0, {"delta_total": 2}, "delta must lie in"),
         (0, {"t_cosnt": 0.1}, "cell has unknown key(s) 't_cosnt'"),
@@ -322,8 +327,8 @@ class TestConfig:
         (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4, "sigma1_sq": 0.5,
                      "kappabar": 0.5, "kappa_bar": 0.5}},
          "gen has unknown key(s) 'kappa_bar'"),
-        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 7, "spec": [0.5, 0.3, 0.2]}},
-         "d=7 but a spec of 3 entries"),
+        # beta is read by a gaussian gen, the threshold search and T "corollary".
+        (1, {"beta": 0.05}, "does not read beta"),
         (1, {"gen": {"kind": "high-coh", "n": 80, "d": 4, "rotate": False}},
          "high-coh gen has unknown key(s) 'rotate'"),
         (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4, "sigma1_sq": 0.5,
@@ -332,12 +337,10 @@ class TestConfig:
         (0, {"gen": {"kind": "gaussian", "n": 200, "d": 4, "sigma1_sq": 0.5,
                      "kappabar": 0.5, "sigma1_frac": 0.3, "gap": 0.5}},
          "gaussian gen has unknown key(s) 'sigma1_frac', 'gap'"),
-        (1, {"gen": {"kind": "gaussian", "n": 200, "spec": [0.6, 0.4],
-                     "sigma1_sq": 0.5}},
-         "gaussian gen with spec has unknown key(s) 'sigma1_sq'"),
-        (0, {"gen": {"kind": "gaussian", "n": 200, "d": 2, "spec": [0.6, 0.4],
-                     "kappabar": 0.5}},
-         "gaussian gen with spec has unknown key(s) 'kappabar'"),
+        (1, {"gen": {"kind": "high-coh", "n": 80, "d": 4}, "beta": 0.9},
+         "high-coh gen does not"),
+        (0, {"gen": {"kind": "low-coh", "n": 150, "d": 5, "sigma1_frac": 0.3, "gap": 0.5},
+             "algo": "naive-power", "beta": 0.05}, "naive-power cell with a"),
         (1, {"gen": {"kind": "low-coh", "n": 150, "d": 5, "sigma1_frac": 0.3,
                      "gap": 0.5, "spikes": 3}},
          "low-coh gen has unknown key(s) 'spikes'"),
@@ -375,7 +378,6 @@ class TestConfig:
         ("trials", "2", "trials must be an integer"),
         ("threads", 2.0, "threads must be an integer"),
         ("master_seed", -1, "master_seed must lie in"),
-        ("out", 5, "out must be a path or null"),
         ("trials", True, "trials must be an integer"),
         ("threads", 0, "threads must be >= 1, got 0"),
     ])
@@ -464,6 +466,16 @@ class TestConfig:
         # Same streams, different calibration: the estimates move.
         assert any(r.sin2_emp != by_key[(r.cell, r.trial)].sin2_emp for r in out)
 
+    @pytest.mark.parametrize("own", [
+        {"algo": "adaptive", "T": 3},
+        {"algo": "adaptive-sweep", "sweep_J": 2},
+        {"algo": "naive-power", "T": "corollary", "kappa": 0.5},
+    ], ids=["search", "sweep", "corollary"])
+    def test_beta_is_accepted_where_read(self, own):
+        cell = {"gen": {"kind": "high-coh", "n": 80, "d": 4}, "eps_total": 1.0,
+                "delta_total": 1e-5, "beta": 0.1, **own}
+        ExperimentConfig(master_seed=1, trials=1, grid=[cell])
+
     def test_corollary_cell_accepted(self):
         cell = dict(small_grid()[0], T="corollary", kappa=0.5, t_const=0.1)
         cfg = ExperimentConfig(master_seed=1, trials=1, grid=[cell])
@@ -493,13 +505,6 @@ class TestSinglePath:
             run = run_algorithm(cell, DenseMatrix(data[:rows]), RngStream(2))
             assert run.x_hat.shape == (5,)
             assert np.linalg.norm(run.x_hat) == pytest.approx(1.0, rel=1e-12)
-
-    def test_nan_spec_entry_names_spec(self):
-        cell = dict(small_grid()[0], gen={"kind": "gaussian", "n": 200,
-                                          "spec": [float("nan"), 0.5]})
-        with pytest.raises(ParameterError, match=r"grid\[0\]: spec") as info:
-            ExperimentConfig(master_seed=1, trials=1, grid=[cell])
-        assert "nan" in str(info.value)
 
     def test_numpy_floats_write_plain_floats(self):
         plain = small_grid()
@@ -532,7 +537,7 @@ class TestSinglePath:
                 a, _, _ = build_instance(cell["gen"], stream, beta)
                 run = run_algorithm(cell, a, stream)
                 rec = recs[(cell["cell"], t)]
-                removed = run.trace.total_removed if run.trace else None
+                removed = sum(run.trace.removed) if run.trace else None
                 assert (rec.t, rec.removed) == (run.t, removed)
                 top = spectrum_stats(a).top_vector
                 assert rec.sin2_emp == sin_sq(run.x_hat, top)

@@ -35,8 +35,8 @@ def gaussian_file(tmp_path):
     out = tmp_path / "a.dpm"
     meta = tmp_path / "a.json"
     rc = run_cli(
-        "gen", "--kind", "gaussian", "--n", "400",
-        "--spec", "0.5,0.25,0.125,0.125",
+        "gen", "--kind", "gaussian", "--n", "400", "--d", "4",
+        "--sigma1-sq", "0.5", "--kappabar", "0.5",  # spectrum (0.5, 0.25, 0.125, 0.125)
         "--seed", "11", "--out", str(out), "--meta", str(meta),
     )
     assert rc == 0
@@ -53,14 +53,6 @@ class TestGen:
         assert doc["kind"] == "gaussian" and len(doc["vbar1"]) == 4
         assert doc["L"] == pytest.approx(5.2396, abs=1e-4)  # 1 + sqrt(2 ln(400 / 0.05))
         assert doc["sigma1"] > doc["sigma2"]
-
-    def test_gaussian_d_must_match_spec(self, tmp_path, capsys):
-        out = tmp_path / "a.dpm"
-        rc = run_cli("gen", "--kind", "gaussian", "--n", "200", "--d", "7",
-                     "--spec", "0.5,0.3,0.2", "--out", str(out))
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: gen has d=7 but a spec of 3")
-        assert not out.exists()
 
     def test_high_coh(self, tmp_path):
         out = tmp_path / "h.dpm"
@@ -121,9 +113,12 @@ class TestGen:
         assert not out.exists()
 
     @pytest.mark.parametrize("extra, needle", [
-        (("--kind", "high-coh", "--no-rotate"), "high-coh gen has unknown key(s) 'rotate'"),
-        (("--kind", "high-coh", "--rotate"), "'rotate'"),
-        (("--kind", "gaussian", "--spec", "0.5,0.5", "--gap", "0.5"), "'gap'"),
+        (("--kind", "high-coh", "--kappabar", "0.5"),
+         "high-coh gen has unknown key(s) 'kappabar'"),
+        (("--kind", "low-coh", "--sigma1-frac", "0.6", "--gap", "0.5", "--spikes", "3"),
+         "'spikes'"),
+        (("--kind", "gaussian", "--sigma1-sq", "0.5", "--kappabar", "0.5", "--gap", "0.5"),
+         "'gap'"),
         (("--kind", "high-coh", "--beta", "0.1"), "high-coh gen does not read --beta"),
         (("--kind", "low-coh", "--sigma1-frac", "0.6", "--gap", "0.5", "--beta", "7"),
          "low-coh gen does not read --beta"),
@@ -137,16 +132,6 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
         assert not out.exists()
-
-    def test_rotate_flag_reaches_low_coh(self, tmp_path):
-        paths = [tmp_path / f"{flag}.dpm" for flag in ("rotate", "no-rotate", "default")]
-        for path, flag in zip(paths, (["--rotate"], ["--no-rotate"], [])):
-            assert run_cli(
-                "gen", "--kind", "low-coh", "--n", "60", "--d", "4",
-                "--sigma1-frac", "0.3", "--gap", "0.5", *flag, "--out", str(path),
-            ) == 0
-        rotated, unrotated, default = (p.read_bytes() for p in paths)
-        assert rotated == default != unrotated
 
     def test_missing_spec_is_cli_error(self, tmp_path, capsys):
         rc = run_cli(
@@ -171,14 +156,6 @@ class TestGen:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: at d = 2")
         assert not out.exists() and not meta.exists()
-
-    def test_nan_spec_entry_is_cli_error(self, tmp_path, capsys):
-        rc = run_cli(
-            "gen", "--kind", "gaussian", "--n", "10", "--spec", "nan,0.5",
-            "--out", str(tmp_path / "x.dpm"),
-        )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: spec must be")
 
 
 class TestRun:
@@ -399,14 +376,6 @@ class TestRun:
              "composed_epsilon": 4.0, "composed_delta": 1e-05},
             4,
         ),
-        "noiseless": (
-            ["--T", "4", "--noiseless"],
-            [-0.660854136962654, -0.5941704759603442, 0.44377797424907134],
-            {"mechanisms": 8, "per_mechanism_epsilon": 0.12640523296349723,
-             "per_mechanism_delta": 1.1111111111111112e-06,
-             "composed_epsilon": 4.0, "composed_delta": 1e-05},
-            4,
-        ),
         "sweep": (
             ["--sweep", "3"],
             [-0.00041906923838029017, 0.9153628965794406, -0.20856932473548204],
@@ -581,41 +550,42 @@ class TestBench:
     def test_malformed_cell_is_cli_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "master_seed": 1, "trials": 1, "out": str(tmp_path / "o.csv"),
+            "master_seed": 1, "trials": 1,
             "grid": [{
                 "cell": "c", "gen": {"kind": "low-coh", "n": 40, "d": 4,
                                      "sigma1_frac": 0.3},
                 "algo": "analyze-gauss", "eps_total": 1.0, "delta_total": 1e-5,
             }],
         }))
-        rc = run_cli("bench", "--config", str(cfg_path))
+        out = tmp_path / "o.csv"
+        rc = run_cli("bench", "--config", str(cfg_path), "--out", str(out))
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid[0]:") and "gap" in err
         # json.dumps writes NaN, which json.loads reads back as a float.
         cfg_path.write_text(json.dumps({
-            "master_seed": 1, "trials": 1, "out": str(tmp_path / "o.csv"),
+            "master_seed": 1, "trials": 1,
             "grid": [{
                 "cell": "c", "gen": {"kind": "high-coh", "n": 40, "d": 4},
                 "algo": "adaptive", "eps_total": 1.0, "delta_total": 1e-5,
                 "T": "corollary", "kappa": 0.5, "t_const": float("nan"),
             }],
         }))
-        assert run_cli("bench", "--config", str(cfg_path)) == 2
+        assert run_cli("bench", "--config", str(cfg_path), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: grid[0]: t_const must be a finite number")
-        assert not (tmp_path / "o.csv").exists()
+        assert not out.exists()
 
     def test_mistyped_top_level_field_is_cli_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "master_seed": 1, "trials": "2", "out": str(tmp_path / "o.csv"),
+            "master_seed": 1, "trials": "2",
             "grid": [{
                 "cell": "c", "gen": {"kind": "high-coh", "n": 40, "d": 4},
                 "algo": "analyze-gauss", "eps_total": 1.0, "delta_total": 1e-5,
             }],
         }))
-        rc = run_cli("bench", "--config", str(cfg_path))
+        rc = run_cli("bench", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"))
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: trials must be an integer")
 
@@ -644,6 +614,8 @@ class TestBench:
          "config has unknown key(s) 'treads'"),
         ('{"master_seed": 1, "trials": 1, "grid": [], "record_walltime": false}',
          "config has unknown key(s) 'record_walltime'"),
+        ('{"master_seed": 1, "trials": 1, "grid": [], "out": "o.csv"}',
+         "config has unknown key(s) 'out'"),
     ])
     def test_unreadable_config_is_cli_error(self, tmp_path, capsys, text, needle):
         cfg_path = tmp_path / "cfg.json"
@@ -654,24 +626,15 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
 
-    def test_bench_without_out_is_error(self, tmp_path, capsys, monkeypatch):
-        # The output path is checked before the grid runs, not after.
+    def test_bench_without_out_is_error(self, monkeypatch):
+        # --out is required: a usage error, before the grid runs.
         def fail(*args, **kwargs):
-            pytest.fail("the grid ran before the output path was checked")
+            pytest.fail("the grid ran without an output path")
 
         monkeypatch.setattr(bench, "run_experiment", fail)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "master_seed": 1, "trials": 1,
-            "grid": [{
-                "cell": "c", "gen": {"kind": "high-coh", "n": 40, "d": 4},
-                "algo": "analyze-gauss", "eps_total": 1.0, "delta_total": 1e-5,
-            }],
-        }))
-        rc = run_cli("bench", "--config", str(cfg_path))
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: no output path: pass --out or set 'out' in the config\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--config", str(DATA / "acceptance_bench.json"))
+        assert exc.value.code == 2
 
     def test_bench_unwritable_out_fails_before_the_grid(self, tmp_path, capsys,
                                                         monkeypatch):

@@ -170,14 +170,6 @@ class TestScaleForPrivacy:
 
 
 class TestGenLowCoherence:
-    def test_base_case_diag(self):
-        a = gen_low_coherence(5, 2, sigma1_frac=1.0 / 5, gap=0.75,
-                              rng=RngStream(9), rotate=False)
-        # sigma1 = 1, sigma2 = 0.5: diag core padded with zero rows
-        assert a.data[0, 0] == pytest.approx(1.0)
-        assert a.data[1, 1] == pytest.approx(0.5)
-        assert np.allclose(a.data[2:], 0.0)
-
     def test_max_row_norm_exactly_one(self):
         for seed in range(5):
             a = gen_low_coherence(200, 8, 0.3, 0.5, RngStream(10, seed))
@@ -239,18 +231,6 @@ class TestLowCoherenceCholeskyFactor:
         householder_low_coherence(500, 12, 0.05, 0.5, ref_rng)
         gen_low_coherence(500, 12, 0.05, 0.5, rng)
         assert np.array_equal(rng.standard_normal(8), ref_rng.standard_normal(8))
-
-    def test_unrotated_bytes(self):
-        # rotate=False: the diagonal core over zero rows, scaled by sigma1.
-        n, d = 50, 4
-        s1_sq = 0.3 * n
-        sq = np.array([s1_sq, 0.5 * s1_sq, 0.005 * s1_sq, 0.005 * s1_sq])
-        left = np.zeros((n, d))
-        left[:d, :d] = np.eye(d)
-        ref = (left * np.sqrt(sq)) @ np.eye(d).T
-        ref = ref / np.sqrt(np.einsum("ij,ij->i", ref, ref)).max()
-        a = gen_low_coherence(n, d, 0.3, 0.5, RngStream(24), rotate=False)
-        assert a.data.tobytes() == ref.tobytes()
 
 
 def edge_rows(d):
@@ -341,9 +321,8 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("gen", [
         {"kind": "gaussian", "sigma1_sq": 0.5, "kappabar": 0.5},
-        {"kind": "gaussian", "sigma1_sq": 0.5, "kappabar": 0.5, "rotate": False},
         {"kind": "low-coh", "sigma1_frac": 0.05, "gap": 0.5},
-    ], ids=["gaussian", "gaussian-unrotated", "low-coh"])
+    ], ids=["gaussian", "low-coh"])
     def test_build_instance_and_spectrum_stats(self, gen):
         bound = 8 * self.N * self.D + 4 * 8 * _BLOCK_ELEMENTS
         started = not tracemalloc.is_tracing()
