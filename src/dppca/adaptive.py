@@ -13,9 +13,8 @@ they differ by rounding (at most 2e-12 relative in any acceptance-grid
 output).  The threshold adapts the noise to the
 data's incoherence instead of paying the worst case: well-spread data
 fires on a small theta and gets small noise.  The worst case is the naive
-noisy power method (naive-power): the same loop without the search, with
-nothing dropped and theta = ||x||, the per-step sensitivity of A^T A x to
-one row of norm at most 1.
+noisy power method (naive-power): the same loop without the search,
+`run_adaptive_power(..., search=False)`.
 
 Accounting: each iteration runs two mechanisms — the threshold search and
 the Gaussian step — so `run_adaptive_power(a, T, per_iter, rng)` composes
@@ -66,7 +65,6 @@ class IterationTrace:
     removed: list[int] = field(default_factory=list)
     noise_sigma: list[float] = field(default_factory=list)
     queries_issued: list[int] = field(default_factory=list)
-    restarts: int = 0
 
 
 def check_private_input(a: DenseMatrix) -> None:
@@ -83,36 +81,19 @@ def check_private_input(a: DenseMatrix) -> None:
 
 def run_adaptive_power(
     a: DenseMatrix, iterations: int, per_iter: PrivacyBudget, rng: RngStream, *,
-    beta: float = DEFAULT_BETA, noiseless: bool = False,
+    search: bool = True, beta: float = DEFAULT_BETA,
 ) -> tuple[np.ndarray, IterationTrace]:
-    """Run the adaptive iteration; returns (unit estimate, trace).
+    """The one noisy power loop; returns (unit estimate, trace).
 
-    per_iter is `split_budget(total, 2 * iterations)`, whose accountant
-    picks the step's noise scale.  With noiseless=True this reduces
-    exactly to plain power iteration on A^T A from the same Gaussian start
-    (the threshold search then returns the smallest grid value keeping
-    every row, which for rows of norm at most 1 keeps all of them).
-    """
-    return _power_loop(a, iterations, per_iter, rng, beta=beta, noiseless=noiseless)
-
-
-def _power_loop(
-    a: DenseMatrix, iterations: int, per_iter: PrivacyBudget, rng: RngStream, *,
-    search: bool = True, beta: float = DEFAULT_BETA, noiseless: bool = False,
-) -> tuple[np.ndarray, IterationTrace]:
-    """The one noisy power loop: from a Gaussian start, `iterations` times
-    x <- unit(A^T (mask * A x) + N(0, sigma^2 I)), sigma =
-    gaussian_sigma(theta, per_iter), where theta bounds the step's
-    per-row sensitivity, and G = gram(a) is fetched once per run.  With
-    search, theta and the mask come from threshold_search and the step is
-    G x - A_R^T (A x)_R over the removed rows R (exactly zero when every
-    row is removed).  Without it (naive-power, per_iter =
-    `split_budget(total, iterations)`) nothing is masked, the step is G x,
-    which reads no A, and theta = ||x||: one row a of norm <= 1 moves
-    A^T A x by ||a|| |<a, x>| <= ||x||, a data-free bound that also covers
-    the unnormalised Gaussian start.  A step that is exactly zero (every
-    row dropped and no noise) restarts from a fresh Gaussian draw, counted
-    in the trace.
+    From a Gaussian start, `iterations` times x <- unit(step + N(0, sigma^2
+    I)), sigma = gaussian_sigma(theta, per_iter).  With search, theta and
+    the step are the module docstring's, and the step is exactly zero when
+    every row is removed.  Without it (naive-power, per_iter =
+    `split_budget(total, iterations)`) the step is G x, which reads no A,
+    and theta = ||x||: one row a of norm <= 1 moves A^T A x by ||a||
+    |<a, x>| <= ||x||, a data-free bound that also covers the unnormalised
+    start.  A noisy iterate whose norm is 0 or not finite (a budget too
+    small to noise overflows it) raises ParameterError.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
@@ -124,8 +105,7 @@ def _power_loop(
     for _ in range(iterations):
         step = np.dot(g, x)
         if search:
-            found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta,
-                                     noiseless=noiseless)
+            found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta)
             theta, removed, queries = found.theta, found.removed_count, found.queries_issued
             if removed == a.n:  # exactly zero, not G x minus its own rounding
                 step[:] = 0.0
@@ -134,7 +114,7 @@ def _power_loop(
             del found  # free its A x and indices before the next search makes its own
         else:
             theta, removed, queries = math.sqrt(x @ x), 0, 0
-        sigma = 0.0 if noiseless else gaussian_sigma(theta, per_iter)
+        sigma = gaussian_sigma(theta, per_iter)
 
         trace.theta.append(theta)
         trace.removed.append(removed)
@@ -143,10 +123,9 @@ def _power_loop(
 
         x = step + sample_gaussian_vec(a.d, sigma, rng)
         norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            x = rng.standard_normal(a.d)
-            norm = float(np.linalg.norm(x))
-            trace.restarts += 1
+        if not 0.0 < norm < math.inf:
+            raise ParameterError(f"noisy iterate norm {norm!r} at noise scale {sigma:.6g}"
+                                 " (a budget too small to noise overflows it)")
         x = x / norm
 
     return x / float(np.linalg.norm(x)), trace
@@ -207,7 +186,6 @@ def run_kappa_sweep(
     num_guesses: int = 6,
     beta: float = DEFAULT_BETA,
     t_const: float = 1.0,
-    noiseless: bool = False,
 ) -> SweepResult:
     """Run the iteration once per gap guess kappa_j = 2^-j and pick privately.
 
@@ -232,8 +210,7 @@ def run_kappa_sweep(
         kappa = 2.0**-j
         t_j = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
         per_iter = split_budget(run_budget, 2 * t_j)
-        x_j, trace_j = run_adaptive_power(a, t_j, per_iter, rng.child(j), beta=beta,
-                                          noiseless=noiseless)
+        x_j, trace_j = run_adaptive_power(a, t_j, per_iter, rng.child(j), beta=beta)
         quality = float(x_j @ np.dot(gram(a), x_j))  # ||A x_j||^2
         candidates.append(SweepCandidate(kappa, t_j, x_j, quality, trace_j))
 

@@ -3,8 +3,9 @@
 It assumes rows with norm at most 1 (the same precondition as the
 adaptive method) and shares its RNG and linear-algebra conventions so that
 head-to-head comparisons differ only in the mechanism.  The other
-baseline, naive noisy power iteration, is the adaptive module's power
-loop without the threshold search (`run_algorithm`'s "naive-power").
+baseline, naive noisy power iteration, is the adaptive power loop
+without the threshold search, `run_adaptive_power(..., search=False)`
+(`run_algorithm`'s "naive-power").
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ def analyze_gauss(
     a: DenseMatrix,
     budget: PrivacyBudget,
     rng: RngStream,
-    noiseless: bool = False,
 ) -> np.ndarray:
     """Top eigenvector of A^T A + E with symmetric Gaussian perturbation.
 
@@ -36,8 +36,7 @@ def analyze_gauss(
     g = gram(a)
     # A paper release spends the budget itself, not invert_budget(budget, 1).
     release = budget if budget.accountant == "paper" else split_budget(budget, 1)
-    if not noiseless:
-        sigma = gaussian_sigma(1.0, release)
-        g = g + _mirror_upper(sigma * rng.standard_normal((a.d, a.d)))
+    sigma = gaussian_sigma(1.0, release)
+    g = g + _mirror_upper(sigma * rng.standard_normal((a.d, a.d)))
     return sym_eig(g).vectors[:, 0].copy()
 

@@ -57,7 +57,6 @@ import numpy as np
 
 from .adaptive import (
     IterationTrace,
-    _power_loop,
     corollary_iterations,
     run_adaptive_power,
     run_kappa_sweep,
@@ -354,7 +353,7 @@ def run_algorithm(cell: dict, a: DenseMatrix, rng: RngStream) -> RunResult:
     accounting = {"mechanisms": count, "per_mechanism_epsilon": per_iter.epsilon,
                   "per_mechanism_delta": per_iter.delta}
     if algo == "naive-power":
-        x_hat, _ = _power_loop(a, t, per_iter, rng, search=False)
+        x_hat, _ = run_adaptive_power(a, t, per_iter, rng, search=False)
         return RunResult(x_hat, t, accounting)
     x_hat, trace = run_adaptive_power(a, t, per_iter, rng, beta=beta)
     if total.accountant == "paper":  # compose assumes the paper's split

@@ -56,6 +56,17 @@ def _add_key_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
         p.add_argument(_flag(key), **kwargs)
 
 
+def _write_json(path: str, doc: dict, written: str | None = None) -> None:
+    """Write `doc` to `path` as indented JSON; if that fails, delete `written`,
+    the file written before it, so an error leaves no partial output."""
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    except OSError:
+        if written:
+            Path(written).unlink(missing_ok=True)
+        raise
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if not args.out.endswith(".dpm"):
         raise ParameterError(f"--out {args.out}: dppca gen writes the DPM format, "
@@ -79,7 +90,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         )
     matio.save_dpm(a, args.out)
     if args.meta:
-        Path(args.meta).write_text(json.dumps(meta, indent=2) + "\n")
+        _write_json(args.meta, meta, written=args.out)
     print(f"wrote {a.n}x{a.d} matrix to {args.out}")
     return 0
 
@@ -119,15 +130,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out["sin2_vs_v1"] = sin_sq(run.x_hat, stats.top_vector)
     out["rayleigh_ratio"] = rayleigh_ratio(a, run.x_hat, stats.sigma1)
 
-    doc = json.dumps(out, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(doc)
-        print(f"sin2_vs_v1={out['sin2_vs_v1']:.6g} -> {args.out}")
-    else:
-        print(doc, end="")
+        _write_json(args.out, out)
     if args.trace:  # the exact removal counts are evaluation, not released
         released = {k: v for k, v in asdict(run.trace).items() if k != "removed"}
-        Path(args.trace).write_text(json.dumps(released, indent=2) + "\n")
+        _write_json(args.trace, released, written=args.out)
+    print(f"sin2_vs_v1={out['sin2_vs_v1']:.6g} -> {args.out}" if args.out
+          else json.dumps(out, indent=2))
     return 0
 
 

@@ -295,14 +295,15 @@ def sin_sq(x: np.ndarray, y: np.ndarray) -> float:
     """Squared sine of the principal angle between the lines spanned by x, y.
 
     sin^2 = 1 - <x, y>^2 / (||x||^2 ||y||^2), clamped to [0, 1].  Zero
-    vectors are rejected.
+    vectors are rejected, and so are those whose squared norm is not finite
+    (a NaN, an infinite or an overflowing entry), which the clamp would map to 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     nx = float(x @ x)
     ny = float(y @ y)
-    if nx == 0.0 or ny == 0.0:
-        raise ContractViolationError("sin_sq of a zero vector")
+    if not (0.0 < nx < np.inf and 0.0 < ny < np.inf):  # also NaN
+        raise ContractViolationError("sin_sq: a squared norm is 0 or not finite")
     c = float(x @ y)
     val = 1.0 - (c * c) / (nx * ny)
     return min(1.0, max(0.0, val))
@@ -312,11 +313,12 @@ def rayleigh_ratio(a: DenseMatrix, x: np.ndarray, sigma1: float) -> float:
     """x^T A^T A x / (sigma1^2 ||x||^2): captured variance relative to the top.
 
     `sigma1` is A's top singular value, as `spectrum_stats(a).sigma1` gives it.
+    Vectors whose squared norm is 0 or not finite are rejected.
     """
     x = np.asarray(x, dtype=np.float64)
     nx = float(x @ x)
-    if nx == 0.0:
-        raise ContractViolationError("rayleigh_ratio of a zero vector")
+    if not 0.0 < nx < np.inf:  # also NaN
+        raise ContractViolationError("rayleigh_ratio: the squared norm is 0 or not finite")
     num = float(x @ np.dot(gram(a), x))  # ||A x||^2 from the cached Gram
     s1sq = float(sigma1) ** 2
     if s1sq == 0.0:

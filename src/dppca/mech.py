@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,19 +60,10 @@ class PrivacyBudget:
 
 @dataclass
 class RngStream:
-    """A deterministic Philox stream identified by (master_seed, stream_id).
-
-    `counter` tracks how many draw calls have been issued; it exists for
-    tracing and is not consulted when generating.  `skip(k)` counts as k
-    calls, so a threshold search that reads its probe noise in one batch
-    (`peek_uniform_open`) and consumes only the draws up to the firing
-    probe leaves `counter` where one scalar draw per probe would.
-    `standard_normal(out=buf)` fills buf and counts as one call.
-    """
+    """A deterministic Philox stream identified by (master_seed, stream_id)."""
 
     master_seed: int
     stream_id: int = 0
-    counter: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         # A numpy integer names the stream of the equal Python int.
@@ -92,19 +83,17 @@ class RngStream:
 
     def standard_normal(self, size: int | tuple[int, ...] | None = None,
                         out: np.ndarray | None = None) -> np.ndarray:
-        self.counter += 1
         return self._gen.standard_normal(size, out=out)
 
     def uniform_open(self) -> float:
         """Uniform on the open interval (0, 1)."""
-        self.counter += 1
         u = self._gen.random()
         return u if u > 0.0 else _TINY  # random() covers [0, 1): nudge a zero
 
     def peek_uniform_open(self, size: int) -> np.ndarray:
         """The values the next `size` scalar uniform_open() calls would
-        return, read without consuming them: the stream and `counter` stay
-        where they are.  `skip` then consumes as many as the caller used."""
+        return, read without consuming them: the stream stays where it is.
+        `skip` then consumes as many as the caller used."""
         state = self._gen.bit_generator.state
         u = self._gen.random(size)
         self._gen.bit_generator.state = state
@@ -112,10 +101,9 @@ class RngStream:
         return u
 
     def skip(self, count: int) -> None:
-        """Consume `count` uniforms, leaving the stream and `counter` where
-        `count` scalar uniform_open() calls would (Philox's random(k) draws
-        what k calls of random() draw)."""
-        self.counter += count
+        """Consume `count` uniforms, leaving the stream where `count` scalar
+        uniform_open() calls would (Philox's random(k) draws what k calls
+        of random() draw)."""
         self._gen.random(count)
 
 
@@ -141,13 +129,19 @@ def gaussian_sigma(sensitivity: float, budget: PrivacyBudget) -> float:
     "paper": sigma = k * sqrt(2 ln(2/delta)) / epsilon (Algorithm line 9)
     "zcdp":  sigma = k / epsilon, an (epsilon^2 / 2)-zCDP release (delta is
              not used)
+
+    Raises ParameterError when sigma overflows: an epsilon too small to noise.
     """
     if not (math.isfinite(sensitivity) and sensitivity >= 0.0):
         raise ParameterError(f"sensitivity must be >= 0, got {sensitivity}")
     if budget.accountant == "zcdp":
-        return sensitivity / budget.epsilon
-    root = math.sqrt(math.log(2.0 / budget.delta))
-    return sensitivity * math.sqrt(2.0) * root / budget.epsilon
+        sigma = sensitivity / budget.epsilon
+    else:
+        root = math.sqrt(math.log(2.0 / budget.delta))
+        sigma = sensitivity * math.sqrt(2.0) * root / budget.epsilon
+    if sigma == math.inf:
+        raise ParameterError(f"epsilon {budget.epsilon} is too small: sigma overflows")
+    return sigma
 
 
 def sample_gaussian_vec(dim: int, sigma: float, rng: RngStream) -> np.ndarray:

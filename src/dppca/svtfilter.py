@@ -81,7 +81,7 @@ def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 def threshold_search(
     a: DenseMatrix, x: np.ndarray, epsilon: float, rng: RngStream, *,
-    beta: float = DEFAULT_BETA, noiseless: bool = False,
+    beta: float = DEFAULT_BETA,
 ) -> ThresholdResult:
     """Smallest grid threshold whose noisy removed-row count is under the noisy bar.
 
@@ -90,12 +90,8 @@ def threshold_search(
     6 ln(1/beta) / epsilon - Lap(2/epsilon), drawn once, plus a fresh
     Lap(4/epsilon) per probe in grid order.  This is the sparse vector
     technique, epsilon-DP under add/remove with no public n: one row moves
-    each over_k by at most 1, and nothing here reads n.  The noise is drawn
-    in one batch and only the draws up to the firing probe are consumed, so
-    `rng` ends where a probe-by-probe search would leave it.  If no
-    candidate fires the largest is returned (flagged in the result).
-    noiseless, a debugging switch, draws no noise and fires on the first
-    probe that removes no row.
+    each over_k by at most 1, and nothing here reads n.  If no candidate
+    fires the largest is returned (flagged in the result).
 
     Raises ParameterError for a bad epsilon or beta, and
     ContractViolationError for a probe vector whose grid leaves the
@@ -129,18 +125,14 @@ def threshold_search(
     q = np.abs(ax)
     q *= a.row_norms()
     over = _grid_counts(q, grid)
-    if noiseless:
-        bar = noise = 0.0
-    else:
-        u = rng.peek_uniform_open(grid.size + 1)
-        bar = (6.0 * math.log(1.0 / beta) / epsilon
-               - laplace_inverse_cdf(u[0], 2.0 / epsilon))
-        noise = laplace_inverse_cdf(u[1:], 4.0 / epsilon)
+    u = rng.peek_uniform_open(grid.size + 1)
+    bar = (6.0 * math.log(1.0 / beta) / epsilon
+           - laplace_inverse_cdf(u[0], 2.0 / epsilon))
+    noise = laplace_inverse_cdf(u[1:], 4.0 / epsilon)
     fires = np.flatnonzero(over <= bar + noise)
     fell_through = fires.size == 0
     fired = grid.size - 1 if fell_through else int(fires[0])
-    if not noiseless:
-        rng.skip(fired + 2)  # the bar and probes 0..fired
+    rng.skip(fired + 2)  # the bar and probes 0..fired
     # Rows with buckets past the firing probe's have q > theta, or NaN.
     removed = np.flatnonzero(q.view(np.int64) > fired)
     return ThresholdResult(float(grid[fired]), fired + 1, fell_through, removed.size,

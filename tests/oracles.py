@@ -1,0 +1,52 @@
+"""Test-side oracles shared by several test modules."""
+
+import math
+
+import numpy as np
+
+from dppca.errors import ContractViolationError
+from dppca.mech import laplace_inverse_cdf
+from dppca.svtfilter import GRID_HI_EXP, GRID_LO_EXP, ThresholdResult
+
+
+def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
+    """The search probe by probe, counting with a sort: the oracle for
+    threshold_search's bit-pattern counts and batched draws.  With
+    noiseless it draws nothing and fires on the first probe that removes
+    no row."""
+    x = np.asarray(x, dtype=np.float64)
+    ax = a.data @ x
+    q = a.row_norms() * np.abs(ax)
+    n = a.n
+    scale = float(np.linalg.norm(x))
+    if scale == 0.0:
+        raise ContractViolationError("zero probe vector")
+    if noiseless:
+        bar = float(n)
+    else:
+        bar = (
+            n
+            - 6.0 * math.log(1.0 / beta) / epsilon
+            + laplace_inverse_cdf(rng.uniform_open(), 2.0 / epsilon)
+        )
+    grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+    counts = np.searchsorted(np.sort(q), grid, side="right").tolist()
+    fired = len(grid) - 1
+    fell_through = True
+    for k, count in enumerate(counts):
+        if noiseless:
+            noisy = count
+        else:
+            noisy = count + laplace_inverse_cdf(rng.uniform_open(), 4.0 / epsilon)
+        if noisy >= bar:
+            fired, fell_through = k, False
+            break
+    theta = float(grid[fired])
+    return ThresholdResult(
+        theta=theta,
+        queries_issued=fired + 1,
+        fell_through=fell_through,
+        removed_count=n - counts[fired],
+        ax=ax,
+        removed=np.flatnonzero(~(q <= theta)),
+    )

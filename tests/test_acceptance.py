@@ -62,11 +62,9 @@ class FixedX0Stream(RngStream):
         return super().standard_normal(size)
 
 
-def test_criterion_01_noiseless_reduction():
+def test_criterion_01_noiseless_reduction(noiseless):
     a = gen_low_coherence(100, 10, 0.3, 0.6, RngStream(41))
-    x_hat, _ = run_adaptive_power(
-        a, 50, PrivacyBudget(0.5, 1e-6), RngStream(42, 1), noiseless=True
-    )
+    x_hat, _ = run_adaptive_power(a, 50, PrivacyBudget(0.5, 1e-6), RngStream(42, 1))
     x = RngStream(42, 1).standard_normal(10)
     g = a.data.T @ a.data
     for _ in range(50):
@@ -79,14 +77,14 @@ def test_criterion_01_noiseless_reduction():
     assert ok
 
 
-def test_criterion_02_convergence_rate_law():
+def test_criterion_02_convergence_rate_law(noiseless):
     a = DenseMatrix(np.diag([1.0, 0.5]))
     tan0 = 1e-4
     ratio = (0.5**2 / 1.0**2)  # sigma2^2 / sigma1^2
     worst = 0.0
     for t in (1, 5, 10, 20):
         x_hat, _ = run_adaptive_power(
-            a, t, PrivacyBudget(0.5, 1e-6), FixedX0Stream([1.0, tan0]), noiseless=True
+            a, t, PrivacyBudget(0.5, 1e-6), FixedX0Stream([1.0, tan0])
         )
         sin2 = x_hat[1] ** 2 / float(x_hat @ x_hat)
         pred = tan0**2 * ratio ** (2 * t)
@@ -276,13 +274,13 @@ def test_criterion_11_eps_monotonicity(bench_run):
     assert ok
 
 
-def test_criterion_12_exponential_mechanism_limit():
+def test_criterion_12_exponential_mechanism_limit(noiseless):
     hits = 0
     for trial in range(100):
         inst = gen_low_coherence(100, 6, 0.3, 0.6, RngStream(123, trial))
         res = run_kappa_sweep(
             inst, PrivacyBudget(2e9, 1e-5), RngStream(456, trial),
-            num_guesses=4, noiseless=True,
+            num_guesses=4,
         )
         assert res.selection_epsilon == 1e9
         best = max(c.quality for c in res.candidates)

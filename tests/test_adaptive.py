@@ -1,11 +1,15 @@
-"""Tests for the adaptive iteration, the kappa sweep, and dead-iterate restarts."""
+"""Tests for the adaptive iteration, the kappa sweep, and the noisy-iterate check."""
+
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import dppca
 from dppca import adaptive
 from dppca.adaptive import (
-    _power_loop,
     check_private_input,
     corollary_iterations,
     run_adaptive_power,
@@ -77,9 +81,9 @@ class TestInputContract:
 
 
 class TestNoiselessReduction:
-    def test_matches_power_iteration_oracle(self, instance):
+    def test_matches_power_iteration_oracle(self, instance, noiseless):
         x_hat, trace = run_adaptive_power(
-            instance, 30, PrivacyBudget(0.5, 1e-6), RngStream(5, 2), noiseless=True
+            instance, 30, PrivacyBudget(0.5, 1e-6), RngStream(5, 2)
         )
         x0 = RngStream(5, 2).standard_normal(instance.d)
         oracle = power_iteration_oracle(instance, x0, 30)
@@ -120,7 +124,7 @@ class TestNoisyRun:
         # before the accountant option existed.
         rng = RngStream(11)
         x_hat, trace = run_adaptive_power(instance, 5, PrivacyBudget(0.5, 1e-6), rng)
-        assert rng.counter == 195
+        assert rng.uniform_open() == 0.033828046659899025  # the stream's next draw
         assert trace.noise_sigma[0] == pytest.approx(0.990369439057216, rel=1e-12)
         assert x_hat[:3] == pytest.approx(
             [0.36719045965363173, 0.48457222203870187, 0.5633134636047399],
@@ -208,12 +212,11 @@ class TestKappaSweep:
         assert np.array_equal(a.estimate, b.estimate)
         assert a.selected == b.selected
 
-    def test_noiseless_selects_best_rayleigh(self, instance):
+    def test_noiseless_selects_best_rayleigh(self, instance, noiseless):
         # Degenerate selection epsilon: the argmax candidate must win.
         g = gram(instance)
         res = run_kappa_sweep(
-            instance, PrivacyBudget(1e6, 0.5), RngStream(13),
-            num_guesses=3, noiseless=True,
+            instance, PrivacyBudget(1e6, 0.5), RngStream(13), num_guesses=3,
         )
         best = max(
             range(3), key=lambda j: res.candidates[j].estimate
@@ -226,25 +229,43 @@ class TestKappaSweep:
             run_kappa_sweep(instance, PrivacyBudget(1.0, 1e-5), RngStream(0), 0)
 
 
-class TestDeadIterate:
-    """A step that is exactly zero (every row dropped, no noise) restarts the
-    loop from a fresh Gaussian draw, with and without the threshold search."""
+class TestNoisyIterateCheck:
+    """A noisy iterate whose norm is 0 or not finite has no unit direction:
+    the loop raises ParameterError naming the noise scale, with and without
+    the threshold search."""
 
-    @pytest.mark.parametrize("loop", ["adaptive", "naive-power"])
-    def test_every_zero_step_restarts(self, loop):
-        a, rng = DenseMatrix(np.zeros((8, 3))), RngStream(17, 3)
+    @pytest.mark.parametrize("search", [True, False], ids=["adaptive", "naive-power"])
+    def test_budget_too_small_to_noise(self, instance, search):
+        # sigma is about 1e303: the noisy iterate's norm overflows to inf.
+        per_iter = split_budget(PrivacyBudget(1e-300, 1e-5), 6)
+        with np.errstate(over="ignore"), pytest.raises(
+            ParameterError, match=r"norm inf at noise scale \d"
+        ):
+            run_adaptive_power(instance, 3, per_iter, RngStream(17), search=search)
+
+    @pytest.mark.parametrize("search", [True, False], ids=["adaptive", "naive-power"])
+    def test_zero_step_without_noise(self, noiseless, search):
         per_iter = split_budget(PrivacyBudget(1.0, 1e-5), 10)
-        if loop == "adaptive":
-            x, trace = run_adaptive_power(a, 5, per_iter, rng, noiseless=True)
-            assert trace.restarts == 5
-        else:
-            x, _ = _power_loop(a, 5, per_iter, rng, search=False, noiseless=True)
-        assert rng.counter == 6  # the start draw and five restarts
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
-        ref = RngStream(17, 3)
-        draws = [ref.standard_normal(3) for _ in range(6)]
-        np.testing.assert_allclose(x, draws[-1] / np.linalg.norm(draws[-1]), rtol=1e-15)
-        assert np.array_equal(rng.standard_normal(2), ref.standard_normal(2))
+        with pytest.raises(ParameterError, match="norm 0.0 at noise scale 0"):
+            run_adaptive_power(DenseMatrix(np.zeros((8, 3))), 5, per_iter, RngStream(17, 3),
+                               search=search)
+
+
+def test_no_public_function_takes_noiseless():
+    # A run without noise is a test-side patch (the `noiseless` fixture),
+    # never a switch of the package.
+    for info in pkgutil.iter_modules(dppca.__path__):
+        module = importlib.import_module(f"dppca.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                funcs = [f for _, f in inspect.getmembers(obj, inspect.isfunction)]
+            else:
+                funcs = [obj] if inspect.isfunction(obj) else []
+            for func in funcs:
+                assert "noiseless" not in inspect.signature(func).parameters, (
+                    f"{module.__name__}.{name}")
 
 
 def record_steps(monkeypatch):
@@ -302,25 +323,27 @@ class TestGramStep:
 
     def test_every_row_removed_is_an_exact_zero_step(self, monkeypatch):
         # A tiny epsilon sinks the bar, so the first probe fires and every
-        # row is above theta; with the noise zeroed, each step is then
-        # exactly zero (not G x less its own rounding) and restarts.
+        # row is above theta; each step is then exactly zero (not G x less
+        # its own rounding), so each iterate is exactly the normalised noise.
         a = gen_low_coherence(200, 6, 0.3, 0.6, RngStream(33))
+        noise = np.array([0.3, -1.7, 0.2, 2.9, -0.4, 1.1])
         monkeypatch.setattr(adaptive, "sample_gaussian_vec",
-                            lambda dim, sigma, rng: np.zeros(dim))
-        _, trace = run_adaptive_power(a, 4, PrivacyBudget(1e-4, 1e-6), RngStream(34))
+                            lambda dim, sigma, rng: noise.copy())
+        x_hat, trace = run_adaptive_power(a, 4, PrivacyBudget(1e-4, 1e-6), RngStream(34))
         assert trace.removed == [a.n] * 4
-        assert trace.restarts == 4
+        unit = noise / np.linalg.norm(noise)
+        assert x_hat.tobytes() == (unit / np.linalg.norm(unit)).tobytes()
 
     def test_naive_step_is_gram_times_x_plus_noise(self, monkeypatch, instance):
         # The unsearched step reads no A: with G and the row norms cached,
         # A's entries are overwritten with NaN and the run is unchanged.
         per_iter = split_budget(PrivacyBudget(1.0, 1e-5), 5)
-        want, _ = _power_loop(instance, 5, per_iter, RngStream(35), search=False)
+        want, _ = run_adaptive_power(instance, 5, per_iter, RngStream(35), search=False)
         g = gram(instance)
         instance.row_norms()
         instance.data = np.full_like(instance.data, np.nan)
         _, noises = record_steps(monkeypatch)
-        got, _ = _power_loop(instance, 5, per_iter, RngStream(35), search=False)
+        got, _ = run_adaptive_power(instance, 5, per_iter, RngStream(35), search=False)
         assert np.array_equal(got, want)
         x = RngStream(35).standard_normal(instance.d)
         for noise in noises:

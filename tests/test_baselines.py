@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from dppca.adaptive import _power_loop
+from dppca.adaptive import run_adaptive_power
 from dppca.baselines import analyze_gauss
 from dppca.bench import run_algorithm
 from dppca.datagen import gen_low_coherence
@@ -19,8 +19,8 @@ def instance():
 
 
 class TestAnalyzeGauss:
-    def test_noiseless_is_exact_top_eigenvector(self, instance):
-        v = analyze_gauss(instance, PrivacyBudget(1.0, 1e-5), RngStream(0), noiseless=True)
+    def test_noiseless_is_exact_top_eigenvector(self, instance, noiseless):
+        v = analyze_gauss(instance, PrivacyBudget(1.0, 1e-5), RngStream(0))
         v1 = spectrum_stats(instance).top_vector
         assert sin_sq(v, v1) <= 1e-18
 
@@ -52,7 +52,7 @@ class TestAnalyzeGauss:
         # before the accountant option existed.
         rng = RngStream(12)
         v = analyze_gauss(instance, PrivacyBudget(1.0, 1e-5), rng)
-        assert rng.counter == 1
+        assert rng.uniform_open() == 0.7202864694681583  # the stream's next draw
         assert v[:3] == pytest.approx(
             [0.04171840610998693, 0.5249877869140879, -0.32274018881488375],
             rel=1e-9,
@@ -91,9 +91,9 @@ def naive_power(a, t, eps, delta, rng, accountant="paper"):
 
 
 class TestNoisyPowerNaive:
-    def test_noiseless_matches_power_iteration(self, instance):
-        x, _ = _power_loop(instance, 40, PrivacyBudget(1.0, 1e-5), RngStream(7, 1),
-                           search=False, noiseless=True)
+    def test_noiseless_matches_power_iteration(self, instance, noiseless):
+        x, _ = run_adaptive_power(instance, 40, PrivacyBudget(1.0, 1e-5), RngStream(7, 1),
+                                  search=False)
         g = instance.data.T @ instance.data
         y = RngStream(7, 1).standard_normal(instance.d)
         for _ in range(40):

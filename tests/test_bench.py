@@ -132,6 +132,22 @@ class TestErrorRows:
         recs = run_experiment(ExperimentConfig(master_seed=1, trials=1, grid=[cell]))
         assert len(recs) == 1 and recs[0].error.startswith("parameter_error:")
 
+    @pytest.mark.parametrize("algo, eps", [
+        ("adaptive", 1e-300), ("naive-power", 1e-300), ("analyze-gauss", 1e-320),
+    ])
+    def test_budget_too_small_to_noise_is_an_error_row(self, algo, eps):
+        # The noisy iterate's norm (adaptive, naive-power) or sigma itself
+        # (analyze-gauss) overflows: an error row, not a NaN estimate scored
+        # as a perfect sin2 of 0.
+        cell = {"gen": {"kind": "high-coh", "n": 80, "d": 4}, "algo": algo,
+                "eps_total": eps, "delta_total": 1e-5}
+        if algo != "analyze-gauss":
+            cell["T"] = 3
+        with np.errstate(over="ignore"):
+            recs = run_experiment(ExperimentConfig(master_seed=1, trials=1, grid=[cell]))
+        assert recs[0].error.startswith("parameter_error:")
+        assert recs[0].sin2_emp is None
+
     def test_error_rows_fill_csv_columns(self):
         cfg = ExperimentConfig(
             master_seed=1, trials=1,

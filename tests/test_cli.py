@@ -158,7 +158,47 @@ class TestGen:
         assert not out.exists() and not meta.exists()
 
 
+    def test_meta_that_cannot_be_written_leaves_no_matrix(self, tmp_path, capsys):
+        out = tmp_path / "h.dpm"
+        rc = run_cli(
+            "gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--out", str(out),
+            "--meta", str(tmp_path / "missing" / "h.json"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRun:
+    def test_trace_that_cannot_be_written_leaves_no_result(
+        self, gaussian_file, tmp_path, capsys
+    ):
+        infile, _ = gaussian_file
+        res = tmp_path / "res.json"
+        rc = run_cli(
+            "run", "--in", str(infile), "--eps-total", "1", "--delta-total", "1e-5",
+            "--T", "3", "--out", str(res), "--trace", str(tmp_path / "missing" / "t.json"),
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert not res.exists()
+
+    @pytest.mark.parametrize("algo", ["adaptive", "naive-power"])
+    def test_budget_too_small_to_noise_is_cli_error(
+        self, gaussian_file, tmp_path, capsys, algo
+    ):
+        infile, _ = gaussian_file
+        res = tmp_path / "res.json"
+        with np.errstate(over="ignore"):
+            rc = run_cli(
+                "run", "--in", str(infile), "--eps-total", "1e-300", "--delta-total",
+                "1e-5", "--algo", algo, "--T", "3", "--out", str(res),
+            )
+        assert rc == 2
+        assert "error: noisy iterate norm inf at noise scale" in capsys.readouterr().err
+        assert not res.exists()
+
     def test_adaptive_writes_result_and_trace(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
         res = tmp_path / "res.json"

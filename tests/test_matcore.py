@@ -362,6 +362,14 @@ class TestSinSq:
         with pytest.raises(ContractViolationError):
             sin_sq(np.zeros(3), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 0.0], [1e200, 1e200]])
+    def test_non_finite_norm_rejected(self, bad):
+        # The clamp would map NaN to a perfect 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in ((bad, [1.0, 0.0]), ([1.0, 0.0], bad)):
+                with pytest.raises(ContractViolationError, match="squared norm is 0 or not finite"):
+                    sin_sq(np.array(x), np.array(y))
+
     @given(unit_vec)
     @settings(max_examples=50, deadline=None)
     def test_bounds_and_symmetry(self, seed):
@@ -384,6 +392,16 @@ class TestRayleighRatio:
         s1 = spectrum_stats(a).sigma1
         x = np.random.default_rng(0).normal(size=a.d)
         assert rayleigh_ratio(a, x, s1) == pytest.approx(rayleigh_ratio(a, 7.5 * x, s1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        a = random_matrix(15)
+        x = np.ones(a.d)
+        x[0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ContractViolationError, match="squared norm is 0 or not finite"
+        ):
+            rayleigh_ratio(a, x, spectrum_stats(a).sigma1)
 
     def test_bounded_by_one(self):
         a = random_matrix(14)

@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from dppca import svtfilter
 from dppca.errors import ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix
-from dppca.mech import RngStream, laplace_inverse_cdf
+from dppca.mech import RngStream
 from dppca.svtfilter import (
     _MAX_SCALE,
     _MIN_SCALE,
     GRID_HI_EXP,
     GRID_LO_EXP,
-    ThresholdResult,
     _grid_counts,
     threshold_search,
 )
+from oracles import reference_search
 
 
 def unit_rows(seed, n=200, d=5):
@@ -31,17 +31,17 @@ def unit_rows(seed, n=200, d=5):
 
 
 class TestSvtConfig:
-    """The search's own parameters: epsilon, beta and noiseless."""
+    """The search's own parameters: epsilon and beta."""
 
     def test_defaults(self):
         a = unit_rows(0)
         x = np.random.default_rng(1).normal(size=a.d)
         r_default, r_explicit = RngStream(2), RngStream(2)
         got = threshold_search(a, x, 0.5, r_default)
-        want = threshold_search(a, x, 0.5, r_explicit, beta=0.05, noiseless=False)
+        want = threshold_search(a, x, 0.5, r_explicit, beta=0.05)
         assert (got.theta, got.queries_issued, got.removed_count) == (
             want.theta, want.queries_issued, want.removed_count)
-        assert r_default.counter == r_explicit.counter
+        assert r_default.uniform_open() == r_explicit.uniform_open()
         assert (GRID_LO_EXP, GRID_HI_EXP) == (-40, 1)
 
     def test_rejects_bad_epsilon(self):
@@ -58,10 +58,13 @@ class TestSvtConfig:
 
 
 class TestNoiselessSearch:
+    """At epsilon 1e9 the noise is far below one row, so the search fires,
+    as a search without noise would, on the first probe that removes no row."""
+
     def test_returns_smallest_covering_threshold(self):
         a = unit_rows(0)
         x = np.random.default_rng(1).normal(size=a.d)
-        res = threshold_search(a, x, 1.0, RngStream(0), noiseless=True)
+        res = threshold_search(a, x, 1e9, RngStream(0))
         q = a.row_norms() * np.abs(a.data @ x)
         # fired threshold covers everything...
         assert np.all(q <= res.theta)
@@ -74,22 +77,20 @@ class TestNoiselessSearch:
         for seed in range(5):
             a = unit_rows(seed)
             x = np.random.default_rng(seed + 100).normal(size=a.d)
-            res = threshold_search(a, x, 1.0, RngStream(0), noiseless=True)
+            res = threshold_search(a, x, 1e9, RngStream(0))
             assert not res.fell_through
 
     def test_grid_scales_with_x_norm(self):
         a = unit_rows(2)
         x = np.random.default_rng(3).normal(size=a.d)
-        t1 = threshold_search(a, x, 1.0, RngStream(0), noiseless=True).theta
-        t2 = threshold_search(a, 8.0 * x, 1.0, RngStream(0), noiseless=True).theta
-        assert t2 == pytest.approx(8.0 * t1)
+        t1 = threshold_search(a, x, 1e9, RngStream(0)).theta
+        t2 = threshold_search(a, 8.0 * x, 1e9, RngStream(0)).theta
+        assert t2 == 8.0 * t1
 
     def test_zero_x_rejected_in_scaled_mode(self):
         a = unit_rows(6)
         with pytest.raises(ContractViolationError):
-            threshold_search(
-                a, np.zeros(a.d), 1.0, RngStream(0), noiseless=True
-            )
+            threshold_search(a, np.zeros(a.d), 1e9, RngStream(0))
 
 
 class TestNoisySearch:
@@ -105,7 +106,7 @@ class TestNoisySearch:
         # With eps huge the Laplace noise and the bar offset both vanish.
         a = unit_rows(9, n=500)
         x = np.random.default_rng(10).normal(size=a.d)
-        noiseless = threshold_search(a, x, 1.0, RngStream(0), noiseless=True).theta
+        noiseless = reference_search(a, x, 1.0, RngStream(0), noiseless=True).theta
         noisy = threshold_search(a, x, 1e9, RngStream(0)).theta
         assert noisy == pytest.approx(noiseless)
 
@@ -115,8 +116,8 @@ class TestNoisySearch:
         res = threshold_search(a, x, 0.5, RngStream(1))
         assert 1 <= res.queries_issued <= 42  # grid size for [-40, 1]
 
-    @pytest.mark.parametrize("noiseless", [True, False])
-    def test_reads_no_row_count(self, noiseless):
+    @pytest.mark.parametrize("large_epsilon", [True, False])
+    def test_reads_no_row_count(self, large_epsilon):
         # Under add/remove the row count is not public, so the search must
         # not read it: the same rows behind an n that raises search alike.
         class NoCount(DenseMatrix):
@@ -127,8 +128,8 @@ class TestNoisySearch:
         plain = unit_rows(13, n=300)
         hidden = NoCount(plain.data)
         x = np.random.default_rng(14).normal(size=plain.d)
-        got, want = (threshold_search(a, x, 0.5, RngStream(4), noiseless=noiseless)
-                     for a in (hidden, plain))
+        epsilon = 1e9 if large_epsilon else 0.5
+        got, want = (threshold_search(a, x, epsilon, RngStream(4)) for a in (hidden, plain))
         assert (got.theta, got.queries_issued, got.removed_count) == (
             want.theta, want.queries_issued, want.removed_count)
         assert np.array_equal(got.removed, want.removed)
@@ -147,16 +148,15 @@ def kept_ax(res):
 class TestFilter:
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.booleans(),
-        st.sampled_from([0.05, 0.5, 5.0]),
+        st.sampled_from([0.05, 0.5, 5.0, 1e9]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_kept_ax_is_masked_ax(self, seed, noiseless, epsilon):
+    def test_kept_ax_is_masked_ax(self, seed, epsilon):
         rng = np.random.default_rng(seed)
         a = DenseMatrix(unit_rows(seed % 100, n=60).data
                         * rng.uniform(0.0, 1.0, size=(60, 1)))
         x = rng.normal(size=a.d)
-        res = threshold_search(a, x, epsilon, RngStream(seed, 2), noiseless=noiseless)
+        res = threshold_search(a, x, epsilon, RngStream(seed, 2))
         ax = a.data @ x
         q = a.row_norms() * np.abs(ax)
         assert res.ax.tobytes() == ax.tobytes()
@@ -165,63 +165,21 @@ class TestFilter:
         assert res.removed_count == int(np.sum(q > res.theta))
 
 
-def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
-    """The search probe by probe, counting with a sort: the oracle for
-    threshold_search's bit-pattern counts and batched draws."""
-    x = np.asarray(x, dtype=np.float64)
-    ax = a.data @ x
-    q = a.row_norms() * np.abs(ax)
-    n = a.n
-    scale = float(np.linalg.norm(x))
-    if scale == 0.0:
-        raise ContractViolationError("zero probe vector")
-    if noiseless:
-        bar = float(n)
-    else:
-        bar = (
-            n
-            - 6.0 * math.log(1.0 / beta) / epsilon
-            + laplace_inverse_cdf(rng.uniform_open(), 2.0 / epsilon)
-        )
-    grid = np.ldexp(scale, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
-    counts = np.searchsorted(np.sort(q), grid, side="right").tolist()
-    fired = len(grid) - 1
-    fell_through = True
-    for k, count in enumerate(counts):
-        if noiseless:
-            noisy = count
-        else:
-            noisy = count + laplace_inverse_cdf(rng.uniform_open(), 4.0 / epsilon)
-        if noisy >= bar:
-            fired, fell_through = k, False
-            break
-    theta = float(grid[fired])
-    return ThresholdResult(
-        theta=theta,
-        queries_issued=fired + 1,
-        fell_through=fell_through,
-        removed_count=n - counts[fired],
-        ax=ax,
-        removed=np.flatnonzero(~(q <= theta)),
-    )
-
-
-def assert_same_search(a, x, epsilon, noiseless, seed, skew=0):
-    """threshold_search and the reference agree on every result field, the
-    stream's counter and its next draw, from a stream `skew` draws in;
-    returns threshold_search's result."""
+def assert_same_search(a, x, epsilon, seed, skew=0):
+    """threshold_search and the reference agree on every result field and
+    the stream's next draw, from a stream `skew` draws in; returns
+    threshold_search's result."""
     r_new, r_ref = RngStream(seed, 5), RngStream(seed, 5)
     for rng in (r_new, r_ref):
         for _ in range(skew):
             rng.uniform_open()
-    got = threshold_search(a, x, epsilon, r_new, noiseless=noiseless)
-    want = reference_search(a, x, epsilon, r_ref, noiseless=noiseless)
+    got = threshold_search(a, x, epsilon, r_new)
+    want = reference_search(a, x, epsilon, r_ref)
     assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
         want.theta, want.queries_issued, want.fell_through, want.removed_count)
     assert got.ax.tobytes() == want.ax.tobytes()
     assert np.array_equal(got.removed, want.removed)
     assert kept_ax(got).tobytes() == kept_ax(want).tobytes()
-    assert r_new.counter == r_ref.counter
     assert r_new.uniform_open() == r_ref.uniform_open()
     return got
 
@@ -235,13 +193,11 @@ class TestAgainstReference:
         subnormal_frac=st.sampled_from([0.0, 0.1, 1.0]),
         log10_norm=st.floats(min_value=-250.0, max_value=250.0),
         epsilon=st.sampled_from([0.01, 0.5, 5.0, 1e9]),
-        noiseless=st.booleans(),
         skew=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_probe_by_probe_search(
-        self, seed, n, d, zero_frac, subnormal_frac, log10_norm, epsilon,
-        noiseless, skew,
+        self, seed, n, d, zero_frac, subnormal_frac, log10_norm, epsilon, skew,
     ):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(n, d))
@@ -258,9 +214,9 @@ class TestAgainstReference:
         if scale == 0.0 or not math.isfinite(2.0 * scale):
             # sqrt(x.x) under- or overflows: a zero or an infinite grid
             with np.errstate(over="ignore"), pytest.raises(ContractViolationError):
-                threshold_search(a, x, epsilon, RngStream(seed, 5), noiseless=noiseless)
+                threshold_search(a, x, epsilon, RngStream(seed, 5))
             return
-        assert_same_search(a, x, epsilon, noiseless, seed, skew)
+        assert_same_search(a, x, epsilon, seed, skew)
 
     def test_overflowing_rows_are_removed_as_before(self):
         # Both big rows' norms overflow to inf.  The first's A x entry is
@@ -269,9 +225,9 @@ class TestAgainstReference:
         a = DenseMatrix(
             np.array([[1e200, 0.0], [1e308, 1e308], [0.5, 0.1], [0.1, 0.2]])
         )
-        for noiseless in (True, False):
+        for epsilon in (5.0, 1e9):
             with np.errstate(invalid="ignore", over="ignore"):
-                res = assert_same_search(a, np.array([0.0, 10.0]), 5.0, noiseless, 11)
+                res = assert_same_search(a, np.array([0.0, 10.0]), epsilon, 11)
             assert res.removed[:2].tolist() == [0, 1]
 
 
@@ -305,8 +261,8 @@ class TestGridCounts:
 
 
 class TestNanStatistic:
-    @pytest.mark.parametrize("noiseless", [True, False])
-    def test_nan_rows_are_removed_as_plus_zero(self, noiseless):
+    @pytest.mark.parametrize("large_epsilon", [True, False])
+    def test_nan_rows_are_removed_as_plus_zero(self, large_epsilon):
         # Both big rows' norms overflow to inf.  The first's A x entry is
         # exactly 0, so its statistic is inf * 0, a NaN.  The second's is
         # 1e309 - 1e309: NaN or +-inf, by the BLAS kernel's summation order
@@ -319,7 +275,7 @@ class TestNanStatistic:
         with np.errstate(invalid="ignore", over="ignore"):
             ax = a.data @ x
             q = a.row_norms() * np.abs(ax)
-            res = threshold_search(a, x, 5.0, RngStream(4), noiseless=noiseless)
+            res = threshold_search(a, x, 1e9 if large_epsilon else 5.0, RngStream(4))
         assert math.isnan(q[0]) and not math.isfinite(q[1])
         assert res.ax.tobytes() == ax.tobytes()
         assert res.removed[:2].tolist() == [0, 1]
@@ -344,10 +300,10 @@ class TestScaleRange:
 
     def search_accepts(self, monkeypatch, scale):
         monkeypatch.setattr(svtfilter, "math", SimpleNamespace(
-            sqrt=lambda _: scale, isfinite=math.isfinite))
+            sqrt=lambda _: scale, isfinite=math.isfinite, log=math.log))
         try:
             res = threshold_search(unit_rows(31, n=20, d=2), np.ones(2), 1.0,
-                                   RngStream(0), noiseless=True)
+                                   RngStream(0))
         except ContractViolationError as exc:
             assert "normal doubles" in str(exc)
             return False
