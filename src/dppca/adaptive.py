@@ -5,8 +5,8 @@ almost all rows have bounded leverage against the current iterate, (2)
 drops the offending rows, and (3) steps to A^T (mask * A x) plus Gaussian
 noise calibrated to sensitivity theta, where mask keeps the rows at or
 below theta.  The step is taken as G x - A_R^T (A x)_R, with G = A^T A
-(`matcore.gram`, kept on the matrix) and R the removed rows, so each
-iteration reads A once, for the search's A x, plus the rows in R.  Both
+(`matcore.gram`, kept on the matrix) and the search's R and (A x)_R, so
+each iteration reads A once, for the search's A x, plus the rows in R.  Both
 forms are the same function of the data in exact arithmetic, so the
 step's sensitivity theta and its sigma are unchanged; in floating point
 they differ by rounding (at most 2e-12 relative in any acceptance-grid
@@ -111,7 +111,7 @@ def run_adaptive_power(
                 step[:] = 0.0
             elif removed:
                 step -= _removed_rows_product(a, found)
-            del found  # free its A x and indices before the next search makes its own
+            del found  # free its rows before the next search makes its own
         else:
             theta, removed, queries = math.sqrt(x @ x), 0, 0
         sigma = gaussian_sigma(theta, per_iter)
@@ -141,7 +141,7 @@ def _removed_rows_product(a: DenseMatrix, found: ThresholdResult) -> np.ndarray:
         rows = np.take(a.data, idx, axis=0, mode="clip",  # "raise" buffers
                        out=_scratch(idx.size, a.d))
         # np.dot, not @: matmul holds the GIL for a transposed operand.
-        out += np.dot(rows.T, found.ax[idx])
+        out += np.dot(rows.T, found.ax_removed[part])
     return out
 
 

@@ -153,9 +153,9 @@ def _row_blocks(n: int, d: int) -> Iterator[slice]:
 
 
 def _scratch(rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) float64 view of this thread's scratch block, which
-    holds at least one row block and lives as long as the thread, so the
-    blocked products map no fresh memory.  One product uses it at a time.
+    """A (rows, cols) view of this thread's float64 scratch block, at least
+    a row block, kept for the thread's life: the blocked products and the
+    threshold search (2n floats) map no fresh memory, one at a time.
     """
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < rows * cols:

@@ -193,21 +193,12 @@ def invert_budget(total: PrivacyBudget, t: int) -> PrivacyBudget:
 def zcdp_rho(total: PrivacyBudget) -> float:
     """Largest rho whose rho-zCDP guarantee implies (epsilon, delta)-DP.
 
-    rho = (sqrt(ln(1/delta) + epsilon) - sqrt(ln(1/delta)))^2, the inverse
-    of `zcdp_epsilon` (Bun & Steinke 2016, Prop. 1.3).
+    rho = (epsilon / (sqrt(L + epsilon) + sqrt(L)))^2, L = ln(1/delta), solves
+    epsilon = rho + 2 sqrt(rho L) (Bun & Steinke 2016, Prop. 1.3); it is
+    (sqrt(L + epsilon) - sqrt(L))^2 without the cancellation, or 0 if it underflows.
     """
     log_term = math.log(1.0 / total.delta)
-    return (math.sqrt(log_term + total.epsilon) - math.sqrt(log_term)) ** 2
-
-
-def zcdp_epsilon(rho: float, delta: float) -> float:
-    """The epsilon at which rho-zCDP implies (epsilon, delta)-DP.
-
-    epsilon = rho + 2 sqrt(rho ln(1/delta)).
-    """
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise BudgetError(f"rho must be positive and finite, got {rho}")
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    return (total.epsilon / (math.sqrt(log_term + total.epsilon) + math.sqrt(log_term))) ** 2
 
 
 def split_budget(total: PrivacyBudget, t: int) -> PrivacyBudget:
@@ -217,13 +208,17 @@ def split_budget(total: PrivacyBudget, t: int) -> PrivacyBudget:
     "paper": `invert_budget(total, t)`.
     "zcdp":  epsilon_m = sqrt(2 zcdp_rho(total) / t), so the t mechanisms
              compose to zcdp_rho(total); delta stays delta_total, because
-             zCDP spends delta only once, in the final conversion.
+             zCDP spends delta only once, in the final conversion.  An
+             epsilon so small that rho / t underflows raises ParameterError.
     """
     if total.accountant == "paper":
         return invert_budget(total, t)
     if t < 1:
         raise ParameterError(f"mechanism count must be >= 1, got {t}")
-    return PrivacyBudget(math.sqrt(2.0 * zcdp_rho(total) / t), total.delta, "zcdp")
+    epsilon = math.sqrt(2.0 * zcdp_rho(total) / t)
+    if epsilon == 0.0:
+        raise ParameterError(f"epsilon {total.epsilon} is too small: rho / {t} underflows to 0")
+    return PrivacyBudget(epsilon, total.delta, "zcdp")
 
 
 def exp_mech_select(

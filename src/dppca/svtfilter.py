@@ -9,16 +9,17 @@ keeps the grid independent of the iterate's scale, and the scaling is
 data-free so it costs no privacy.
 
 The counts come from the statistics' bit patterns, without a sort
-(`_grid_counts`), which leaves each row's grid bucket in the statistic's
-own buffer.  The probe noise is drawn in one batch, and only the draws up
-to the firing probe are consumed, so the stream moves as a probe-by-probe
-search would move it.
+(`_grid_counts`), which leaves each row's grid bucket code in the
+statistic's own buffer.  The probe noise is drawn in one batch, and only
+the draws up to the firing probe are consumed, so the stream moves as a
+probe-by-probe search would move it.
 
-The search computes A x once for its row statistics and returns it with
-the rows it removed, so the caller's step A^T (mask * A x) = A^T A x -
-A_R^T (A x)_R needs no second pass over A: only A's Gram and a read of
-the removed rows R.  R comes from the buckets: a row is removed exactly
-when its bucket is past the firing probe's.
+The search computes A x once, in the thread's scratch block with the
+statistics (so it makes no n-vector), and returns the rows R it removed
+with (A x)_R: the caller's step A^T (mask * A x) = A^T A x - A_R^T (A x)_R
+needs no second pass over A, only A's Gram and a read of the rows in R.
+R comes from the buckets: a row is removed exactly when its bucket is
+past the firing probe's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .matcore import DenseMatrix
+from .matcore import DenseMatrix, _scratch
 from .mech import RngStream, laplace_inverse_cdf
 
 # Candidate thresholds are 2^k * ||x|| for k in [GRID_LO_EXP, GRID_HI_EXP].
@@ -42,8 +43,10 @@ _MIN_SCALE = 2.0 ** (-1022 - GRID_LO_EXP)
 _MAX_SCALE = 2.0 ** (1024 - GRID_HI_EXP)
 # A double's bits without its sign bit, and its mantissa width: the bit
 # patterns of consecutive powers of two lie 2^_EXP_SHIFT apart.
-_NO_SIGN = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+_NO_SIGN = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
 _EXP_SHIFT = 52
+# 2^63 / 2^_EXP_SHIFT: a bucket index plus _CODE_0 is a 12-bit code >= 0.
+_CODE_0 = 1 << (63 - _EXP_SHIFT)
 # The default failure probability beta of the search and of every run and
 # command built on it.
 DEFAULT_BETA = 0.05
@@ -55,28 +58,29 @@ class ThresholdResult:
     queries_issued: int
     fell_through: bool  # no candidate fired; largest grid value returned
     removed_count: int  # rows with ||a_i|| * |<a_i, x>| > theta, or NaN
-    ax: np.ndarray  # A x
     removed: np.ndarray  # those rows' indices, ascending
+    ax_removed: np.ndarray  # (A x)[removed]
 
 
 def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """over[k] = #{i : q_i > grid[k] or NaN}, the rows probe k removes, for
-    q >= 0 and grid[k] = grid[0] * 2^k, every point a normal double.
+    """over[k] = #{i : |q_i| > grid[k] or NaN}, the rows probe k removes,
+    for grid[k] = grid[0] * 2^k, every point a normal double.
 
-    The int64 view of a non-negative double orders like its value, and
-    grid[k]'s is grid[0]'s plus k * 2^52, so
-    ceil((bits(q_i) - bits(grid[0])) / 2^52), clipped to [0, K], is the
-    first k with q_i <= grid[k] (K: none).  Clearing the sign bit sends a
-    negative NaN, such as inf * 0 gives, above the grid with the others.
-    These bucket indices overwrite q, as int64; over[k] sums the buckets past k.
+    The bits of a non-negative double order like its value, and grid[k]'s
+    are grid[0]'s plus k * 2^52, so ceil((bits(|q_i|) - bits(grid[0])) / 2^52)
+    is the first k with |q_i| <= grid[k] (at most 0: below the grid; K or
+    more: above it).  Clearing the sign bit takes |q_i|, so q may carry A x's
+    sign, and sends a negative NaN, such as inf * 0 gives, above the grid
+    with the others.  These indices plus _CODE_0 overwrite q, as uint64,
+    with no clip; over[k] counts the codes past _CODE_0 + k.
     """
-    b = q.view(np.int64)
+    b = q.view(np.uint64)
     b &= _NO_SIGN
-    b -= grid[:1].view(np.int64)[0] - ((1 << _EXP_SHIFT) - 1)
-    b >>= _EXP_SHIFT
-    np.minimum(b, grid.size, out=b)
-    np.maximum(b, 0, out=b)
-    return np.cumsum(np.bincount(b, minlength=grid.size + 1)[:0:-1])[::-1]
+    # Adding 2^63 - bits(grid[0]) + 2^52 - 1 keeps every sum in [0, 2^64).
+    b += np.uint64((1 << 63) - int(grid[:1].view(np.int64)[0]) + (1 << _EXP_SHIFT) - 1)
+    b >>= np.uint64(_EXP_SHIFT)
+    past = np.cumsum(np.bincount(b.view(np.int64), minlength=2 * _CODE_0)[::-1])[::-1]
+    return past[_CODE_0 + 1:_CODE_0 + 1 + grid.size]
 
 
 def threshold_search(
@@ -121,9 +125,9 @@ def threshold_search(
         )
     grid = scale * _POW2
 
-    ax = a.data @ x
-    q = np.abs(ax)
-    q *= a.row_norms()
+    ax, q = _scratch(2, len(a.data))  # sized from the rows: reads no n
+    np.matmul(a.data, x, out=ax)
+    np.multiply(ax, a.row_norms(), out=q)
     over = _grid_counts(q, grid)
     u = rng.peek_uniform_open(grid.size + 1)
     bar = (6.0 * math.log(1.0 / beta) / epsilon
@@ -133,7 +137,7 @@ def threshold_search(
     fell_through = fires.size == 0
     fired = grid.size - 1 if fell_through else int(fires[0])
     rng.skip(fired + 2)  # the bar and probes 0..fired
-    # Rows with buckets past the firing probe's have q > theta, or NaN.
-    removed = np.flatnonzero(q.view(np.int64) > fired)
+    # Rows with codes past the firing probe's have |q| > theta, or NaN.
+    removed = np.flatnonzero(q.view(np.int64) > _CODE_0 + fired)
     return ThresholdResult(float(grid[fired]), fired + 1, fell_through, removed.size,
-                           ax, removed)
+                           removed, ax[removed])

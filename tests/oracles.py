@@ -42,11 +42,12 @@ def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
             fired, fell_through = k, False
             break
     theta = float(grid[fired])
+    removed = np.flatnonzero(~(q <= theta))
     return ThresholdResult(
         theta=theta,
         queries_issued=fired + 1,
         fell_through=fell_through,
         removed_count=n - counts[fired],
-        ax=ax,
-        removed=np.flatnonzero(~(q <= theta)),
+        removed=removed,
+        ax_removed=ax[removed],
     )

@@ -148,6 +148,14 @@ class TestErrorRows:
         assert recs[0].error.startswith("parameter_error:")
         assert recs[0].sin2_emp is None
 
+    def test_tiny_zcdp_budget_is_a_parameter_error_row(self):
+        # rho underflows to 0: the same row as the paper accountant's.
+        cell = {"gen": {"kind": "high-coh", "n": 80, "d": 4}, "algo": "adaptive",
+                "eps_total": 1e-300, "delta_total": 1e-5, "accountant": "zcdp", "T": 3}
+        recs = run_experiment(ExperimentConfig(master_seed=1, trials=1, grid=[cell]))
+        assert recs[0].error.startswith("parameter_error:")
+        assert "underflows to 0" in recs[0].error
+
     def test_error_rows_fill_csv_columns(self):
         cfg = ExperimentConfig(
             master_seed=1, trials=1,

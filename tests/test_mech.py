@@ -1,6 +1,7 @@
 """Tests for budgets, composition, noise mechanisms, and RNG streams."""
 
 import math
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +20,14 @@ from dppca.mech import (
     laplace_inverse_cdf,
     sample_gaussian_vec,
     split_budget,
-    zcdp_epsilon,
     zcdp_rho,
 )
+
+
+def zcdp_epsilon(rho, delta):
+    """The epsilon at which rho-zCDP implies (epsilon, delta)-DP (Bun &
+    Steinke 2016, Prop. 1.3): the conversion zcdp_rho inverts."""
+    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
 class TestPrivacyBudget:
@@ -134,6 +140,22 @@ class TestZcdpSplit:
         assert spent == pytest.approx(rho, rel=1e-12)
         assert zcdp_epsilon(spent, delta) == pytest.approx(eps, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-14])
+    def test_small_epsilon_rho_has_no_cancellation(self, eps):
+        # (sqrt(L + eps) - sqrt(L))^2, evaluated to 60 digits.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            log_term = Decimal(math.log(1.0 / 1e-5))
+            exact = ((log_term + Decimal(eps)).sqrt() - log_term.sqrt()) ** 2
+        rho = zcdp_rho(PrivacyBudget(eps, 1e-5, "zcdp"))
+        assert rho == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps, t", [(1e-300, 10), (1e-170, 1), (3e-161, 100)])
+    def test_rho_underflow_is_a_parameter_error(self, eps, t):
+        # rho itself underflows to 0, or rho > 0 but its share rho / t does.
+        with pytest.raises(ParameterError, match=f"rho / {t} underflows to 0"):
+            split_budget(PrivacyBudget(eps, 1e-5, "zcdp"), t)
+
     def test_paper_split_is_invert_budget(self):
         total = PrivacyBudget(1.0, 1e-5)
         assert split_budget(total, 10) == invert_budget(total, 10)
@@ -142,8 +164,6 @@ class TestZcdpSplit:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):
             split_budget(PrivacyBudget(1.0, 1e-5, "zcdp"), 0)
-        with pytest.raises(BudgetError):
-            zcdp_epsilon(0.0, 1e-5)
 
 
 class TestRngStream:

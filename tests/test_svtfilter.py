@@ -1,6 +1,8 @@
 """Tests for the private threshold search and the row filter it returns."""
 
 import math
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,10 +139,10 @@ class TestNoisySearch:
 
 
 
-def kept_ax(res):
+def kept_ax(res, ax):
     """A x with the removed rows' entries set to +0.0: the masked vector
     whose A^T product is the filtered step."""
-    kept = res.ax.copy()
+    kept = ax.copy()
     kept[res.removed] = 0.0
     return kept
 
@@ -159,9 +161,9 @@ class TestFilter:
         res = threshold_search(a, x, epsilon, RngStream(seed, 2))
         ax = a.data @ x
         q = a.row_norms() * np.abs(ax)
-        assert res.ax.tobytes() == ax.tobytes()
+        assert res.ax_removed.tobytes() == ax[res.removed].tobytes()
         assert np.array_equal(res.removed, np.flatnonzero(q > res.theta))
-        assert np.array_equal(kept_ax(res), np.where(q <= res.theta, ax, 0.0))
+        assert np.array_equal(kept_ax(res, ax), np.where(q <= res.theta, ax, 0.0))
         assert res.removed_count == int(np.sum(q > res.theta))
 
 
@@ -175,13 +177,86 @@ def assert_same_search(a, x, epsilon, seed, skew=0):
             rng.uniform_open()
     got = threshold_search(a, x, epsilon, r_new)
     want = reference_search(a, x, epsilon, r_ref)
+    ax = a.data @ x
     assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
         want.theta, want.queries_issued, want.fell_through, want.removed_count)
-    assert got.ax.tobytes() == want.ax.tobytes()
+    assert got.ax_removed.tobytes() == ax[got.removed].tobytes()
     assert np.array_equal(got.removed, want.removed)
-    assert kept_ax(got).tobytes() == kept_ax(want).tobytes()
+    assert kept_ax(got, ax).tobytes() == kept_ax(want, ax).tobytes()
     assert r_new.uniform_open() == r_ref.uniform_open()
     return got
+
+
+def spiky_rows(seed, n, d=5, heavy=20):
+    """Unit rows shrunk to norm 0.01 but for `heavy` of them at random
+    places: a search at epsilon 0.5 removes those."""
+    a = unit_rows(seed, n=n, d=d)
+    keep = np.random.default_rng(seed).choice(n, size=heavy, replace=False)
+    scale = np.full((n, 1), 0.01)
+    scale[keep] = 1.0
+    return DenseMatrix(a.data * scale)
+
+
+class TestScratch:
+    """A x and the row statistics live in the thread's scratch block: a
+    search makes no n-vector, and what it returns is its own."""
+
+    def test_warm_search_allocates_under_two_bytes_per_row(self):
+        n = 100_000
+        a = unit_rows(40, n=n, d=20)
+        x = np.random.default_rng(41).normal(size=a.d)
+        threshold_search(a, x, 0.5, RngStream(0))  # row norms and scratch
+        tracemalloc.start()
+        try:
+            threshold_search(a, x, 0.5, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n
+
+    def test_result_outlives_the_next_search(self):
+        a = spiky_rows(42, n=2_000)
+        x, y = np.random.default_rng(43).normal(size=(2, a.d))
+        first = threshold_search(a, x, 0.5, RngStream(2))
+        removed, ax_removed = first.removed.copy(), first.ax_removed.copy()
+        assert removed.size == 20
+        threshold_search(a, y, 0.5, RngStream(3))
+        assert first.removed.tobytes() == removed.tobytes()
+        assert first.ax_removed.tobytes() == ax_removed.tobytes()
+
+    def test_two_threads_search_as_one(self):
+        cases = [(spiky_rows(44 + k, n=50_000, d=8),
+                  np.random.default_rng(46 + k).normal(size=(20, 8))) for k in range(2)]
+
+        def searches(a, xs):
+            return [threshold_search(a, x, 0.5, RngStream(i)) for i, x in enumerate(xs)]
+
+        want = [searches(a, xs) for a, xs in cases]
+        start = threading.Barrier(2)
+        got = [None, None]
+
+        def worker(k):
+            start.wait()
+            got[k] = searches(*cases[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for g_run, w_run in zip(got, want):
+            for g, w in zip(g_run, w_run):
+                assert (g.theta, g.queries_issued, g.removed_count) == (
+                    w.theta, w.queries_issued, w.removed_count)
+                assert g.removed.tobytes() == w.removed.tobytes()
+                assert g.ax_removed.tobytes() == w.ax_removed.tobytes()
+
+    def test_scratch_grows_past_one_block(self):
+        # 2n = 280,000 floats is more than one row block (2^18).
+        a = spiky_rows(48, n=140_000, d=2)
+        x = np.random.default_rng(49).normal(size=a.d)
+        assert 2 * a.data.shape[0] > 2**18
+        assert assert_same_search(a, x, 0.5, 50).removed_count == 20
 
 
 class TestAgainstReference:
@@ -251,6 +326,19 @@ class TestGridCounts:
         want = n - np.searchsorted(np.sort(q), grid, side="right")
         assert np.array_equal(_grid_counts(q, grid), want)
 
+    def test_signed_statistics_count_by_magnitude(self):
+        # The search passes A x times the row norms, signs and all, with
+        # NaNs of either sign: the counts are those of the magnitudes.
+        rng = np.random.default_rng(21)
+        grid = np.ldexp(1.3, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
+        q = 1.3 * np.exp2(rng.uniform(GRID_LO_EXP - 5, GRID_HI_EXP + 3, size=5_000))
+        q[:50], q[50:60], q[60:70] = grid[rng.integers(0, grid.size, 50)], np.nan, -np.nan
+        q[70:80] = -np.inf
+        q *= np.where(rng.uniform(size=q.size) < 0.5, -1.0, 1.0)
+        mag = np.abs(q)
+        want = [int(np.sum(~(mag <= g))) for g in grid]
+        assert _grid_counts(q, grid).tolist() == want
+
     def test_grid_outside_normal_range_raises(self):
         # ||x|| overflows to inf, so the top of the grid is not finite.
         a = unit_rows(30, n=20, d=2)
@@ -277,12 +365,12 @@ class TestNanStatistic:
             q = a.row_norms() * np.abs(ax)
             res = threshold_search(a, x, 1e9 if large_epsilon else 5.0, RngStream(4))
         assert math.isnan(q[0]) and not math.isfinite(q[1])
-        assert res.ax.tobytes() == ax.tobytes()
+        assert res.ax_removed.tobytes() == ax[res.removed].tobytes()
         assert res.removed[:2].tolist() == [0, 1]
-        assert kept_ax(res)[:2].tobytes() == np.zeros(2).tobytes()
+        assert kept_ax(res, ax)[:2].tobytes() == np.zeros(2).tobytes()
         assert res.removed_count == 2 + int(np.sum(q[2:] > res.theta))
         assert np.array_equal(res.removed[2:], 2 + np.flatnonzero(q[2:] > res.theta))
-        assert np.array_equal(kept_ax(res)[2:], np.where(q[2:] <= res.theta, ax[2:], 0.0))
+        assert np.array_equal(kept_ax(res, ax)[2:], np.where(q[2:] <= res.theta, ax[2:], 0.0))
 
 
 def old_scale_check(scale):
