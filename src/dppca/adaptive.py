@@ -6,7 +6,9 @@ drops the offending rows, and (3) steps to A^T (mask * A x) plus Gaussian
 noise calibrated to sensitivity theta, where mask keeps the rows at or
 below theta.  The step is taken as G x - A_R^T (A x)_R, with G = A^T A
 (`matcore.gram`, kept on the matrix) and the search's R and (A x)_R, so
-each iteration reads A once, for the search's A x, plus the rows in R.  Both
+each iteration reads A at most once, for the search's A x, plus the rows in
+R.  A run of `_LAYOUT_SEARCHES` or more lays the rows out by norm first,
+and its searches read only the rows that can decide theta.  Both
 forms are the same function of the data in exact arithmetic, so the
 step's sensitivity theta and its sigma are unchanged; in floating point
 they differ by rounding (at most 2e-12 relative in any acceptance-grid
@@ -46,9 +48,10 @@ from .mech import (
     sample_gaussian_vec,
     split_budget,
 )
-from .svtfilter import DEFAULT_BETA, ThresholdResult, threshold_search
+from .svtfilter import DEFAULT_BETA, ThresholdResult, lay_out_by_norm, threshold_search
 
 _ROW_NORM_SLACK = 1.0 + 1e-9
+_LAYOUT_SEARCHES = 10  # runs this long lay A out by norm (svtfilter.lay_out_by_norm)
 
 
 @dataclass
@@ -98,6 +101,8 @@ def run_adaptive_power(
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     check_private_input(a)
+    if search and iterations >= _LAYOUT_SEARCHES and a._layout is None:
+        lay_out_by_norm(a)
     g = gram(a)
     x = rng.standard_normal(a.d)
     trace = IterationTrace()

@@ -124,7 +124,7 @@ def scale_for_privacy(a: DenseMatrix, beta: float) -> int:
 
     `a` is rescaled in place.  The row norms computed for the clip are kept
     as its `row_norms()` (only the clipped rows' are recomputed), and its
-    cached Gram is dropped.
+    cached Gram and norm layout are dropped.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
@@ -139,7 +139,7 @@ def scale_for_privacy(a: DenseMatrix, beta: float) -> int:
         data[over] = clipped
         norms[over] = _row_norms(clipped)
     norms.flags.writeable = False
-    a._row_norms, a._gram = norms, None
+    a._row_norms, a._gram, a._layout = norms, None, None
     return clip_count
 
 

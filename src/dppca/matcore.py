@@ -35,7 +35,8 @@ _MAX_GROUP = 64
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-d array."""
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
+    sq = np.einsum("ij,ij->i", x, x)
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass
@@ -45,10 +46,13 @@ class DenseMatrix:
     Construction validates shape and finiteness.  `n >= 1` and `d >= 1`
     are required, in any ratio: a private algorithm that refused d > n
     would turn an error into an output when one row is added.
-    Nothing mutates `data` after construction, so the row norms and the
-    Gram are computed once, on first use, and kept (read-only).  The one
-    exception is `datagen.scale_for_privacy`, which rescales its argument
-    in place, with its row norms reset and its Gram dropped.
+    The matrix owns `data` (pass a copy of an array you keep): the row
+    norms and the Gram are kept (read-only) from first use, and two calls
+    change the rows in place, with no other thread reading the matrix.
+    `datagen.scale_for_privacy` rescales them and drops the Gram, and
+    `svtfilter.lay_out_by_norm` reorders them, with the norms, into the
+    `_layout` groups (end row, largest code past it); outputs depend on the
+    rows as a multiset, up to rounding.
     """
 
     data: np.ndarray
@@ -58,6 +62,7 @@ class DenseMatrix:
     _gram: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _layout: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)

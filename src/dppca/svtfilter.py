@@ -14,12 +14,18 @@ statistic's own buffer.  The probe noise is drawn in one batch, and only
 the draws up to the firing probe are consumed, so the stream moves as a
 probe-by-probe search would move it.
 
-The search computes A x once, in the thread's scratch block with the
+The search computes A x, in the thread's scratch block with the
 statistics (so it makes no n-vector), and returns the rows R it removed
 with (A x)_R: the caller's step A^T (mask * A x) = A^T A x - A_R^T (A x)_R
 needs no second pass over A, only A's Gram and a read of the rows in R.
 R comes from the buckets: a row is removed exactly when its bucket is
 past the firing probe's.
+
+A row's statistic is at most ||a_i||^2 ||x||, so probe k counts only rows
+with ||a_i||^2 > 2^(GRID_LO_EXP + k).  On rows grouped by that bound
+(`lay_out_by_norm`) the search reads a group at a time and stops once the
+first probe its partial counts leave open is exact: the full pass's
+decisions, from the rows that can decide them.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .matcore import DenseMatrix, _scratch
+from .matcore import _BLOCK_ELEMENTS, DenseMatrix, _scratch, gram
 from .mech import RngStream, laplace_inverse_cdf
 
 # Candidate thresholds are 2^k * ||x|| for k in [GRID_LO_EXP, GRID_HI_EXP].
@@ -124,20 +130,79 @@ def threshold_search(
             "the normal doubles"
         )
     grid = scale * _POW2
-
-    ax, q = _scratch(2, len(a.data))  # sized from the rows: reads no n
-    np.matmul(a.data, x, out=ax)
-    np.multiply(ax, a.row_norms(), out=q)
-    over = _grid_counts(q, grid)
     u = rng.peek_uniform_open(grid.size + 1)
     bar = (6.0 * math.log(1.0 / beta) / epsilon
            - laplace_inverse_cdf(u[0], 2.0 / epsilon))
     noise = laplace_inverse_cdf(u[1:], 4.0 / epsilon)
-    fires = np.flatnonzero(over <= bar + noise)
-    fell_through = fires.size == 0
-    fired = grid.size - 1 if fell_through else int(fires[0])
+
+    ax, q = _scratch(2, len(a.data))  # sized from the rows: reads no n
+    norms, start = a.row_norms(), 0
+    for end, past in a._layout or [(len(a.data), 0)]:
+        rows = slice(start, end)
+        np.matmul(a.data[rows], x, out=ax[rows])
+        np.multiply(ax[rows], norms[rows], out=q[rows])
+        counts = _grid_counts(q[rows], grid)
+        over = counts if start == 0 else over + counts  # a lower bound until exact
+        fires = np.flatnonzero(over <= bar + noise)
+        fired = grid.size - 1 if fires.size == 0 else int(fires[0])
+        start = end
+        if past <= fired:  # no unread row can exceed theta_fired
+            break
     rng.skip(fired + 2)  # the bar and probes 0..fired
     # Rows with codes past the firing probe's have |q| > theta, or NaN.
-    removed = np.flatnonzero(q.view(np.int64) > _CODE_0 + fired)
-    return ThresholdResult(float(grid[fired]), fired + 1, fell_through, removed.size,
+    removed = np.flatnonzero(q[:end].view(np.int64) > _CODE_0 + fired)
+    return ThresholdResult(float(grid[fired]), fired + 1, fires.size == 0, removed.size,
                            removed, ax[removed])
+
+
+def lay_out_by_norm(a: DenseMatrix) -> None:
+    """Reorder A's rows in place into the groups the search reads in turn.
+
+    Row i's code is its `_grid_counts` bucket: the first k with v <=
+    2^(GRID_LO_EXP + k), clipped to [0, K] for K grid points, where v =
+    fl(||a_i||^2 (1 + s)).  The slack s = 4 (d + 2) u, u = 2^-53, exceeds
+    the rounding of the norm, A x, their product and ||x|| (at most
+    (3d + 7) u relative), so a row whose statistic exceeds theta_k =
+    2^(GRID_LO_EXP + k) ||x|| has v > 2^(GRID_LO_EXP + k): code > k.  Rows
+    go in descending code; groups hold at least a row block (a small group
+    costs more than its rows), and their ends round up to a multiple of 4
+    rows, where OpenBLAS 0.3.31's A x on one thread keeps one pass's bits.
+    The Gram is kept first, so its bits do not move.  Codes, swap lists and
+    row chunks use the scratch block.  On one BLAS thread the build cost
+    2-2.4 searches at n = 32,768, d = 128 (6-8 at n = 100,000, d = 20), and
+    10 searches there repaid it (wide-d: 87 -> 56 ms), so `adaptive` builds
+    it for runs of 10.
+    """
+    gram(a)
+    data, norms, n, d, top = a.data, a.row_norms(), len(a.data), a.d, _CODE_0 + _POW2.size
+    chunk = max(1, 2**14 // d)  # rows swapped at a time
+    flat = _scratch(1, 2 * n + 2 * chunk * d)[0]
+    codes, idx, bufs = (flat[:n].view(np.int64), flat[n:2 * n].view(np.int64),
+                        flat[2 * n:].reshape(2, chunk, d))
+    np.multiply(norms, norms, out=flat[:n])
+    flat[:n] *= 1.0 + (d + 2) * 2.0**-51
+    levels = _grid_counts(flat[:n], _POW2)[::-1].tolist() + [n]  # rows with code >= c
+    np.clip(codes, _CODE_0, top, out=codes)  # offset by _CODE_0, as the buckets are
+    block, ends = max(1, _BLOCK_ELEMENTS // d), [0]
+    for end in levels:
+        if end - ends[-1] >= block and -(-end // 4) * 4 <= n - block:
+            ends.append(-(-end // 4) * 4)
+    norms.flags.writeable = True
+    for c, start, end in zip(range(top, _CODE_0 - 1, -1), [0] + levels, levels):
+        if start == end or len(ends) == 1:  # nothing to place, or nothing moves
+            continue
+        k = 0  # rows in [start, end) without code c, then as many past it with
+        for lo, hi, test in ((start, end, np.not_equal), (end, n, np.equal)):
+            for i in range(lo, hi, 2**10):
+                found = np.flatnonzero(test(codes[i:min(i + 2**10, hi)], c)) + i
+                idx[k:k + found.size] = found
+                k += found.size
+        wrong, right = idx[:k // 2], idx[k // 2:k]
+        for i in range(0, k // 2, chunk):
+            w, r = wrong[i:i + chunk], right[i:i + chunk]
+            np.take(data, w, axis=0, mode="clip", out=bufs[0, :w.size])
+            data[w] = np.take(data, r, axis=0, mode="clip", out=bufs[1, :w.size])
+            data[r] = bufs[0, :w.size]
+            norms[w], norms[r], codes[w], codes[r] = norms[r], norms[w], c, codes[w]
+    norms.flags.writeable = False
+    a._layout = [(end, int(codes[end]) - _CODE_0) for end in ends[1:]] + [(n, 0)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dppca
-from dppca import adaptive
+from dppca import adaptive, svtfilter
 from dppca.adaptive import (
     check_private_input,
     corollary_iterations,
@@ -350,3 +350,36 @@ class TestGramStep:
             x = g @ x + noise
             x /= np.linalg.norm(x)
         assert np.array_equal(got, x / np.linalg.norm(x))
+
+
+class TestNormLayout:
+    """A run of at least `_LAYOUT_SEARCHES` searches lays A out by norm
+    first; a shorter one leaves A as it is."""
+
+    @pytest.fixture
+    def spiked(self, monkeypatch):
+        a = gen_gaussian_iid(3001, GaussSpec.spiked(12, 0.5, 0.5), RngStream(36))[0]
+        scale_for_privacy(a, 0.05)
+        monkeypatch.setattr(svtfilter, "_BLOCK_ELEMENTS", 64 * a.d)  # groups of 64 rows
+        return a
+
+    def test_short_run_leaves_the_rows(self, spiked):
+        rows = spiked.data.copy()
+        run_adaptive_power(spiked, adaptive._LAYOUT_SEARCHES - 1, PrivacyBudget(0.5, 1e-6),
+                           RngStream(37))
+        assert spiked._layout is None
+        assert spiked.data.tobytes() == rows.tobytes()
+
+    def test_long_run_matches_the_run_without_layout(self, spiked, monkeypatch):
+        t, per_iter = 3 * adaptive._LAYOUT_SEARCHES, split_budget(PrivacyBudget(1.0, 1e-5), 60)
+        plain = DenseMatrix(spiked.data.copy())
+        got, got_trace = run_adaptive_power(spiked, t, per_iter, RngStream(38))
+        assert len(spiked._layout) >= 5
+        monkeypatch.setattr(adaptive, "_LAYOUT_SEARCHES", t + 1)
+        want, want_trace = run_adaptive_power(plain, t, per_iter, RngStream(38))
+        assert plain._layout is None
+        # Theta is 2^k ||x||, so it moves with x's rounding; k does not.
+        assert (got_trace.removed, got_trace.queries_issued) == (
+            want_trace.removed, want_trace.queries_issued)
+        np.testing.assert_allclose(got_trace.theta, want_trace.theta, rtol=1e-12)
+        assert np.linalg.norm(got - want) <= 1e-12  # both unit vectors

@@ -1,8 +1,12 @@
 """Tests for the private threshold search and the row filter it returns."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,14 +16,16 @@ from hypothesis import strategies as st
 
 from dppca import svtfilter
 from dppca.errors import ContractViolationError, ParameterError
-from dppca.matcore import DenseMatrix
+from dppca.matcore import DenseMatrix, _row_norms, gram
 from dppca.mech import RngStream
 from dppca.svtfilter import (
     _MAX_SCALE,
     _MIN_SCALE,
+    _POW2,
     GRID_HI_EXP,
     GRID_LO_EXP,
     _grid_counts,
+    lay_out_by_norm,
     threshold_search,
 )
 from oracles import reference_search
@@ -419,3 +425,176 @@ class TestScaleRange:
         grid = np.ldexp(below, np.arange(GRID_LO_EXP, GRID_HI_EXP + 1))
         assert grid[1] != 2.0 * grid[0]
         assert not self.search_accepts(monkeypatch, below)
+
+
+def spread_rows(seed, n, d):
+    """Rows whose norms spread log-uniformly over [2^-14, 1], one in five
+    hundred zero: many norm octaves, so many codes."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, d))
+    data *= np.exp2(rng.uniform(-14.0, 0.0, size=(n, 1))) / np.linalg.norm(
+        data, axis=1, keepdims=True)
+    data[rng.uniform(size=n) < 0.002] = 0.0
+    return data
+
+
+def edge_rows(d=20):
+    """Squared norms exactly 2^k (rows along e1) and up to 11 ulps below it
+    (rows along 100 directions, also returned): probed along the rows
+    themselves, ||a_i|| |<a_i, x>| meets its bound ||a_i||^2 ||x|| up to
+    rounding."""
+    ws = np.random.default_rng(69).normal(size=(100, d))
+    ws /= np.linalg.norm(ws, axis=1, keepdims=True)
+    sq = np.ldexp(1.0 - np.arange(12) * 2.0**-52, np.arange(-20, 1)[:, None]).ravel()
+    rows = [np.sqrt(sq)[:, None] * w for w in ws]
+    rows.append(np.ldexp(1.0, np.arange(-10, 1))[:, None] * np.eye(d)[0])
+    return np.concatenate(rows), ws
+
+
+def laid_out(data, block_rows):
+    """A matrix of `data` laid out by norm, with groups of at least
+    `block_rows` rows (the row block shrunk, so small n has many groups)."""
+    a = DenseMatrix(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svtfilter, "_BLOCK_ELEMENTS", block_rows * a.d)
+        lay_out_by_norm(a)
+    return a
+
+
+def codes_of(a):
+    """Each row's code, from its norm, as the layout defines it: the first
+    k with v <= 2^(GRID_LO_EXP + k), clipped to [0, K]."""
+    v = a.row_norms() * a.row_norms() * (1.0 + (a.d + 2) * 2.0**-51)
+    m, e = np.frexp(v)  # v = m 2^e, 1/2 <= m < 1, so ceil(log2 v) = e - (m == 1/2)
+    return np.clip(np.where(v > 0.0, e - (m == 0.5), -2000) - GRID_LO_EXP, 0, _POW2.size)
+
+
+def walk_and_pass(a, x, epsilon, seed):
+    """The search over the layout's groups and one pass over the same rows
+    agree byte for byte in every field and move the stream alike; returns
+    the result and the rows the walk read."""
+    r_walk, r_pass = RngStream(seed, 7), RngStream(seed, 7)
+    got = threshold_search(a, x, epsilon, r_walk)
+    layout, a._layout = a._layout, None
+    try:
+        want = threshold_search(a, x, epsilon, r_pass)
+    finally:
+        a._layout = layout
+    assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
+        want.theta, want.queries_issued, want.fell_through, want.removed_count)
+    assert got.removed.tobytes() == want.removed.tobytes()
+    assert got.ax_removed.tobytes() == want.ax_removed.tobytes()
+    assert r_walk.uniform_open() == r_pass.uniform_open()
+    fired = got.queries_issued - 1
+    return got, next(end for end, past in layout if past <= fired)
+
+
+def check_walks():
+    """The walk against one pass: where a probe's bound cuts through a
+    group, where every row is read, at a fall-through, at n % 4 != 0 and
+    at the rows on their codes' edges."""
+    for n, d in ((4003, 3), (6001, 7), (5002, 20)):
+        a = laid_out(spread_rows(60 + d, n, d), block_rows=64)
+        assert len(a._layout) > 5
+        rng = np.random.default_rng(61)
+        heavy = a.data[0] / np.linalg.norm(a.data[0])
+        cut = read_all = stopped = 0
+        for epsilon in (1e-3, 0.05, 0.5, 5.0, 1e9):
+            for x in (*rng.normal(size=(4, d)), heavy, 1e-3 * heavy):
+                res, read = walk_and_pass(a, x, epsilon, 62)
+                assert res.removed.size == 0 or res.removed[-1] < read
+                stopped += read < n
+                read_all += read == n
+                # The last group read holds rows above and below the firing
+                # probe's bound on the squared norm.
+                start = max([0] + [end for end, _ in a._layout if end < read])
+                sq = a.row_norms()[start:read] ** 2
+                bound = 2.0 ** (GRID_LO_EXP + res.queries_issued - 1)
+                cut += bool(np.any(sq > bound) and np.any(sq <= bound))
+        assert stopped and read_all and cut
+
+    # Rows of norm 2 along x have statistic 4 ||x||, above the top grid
+    # point 2 ||x||: at epsilon 1e9 no probe fires.
+    data = spread_rows(63, 3001, 5)
+    data[::500] = 2.0 * np.eye(5)[0]
+    a = laid_out(data, block_rows=32)
+    res, read = walk_and_pass(a, np.eye(5)[0], 1e9, 64)
+    assert res.fell_through and res.removed_count == 7 and read < a.n
+
+    data, ws = edge_rows()
+    a = laid_out(data, block_rows=4)
+    for x in (ws[0], ws[1], np.eye(20)[0]):
+        for epsilon in (1e-3, 0.5, 1e9):
+            walk_and_pass(a, x, epsilon, 70)
+
+
+class TestNormLayout:
+    """lay_out_by_norm groups the rows by the bound ||a_i||^2 ||x|| on their
+    statistic, and the search reads only the groups that can decide it."""
+
+    def test_walk_is_one_pass_on_one_blas_thread(self):
+        # A threaded OpenBLAS splits A x by the slice's length, so a row's
+        # bits can depend on the groups; on one thread they do not.
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            check_walks()
+            return
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+        child = subprocess.run(
+            [sys.executable, "-c", "import test_svtfilter; test_svtfilter.check_walks()"],
+            env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr[-4000:]
+
+    def test_one_row_block_moves_nothing(self):
+        data = spread_rows(65, 1001, 20)
+        a = DenseMatrix(data.copy())
+        lay_out_by_norm(a)
+        assert a._layout == [(1001, 0)]
+        assert a.data.tobytes() == data.tobytes()
+        for epsilon in (0.05, 1e9):  # one group is the one pass itself
+            walk_and_pass(a, np.random.default_rng(66).normal(size=20), epsilon, 67)
+
+    def test_layout_invariants(self):
+        data = spread_rows(68, 5003, 6)
+        want_gram = gram(DenseMatrix(data.copy()))
+        a = laid_out(data.copy(), block_rows=48)
+        ends = [end for end, _ in a._layout]
+        assert all(end % 4 == 0 for end in ends[:-1]) and ends[-1] == a.n
+        assert np.all(np.diff([0] + ends) >= 48)
+        assert np.array_equal(np.sort(a.data.view("V48").ravel()),
+                              np.sort(data.view("V48").ravel()))
+        assert a.row_norms().tobytes() == _row_norms(a.data).tobytes()
+        codes = codes_of(a)
+        assert np.all(np.diff(codes) <= 0)
+        assert [past for _, past in a._layout] == [int(codes[e]) for e in ends[:-1]] + [0]
+        assert gram(a).tobytes() == want_gram.tobytes()
+
+    def test_no_row_exceeds_a_probe_its_code_excludes(self):
+        # The slack covers the rounding of the statistic in any summation
+        # order: without it about one edge row in 2,000 exceeds its bound.
+        data, ws = edge_rows()
+        a = laid_out(data, block_rows=4)
+        codes = codes_of(a)
+        for x in (*ws, np.eye(20)[0], 3.0 * np.eye(20)[0]):
+            q = a.row_norms() * np.abs(a.data @ x)
+            grid = math.sqrt(x @ x) * _POW2
+            below = codes < _POW2.size
+            assert np.all(q[below] <= grid[codes[below]])
+            for end, past in a._layout[:-1]:
+                assert np.all(q[end:] <= grid[past])
+
+    def test_build_allocates_under_a_byte_per_row(self):
+        n = 100_000
+        a = DenseMatrix(spread_rows(71, n, 20))
+        gram(a), a.row_norms()
+        threshold_search(a, np.ones(20), 0.5, RngStream(0))  # the scratch block
+        tracemalloc.start()
+        try:
+            lay_out_by_norm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a._layout) > 2
+        assert peak < n
