@@ -4,19 +4,20 @@ Per iteration the algorithm (1) privately finds a threshold theta so that
 almost all rows have bounded leverage against the current iterate, (2)
 drops the offending rows, and (3) steps to A^T (mask * A x) plus Gaussian
 noise calibrated to sensitivity theta, where mask keeps the rows at or
-below theta.  The step is taken as G x - A_R^T (A x)_R, with G = A^T A
-(`matcore.gram`, kept on the matrix) and the search's R and (A x)_R, so
-each iteration reads A at most once, for the search's A x, plus the rows in
-R.  A run of `_LAYOUT_SEARCHES` or more lays the rows out by norm first,
-and its searches read only the rows that can decide theta.  Both
-forms are the same function of the data in exact arithmetic, so the
-step's sensitivity theta and its sigma are unchanged; in floating point
-they differ by rounding (at most 2e-12 relative in any acceptance-grid
-output).  The threshold adapts the noise to the
-data's incoherence instead of paying the worst case: well-spread data
-fires on a small theta and gets small noise.  The worst case is the naive
-noisy power method (naive-power): the same loop without the search,
-`run_adaptive_power(..., search=False)`.
+below theta.  The search returns the step, taken as G x - A_R^T (A x)_R
+with G = A^T A (`matcore.gram`, kept on the matrix) and R the rows it
+removed.  Both forms are the same function of the data in exact
+arithmetic, so the step's sensitivity theta and its sigma are unchanged;
+in floating point they differ by rounding (at most 2e-12 relative in any
+acceptance-grid output).  Each iteration reads A at most once, for the
+search's A x, plus the rows in R, both through the thread's scratch block,
+which is free again between searches; this module reads no row of A.  A
+run of `_LAYOUT_SEARCHES` or more lays the rows out by norm first, and its
+searches read only the rows that can decide theta.  The threshold adapts
+the noise to the data's incoherence instead of paying the worst case:
+well-spread data fires on a small theta and gets small noise.  The worst
+case is the naive noisy power method (naive-power): the same loop without
+the search, `run_adaptive_power(..., search=False)`.
 
 Accounting: each iteration runs two mechanisms — the threshold search and
 the Gaussian step — so `run_adaptive_power(a, T, per_iter, rng)` composes
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .matcore import DenseMatrix, _row_blocks, _scratch, gram
+from .matcore import DenseMatrix, gram
 from .mech import (
     PrivacyBudget,
     RngStream,
@@ -48,7 +49,7 @@ from .mech import (
     sample_gaussian_vec,
     split_budget,
 )
-from .svtfilter import DEFAULT_BETA, ThresholdResult, lay_out_by_norm, threshold_search
+from .svtfilter import DEFAULT_BETA, lay_out_by_norm, threshold_search
 
 _ROW_NORM_SLACK = 1.0 + 1e-9
 _LAYOUT_SEARCHES = 10  # runs this long lay A out by norm (svtfilter.lay_out_by_norm)
@@ -103,22 +104,17 @@ def run_adaptive_power(
     check_private_input(a)
     if search and iterations >= _LAYOUT_SEARCHES and a._layout is None:
         lay_out_by_norm(a)
-    g = gram(a)
     x = rng.standard_normal(a.d)
     trace = IterationTrace()
 
     for _ in range(iterations):
-        step = np.dot(g, x)
         if search:
             found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta)
             theta, removed, queries = found.theta, found.removed_count, found.queries_issued
-            if removed == a.n:  # exactly zero, not G x minus its own rounding
-                step[:] = 0.0
-            elif removed:
-                step -= _removed_rows_product(a, found)
+            step = found.step
             del found  # free its rows before the next search makes its own
         else:
-            theta, removed, queries = math.sqrt(x @ x), 0, 0
+            step, theta, removed, queries = np.dot(gram(a), x), math.sqrt(x @ x), 0, 0
         sigma = gaussian_sigma(theta, per_iter)
 
         trace.theta.append(theta)
@@ -134,20 +130,6 @@ def run_adaptive_power(
         x = x / norm
 
     return x / float(np.linalg.norm(x)), trace
-
-
-def _removed_rows_product(a: DenseMatrix, found: ThresholdResult) -> np.ndarray:
-    """A_R^T (A x)_R over the rows R the search removed, reading A only on
-    R: the rows are gathered a row block at a time into the thread's
-    scratch block, so no buffer of |R| rows is made."""
-    out = np.zeros(a.d)
-    for part in _row_blocks(found.removed_count, a.d):
-        idx = found.removed[part]
-        rows = np.take(a.data, idx, axis=0, mode="clip",  # "raise" buffers
-                       out=_scratch(idx.size, a.d))
-        # np.dot, not @: matmul holds the GIL for a transposed operand.
-        out += np.dot(rows.T, found.ax_removed[part])
-    return out
 
 
 def corollary_iterations(

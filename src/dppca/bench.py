@@ -99,6 +99,7 @@ _ALGO_KEYS = {
     "naive-power": ("T", "kappa", "t_const"),
 }
 _ALGOS = tuple(_ALGO_KEYS)
+_SEARCHING = ("adaptive", "adaptive-sweep")  # the algorithms that run the search
 _INTS = (int, np.integer)  # a numpy integer passes wherever an int does
 _INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
@@ -235,7 +236,7 @@ def _reads_beta(cell: dict) -> bool:
     """Whether a checked cell reads beta (see the module docstring); one
     without a gen, as `dppca run` builds, is judged by its algorithm alone."""
     return (cell.get("gen", {}).get("kind") == "gaussian"
-            or cell["algo"] in ("adaptive", "adaptive-sweep")
+            or cell["algo"] in _SEARCHING
             or cell.get("T") == "corollary")
 
 
@@ -347,20 +348,17 @@ def run_algorithm(cell: dict, a: DenseMatrix, rng: RngStream) -> RunResult:
     if t == "corollary":
         t = corollary_iterations(a.n, beta, total.delta, total.epsilon, cell["kappa"],
                                  t_const)
-    t = int(t)
-    count = t if algo == "naive-power" else 2 * t
+    t, search = int(t), algo in _SEARCHING
+    count = 2 * t if search else t
     per_iter = split_budget(total, count)
     accounting = {"mechanisms": count, "per_mechanism_epsilon": per_iter.epsilon,
                   "per_mechanism_delta": per_iter.delta}
-    if algo == "naive-power":
-        x_hat, _ = run_adaptive_power(a, t, per_iter, rng, search=False)
-        return RunResult(x_hat, t, accounting)
-    x_hat, trace = run_adaptive_power(a, t, per_iter, rng, beta=beta)
-    if total.accountant == "paper":  # compose assumes the paper's split
+    x_hat, trace = run_adaptive_power(a, t, per_iter, rng, search=search, beta=beta)
+    if search and total.accountant == "paper":  # compose assumes the paper's split
         composed = compose(per_iter, count)
         accounting.update(composed_epsilon=composed.epsilon,
                           composed_delta=composed.delta)
-    return RunResult(x_hat, t, accounting, trace)
+    return RunResult(x_hat, t, accounting, trace if search else None)  # naive: no trace
 
 
 def _run_one(cfg: ExperimentConfig, cell_idx: int, trial: int) -> ResultRecord:

@@ -104,7 +104,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               if k in given and k not in bench._ALGO_KEYS[algo]]
     if "beta" in given and not bench._reads_beta({"algo": algo, "T": args.T}):
         unread.append("--beta")
-    if args.trace is not None and algo in ("analyze-gauss", "naive-power"):
+    if args.trace is not None and algo not in bench._SEARCHING:
         unread.append("--trace")
     if unread:
         raise ParameterError(f"{algo} does not read {', '.join(unread)}")

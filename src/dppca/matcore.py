@@ -181,7 +181,7 @@ def gram(a: DenseMatrix) -> np.ndarray:
     per matrix and kept on it, read-only.
     """
     if a._gram is None:
-        _check_sizing(a.n, a.d)
+        _check_sizing(*a.data.shape)  # not a.n: the search, which reads no n, forms G x
         # np.dot, not @: matmul holds the GIL for a transposed operand.
         g = _mirror_upper(np.dot(a.data.T, a.data))
         g.flags.writeable = False

@@ -16,10 +16,12 @@ probe-by-probe search would move it.
 
 The search computes A x, in the thread's scratch block with the
 statistics (so it makes no n-vector), and returns the rows R it removed
-with (A x)_R: the caller's step A^T (mask * A x) = A^T A x - A_R^T (A x)_R
-needs no second pass over A, only A's Gram and a read of the rows in R.
-R comes from the buckets: a row is removed exactly when its bucket is
-past the firing probe's.
+with the filtered power step A^T (mask * A x) = A^T A x - A_R^T (A x)_R:
+no second pass over A, only A's Gram and a read of the rows in R.  R
+comes from the buckets: a row is removed exactly when its bucket is past
+the firing probe's.  Then (A x)_R is copied out and the rows in R are
+gathered into the same block a row block at a time, so the block is free
+again when the search returns.
 
 A row's statistic is at most ||a_i||^2 ||x||, so probe k counts only rows
 with ||a_i||^2 > 2^(GRID_LO_EXP + k).  On rows grouped by that bound
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .matcore import _BLOCK_ELEMENTS, DenseMatrix, _scratch, gram
+from .matcore import _BLOCK_ELEMENTS, DenseMatrix, _row_blocks, _scratch, gram
 from .mech import RngStream, laplace_inverse_cdf
 
 # Candidate thresholds are 2^k * ||x|| for k in [GRID_LO_EXP, GRID_HI_EXP].
@@ -65,7 +67,7 @@ class ThresholdResult:
     fell_through: bool  # no candidate fired; largest grid value returned
     removed_count: int  # rows with ||a_i|| * |<a_i, x>| > theta, or NaN
     removed: np.ndarray  # those rows' indices, ascending
-    ax_removed: np.ndarray  # (A x)[removed]
+    step: np.ndarray  # A^T (mask * A x), mask keeping the other rows
 
 
 def _grid_counts(q: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -101,7 +103,8 @@ def threshold_search(
     Lap(4/epsilon) per probe in grid order.  This is the sparse vector
     technique, epsilon-DP under add/remove with no public n: one row moves
     each over_k by at most 1, and nothing here reads n.  If no candidate
-    fires the largest is returned (flagged in the result).
+    fires the largest is returned (flagged in the result).  The result
+    also holds the rows above theta and the step that drops them.
 
     Raises ParameterError for a bad epsilon or beta, and
     ContractViolationError for a probe vector whose grid leaves the
@@ -151,8 +154,20 @@ def threshold_search(
     rng.skip(fired + 2)  # the bar and probes 0..fired
     # Rows with codes past the firing probe's have |q| > theta, or NaN.
     removed = np.flatnonzero(q[:end].view(np.int64) > _CODE_0 + fired)
+    step = np.dot(gram(a), x)
+    if removed.size == len(a.data):  # exactly zero, not G x minus its own rounding
+        step[:] = 0.0
+    elif removed.size:  # minus A_R^T (A x)_R; copy (A x)_R before R's rows overwrite A x
+        ax_removed, out = ax[removed], np.zeros(a.d)
+        for part in _row_blocks(removed.size, a.d):
+            idx = removed[part]
+            block = np.take(a.data, idx, axis=0, mode="clip",  # "raise" buffers
+                            out=_scratch(idx.size, a.d))
+            # np.dot, not @: matmul holds the GIL for a transposed operand.
+            out += np.dot(block.T, ax_removed[part])
+        step -= out
     return ThresholdResult(float(grid[fired]), fired + 1, fires.size == 0, removed.size,
-                           removed, ax[removed])
+                           removed, step)
 
 
 def lay_out_by_norm(a: DenseMatrix) -> None:

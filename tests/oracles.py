@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from dppca.errors import ContractViolationError
+from dppca.matcore import _row_blocks, gram
 from dppca.mech import laplace_inverse_cdf
 from dppca.svtfilter import GRID_HI_EXP, GRID_LO_EXP, ThresholdResult
 
@@ -49,5 +50,18 @@ def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
         fell_through=fell_through,
         removed_count=n - counts[fired],
         removed=removed,
-        ax_removed=ax[removed],
+        step=reference_step(a, x, removed),
     )
+
+
+def reference_step(a, x, removed):
+    """The filtered step G x - A_R^T (A x)_R as the search forms it, with
+    A_R^T (A x)_R summed over R a row block at a time, and exactly +0.0
+    when R is every row."""
+    if removed.size == a.n:
+        return np.zeros(a.d)
+    ax, out = a.data @ x, np.zeros(a.d)
+    for part in _row_blocks(removed.size, a.d):
+        idx = removed[part]
+        out += np.dot(a.data[idx].T, ax[idx])
+    return np.dot(gram(a), x) - out

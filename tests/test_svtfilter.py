@@ -28,7 +28,7 @@ from dppca.svtfilter import (
     lay_out_by_norm,
     threshold_search,
 )
-from oracles import reference_search
+from oracles import reference_search, reference_step
 
 
 def unit_rows(seed, n=200, d=5):
@@ -167,10 +167,48 @@ class TestFilter:
         res = threshold_search(a, x, epsilon, RngStream(seed, 2))
         ax = a.data @ x
         q = a.row_norms() * np.abs(ax)
-        assert res.ax_removed.tobytes() == ax[res.removed].tobytes()
+        assert res.step.tobytes() == reference_step(a, x, res.removed).tobytes()
         assert np.array_equal(res.removed, np.flatnonzero(q > res.theta))
         assert np.array_equal(kept_ax(res, ax), np.where(q <= res.theta, ax, 0.0))
         assert res.removed_count == int(np.sum(q > res.theta))
+
+
+class TestStep:
+    """The search returns the filtered power step A^T (mask * A x), formed
+    as G x - A_R^T (A x)_R."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: DenseMatrix(spread_rows(72, 5003, 6)),
+        lambda: spiky_rows(72, n=5003, d=6),  # R carries most of G: cancellation
+        lambda: laid_out(spread_rows(72, 5003, 6), block_rows=48),
+    ], ids=["plain", "spiky", "laid-out"])
+    def test_is_the_masked_product(self, build):
+        a = build()
+        rng = np.random.default_rng(73)
+        removing = 0
+        for epsilon in (0.05, 0.5, 5.0):
+            for x in rng.normal(size=(4, a.d)):
+                res = threshold_search(a, x, epsilon, RngStream(74))
+                want = a.data.T @ kept_ax(res, a.data @ x)
+                assert np.linalg.norm(res.step - want) <= 1e-12 * np.linalg.norm(want)
+                removing += 0 < res.removed_count < a.n
+        assert removing
+
+    def test_no_row_removed_is_gram_times_x(self):
+        a = unit_rows(75)
+        x = np.random.default_rng(76).normal(size=a.d)
+        res = threshold_search(a, x, 1e9, RngStream(0))
+        assert res.removed_count == 0
+        assert res.step.tobytes() == np.dot(gram(a), x).tobytes()
+
+    def test_every_row_removed_is_plus_zero(self):
+        # A tiny epsilon sinks the bar, so the first probe fires and every
+        # row is above theta: the step is +0.0, not G x less its own rounding.
+        a = unit_rows(77)
+        x = np.random.default_rng(78).normal(size=a.d)
+        res = threshold_search(a, x, 1e-4, RngStream(0))
+        assert res.removed_count == a.n
+        assert res.step.tobytes() == np.zeros(a.d).tobytes()
 
 
 def assert_same_search(a, x, epsilon, seed, skew=0):
@@ -186,7 +224,7 @@ def assert_same_search(a, x, epsilon, seed, skew=0):
     ax = a.data @ x
     assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
         want.theta, want.queries_issued, want.fell_through, want.removed_count)
-    assert got.ax_removed.tobytes() == ax[got.removed].tobytes()
+    assert got.step.tobytes() == want.step.tobytes()
     assert np.array_equal(got.removed, want.removed)
     assert kept_ax(got, ax).tobytes() == kept_ax(want, ax).tobytes()
     assert r_new.uniform_open() == r_ref.uniform_open()
@@ -204,31 +242,33 @@ def spiky_rows(seed, n, d=5, heavy=20):
 
 
 class TestScratch:
-    """A x and the row statistics live in the thread's scratch block: a
-    search makes no n-vector, and what it returns is its own."""
+    """A x, the row statistics and the gathered removed rows live in the
+    thread's scratch block: a search makes no n-vector, and what it returns
+    is its own."""
 
     def test_warm_search_allocates_under_two_bytes_per_row(self):
         n = 100_000
-        a = unit_rows(40, n=n, d=20)
+        a = spiky_rows(40, n=n, d=20)
         x = np.random.default_rng(41).normal(size=a.d)
-        threshold_search(a, x, 0.5, RngStream(0))  # row norms and scratch
+        threshold_search(a, x, 0.5, RngStream(0))  # row norms, Gram and scratch
         tracemalloc.start()
         try:
-            threshold_search(a, x, 0.5, RngStream(1))
+            res = threshold_search(a, x, 0.5, RngStream(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert res.removed_count == 20  # the gather ran inside the measured call
         assert peak < 2 * n
 
     def test_result_outlives_the_next_search(self):
         a = spiky_rows(42, n=2_000)
         x, y = np.random.default_rng(43).normal(size=(2, a.d))
         first = threshold_search(a, x, 0.5, RngStream(2))
-        removed, ax_removed = first.removed.copy(), first.ax_removed.copy()
+        removed, step = first.removed.copy(), first.step.copy()
         assert removed.size == 20
         threshold_search(a, y, 0.5, RngStream(3))
         assert first.removed.tobytes() == removed.tobytes()
-        assert first.ax_removed.tobytes() == ax_removed.tobytes()
+        assert first.step.tobytes() == step.tobytes()
 
     def test_two_threads_search_as_one(self):
         cases = [(spiky_rows(44 + k, n=50_000, d=8),
@@ -255,7 +295,7 @@ class TestScratch:
                 assert (g.theta, g.queries_issued, g.removed_count) == (
                     w.theta, w.queries_issued, w.removed_count)
                 assert g.removed.tobytes() == w.removed.tobytes()
-                assert g.ax_removed.tobytes() == w.ax_removed.tobytes()
+                assert g.step.tobytes() == w.step.tobytes()
 
     def test_scratch_grows_past_one_block(self):
         # 2n = 280,000 floats is more than one row block (2^18).
@@ -370,8 +410,9 @@ class TestNanStatistic:
             ax = a.data @ x
             q = a.row_norms() * np.abs(ax)
             res = threshold_search(a, x, 1e9 if large_epsilon else 5.0, RngStream(4))
+            step = reference_step(a, x, res.removed)
         assert math.isnan(q[0]) and not math.isfinite(q[1])
-        assert res.ax_removed.tobytes() == ax[res.removed].tobytes()
+        assert res.step.tobytes() == step.tobytes()
         assert res.removed[:2].tolist() == [0, 1]
         assert kept_ax(res, ax)[:2].tobytes() == np.zeros(2).tobytes()
         assert res.removed_count == 2 + int(np.sum(q[2:] > res.theta))
@@ -483,7 +524,7 @@ def walk_and_pass(a, x, epsilon, seed):
     assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
         want.theta, want.queries_issued, want.fell_through, want.removed_count)
     assert got.removed.tobytes() == want.removed.tobytes()
-    assert got.ax_removed.tobytes() == want.ax_removed.tobytes()
+    assert got.step.tobytes() == want.step.tobytes()
     assert r_walk.uniform_open() == r_pass.uniform_open()
     fired = got.queries_issued - 1
     return got, next(end for end, past in layout if past <= fired)
