@@ -61,8 +61,8 @@ class IterationTrace:
 
     `removed` holds exact counts of the rows above each released theta,
     which no mechanism noises: they are evaluation (the bench CSV's
-    `removed` column is their sum), not released, and `dppca run --trace`
-    leaves them out.
+    `removed` column is their sum, and `dppca run` writes them under
+    `evaluation`), not released.
     """
 
     theta: list[float] = field(default_factory=list)

@@ -15,7 +15,7 @@ Each cell names a generator and an algorithm:
       "cell": "adaptive-n16000",          # optional unique id; defaults to the index
       "gen": {"kind": "gaussian", "n": 16000, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
             | {"kind": "low-coh", "n": ..., "d": ..., "sigma1_frac": ..., "gap": ...}
-            | {"kind": "high-coh", "n": ..., "d": ..., "spikes": 4, "noise_norm": 0.05},
+            | {"kind": "high-coh", "n": ..., "d": ..., "spikes": 4},
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
       "T": 10 | "corollary",              # adaptive / naive-power
@@ -25,7 +25,7 @@ Each cell names a generator and an algorithm:
       "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
 
-"spikes" and "noise_norm" are optional, with datagen's defaults.  A gen
+"spikes" is optional, with datagen's default.  A gen
 or a cell carries only the keys its kind or algorithm reads; beta is
 read by a gaussian gen's scaling, by the threshold search (adaptive and
 adaptive-sweep) and by T "corollary".  Float keys must be finite (JSON's
@@ -37,8 +37,10 @@ time becomes a record whose error column starts with the error's reason
 code.  `build_instance(gen, ...)` and `run_algorithm(cell, ...)`, which
 `dppca gen` and `dppca run` also call with a gen and a cell built from
 their flags, are the only places that map a generator kind or an
-algorithm name to code.  A cell's eps_total, delta_total and accountant
-make the one PrivacyBudget that `run_algorithm` splits.
+algorithm name to code.  The checks name kinds and algorithms only
+through the key tables below and `_reads_beta`, and `dppca run` spells
+adaptive-sweep as `--sweep`.  A cell's eps_total, delta_total and
+accountant make the one PrivacyBudget that `run_algorithm` splits.
 
 Every (cell, trial) pair owns the RngStream (master_seed, cell_index *
 trials + trial), so records do not depend on scheduling; they are sorted
@@ -89,7 +91,7 @@ _GEN_KEYS = {
     "low-coh": ("n", "d", "sigma1_frac", "gap"),
     "high-coh": ("n", "d"),
 }
-_HIGH_COH_OPTIONAL = ("spikes", "noise_norm")
+_HIGH_COH_OPTIONAL = ("spikes",)
 _CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "accountant")
 _CELL_NEED = ("eps_total", "delta_total")
 _ALGO_KEYS = {
@@ -102,8 +104,8 @@ _ALGOS = tuple(_ALGO_KEYS)
 _SEARCHING = ("adaptive", "adaptive-sweep")  # the algorithms that run the search
 _INTS = (int, np.integer)  # a numpy integer passes wherever an int does
 _INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
-_FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "noise_norm",
-               "eps_total", "delta_total", "beta", "kappa", "t_const")  # and finite
+_FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "eps_total",
+               "delta_total", "beta", "kappa", "t_const")  # and finite
 # Every key a gen may carry besides kind.
 _GEN_ALL = tuple(dict.fromkeys(sum(_GEN_KEYS.values(), ()) + _HIGH_COH_OPTIONAL))
 
@@ -251,10 +253,9 @@ def _check_algo(cell: dict) -> str:
     _cell_budget(cell)
     if cell.get("t_const", 1.0) <= 0.0:
         raise ParameterError(f"t_const must be positive, got {cell['t_const']}")
-    if algo == "adaptive-sweep":
-        if cell.get("sweep_J", 0) < 1:
-            raise ParameterError("adaptive-sweep needs sweep_J >= 1")
-    elif algo in ("adaptive", "naive-power"):
+    if "sweep_J" in _ALGO_KEYS[algo] and cell.get("sweep_J", 0) < 1:
+        raise ParameterError(f"{algo} needs sweep_J >= 1")
+    if "T" in _ALGO_KEYS[algo]:
         t, kappa = cell.get("T"), cell.get("kappa")
         if t == "corollary":
             if not (kappa is not None and 0.0 < kappa <= 1.0):

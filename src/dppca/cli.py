@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -56,15 +57,8 @@ def _add_key_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
         p.add_argument(_flag(key), **kwargs)
 
 
-def _write_json(path: str, doc: dict, written: str | None = None) -> None:
-    """Write `doc` to `path` as indented JSON; if that fails, delete `written`,
-    the file written before it, so an error leaves no partial output."""
-    try:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-    except OSError:
-        if written:
-            Path(written).unlink(missing_ok=True)
-        raise
+def _write_json(path: str, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -90,7 +84,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         )
     matio.save_dpm(a, args.out)
     if args.meta:
-        _write_json(args.meta, meta, written=args.out)
+        try:
+            _write_json(args.meta, meta)
+        except OSError:  # an error leaves no partial output
+            Path(args.out).unlink()
+            raise
     print(f"wrote {a.n}x{a.d} matrix to {args.out}")
     return 0
 
@@ -104,8 +102,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               if k in given and k not in bench._ALGO_KEYS[algo]]
     if "beta" in given and not bench._reads_beta({"algo": algo, "T": args.T}):
         unread.append("--beta")
-    if args.trace is not None and algo not in bench._SEARCHING:
-        unread.append("--trace")
     if unread:
         raise ParameterError(f"{algo} does not read {', '.join(unread)}")
     keys = _RUN_CELL_KEYS + bench._ALGO_KEYS[algo]
@@ -113,30 +109,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if "T" in keys:  # --T's default, given only where T is read
         cell.setdefault("T", 10)
     bench._check_algo(cell)  # before the matrix is read
+    # A known seed regenerates every noise draw, so the default one is secret.
+    rng = RngStream(secrets.randbits(64) if args.seed is None else args.seed)
     a = matio.load_dpm(args.infile)
-    run = bench.run_algorithm(cell, a, RngStream(args.seed))
-    out: dict = {
-        "algo": args.algo, "n": a.n, "d": a.d, "eps_total": cell["eps_total"],
+    run = bench.run_algorithm(cell, a, rng)
+    release: dict = {
+        "algo": args.algo, "d": a.d, "eps_total": cell["eps_total"],
         "delta_total": cell["delta_total"], "accountant": cell.get("accountant", "paper"),
-        "seed": args.seed, "accounting": run.accounting,
+        "accounting": run.accounting, "x_hat": list(run.x_hat),
     }
-    if run.kappa_guess is not None:
-        out["selected_kappa_guess"] = run.kappa_guess
     if run.t:  # analyze-gauss is one-shot and reports no T
-        out["T"] = run.t
-
+        release["T"] = run.t
+    if run.kappa_guess is not None:
+        release["selected_kappa_guess"] = run.kappa_guess
     stats = spectrum_stats(a)
-    out["x_hat"] = list(run.x_hat)
-    out["sin2_vs_v1"] = sin_sq(run.x_hat, stats.top_vector)
-    out["rayleigh_ratio"] = rayleigh_ratio(a, run.x_hat, stats.sigma1)
+    evaluation = {"n": a.n, "sin2_vs_v1": sin_sq(run.x_hat, stats.top_vector),
+                  "rayleigh_ratio": rayleigh_ratio(a, run.x_hat, stats.sigma1)}
+    if run.trace:  # the exact removal counts are no mechanism's output
+        release["trace"] = asdict(run.trace)
+        evaluation["removed"] = release["trace"].pop("removed")
+    doc = {"release": release, "evaluation": evaluation}
 
     if args.out:
-        _write_json(args.out, out)
-    if args.trace:  # the exact removal counts are evaluation, not released
-        released = {k: v for k, v in asdict(run.trace).items() if k != "removed"}
-        _write_json(args.trace, released, written=args.out)
-    print(f"sin2_vs_v1={out['sin2_vs_v1']:.6g} -> {args.out}" if args.out
-          else json.dumps(out, indent=2))
+        _write_json(args.out, doc)
+    print(f"sin2_vs_v1={evaluation['sin2_vs_v1']:.6g} -> {args.out}" if args.out
+          else json.dumps(doc, indent=2))
     return 0
 
 
@@ -173,9 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True)
     _add_key_flags(r, _RUN_CELL_KEYS, required=bench._CELL_NEED)
     _add_key_flags(r, _RUN_ALGO_KEYS)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=int, help="for a reproducible run; keep it secret")
     r.add_argument("--out")
-    r.add_argument("--trace")
     r.set_defaults(func=_cmd_run)
 
     b = sub.add_parser("bench", help="run an experiment grid from a JSON config")

@@ -19,6 +19,7 @@ from .matcore import DenseMatrix, _row_blocks, _row_norms, _scratch
 from .mech import RngStream
 
 _SMALL_TAIL_FRAC = 0.01  # tail eigenvalues of the planted spectrum
+_HIGH_COH_NOISE = 0.05  # norm of the high-coherence instance's noise rows
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,6 @@ class GaussSpec:
     @property
     def d(self) -> int:
         return len(self.sigmabar_sq)
-
-    @property
-    def kappabar(self) -> float:
-        s1 = self.sigmabar_sq[0]
-        if s1 == 0.0:
-            raise ParameterError("top population eigenvalue is zero")
-        s2 = self.sigmabar_sq[1] if self.d > 1 else 0.0
-        return (s1 - s2) / s1
 
     @staticmethod
     def spiked(d: int, sigma1_sq: float, kappabar: float) -> "GaussSpec":
@@ -205,28 +198,25 @@ def gen_high_coherence(
     d: int,
     rng: RngStream,
     spikes: int = 4,
-    noise_norm: float = 0.05,
 ) -> DenseMatrix:
     """Coherence near its maximum: mu(A) close to n.
 
     The first `spikes` rows are e1 at norm 1 and carry the entire top
     direction (their first left singular vector has Upsilon = 1/sqrt(spikes)
-    exactly).  Remaining rows are Gaussian noise of norm `noise_norm`
+    exactly).  Remaining rows are Gaussian noise of norm _HIGH_COH_NOISE
     confined to the coordinates 2..d so the top direction stays exact.
     """
     if n < d:
         raise ParameterError(f"need n >= d, got n={n}, d={d}")
     if not 1 <= spikes <= n:
         raise ParameterError(f"spikes must lie in [1, n], got {spikes}")
-    if not 0.0 <= noise_norm <= 1.0:
-        raise ParameterError(f"noise_norm must lie in [0, 1], got {noise_norm}")
 
     a = np.zeros((n, d))
     a[:spikes, 0] = 1.0
     rest = n - spikes
-    if rest > 0 and noise_norm > 0.0 and d > 1:
+    if rest > 0 and d > 1:
         g = rng.standard_normal((rest, d - 1))
         norms = _row_norms(g)
         norms[norms == 0.0] = 1.0
-        a[spikes:, 1:] = noise_norm * g / norms[:, None]
+        a[spikes:, 1:] = _HIGH_COH_NOISE * g / norms[:, None]
     return DenseMatrix(a)

@@ -20,7 +20,7 @@ from dppca.bench import (
 from dppca.errors import BudgetError, ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, sin_sq, spectrum_stats
 from dppca.mech import PrivacyBudget, RngStream, split_budget
-from dppca.svtfilter import DEFAULT_BETA
+from dppca.svtfilter import DEFAULT_BETA, lay_out_by_norm
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,12 +97,27 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="--threads must be >= 1"):
             run_experiment(cfg, threads=threads)
 
+    def test_norm_layout_keeps_bytes_in_a_worker_pool(self):
+        # A run of 10 or more searches lays A out by norm, moving its rows in
+        # place; each trial owns its instance, so a pool keeps the bytes.
+        gen = {"kind": "gaussian", "n": 16384, "d": 64, "sigma1_sq": 0.5, "kappabar": 0.5}
+        cell = {"gen": gen, "algo": "adaptive", "eps_total": 1.0, "delta_total": 1e-5,
+                "T": 12}
+        cfg = ExperimentConfig(master_seed=3, trials=2, grid=[cell])
+        for trial in range(cfg.trials):  # more than one group, so rows move
+            a, _, _ = build_instance(gen, RngStream(3, trial), DEFAULT_BETA)
+            lay_out_by_norm(a)
+            assert len(a._layout) >= 2
+        serial = run_experiment(cfg, threads=1)
+        assert not any(r.error for r in serial)
+        assert records_to_csv(run_experiment(cfg, threads=2)) == records_to_csv(serial)
+
     def test_spelled_out_gen_defaults_give_the_same_bytes(self, small_run):
         # The generator defaults live in datagen alone; spelling them out in
         # the config changes nothing.
         _, recs = small_run
         grid = small_grid()
-        grid[2]["gen"].update(spikes=4, noise_norm=0.05)
+        grid[2]["gen"].update(spikes=4)
         spelled = run_experiment(ExperimentConfig(master_seed=7, trials=5, grid=grid))
         assert records_to_csv(spelled) == records_to_csv(recs)
 

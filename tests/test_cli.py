@@ -169,20 +169,24 @@ class TestGen:
         assert list(tmp_path.iterdir()) == []
 
 
+# Fields that no mechanism noises; `dppca run` writes them only under evaluation.
+UNRELEASED = {"seed", "n", "sin2_vs_v1", "rayleigh_ratio", "removed"}
+
+
 class TestRun:
-    def test_trace_that_cannot_be_written_leaves_no_result(
+    def test_result_that_cannot_be_written_is_cli_error(
         self, gaussian_file, tmp_path, capsys
     ):
         infile, _ = gaussian_file
-        res = tmp_path / "res.json"
+        res = tmp_path / "missing" / "res.json"
         rc = run_cli(
             "run", "--in", str(infile), "--eps-total", "1", "--delta-total", "1e-5",
-            "--T", "3", "--out", str(res), "--trace", str(tmp_path / "missing" / "t.json"),
+            "--T", "3", "--out", str(res),
         )
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
-        assert not res.exists()
+        assert not res.parent.exists()
 
     @pytest.mark.parametrize("algo", ["adaptive", "naive-power"])
     def test_budget_too_small_to_noise_is_cli_error(
@@ -202,41 +206,65 @@ class TestRun:
     def test_adaptive_writes_result_and_trace(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
         res = tmp_path / "res.json"
-        trace = tmp_path / "trace.json"
         rc = run_cli(
             "run", "--algo", "adaptive", "--in", str(infile),
             "--eps-total", "2.0", "--delta-total", "1e-5", "--T", "3",
-            "--seed", "5", "--out", str(res), "--trace", str(trace),
+            "--seed", "5", "--out", str(res),
         )
         assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dpm", "a.json", "res.json"]
         doc = json.loads(res.read_text())
-        assert doc["T"] == 3 and len(doc["x_hat"]) == 4
-        assert 0.0 <= doc["sin2_vs_v1"] <= 1.0
-        assert doc["accounting"]["mechanisms"] == 6
-        tr = json.loads(trace.read_text())
-        assert len(tr["theta"]) == 3
+        assert list(doc) == ["release", "evaluation"]
+        release, evaluation = doc["release"], doc["evaluation"]
+        assert release["T"] == 3 and len(release["x_hat"]) == 4 and release["d"] == 4
+        assert release["accounting"]["mechanisms"] == 6
+        assert list(release["trace"]) == ["theta", "noise_sigma", "queries_issued"]
+        assert len(release["trace"]["theta"]) == 3
+        assert not UNRELEASED & set(release)
+        assert list(evaluation) == ["n", "sin2_vs_v1", "rayleigh_ratio", "removed"]
+        assert evaluation["n"] == 400 and len(evaluation["removed"]) == 3
+        assert 0.0 <= evaluation["sin2_vs_v1"] <= 1.0
 
     def test_trace_is_the_same_on_neighbouring_inputs(self, tmp_path):
-        # Add/remove neighbours: A and A plus the row e1.  The released thetas
-        # agree; the exact removal counts differ, so the trace file omits them.
+        # Add/remove neighbours: A and A plus the row e1.  Every released
+        # field but the estimate agrees, the thetas and noise scales to
+        # rounding; the row count and the exact removal counts differ, so
+        # they are evaluation.
         gen = {"kind": "gaussian", "n": 2000, "d": 10, "sigma1_sq": 0.5, "kappabar": 0.5}
         a, _, _ = build_instance(gen, RngStream(1), 0.05)
-        traces = []
+        docs = []
         for name, rows in (("a", a.data), ("b", np.vstack([a.data, np.eye(10)[:1]]))):
-            infile, trace = tmp_path / f"{name}.dpm", tmp_path / f"{name}.trace.json"
+            infile, res = tmp_path / f"{name}.dpm", tmp_path / f"{name}.json"
             save_dpm(DenseMatrix(rows), str(infile))
             assert run_cli(
                 "run", "--in", str(infile), "--eps-total", "1", "--delta-total", "1e-5",
-                "--T", "4", "--seed", "3", "--out", str(tmp_path / "res.json"),
-                "--trace", str(trace),
+                "--T", "4", "--seed", "3", "--out", str(res),
             ) == 0
-            traces.append(json.loads(trace.read_text()))
-        ta, tb = traces
-        assert list(ta) == list(tb)
-        assert "removed" not in ta and "total_removed" not in ta
-        assert ta["queries_issued"] == tb["queries_issued"]
+            docs.append(json.loads(res.read_text()))
+        ra, rb = (doc["release"] for doc in docs)
+        assert list(ra) == list(rb) and not UNRELEASED & set(ra)
+        ta, tb = ra.pop("trace"), rb.pop("trace")
+        assert list(ta) == list(tb) and ta["queries_issued"] == tb["queries_issued"]
         for key in ("theta", "noise_sigma"):
             assert ta[key] == pytest.approx(tb[key], rel=1e-12)
+        assert ra.pop("x_hat") != rb.pop("x_hat")
+        assert ra == rb
+        ea, eb = (doc["evaluation"] for doc in docs)
+        assert (ea["n"], eb["n"]) == (2000, 2001) and ea["removed"] != eb["removed"]
+
+    def test_default_seed_is_secret(self, gaussian_file, tmp_path):
+        # A seed that is known regenerates every noise draw, so without
+        # --seed each run draws its own and none writes it.
+        infile, _ = gaussian_file
+        docs = []
+        for name in ("r1.json", "r2.json"):
+            res = tmp_path / name
+            assert run_cli("run", "--in", str(infile), "--eps-total", "1.0",
+                           "--delta-total", "1e-5", "--T", "2", "--out", str(res)) == 0
+            docs.append(json.loads(res.read_text()))
+        assert docs[0]["release"]["x_hat"] != docs[1]["release"]["x_hat"]
+        for doc in docs:
+            assert "seed" not in {*doc, *doc["release"], *doc["evaluation"]}
 
     def test_run_is_deterministic(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -260,7 +288,7 @@ class TestRun:
         printed = capsys.readouterr().out
         assert run_cli(*flags, "--out", str(res)) == 0
         assert printed == res.read_text()
-        assert json.loads(printed)["T"] == 2
+        assert json.loads(printed)["release"]["T"] == 2
 
     def test_analyze_gauss_and_naive(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -273,7 +301,8 @@ class TestRun:
             )
             assert rc == 0
             doc = json.loads(res.read_text())
-            assert 0.0 <= doc["sin2_vs_v1"] <= 1.0
+            assert 0.0 <= doc["evaluation"]["sin2_vs_v1"] <= 1.0
+            assert "trace" not in doc["release"] and "removed" not in doc["evaluation"]
 
     def test_sweep(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -283,9 +312,10 @@ class TestRun:
             "--delta-total", "1e-5", "--sweep", "3", "--out", str(res),
         )
         assert rc == 0
-        doc = json.loads(res.read_text())
-        assert doc["accounting"]["runs"] == 3
-        assert "selected_kappa_guess" in doc
+        release = json.loads(res.read_text())["release"]
+        assert release["accounting"]["runs"] == 3
+        assert "selected_kappa_guess" in release
+        assert len(release["trace"]["theta"]) == release["T"]
 
     @pytest.mark.parametrize("t_const", [None, "0.1"])
     def test_corollary_rule_with_kappa_and_t_const(self, gaussian_file, tmp_path, t_const):
@@ -298,7 +328,7 @@ class TestRun:
         )
         assert rc == 0
         want = corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5, float(t_const or 1.0))
-        assert json.loads(res.read_text())["T"] == want
+        assert json.loads(res.read_text())["release"]["T"] == want
 
     def test_naive_corollary_rule_reads_beta(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -311,7 +341,7 @@ class TestRun:
         assert rc == 0
         want = corollary_iterations(400, 1e-6, 1e-5, 4.0, 0.5)
         assert want != corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5)
-        assert json.loads(res.read_text())["T"] == want
+        assert json.loads(res.read_text())["release"]["T"] == want
 
     def test_zcdp_accountant(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -321,7 +351,7 @@ class TestRun:
             "--accountant", "zcdp", "--T", "3", "--out", str(res),
         )
         assert rc == 0
-        doc = json.loads(res.read_text())
+        doc = json.loads(res.read_text())["release"]
         per_iter = split_budget(PrivacyBudget(4.0, 1e-5, "zcdp"), 6)
         assert doc["accountant"] == "zcdp" and doc["T"] == 3
         assert doc["accounting"] == {
@@ -384,6 +414,7 @@ class TestRun:
     @pytest.mark.parametrize("flags, message", [
         (["--algo", "analyze-gauss", "--kappa", "0.5"], "analyze-gauss does not read --kappa"),
         (["--T", "0"], "T must be an int >= 1 or 'corollary', got 0"),
+        (["--seed", "-1"], "master_seed must fit in 64 unsigned bits"),
     ])
     def test_flags_are_checked_before_the_matrix_is_read(
         self, tmp_path, capsys, flags, message
@@ -449,7 +480,7 @@ class TestRun:
             "--delta-total", "1e-5", "--seed", "5", *extra, "--out", str(res),
         )
         assert rc == 0
-        doc = json.loads(res.read_text())
+        doc = json.loads(res.read_text())["release"]
         assert doc["x_hat"][:3] == pytest.approx(head, rel=1e-9)
         assert doc["accounting"] == pytest.approx(accounting, rel=1e-12)
         assert doc.get("T") == t
@@ -498,18 +529,16 @@ class TestRun:
         assert rc == 2
         assert "bad magic" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("algo", ["analyze-gauss", "naive-power"])
-    def test_trace_is_cli_error_for_untraced_algorithms(
-        self, gaussian_file, tmp_path, capsys, algo
-    ):
+    @pytest.mark.parametrize("algo", ["adaptive", "analyze-gauss", "naive-power"])
+    def test_trace_is_retired(self, gaussian_file, tmp_path, capsys, algo):
+        # The trace is part of the one result document.
         infile, _ = gaussian_file
         res, trace = tmp_path / "res.json", tmp_path / "trace.json"
-        rc = run_cli(
-            "run", "--algo", algo, "--in", str(infile), "--eps-total", "1.0",
-            "--delta-total", "1e-5", "--out", str(res), "--trace", str(trace),
-        )
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {algo} does not read --trace\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--algo", algo, "--in", str(infile), "--eps-total", "1.0",
+                    "--delta-total", "1e-5", "--out", str(res), "--trace", str(trace))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
         assert not res.exists() and not trace.exists()
 
     @pytest.mark.parametrize("extra", [
