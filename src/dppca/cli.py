@@ -1,5 +1,5 @@
 """Command-line interface: generate data, run algorithms and drive
-benchmark grids.  Matrix files are DPM (see `dppca.matio`).
+benchmark grids.  Matrix files are `.npy` (see `dppca.matio`).
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ def _parse_t(raw: str) -> int | str:
             f"T must be an int or 'corollary', got {raw!r}") from None
 
 
+def _parse_seed(raw: str) -> int:
+    """The range `RngStream` takes, checked before anything is read or written."""
+    try:
+        if 0 <= int(raw) < 2**64:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an int in [0, 2**64), got {raw!r}")
+
+
 def _add_key_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
     """One flag per config key, typed by bench's key tables."""
     for key in keys:
@@ -62,9 +72,9 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if not args.out.endswith(".dpm"):
-        raise ParameterError(f"--out {args.out}: dppca gen writes the DPM format, "
-                             "so the path must end in .dpm")
+    if not args.out.endswith(".npy"):
+        raise ParameterError(f"--out {args.out}: dppca gen writes numpy's .npy format, "
+                             "so the path must end in .npy")
     if args.beta is not None and args.kind != "gaussian":  # only its scaling reads beta
         raise ParameterError(f"{args.kind} gen does not read --beta")
     beta = DEFAULT_BETA if args.beta is None else args.beta
@@ -82,7 +92,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             sigma1=stats.sigma1, sigma2=stats.sigma2,
             kappa=stats.kappa, upsilon=stats.upsilon, mu=stats.mu,
         )
-    matio.save_dpm(a, args.out)
+    matio.save_npy(a, args.out)
     if args.meta:
         try:
             _write_json(args.meta, meta)
@@ -111,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     bench._check_algo(cell)  # before the matrix is read
     # A known seed regenerates every noise draw, so the default one is secret.
     rng = RngStream(secrets.randbits(64) if args.seed is None else args.seed)
-    a = matio.load_dpm(args.infile)
+    a = matio.load_npy(args.infile)
     run = bench.run_algorithm(cell, a, rng)
     release: dict = {
         "algo": args.algo, "d": a.d, "eps_total": cell["eps_total"],
@@ -159,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", required=True, choices=tuple(bench._GEN_KEYS))
     _add_key_flags(g, bench._GEN_ALL)
     g.add_argument("--beta", type=float)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_parse_seed, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--meta")
     g.set_defaults(func=_cmd_gen)
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="infile", required=True)
     _add_key_flags(r, _RUN_CELL_KEYS, required=bench._CELL_NEED)
     _add_key_flags(r, _RUN_ALGO_KEYS)
-    r.add_argument("--seed", type=int, help="for a reproducible run; keep it secret")
+    r.add_argument("--seed", type=_parse_seed, help="for a reproducible run; keep it secret")
     r.add_argument("--out")
     r.set_defaults(func=_cmd_run)
 

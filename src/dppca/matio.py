@@ -1,56 +1,44 @@
-"""Matrix serialization: the DPM1 binary format.
-
-DPM1 layout (little-endian throughout):
-
-    offset 0   4 bytes   magic b"DPM1"
-    offset 4   u16       format version, currently 1
-    offset 6   u64       n (rows)
-    offset 14  u64       d (columns)
-    offset 22  n*d*8     float64 payload, row-major
+"""Matrix files: numpy's `.npy` format holding one C-order, native float64
+n x d array with n, d >= 1, as `np.save` writes a `DenseMatrix`'s data.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import FormatError
 from .matcore import DenseMatrix
 
-MAGIC = b"DPM1"
-VERSION = 1
-_HEADER = struct.Struct("<4sHQQ")
+_READ_HEADER = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 
-def save_dpm(a: DenseMatrix, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, a.n, a.d))
-        # A view of the array's own bytes: no copy of the payload.
-        fh.write(memoryview(np.ascontiguousarray(a.data, dtype="<f8")).cast("B"))
+def save_npy(a: DenseMatrix, path: str | Path) -> None:
+    with open(path, "wb") as fh:  # an open file: np.save appends no suffix
+        np.save(fh, a.data)
 
 
-def load_dpm(path: str | Path) -> DenseMatrix:
+def load_npy(path: str | Path) -> DenseMatrix:
+    """Every check runs on the header and the file size, before the payload is read."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, n, d = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        if n < 1 or d < 1:
-            raise FormatError(f"{path}: degenerate shape ({n}, {d})")
-        size = n * d * 8
-        left = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if left < size:
+        try:
+            version = npy.read_magic(fh)
+            if version not in _READ_HEADER:
+                raise ValueError(f"format version {version}")
+            shape, fortran, dtype = _READ_HEADER[version](fh)
+        except ValueError as exc:  # a short or wrong magic, a malformed header
+            raise FormatError(f"{path}: no .npy 1.0 or 2.0 header ({exc})") from None
+        if fortran or dtype != np.float64 or len(shape) != 2 or min(shape) < 1:
+            raise FormatError(f"{path}: holds {'Fortran' if fortran else 'C'}-order "
+                              f"{dtype.str} of shape {shape}, not a C-order native "
+                              "float64 matrix with n, d >= 1")
+        n, d = shape
+        size, left = n * d * 8, os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != size:
             raise FormatError(
-                f"{path}: payload is {left} bytes, expected {size} for n={n}, d={d}"
-            )
-        if left > size:
-            raise FormatError(f"{path}: trailing bytes after payload")
-        data = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+                f"{path}: payload is {left} bytes, expected {size} for n={n}, d={d}")
+        data = np.fromfile(fh, dtype=np.float64, count=n * d).reshape(n, d)
     return DenseMatrix(data)

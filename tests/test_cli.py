@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 from dppca import bench, cli
 from dppca.adaptive import corollary_iterations
@@ -17,7 +18,7 @@ from dppca.cli import main
 from dppca.datagen import GaussSpec
 from dppca.errors import ParameterError
 from dppca.matcore import DenseMatrix, spectrum_stats
-from dppca.matio import load_dpm, save_dpm
+from dppca.matio import load_npy, save_npy
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA
 
@@ -32,7 +33,7 @@ def run_cli(*argv):
 
 @pytest.fixture()
 def gaussian_file(tmp_path):
-    out = tmp_path / "a.dpm"
+    out = tmp_path / "a.npy"
     meta = tmp_path / "a.json"
     rc = run_cli(
         "gen", "--kind", "gaussian", "--n", "400", "--d", "4",
@@ -46,7 +47,7 @@ def gaussian_file(tmp_path):
 class TestGen:
     def test_gaussian_dpm_and_meta(self, gaussian_file):
         out, meta = gaussian_file
-        a = load_dpm(str(out))
+        a = load_npy(str(out))
         assert (a.n, a.d) == (400, 4)
         assert a.max_row_norm() <= 1.0 + 1e-9
         doc = json.loads(meta.read_text())
@@ -55,12 +56,12 @@ class TestGen:
         assert doc["sigma1"] > doc["sigma2"]
 
     def test_high_coh(self, tmp_path):
-        out = tmp_path / "h.dpm"
+        out = tmp_path / "h.npy"
         assert run_cli(
             "gen", "--kind", "high-coh", "--n", "64", "--d", "4",
             "--out", str(out),
         ) == 0
-        assert load_dpm(str(out)).max_row_norm() <= 1.0 + 1e-12
+        assert load_npy(str(out)).max_row_norm() <= 1.0 + 1e-12
         meta = tmp_path / "h.json"
         assert run_cli(
             "gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--spikes", "16",
@@ -71,7 +72,7 @@ class TestGen:
     def test_spiked_gaussian_matches_build_instance(self, tmp_path):
         files = []
         for name, extra in (("s", []), ("b", ["--beta", str(DEFAULT_BETA)])):
-            out, meta = tmp_path / f"{name}.dpm", tmp_path / f"{name}.json"
+            out, meta = tmp_path / f"{name}.npy", tmp_path / f"{name}.json"
             assert run_cli(
                 "gen", "--kind", "gaussian", "--n", "300", "--d", "20",
                 "--sigma1-sq", "0.5", "--kappabar", "0.5", "--seed", "3", *extra,
@@ -81,13 +82,13 @@ class TestGen:
         assert files[0] == files[1]  # the default --beta is the explicit one
         gen = {"kind": "gaussian", "n": 300, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
         a, _, _ = build_instance(gen, RngStream(3), DEFAULT_BETA)
-        assert load_dpm(str(out)).data.tobytes() == a.data.tobytes()
+        assert load_npy(str(out)).data.tobytes() == a.data.tobytes()
         spiked = GaussSpec.spiked(20, 0.5, 0.5).sigmabar_sq
         assert json.loads(meta.read_text())["spectrum"] == list(spiked)
 
     def test_ground_truth_only_for_meta(self, tmp_path, monkeypatch):
         flags = ("gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--seed", "2")
-        out, meta = tmp_path / "h.dpm", tmp_path / "h.json"
+        out, meta = tmp_path / "h.npy", tmp_path / "h.json"
 
         def unread(a):
             raise AssertionError("dppca gen computed a ground truth it does not write")
@@ -98,14 +99,14 @@ class TestGen:
         without = out.read_bytes()
         assert run_cli(*flags, "--out", str(out), "--meta", str(meta)) == 0
         assert out.read_bytes() == without
-        stats = spectrum_stats(load_dpm(str(out)))
+        stats = spectrum_stats(load_npy(str(out)))
         doc = json.loads(meta.read_text())
         assert (doc["sigma1"], doc["upsilon"], doc["mu"]) == (
             stats.sigma1, stats.upsilon, stats.mu)
 
     @pytest.mark.parametrize("d", ["20", "4"])  # n x 4 = 2**60 entries: past numpy's limit
     def test_instance_too_large_is_cli_error(self, tmp_path, capsys, d):
-        out = tmp_path / "big.dpm"
+        out = tmp_path / "big.npy"
         rc = run_cli("gen", "--kind", "gaussian", "--n", str(2**58), "--d", d,
                      "--sigma1-sq", "0.5", "--kappabar", "0.5", "--out", str(out))
         assert rc == 2
@@ -126,7 +127,7 @@ class TestGen:
     def test_key_its_kind_does_not_read_is_cli_error(
         self, tmp_path, capsys, extra, needle
     ):
-        out = tmp_path / "x.dpm"
+        out = tmp_path / "x.npy"
         rc = run_cli("gen", "--n", "40", "--d", "2", *extra, "--out", str(out))
         assert rc == 2
         err = capsys.readouterr().err
@@ -136,20 +137,30 @@ class TestGen:
     def test_missing_spec_is_cli_error(self, tmp_path, capsys):
         rc = run_cli(
             "gen", "--kind", "gaussian", "--n", "10",
-            "--out", str(tmp_path / "x.dpm"),
+            "--out", str(tmp_path / "x.npy"),
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.npy"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gen", "--kind", "high-coh", "--n", "64", "--d", "4",
+                    "--seed", seed, "--out", str(out))
+        assert exc.value.code == 2
+        assert "error: argument --seed: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparsable_spec_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("gen", "--kind", "gaussian", "--n", "10", "--spec", "0.5,x",
-                    "--out", str(tmp_path / "x.dpm"))
+                    "--out", str(tmp_path / "x.npy"))
         assert exc.value.code == 2
 
     def test_spiked_d2_with_leftover_mass_is_cli_error(self, tmp_path, capsys):
-        out, meta = tmp_path / "x.dpm", tmp_path / "x.json"
+        out, meta = tmp_path / "x.npy", tmp_path / "x.json"
         rc = run_cli("gen", "--kind", "gaussian", "--n", "200", "--d", "2",
                      "--sigma1-sq", "0.5", "--kappabar", "0.5",
                      "--out", str(out), "--meta", str(meta))
@@ -159,7 +170,7 @@ class TestGen:
 
 
     def test_meta_that_cannot_be_written_leaves_no_matrix(self, tmp_path, capsys):
-        out = tmp_path / "h.dpm"
+        out = tmp_path / "h.npy"
         rc = run_cli(
             "gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--out", str(out),
             "--meta", str(tmp_path / "missing" / "h.json"),
@@ -212,7 +223,7 @@ class TestRun:
             "--seed", "5", "--out", str(res),
         )
         assert rc == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.dpm", "a.json", "res.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "a.npy", "res.json"]
         doc = json.loads(res.read_text())
         assert list(doc) == ["release", "evaluation"]
         release, evaluation = doc["release"], doc["evaluation"]
@@ -234,8 +245,8 @@ class TestRun:
         a, _, _ = build_instance(gen, RngStream(1), 0.05)
         docs = []
         for name, rows in (("a", a.data), ("b", np.vstack([a.data, np.eye(10)[:1]]))):
-            infile, res = tmp_path / f"{name}.dpm", tmp_path / f"{name}.json"
-            save_dpm(DenseMatrix(rows), str(infile))
+            infile, res = tmp_path / f"{name}.npy", tmp_path / f"{name}.json"
+            save_npy(DenseMatrix(rows), str(infile))
             assert run_cli(
                 "run", "--in", str(infile), "--eps-total", "1", "--delta-total", "1e-5",
                 "--T", "4", "--seed", "3", "--out", str(res),
@@ -403,7 +414,7 @@ class TestRun:
         with pytest.raises(ParameterError) as config:
             ExperimentConfig(master_seed=1, trials=1, grid=[dict(cell, gen=gen)])
         with pytest.raises(ParameterError) as api:
-            run_algorithm(cell, load_dpm(str(infile)), RngStream(0))
+            run_algorithm(cell, load_npy(str(infile)), RngStream(0))
         rc = run_cli("run", "--in", str(infile), "--eps-total", "4.0",
                      "--delta-total", "1e-5", *flags)
         assert rc == 2
@@ -414,25 +425,32 @@ class TestRun:
     @pytest.mark.parametrize("flags, message", [
         (["--algo", "analyze-gauss", "--kappa", "0.5"], "analyze-gauss does not read --kappa"),
         (["--T", "0"], "T must be an int >= 1 or 'corollary', got 0"),
-        (["--seed", "-1"], "master_seed must fit in 64 unsigned bits"),
     ])
     def test_flags_are_checked_before_the_matrix_is_read(
         self, tmp_path, capsys, flags, message
     ):
-        infile = tmp_path / "short.dpm"
-        infile.write_bytes(b"DPM1")  # a truncated header
+        infile = tmp_path / "short.npy"
+        infile.write_bytes(b"\x93NUM")  # a truncated magic
         rc = run_cli("run", "--in", str(infile), "--eps-total", "4.0",
                      "--delta-total", "1e-5", *flags)
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("flag, value", [("--T", "many"), ("--accountant", "rdp")])
-    def test_bad_flag_values_are_usage_errors(self, gaussian_file, flag, value):
+    @pytest.mark.parametrize("flag, value", [
+        ("--T", "many"), ("--accountant", "rdp"),
+        ("--seed", "-1"), ("--seed", str(2**64)),
+    ])
+    def test_bad_flag_values_are_usage_errors(
+        self, gaussian_file, tmp_path, capsys, flag, value
+    ):
         infile, _ = gaussian_file
+        res = tmp_path / "res.json"
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--in", str(infile), "--eps-total", "4.0",
-                    "--delta-total", "1e-5", flag, value)
+                    "--delta-total", "1e-5", flag, value, "--out", str(res))
         assert exc.value.code == 2
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+        assert not res.exists()
 
     # Reference values from every `dppca run` path before the CLI and the
     # bench shared one dispatch: x_hat[:3], the accounting dict and T.
@@ -487,8 +505,8 @@ class TestRun:
         assert doc["algo"] == (extra[1] if extra[0] == "--algo" else "adaptive")
 
     def test_oversize_rows_need_auto_scale(self, tmp_path, capsys):
-        big = tmp_path / "big.dpm"
-        save_dpm(DenseMatrix(np.eye(4) * 3.0), str(big))
+        big = tmp_path / "big.npy"
+        save_npy(DenseMatrix(np.eye(4) * 3.0), str(big))
         rc = run_cli(
             "run", "--in", str(big), "--eps-total", "1.0",
             "--delta-total", "1e-5", "--T", "2",
@@ -497,8 +515,10 @@ class TestRun:
         assert "clip every row to norm <= 1" in capsys.readouterr().err
 
     def test_oversized_dpm_header_is_cli_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.dpm"
-        bad.write_bytes(struct.pack("<4sHQQ", b"DPM1", 1, 2**62, 2**62))
+        bad = tmp_path / "bad.npy"
+        with open(bad, "wb") as fh:
+            npy.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": (2**62, 2**62)})
         rc = run_cli(
             "run", "--in", str(bad), "--eps-total", "1.0",
             "--delta-total", "1e-5",
@@ -506,9 +526,24 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        np.eye(3, dtype=np.float32), np.asfortranarray(np.eye(3)[:, :2]), None,
+    ], ids=["float32", "fortran", "dpm1"])
+    def test_refused_matrix_file_is_cli_error(self, tmp_path, capsys, rows):
+        infile, res = tmp_path / "m.npy", tmp_path / "res.json"
+        if rows is None:  # the retired DPM1 format: a 22-byte header, then the payload
+            infile.write_bytes(struct.pack("<4sHQQ", b"DPM1", 1, 3, 2) + np.eye(3)[:, :2].tobytes())
+        else:
+            np.save(infile, rows)
+        rc = run_cli("run", "--in", str(infile), "--eps-total", "1.0",
+                     "--delta-total", "1e-5", "--out", str(res))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {infile}: ")
+        assert not res.exists()
+
     def test_missing_input_is_cli_error(self, tmp_path, capsys):
         rc = run_cli(
-            "run", "--in", str(tmp_path / "none.dpm"), "--eps-total", "1.0",
+            "run", "--in", str(tmp_path / "none.npy"), "--eps-total", "1.0",
             "--delta-total", "1e-5",
         )
         assert rc == 2
@@ -520,14 +555,14 @@ class TestRun:
         rc = run_cli("gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--out", str(out))
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: --out") and "DPM format" in captured.err
+        assert captured.err.startswith("error: --out") and ".npy format" in captured.err
         assert captured.out == "" and not out.exists()
-        out.write_text("0.5,0.5\n0.25,0.75\n" * 4)  # past DPM's 22-byte header
+        out.write_text("0.5,0.5\n0.25,0.75\n" * 4)
         rc = run_cli(
             "run", "--in", str(out), "--eps-total", "1.0", "--delta-total", "1e-5",
         )
         assert rc == 2
-        assert "bad magic" in capsys.readouterr().err
+        assert "no .npy 1.0 or 2.0 header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algo", ["adaptive", "analyze-gauss", "naive-power"])
     def test_trace_is_retired(self, gaussian_file, tmp_path, capsys, algo):
