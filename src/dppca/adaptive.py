@@ -140,6 +140,8 @@ def corollary_iterations(
     Clamped below at 1 (the log drops under 0 for enormous epsilon).  The
     log is taken as a sum of logs, so a tiny epsilon cannot underflow it.
     """
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     if not 0.0 < kappa <= 1.0:
         raise ParameterError(f"kappa must lie in (0, 1], got {kappa}")
     if not 0.0 < const < math.inf:

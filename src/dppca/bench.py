@@ -18,7 +18,7 @@ Each cell names a generator and an algorithm:
             | {"kind": "high-coh", "n": ..., "d": ..., "spikes": 4},
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
-      "T": 10 | "corollary",              # adaptive / naive-power
+      "T": 10 | "corollary",              # adaptive / naive-power; "corollary" reads gen.n
       "t_const": 1.0,                     # corollary multiplier (T "corollary", sweep)
       "kappa": 0.5,                       # corollary gap guess (T "corollary" only)
       "sweep_J": 6,                       # adaptive-sweep only
@@ -38,9 +38,12 @@ code.  `build_instance(gen, ...)` and `run_algorithm(cell, ...)`, which
 `dppca gen` and `dppca run` also call with a gen and a cell built from
 their flags, are the only places that map a generator kind or an
 algorithm name to code.  The checks name kinds and algorithms only
-through the key tables below and `_reads_beta`, and `dppca run` spells
-adaptive-sweep as `--sweep`.  A cell's eps_total, delta_total and
-accountant make the one PrivacyBudget that `run_algorithm` splits.
+through the key tables below and `_reads_beta`.  A cell's eps_total,
+delta_total and accountant make the one PrivacyBudget that
+`run_algorithm` splits.
+
+Neighbouring data sets differ by one row, so their n is not public: T
+"corollary" reads the gen's declared n, not the matrix's, and needs a gen.
 
 Every (cell, trial) pair owns the RngStream (master_seed, cell_index *
 trials + trial), so records do not depend on scheduling; they are sorted
@@ -236,7 +239,8 @@ def _check_cell(cell) -> None:
 
 def _reads_beta(cell: dict) -> bool:
     """Whether a checked cell reads beta (see the module docstring); one
-    without a gen, as `dppca run` builds, is judged by its algorithm alone."""
+    without a gen, as `dppca run` builds, has an int T, so only the
+    threshold search reads its beta."""
     return (cell.get("gen", {}).get("kind") == "gaussian"
             or cell["algo"] in _SEARCHING
             or cell.get("T") == "corollary")
@@ -261,6 +265,9 @@ def _check_algo(cell: dict) -> str:
             if not (kappa is not None and 0.0 < kappa <= 1.0):
                 raise ParameterError("T='corollary' needs a kappa guess: "
                                      f"kappa must lie in (0, 1], got {kappa}")
+            if "gen" not in cell:
+                raise ParameterError("T='corollary' reads the public n of a gen; "
+                                     "give an int T")
         elif not (_number(t, _INTS) and t >= 1):
             raise ParameterError(f"T must be an int >= 1 or 'corollary', got {t!r}")
         elif "kappa" in cell or "t_const" in cell:
@@ -322,12 +329,11 @@ class RunResult:
     t: int  # iterations behind x_hat; 0 for the one-shot analyze-gauss
     accounting: dict  # the budget split, as `dppca run` reports it
     trace: IterationTrace | None = None
-    kappa_guess: float | None = None  # adaptive-sweep: the selected guess
 
 
 def run_algorithm(cell: dict, a: DenseMatrix, rng: RngStream) -> RunResult:
-    """Run a cell's algorithm on `a`, reading the cell's keys (not its gen)
-    under their config names."""
+    """Run a cell's algorithm on `a`, reading the cell's keys under their
+    config names; of its gen, only T "corollary" reads the declared n."""
     algo = _check_algo(cell)
     total, beta = _cell_budget(cell)
     t_const = cell.get("t_const", 1.0)
@@ -341,14 +347,13 @@ def run_algorithm(cell: dict, a: DenseMatrix, rng: RngStream) -> RunResult:
         accounting = {"runs": cell["sweep_J"], "selection_epsilon": best.selection_epsilon,
                       "per_run_epsilon": best.run_budget.epsilon,
                       "per_run_delta": best.run_budget.delta}
-        return RunResult(best.estimate, chosen.iterations, accounting, chosen.trace,
-                         chosen.kappa_guess)
+        return RunResult(best.estimate, chosen.iterations, accounting, chosen.trace)
 
     # One run: T Gaussian steps, or T (threshold search, Gaussian step) pairs.
     t = cell.get("T")
     if t == "corollary":
-        t = corollary_iterations(a.n, beta, total.delta, total.epsilon, cell["kappa"],
-                                 t_const)
+        n, _ = _check_gen(cell["gen"])
+        t = corollary_iterations(n, beta, total.delta, total.epsilon, cell["kappa"], t_const)
     t, search = int(t), algo in _SEARCHING
     count = 2 * t if search else t
     per_iter = split_budget(total, count)

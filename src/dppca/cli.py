@@ -19,30 +19,8 @@ from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import ACCOUNTANTS, RngStream
 from .svtfilter import DEFAULT_BETA
 
-_HELP = {"T": "iterations (default 10), or 'corollary' for the rule at --kappa",
-         "kappa": "gap guess of the corollary rule",
-         "t_const": "multiplier of the corollary rule",
-         "sweep_J": "run a kappa sweep with J guesses",
-         "accountant": "how the total budget is split (default paper)"}
-# `dppca run`'s cell keys (the algorithm and the input have flags of their own)
-# and algorithm keys, and the flags not spelled "--" + key.
+# `dppca run`'s cell keys: the algorithm, T and the input have flags of their own.
 _RUN_CELL_KEYS = tuple(k for k in bench._CELL_KEYS if k not in ("cell", "gen", "algo"))
-_RUN_ALGO_KEYS = tuple(dict.fromkeys(sum(bench._ALGO_KEYS.values(), ())))
-_FLAG_NAMES = {"sweep_J": "--sweep"}
-
-
-def _flag(key: str) -> str:
-    return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
-
-
-def _parse_t(raw: str) -> int | str:
-    if raw == "corollary":
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"T must be an int or 'corollary', got {raw!r}") from None
 
 
 def _parse_seed(raw: str) -> int:
@@ -58,13 +36,12 @@ def _parse_seed(raw: str) -> int:
 def _add_key_flags(p: argparse.ArgumentParser, keys, required=()) -> None:
     """One flag per config key, typed by bench's key tables."""
     for key in keys:
-        kwargs = {"dest": key, "help": _HELP.get(key), "required": key in required}
+        kwargs = {"dest": key, "required": key in required}
         if key == "accountant":
-            kwargs["choices"] = ACCOUNTANTS
+            kwargs.update(choices=ACCOUNTANTS, help="how the budget is split (default paper)")
         else:
-            kwargs["type"] = (_parse_t if key == "T"
-                              else int if key in bench._INT_KEYS else float)
-        p.add_argument(_flag(key), **kwargs)
+            kwargs["type"] = int if key in bench._INT_KEYS else float
+        p.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -105,19 +82,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     given = {k: v for k, v in vars(args).items() if v is not None}
-    if args.sweep_J is not None and args.algo != "adaptive":
-        raise ParameterError(f"--sweep needs --algo adaptive, not {args.algo}")
-    algo = args.algo if args.sweep_J is None else "adaptive-sweep"
-    unread = [_flag(k) for k in _RUN_ALGO_KEYS
-              if k in given and k not in bench._ALGO_KEYS[algo]]
-    if "beta" in given and not bench._reads_beta({"algo": algo, "T": args.T}):
-        unread.append("--beta")
+    reads = {"T": "T" in bench._ALGO_KEYS[args.algo],
+             "beta": bench._reads_beta({"algo": args.algo})}
+    unread = [f"--{k}" for k, read in reads.items() if k in given and not read]
     if unread:
-        raise ParameterError(f"{algo} does not read {', '.join(unread)}")
-    keys = _RUN_CELL_KEYS + bench._ALGO_KEYS[algo]
-    cell = {"algo": algo, **{k: given[k] for k in keys if k in given}}
-    if "T" in keys:  # --T's default, given only where T is read
-        cell.setdefault("T", 10)
+        raise ParameterError(f"{args.algo} does not read {', '.join(unread)}")
+    cell = {"algo": args.algo, **{k: given[k] for k in _RUN_CELL_KEYS if k in given}}
+    if reads["T"]:  # an int, never a rule that reads the input's n
+        cell["T"] = given.get("T", 10)
     bench._check_algo(cell)  # before the matrix is read
     # A known seed regenerates every noise draw, so the default one is secret.
     rng = RngStream(secrets.randbits(64) if args.seed is None else args.seed)
@@ -130,8 +102,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     }
     if run.t:  # analyze-gauss is one-shot and reports no T
         release["T"] = run.t
-    if run.kappa_guess is not None:
-        release["selected_kappa_guess"] = run.kappa_guess
     stats = spectrum_stats(a)
     evaluation = {"n": a.n, "sin2_vs_v1": sin_sq(run.x_hat, stats.top_vector),
                   "rayleigh_ratio": rayleigh_ratio(a, run.x_hat, stats.sigma1)}
@@ -175,11 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     r = sub.add_parser("run", help="run one algorithm on a matrix file")
-    r.add_argument("--algo", default="adaptive",  # adaptive-sweep is --sweep
+    r.add_argument("--algo", default="adaptive",  # adaptive-sweep's T_j read n
                    choices=[a for a in bench._ALGOS if a != "adaptive-sweep"])
     r.add_argument("--in", dest="infile", required=True)
     _add_key_flags(r, _RUN_CELL_KEYS, required=bench._CELL_NEED)
-    _add_key_flags(r, _RUN_ALGO_KEYS)
+    r.add_argument("--T", type=int, help="iterations (default 10)")
     r.add_argument("--seed", type=_parse_seed, help="for a reproducible run; keep it secret")
     r.add_argument("--out")
     r.set_defaults(func=_cmd_run)

@@ -177,6 +177,11 @@ class TestCorollaryIterations:
         with pytest.raises(ParameterError):
             corollary_iterations(1000, 0.05, 1e-5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("n", [0, -5])  # a declared n has no matrix to bound it
+    def test_n_below_one(self, n):
+        with pytest.raises(ParameterError, match=f"n must be >= 1, got {n}"):
+            corollary_iterations(n, 0.05, 1e-5, 1.0, 0.5)
+
     def test_clamped_at_one_for_huge_epsilon(self):
         assert corollary_iterations(100, 0.05, 0.5, 1e9, 1.0) == 1
 

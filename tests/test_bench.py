@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dppca.adaptive import corollary_iterations
 from dppca.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -529,7 +530,8 @@ class TestSinglePath:
     @pytest.mark.parametrize("accountant", ["paper", "zcdp"])
     @pytest.mark.parametrize("own", [
         {"algo": "adaptive", "T": 3},
-        {"algo": "adaptive", "T": "corollary", "kappa": 0.5, "t_const": 0.1},
+        {"algo": "adaptive", "T": "corollary", "kappa": 0.5, "t_const": 0.1,
+         "gen": {"kind": "high-coh", "n": 4, "d": 5}},
         {"algo": "naive-power", "T": 3},
         {"algo": "analyze-gauss"},
         {"algo": "adaptive-sweep", "sweep_J": 2},
@@ -540,10 +542,42 @@ class TestSinglePath:
         data = np.random.default_rng(8).normal(size=(5, 5))
         data /= np.linalg.norm(data, axis=1, keepdims=True)
         cell = {"eps_total": 1.0, "delta_total": 1e-5, "accountant": accountant, **own}
+        ts = []
         for rows in (4, 5):
             run = run_algorithm(cell, DenseMatrix(data[:rows]), RngStream(2))
             assert run.x_hat.shape == (5,)
             assert np.linalg.norm(run.x_hat) == pytest.approx(1.0, rel=1e-12)
+            ts.append(run.t)
+        if own["algo"] != "adaptive-sweep":  # its T_j read the matrix's own n
+            assert ts[0] == ts[1]
+
+    @pytest.mark.parametrize("algo", ["adaptive", "naive-power"])
+    def test_corollary_t_reads_the_gen_not_the_matrix(self, algo):
+        # Add/remove neighbours of 36,002 and 36,003 rows at the acceptance
+        # cells' keys: the rule gives T = 5 at the gen's declared n on both,
+        # where each matrix's own n would give 5 and 6.
+        assert [corollary_iterations(n, DEFAULT_BETA, 1e-5, 1.0, 0.5, 0.1)
+                for n in (36_002, 36_003)] == [5, 6]
+        gen = {"kind": "gaussian", "n": 36_002, "d": 4, "sigma1_sq": 0.5, "kappabar": 0.5}
+        cell = {"gen": gen, "algo": algo, "eps_total": 1.0, "delta_total": 1e-5,
+                "T": "corollary", "kappa": 0.5, "t_const": 0.1}
+        ExperimentConfig(master_seed=1, trials=1, grid=[cell])
+        a, _, _ = build_instance(dict(gen, n=36_003), RngStream(4), DEFAULT_BETA)
+        for rows in (a.data[:-1], a.data):
+            run = run_algorithm(cell, DenseMatrix(rows.copy()), RngStream(2))
+            assert run.t == 5
+            assert run.accounting["mechanisms"] == (10 if algo == "adaptive" else 5)
+
+    @pytest.mark.parametrize("algo", ["adaptive", "naive-power"])
+    def test_corollary_cell_needs_a_gen(self, algo):
+        cell = {"algo": algo, "eps_total": 1.0, "delta_total": 1e-5,
+                "T": "corollary", "kappa": 0.5}
+        a = DenseMatrix(np.eye(4))
+        with pytest.raises(ParameterError, match="T='corollary' reads the public n of a gen"):
+            run_algorithm(cell, a, RngStream(0))
+        with pytest.raises(ParameterError, match="must be >= 1, got 0"):
+            run_algorithm(dict(cell, gen={"kind": "high-coh", "n": 0, "d": 4}), a,
+                          RngStream(0))
 
     def test_numpy_floats_write_plain_floats(self):
         plain = small_grid()

@@ -263,6 +263,28 @@ class TestRun:
         ea, eb = (doc["evaluation"] for doc in docs)
         assert (ea["n"], eb["n"]) == (2000, 2001) and ea["removed"] != eb["removed"]
 
+    def test_default_flags_run_the_same_mechanisms_on_neighbours(self, tmp_path):
+        # Add/remove neighbours of 36,002 and 36,003 rows, on which a rule
+        # reading the input's n would pick T = 5 and 6: `dppca run` reads no
+        # n, so both release the same T, budget split and trace lengths.
+        assert [corollary_iterations(n, DEFAULT_BETA, 1e-5, 1.0, 0.5, 0.1)
+                for n in (36_002, 36_003)] == [5, 6]
+        gen = {"kind": "gaussian", "n": 36_003, "d": 3, "sigma1_sq": 0.5, "kappabar": 0.5}
+        a, _, _ = build_instance(gen, RngStream(4), DEFAULT_BETA)
+        releases = []
+        for rows in (a.data[:-1], a.data):
+            infile, res = tmp_path / f"{len(rows)}.npy", tmp_path / f"{len(rows)}.json"
+            save_npy(DenseMatrix(rows.copy()), str(infile))
+            assert run_cli("run", "--in", str(infile), "--eps-total", "1",
+                           "--delta-total", "1e-5", "--out", str(res)) == 0
+            releases.append(json.loads(res.read_text())["release"])
+        ra, rb = releases
+        assert ra["T"] == rb["T"] == 10
+        assert ra["accounting"] == rb["accounting"]
+        assert ra["accounting"]["mechanisms"] == 20
+        lengths = [{k: len(v) for k, v in r["trace"].items()} for r in releases]
+        assert lengths[0] == lengths[1] == dict.fromkeys(ra["trace"], 10)
+
     def test_default_seed_is_secret(self, gaussian_file, tmp_path):
         # A seed that is known regenerates every noise draw, so without
         # --seed each run draws its own and none writes it.
@@ -315,44 +337,18 @@ class TestRun:
             assert 0.0 <= doc["evaluation"]["sin2_vs_v1"] <= 1.0
             assert "trace" not in doc["release"] and "removed" not in doc["evaluation"]
 
-    def test_sweep(self, gaussian_file, tmp_path):
+    def test_naive_corollary_rule_reads_beta(self, gaussian_file):
+        # `dppca run` takes an int T; a config cell's corollary rule reads
+        # beta and its gen's n.
         infile, _ = gaussian_file
-        res = tmp_path / "sweep.json"
-        rc = run_cli(
-            "run", "--in", str(infile), "--eps-total", "4.0",
-            "--delta-total", "1e-5", "--sweep", "3", "--out", str(res),
-        )
-        assert rc == 0
-        release = json.loads(res.read_text())["release"]
-        assert release["accounting"]["runs"] == 3
-        assert "selected_kappa_guess" in release
-        assert len(release["trace"]["theta"]) == release["T"]
-
-    @pytest.mark.parametrize("t_const", [None, "0.1"])
-    def test_corollary_rule_with_kappa_and_t_const(self, gaussian_file, tmp_path, t_const):
-        infile, _ = gaussian_file
-        res = tmp_path / "cor.json"
-        extra = ["--t-const", t_const] if t_const else []
-        rc = run_cli(
-            "run", "--in", str(infile), "--eps-total", "4.0", "--delta-total", "1e-5",
-            "--T", "corollary", "--kappa", "0.5", *extra, "--out", str(res),
-        )
-        assert rc == 0
-        want = corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5, float(t_const or 1.0))
-        assert json.loads(res.read_text())["release"]["T"] == want
-
-    def test_naive_corollary_rule_reads_beta(self, gaussian_file, tmp_path):
-        infile, _ = gaussian_file
-        res = tmp_path / "cor.json"
-        rc = run_cli(
-            "run", "--algo", "naive-power", "--in", str(infile), "--eps-total", "4.0",
-            "--delta-total", "1e-5", "--T", "corollary", "--kappa", "0.5",
-            "--beta", "1e-6", "--out", str(res),
-        )
-        assert rc == 0
+        gen = {"kind": "gaussian", "n": 400, "d": 4, "sigma1_sq": 0.5, "kappabar": 0.5}
+        cell = {"gen": gen, "algo": "naive-power", "eps_total": 4.0, "delta_total": 1e-5,
+                "T": "corollary", "kappa": 0.5, "beta": 1e-6}
+        ExperimentConfig(master_seed=1, trials=1, grid=[cell])
+        run = run_algorithm(cell, load_npy(str(infile)), RngStream(0))
         want = corollary_iterations(400, 1e-6, 1e-5, 4.0, 0.5)
         assert want != corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5)
-        assert json.loads(res.read_text())["release"]["T"] == want
+        assert run.t == want and run.accounting["mechanisms"] == want
 
     def test_zcdp_accountant(self, gaussian_file, tmp_path):
         infile, _ = gaussian_file
@@ -370,40 +366,49 @@ class TestRun:
             "per_mechanism_delta": per_iter.delta,
         }
 
+    # The corollary rule (--T corollary, --kappa, --t-const) and the sweep
+    # (--sweep) read the input's own n, which add/remove neighbours do not
+    # share, so `dppca run` has no flag for them: they are usage errors.
     @pytest.mark.parametrize("extra, needle", [
-        (["--T", "corollary"], "needs a kappa guess"),
-        (["--T", "corollary", "--kappa", "1.5"], "kappa must lie in (0, 1]"),
-        (["--T", "corollary", "--kappa", "0.5", "--t-const", "0"], "t_const must be positive"),
-        (["--algo", "analyze-gauss", "--kappa", "0.5"], "does not read --kappa"),
-        (["--sweep", "3", "--kappa", "0.5"], "does not read --kappa"),
-        (["--algo", "analyze-gauss", "--t-const", "2"], "does not read --t-const"),
+        (["--T", "corollary"], "argument --T: invalid int value: 'corollary'"),
+        (["--T", "corollary", "--kappa", "1.5"], "argument --T: invalid int value"),
+        (["--T", "corollary", "--kappa", "0.5", "--t-const", "0"],
+         "argument --T: invalid int value"),
+        (["--algo", "analyze-gauss", "--kappa", "0.5"], "unrecognized arguments: --kappa 0.5"),
+        (["--sweep", "3", "--kappa", "0.5"], "unrecognized arguments: --sweep 3 --kappa 0.5"),
+        (["--algo", "analyze-gauss", "--t-const", "2"], "unrecognized arguments: --t-const 2"),
         (["--algo", "analyze-gauss", "--beta", "0.5"], "analyze-gauss does not read --beta"),
         (["--algo", "naive-power", "--T", "3", "--beta", "0.5"],
          "naive-power does not read --beta"),
         (["--algo", "analyze-gauss", "--T", "5"], "analyze-gauss does not read --T"),
-        (["--sweep", "2", "--T", "7"], "adaptive-sweep does not read --T"),
+        (["--sweep", "2", "--T", "7"], "unrecognized arguments: --sweep 2"),
     ])
     def test_bad_algorithm_flags_are_cli_errors(
         self, gaussian_file, tmp_path, capsys, extra, needle
     ):
         infile, _ = gaussian_file
         res = tmp_path / "res.json"
-        rc = run_cli(
-            "run", "--in", str(infile), "--eps-total", "4.0",
-            "--delta-total", "1e-5", *extra, "--out", str(res),
-        )
+        try:
+            rc = run_cli(
+                "run", "--in", str(infile), "--eps-total", "4.0",
+                "--delta-total", "1e-5", *extra, "--out", str(res),
+            )
+        except SystemExit as exc:  # argparse's usage error
+            rc = exc.code
         assert rc == 2
         assert needle in capsys.readouterr().err
         assert not res.exists()
 
+    # flags [] marks a cell that no `dppca run` flags spell: kappa, t_const
+    # and sweep_J have none.
     @pytest.mark.parametrize("cell, flags", [
         ({"T": 0}, ["--T", "0"]),
-        ({"T": "corollary"}, ["--T", "corollary"]),
-        ({"T": "corollary", "kappa": 1.5}, ["--T", "corollary", "--kappa", "1.5"]),
-        ({"T": 10, "t_const": 0.0}, ["--t-const", "0"]),
-        ({"algo": "adaptive-sweep", "sweep_J": 0}, ["--sweep", "0"]),
-        ({"T": 4, "kappa": 0.5}, ["--T", "4", "--kappa", "0.5"]),
-        ({"T": 10, "t_const": 0.1}, ["--t-const", "0.1"]),
+        ({"T": "corollary"}, []),
+        ({"T": "corollary", "kappa": 1.5}, []),
+        ({"T": 10, "t_const": 0.0}, []),
+        ({"algo": "adaptive-sweep", "sweep_J": 0}, []),
+        ({"T": 4, "kappa": 0.5}, []),
+        ({"T": 10, "t_const": 0.1}, []),
     ])
     def test_config_api_and_cli_give_one_message(
         self, gaussian_file, capsys, cell, flags
@@ -415,15 +420,16 @@ class TestRun:
             ExperimentConfig(master_seed=1, trials=1, grid=[dict(cell, gen=gen)])
         with pytest.raises(ParameterError) as api:
             run_algorithm(cell, load_npy(str(infile)), RngStream(0))
-        rc = run_cli("run", "--in", str(infile), "--eps-total", "4.0",
-                     "--delta-total", "1e-5", *flags)
-        assert rc == 2
         message = str(api.value)
         assert str(config.value) == f"grid[0]: {message}"
-        assert capsys.readouterr().err == f"error: {message}\n"
+        if flags:
+            rc = run_cli("run", "--in", str(infile), "--eps-total", "4.0",
+                         "--delta-total", "1e-5", *flags)
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--algo", "analyze-gauss", "--kappa", "0.5"], "analyze-gauss does not read --kappa"),
+        (["--algo", "analyze-gauss", "--T", "5"], "analyze-gauss does not read --T"),
         (["--T", "0"], "T must be an int >= 1 or 'corollary', got 0"),
     ])
     def test_flags_are_checked_before_the_matrix_is_read(
@@ -464,14 +470,6 @@ class TestRun:
              "per_mechanism_delta": 1.1111111111111112e-06,
              "composed_epsilon": 4.0, "composed_delta": 1e-05},
             4,
-        ),
-        "sweep": (
-            ["--sweep", "3"],
-            [-0.00041906923838029017, 0.9153628965794406, -0.20856932473548204],
-            {"selection_epsilon": 2.0, "runs": 3,
-             "per_run_epsilon": 0.6666666666666666,
-             "per_run_delta": 3.3333333333333337e-06},
-            20,
         ),
         "analyze-gauss": (
             ["--algo", "analyze-gauss"],
@@ -575,23 +573,6 @@ class TestRun:
         assert exc.value.code == 2
         assert "unrecognized arguments: --trace" in capsys.readouterr().err
         assert not res.exists() and not trace.exists()
-
-    @pytest.mark.parametrize("extra", [
-        ["--algo", "naive-power", "--sweep", "3"],
-        ["--algo", "analyze-gauss", "--sweep", "3"],
-    ])
-    def test_sweep_and_restarts_need_plain_adaptive(
-        self, gaussian_file, tmp_path, capsys, extra
-    ):
-        infile, _ = gaussian_file
-        res = tmp_path / "res.json"
-        rc = run_cli(
-            "run", "--in", str(infile), "--eps-total", "4.0",
-            "--delta-total", "1e-5", *extra, "--out", str(res),
-        )
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-        assert not res.exists()
 
     @pytest.mark.parametrize("algo, t", [("adaptive", "0"), ("naive-power", "-2")])
     def test_t_below_one_is_named(self, gaussian_file, tmp_path, capsys, algo, t):
