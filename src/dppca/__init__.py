@@ -7,7 +7,7 @@ Core entry points:
 - mech: privacy budgets, composition, Gaussian/Laplace/exponential mechanisms,
   seeded counter-based RNG streams
 - svtfilter: private threshold search and leverage-based row filtering
-- adaptive: the coherence-adaptive noisy power iteration and its kappa sweep
+- adaptive: the coherence-adaptive noisy power iteration and its corollary T
 - baselines: analyze-Gauss input perturbation
 - datagen: synthetic generators across coherence regimes
 - theory: the analysis constants the acceptance criteria check (the rate
@@ -15,7 +15,7 @@ Core entry points:
 - bench: deterministic experiment grid runner
 """
 
-from .adaptive import run_adaptive_power, run_kappa_sweep
+from .adaptive import run_adaptive_power
 from .baselines import analyze_gauss
 from .matcore import DenseMatrix, sin_sq, spectrum_stats, sym_eig
 from .mech import PrivacyBudget, RngStream, compose, invert_budget
@@ -28,7 +28,6 @@ __all__ = [
     "compose",
     "invert_budget",
     "run_adaptive_power",
-    "run_kappa_sweep",
     "sin_sq",
     "spectrum_stats",
     "sym_eig",

@@ -35,20 +35,13 @@ draws sigma = theta / epsilon_svt, each (epsilon_svt^2 / 2)-zCDP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from .matcore import DenseMatrix, gram
-from .mech import (
-    PrivacyBudget,
-    RngStream,
-    exp_mech_select,
-    gaussian_sigma,
-    sample_gaussian_vec,
-    split_budget,
-)
+from .mech import PrivacyBudget, RngStream, gaussian_sigma, sample_gaussian_vec
 from .svtfilter import DEFAULT_BETA, lay_out_by_norm, threshold_search
 
 _ROW_NORM_SLACK = 1.0 + 1e-9
@@ -148,62 +141,3 @@ def corollary_iterations(
         raise ParameterError(f"t_const must be positive and finite, got {const}")
     log_arg = math.log(n) - math.log(beta) - math.log(delta) - math.log(epsilon)
     return max(1, math.ceil(const * log_arg / kappa))
-
-
-@dataclass
-class SweepCandidate:
-    kappa_guess: float
-    iterations: int
-    estimate: np.ndarray
-    quality: float
-    trace: IterationTrace
-
-
-@dataclass
-class SweepResult:
-    estimate: np.ndarray
-    selected: int  # index into candidates
-    candidates: list[SweepCandidate]
-    selection_epsilon: float
-    run_budget: PrivacyBudget  # the (epsilon, delta) each candidate run spends
-
-
-def run_kappa_sweep(
-    a: DenseMatrix,
-    total: PrivacyBudget,
-    rng: RngStream,
-    num_guesses: int = 6,
-    beta: float = DEFAULT_BETA,
-    t_const: float = 1.0,
-) -> SweepResult:
-    """Run the iteration once per gap guess kappa_j = 2^-j and pick privately.
-
-    Run j uses the corollary iteration count for kappa_j.  Budget split:
-    half the epsilon goes to the exponential-mechanism selection; each of
-    the J runs gets epsilon_total / (2J) and delta_total / J under the
-    total's accountant, split by split_budget over its own 2 T_j
-    mechanisms.  Run j draws from rng.child(j) and the selection from
-    rng.child(J).  Selection quality is the captured variance ||A x||^2,
-    whose row-level sensitivity is 1 for unit rows.
-    """
-    if num_guesses < 1:
-        raise ParameterError(f"need at least one guess, got {num_guesses}")
-    run_budget = replace(
-        total, epsilon=total.epsilon / (2.0 * num_guesses),
-        delta=total.delta / num_guesses,
-    )
-    sel_eps = total.epsilon / 2.0
-
-    candidates: list[SweepCandidate] = []
-    for j in range(num_guesses):
-        kappa = 2.0**-j
-        t_j = corollary_iterations(a.n, beta, total.delta, total.epsilon, kappa, t_const)
-        per_iter = split_budget(run_budget, 2 * t_j)
-        x_j, trace_j = run_adaptive_power(a, t_j, per_iter, rng.child(j), beta=beta)
-        quality = float(x_j @ np.dot(gram(a), x_j))  # ||A x_j||^2
-        candidates.append(SweepCandidate(kappa, t_j, x_j, quality, trace_j))
-
-    qualities = np.array([c.quality for c in candidates])
-    winner = exp_mech_select(qualities, 1.0, sel_eps, rng.child(num_guesses))
-    estimate = candidates[winner].estimate
-    return SweepResult(estimate, winner, candidates, sel_eps, run_budget)

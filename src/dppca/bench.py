@@ -43,7 +43,8 @@ delta_total and accountant make the one PrivacyBudget that
 `run_algorithm` splits.
 
 Neighbouring data sets differ by one row, so their n is not public: T
-"corollary" reads the gen's declared n, not the matrix's, and needs a gen.
+"corollary" and adaptive-sweep's T_j read the gen's declared n, not the
+matrix's, and need a gen.
 
 Every (cell, trial) pair owns the RngStream (master_seed, cell_index *
 trials + trial), so records do not depend on scheduling; they are sorted
@@ -60,12 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import (
-    IterationTrace,
-    corollary_iterations,
-    run_adaptive_power,
-    run_kappa_sweep,
-)
+from .adaptive import IterationTrace, corollary_iterations, run_adaptive_power
 from .baselines import analyze_gauss
 from .datagen import (
     GaussSpec,
@@ -81,8 +77,8 @@ from .errors import (
     ParameterError,
     SizingError,
 )
-from .matcore import DenseMatrix, _check_sizing, rayleigh_ratio, sin_sq, spectrum_stats
-from .mech import PrivacyBudget, RngStream, compose, split_budget
+from .matcore import DenseMatrix, _check_sizing, gram, rayleigh_ratio, sin_sq, spectrum_stats
+from .mech import PrivacyBudget, RngStream, compose, exp_mech_select, split_budget
 from .svtfilter import DEFAULT_BETA
 
 # Keys each kind of gen needs, high-coh's optional generator keyword arguments,
@@ -257,8 +253,12 @@ def _check_algo(cell: dict) -> str:
     _cell_budget(cell)
     if cell.get("t_const", 1.0) <= 0.0:
         raise ParameterError(f"t_const must be positive, got {cell['t_const']}")
-    if "sweep_J" in _ALGO_KEYS[algo] and cell.get("sweep_J", 0) < 1:
-        raise ParameterError(f"{algo} needs sweep_J >= 1")
+    if "sweep_J" in _ALGO_KEYS[algo]:
+        if cell.get("sweep_J", 0) < 1:
+            raise ParameterError(f"{algo} needs sweep_J >= 1")
+        if "gen" not in cell:
+            raise ParameterError(f"{algo} computes each T_j from the public n of a gen; "
+                                 "give the cell a gen")
     if "T" in _ALGO_KEYS[algo]:
         t, kappa = cell.get("T"), cell.get("kappa")
         if t == "corollary":
@@ -333,7 +333,8 @@ class RunResult:
 
 def run_algorithm(cell: dict, a: DenseMatrix, rng: RngStream) -> RunResult:
     """Run a cell's algorithm on `a`, reading the cell's keys under their
-    config names; of its gen, only T "corollary" reads the declared n."""
+    config names; of its gen, only T "corollary" and adaptive-sweep read
+    the declared n."""
     algo = _check_algo(cell)
     total, beta = _cell_budget(cell)
     t_const = cell.get("t_const", 1.0)
@@ -342,12 +343,26 @@ def run_algorithm(cell: dict, a: DenseMatrix, rng: RngStream) -> RunResult:
         x_hat = analyze_gauss(a, total, rng)
         return RunResult(x_hat, 0, {"mechanisms": 1})
     if algo == "adaptive-sweep":
-        best = run_kappa_sweep(a, total, rng, cell["sweep_J"], beta, t_const)
-        chosen = best.candidates[best.selected]
-        accounting = {"runs": cell["sweep_J"], "selection_epsilon": best.selection_epsilon,
-                      "per_run_epsilon": best.run_budget.epsilon,
-                      "per_run_delta": best.run_budget.delta}
-        return RunResult(best.estimate, chosen.iterations, accounting, chosen.trace)
+        # Run j guesses the gap kappa_j = 2^-j and takes its corollary T_j
+        # at the gen's n, on rng.child(j) with (epsilon / 2J, delta / J);
+        # the exponential mechanism on rng.child(J) spends the other
+        # epsilon / 2 to pick a run by x^T G x = ||A x||^2 (sensitivity 1).
+        n, _ = _check_gen(cell["gen"])
+        runs = cell["sweep_J"]
+        run_budget = PrivacyBudget(total.epsilon / (2.0 * runs), total.delta / runs,
+                                   total.accountant)
+        found = []
+        for j in range(runs):
+            t_j = corollary_iterations(n, beta, total.delta, total.epsilon, 2.0**-j, t_const)
+            x_j, trace_j = run_adaptive_power(a, t_j, split_budget(run_budget, 2 * t_j),
+                                              rng.child(j), beta=beta)
+            found.append((float(x_j @ np.dot(gram(a), x_j)), x_j, trace_j))
+        sel_eps = total.epsilon / 2.0
+        pick = exp_mech_select(np.array([q for q, _, _ in found]), 1.0, sel_eps, rng.child(runs))
+        _, x_hat, trace = found[pick]
+        accounting = {"runs": runs, "selection_epsilon": sel_eps,
+                      "per_run_epsilon": run_budget.epsilon, "per_run_delta": run_budget.delta}
+        return RunResult(x_hat, len(trace.theta), accounting, trace)
 
     # One run: T Gaussian steps, or T (threshold search, Gaussian step) pairs.
     t = cell.get("T")

@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     r = sub.add_parser("run", help="run one algorithm on a matrix file")
-    r.add_argument("--algo", default="adaptive",  # adaptive-sweep's T_j read n
+    r.add_argument("--algo", default="adaptive",  # adaptive-sweep needs a gen's n
                    choices=[a for a in bench._ALGOS if a != "adaptive-sweep"])
     r.add_argument("--in", dest="infile", required=True)
     _add_key_flags(r, _RUN_CELL_KEYS, required=bench._CELL_NEED)

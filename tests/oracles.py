@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 
+from dppca.adaptive import corollary_iterations, run_adaptive_power
 from dppca.errors import ContractViolationError
 from dppca.matcore import _row_blocks, gram
-from dppca.mech import laplace_inverse_cdf
-from dppca.svtfilter import GRID_HI_EXP, GRID_LO_EXP, ThresholdResult
+from dppca.mech import PrivacyBudget, laplace_inverse_cdf, split_budget
+from dppca.svtfilter import DEFAULT_BETA, GRID_HI_EXP, GRID_LO_EXP, ThresholdResult
 
 
 def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
@@ -65,3 +66,20 @@ def reference_step(a, x, removed):
         idx = removed[part]
         out += np.dot(a.data[idx].T, ax[idx])
     return np.dot(gram(a), x) - out
+
+
+def sweep_runs(cell, a, rng):
+    """An adaptive-sweep cell's J runs on `a`, recomputed one by one: run j
+    at the corollary T for the gen's n and gap guess 2^-j, on rng.child(j)
+    with (epsilon / 2J, delta / J).  Returns each run's (quality x^T G x,
+    estimate, T)."""
+    runs, eps, delta = cell["sweep_J"], cell["eps_total"], cell["delta_total"]
+    beta = cell.get("beta", DEFAULT_BETA)
+    budget = PrivacyBudget(eps / (2.0 * runs), delta / runs, cell.get("accountant", "paper"))
+    out = []
+    for j in range(runs):
+        t = corollary_iterations(cell["gen"]["n"], beta, delta, eps, 2.0**-j,
+                                 cell.get("t_const", 1.0))
+        x, _ = run_adaptive_power(a, t, split_budget(budget, 2 * t), rng.child(j), beta=beta)
+        out.append((float(x @ np.dot(gram(a), x)), x, t))
+    return out

@@ -23,12 +23,13 @@ import numpy as np
 import pytest
 
 from dppca import bench
-from dppca.adaptive import run_adaptive_power, run_kappa_sweep
+from dppca.adaptive import run_adaptive_power
 from dppca.datagen import GaussSpec, gen_gaussian_iid, gen_low_coherence, scale_for_privacy
 from dppca.matcore import DenseMatrix
 from dppca.mech import PrivacyBudget, RngStream, compose, invert_budget
 from dppca.svtfilter import threshold_search
 from dppca.theory import constants_K, gap_condition_ok, gaussian_bounds, solve_rates
+from oracles import sweep_runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -275,16 +276,17 @@ def test_criterion_11_eps_monotonicity(bench_run):
 
 
 def test_criterion_12_exponential_mechanism_limit(noiseless):
+    gen = {"kind": "low-coh", "n": 100, "d": 6, "sigma1_frac": 0.3, "gap": 0.6}
+    cell = {"gen": gen, "algo": "adaptive-sweep", "sweep_J": 4,
+            "eps_total": 2e9, "delta_total": 1e-5}
     hits = 0
     for trial in range(100):
         inst = gen_low_coherence(100, 6, 0.3, 0.6, RngStream(123, trial))
-        res = run_kappa_sweep(
-            inst, PrivacyBudget(2e9, 1e-5), RngStream(456, trial),
-            num_guesses=4,
-        )
-        assert res.selection_epsilon == 1e9
-        best = max(c.quality for c in res.candidates)
-        hits += res.candidates[res.selected].quality == best
+        run = bench.run_algorithm(cell, inst, RngStream(456, trial))
+        assert run.accounting["selection_epsilon"] == 1e9
+        runs = sweep_runs(cell, inst, RngStream(456, trial))
+        _, best, _ = max(runs, key=lambda r: r[0])  # the first of any tie
+        hits += np.array_equal(run.x_hat, best)
     ok = hits == 100
     report(12, ok, f"selection eps 1e9 returns the argmax-quality candidate "
                    f"in {hits}/100 trials (need 100)")

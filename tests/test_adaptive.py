@@ -1,4 +1,4 @@
-"""Tests for the adaptive iteration, the kappa sweep, and the noisy-iterate check."""
+"""Tests for the adaptive iteration, its corollary T, and the noisy-iterate check."""
 
 import importlib
 import inspect
@@ -13,7 +13,6 @@ from dppca.adaptive import (
     check_private_input,
     corollary_iterations,
     run_adaptive_power,
-    run_kappa_sweep,
 )
 from dppca.datagen import (
     GaussSpec,
@@ -189,49 +188,6 @@ class TestCorollaryIterations:
     def test_tiny_epsilon_gets_its_t(self, eps):
         log_arg = np.log(1000 / (0.05 * 1e-5)) - np.log(eps)
         assert corollary_iterations(1000, 0.05, 1e-5, eps, 0.5) == np.ceil(log_arg / 0.5)
-
-
-class TestKappaSweep:
-    def test_structure(self, instance):
-        res = run_kappa_sweep(
-            instance, PrivacyBudget(4.0, 1e-5), RngStream(11), num_guesses=3
-        )
-        assert len(res.candidates) == 3
-        assert 0 <= res.selected < 3
-        assert res.selection_epsilon == pytest.approx(2.0)
-        # guesses halve, iteration counts double (ceil effects aside)
-        kappas = [c.kappa_guess for c in res.candidates]
-        assert kappas == [1.0, 0.5, 0.25]
-        iters = [c.iterations for c in res.candidates]
-        assert iters[0] <= iters[1] <= iters[2]
-        assert all(len(c.trace.theta) == c.iterations for c in res.candidates)
-        assert res.run_budget == PrivacyBudget(4.0 / 6, 1e-5 / 3)
-
-    def test_deterministic(self, instance):
-        a = run_kappa_sweep(
-            instance, PrivacyBudget(4.0, 1e-5), RngStream(12), num_guesses=2
-        )
-        b = run_kappa_sweep(
-            instance, PrivacyBudget(4.0, 1e-5), RngStream(12), num_guesses=2
-        )
-        assert np.array_equal(a.estimate, b.estimate)
-        assert a.selected == b.selected
-
-    def test_noiseless_selects_best_rayleigh(self, instance, noiseless):
-        # Degenerate selection epsilon: the argmax candidate must win.
-        g = gram(instance)
-        res = run_kappa_sweep(
-            instance, PrivacyBudget(1e6, 0.5), RngStream(13), num_guesses=3,
-        )
-        best = max(
-            range(3), key=lambda j: res.candidates[j].estimate
-            @ (g @ res.candidates[j].estimate)
-        )
-        assert res.selected == best
-
-    def test_rejects_zero_guesses(self, instance):
-        with pytest.raises(ParameterError):
-            run_kappa_sweep(instance, PrivacyBudget(1.0, 1e-5), RngStream(0), 0)
 
 
 class TestNoisyIterateCheck:

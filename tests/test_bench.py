@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dppca import bench
 from dppca.adaptive import corollary_iterations
 from dppca.bench import (
     CSV_HEADER,
@@ -18,10 +19,12 @@ from dppca.bench import (
     run_to_csv,
     summarize,
 )
+from dppca.datagen import gen_low_coherence
 from dppca.errors import BudgetError, ContractViolationError, ParameterError
 from dppca.matcore import DenseMatrix, sin_sq, spectrum_stats
 from dppca.mech import PrivacyBudget, RngStream, split_budget
 from dppca.svtfilter import DEFAULT_BETA, lay_out_by_norm
+from oracles import sweep_runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -534,7 +537,8 @@ class TestSinglePath:
          "gen": {"kind": "high-coh", "n": 4, "d": 5}},
         {"algo": "naive-power", "T": 3},
         {"algo": "analyze-gauss"},
-        {"algo": "adaptive-sweep", "sweep_J": 2},
+        {"algo": "adaptive-sweep", "sweep_J": 2,
+         "gen": {"kind": "high-coh", "n": 4, "d": 5}},
     ], ids=["adaptive", "corollary", "naive-power", "analyze-gauss", "sweep"])
     def test_runs_on_neighbours_across_n_equals_d(self, own, accountant):
         # Adding one row to a 4 x 5 matrix makes it 5 x 5: both give an
@@ -548,25 +552,34 @@ class TestSinglePath:
             assert run.x_hat.shape == (5,)
             assert np.linalg.norm(run.x_hat) == pytest.approx(1.0, rel=1e-12)
             ts.append(run.t)
-        if own["algo"] != "adaptive-sweep":  # its T_j read the matrix's own n
-            assert ts[0] == ts[1]
+        assert ts[0] == ts[1]
 
-    @pytest.mark.parametrize("algo", ["adaptive", "naive-power"])
-    def test_corollary_t_reads_the_gen_not_the_matrix(self, algo):
+    @pytest.mark.parametrize("algo", ["adaptive", "naive-power", "adaptive-sweep"])
+    def test_corollary_t_reads_the_gen_not_the_matrix(self, algo, monkeypatch):
         # Add/remove neighbours of 36,002 and 36,003 rows at the acceptance
         # cells' keys: the rule gives T = 5 at the gen's declared n on both,
-        # where each matrix's own n would give 5 and 6.
+        # where each matrix's own n would give 5 and 6.  The sweep's second
+        # run guesses the same kappa 0.5.
         assert [corollary_iterations(n, DEFAULT_BETA, 1e-5, 1.0, 0.5, 0.1)
                 for n in (36_002, 36_003)] == [5, 6]
         gen = {"kind": "gaussian", "n": 36_002, "d": 4, "sigma1_sq": 0.5, "kappabar": 0.5}
+        sweep = algo == "adaptive-sweep"
+        own = {"sweep_J": 2} if sweep else {"T": "corollary", "kappa": 0.5}
         cell = {"gen": gen, "algo": algo, "eps_total": 1.0, "delta_total": 1e-5,
-                "T": "corollary", "kappa": 0.5, "t_const": 0.1}
+                "t_const": 0.1, **own}
         ExperimentConfig(master_seed=1, trials=1, grid=[cell])
+        ts = []  # the T of every run, as the loop receives it
+        loop = bench.run_adaptive_power
+        monkeypatch.setattr(bench, "run_adaptive_power",
+                            lambda a, t, *args, **kw: ts.append(t) or loop(a, t, *args, **kw))
+        want = [3, 5] if sweep else [5]  # the sweep's kappa 1 run takes T = 3
         a, _, _ = build_instance(dict(gen, n=36_003), RngStream(4), DEFAULT_BETA)
         for rows in (a.data[:-1], a.data):
+            ts.clear()
             run = run_algorithm(cell, DenseMatrix(rows.copy()), RngStream(2))
-            assert run.t == 5
-            assert run.accounting["mechanisms"] == (10 if algo == "adaptive" else 5)
+            assert ts == want and run.t in want
+            if not sweep:
+                assert run.accounting["mechanisms"] == (10 if algo == "adaptive" else 5)
 
     @pytest.mark.parametrize("algo", ["adaptive", "naive-power"])
     def test_corollary_cell_needs_a_gen(self, algo):
@@ -578,6 +591,17 @@ class TestSinglePath:
         with pytest.raises(ParameterError, match="must be >= 1, got 0"):
             run_algorithm(dict(cell, gen={"kind": "high-coh", "n": 0, "d": 4}), a,
                           RngStream(0))
+
+    def test_sweep_cell_needs_a_gen(self):
+        class NoDraws:  # a stream that fails on any draw or child stream
+            def __getattr__(self, name):
+                raise AssertionError(f"drew from the stream: {name}")
+
+        cell = {"algo": "adaptive-sweep", "sweep_J": 2, "eps_total": 1.0,
+                "delta_total": 1e-5}
+        with pytest.raises(ParameterError,
+                           match="adaptive-sweep computes each T_j from the public n of a gen"):
+            run_algorithm(cell, DenseMatrix(np.eye(4)), NoDraws())
 
     def test_numpy_floats_write_plain_floats(self):
         plain = small_grid()
@@ -614,3 +638,45 @@ class TestSinglePath:
                 assert (rec.t, rec.removed) == (run.t, removed)
                 top = spectrum_stats(a).top_vector
                 assert rec.sin2_emp == sin_sq(run.x_hat, top)
+
+
+class TestSweep:
+    """An adaptive-sweep cell: J runs at gap guesses 2^-j, one picked privately."""
+
+    GEN = {"kind": "low-coh", "n": 150, "d": 8, "sigma1_frac": 0.3, "gap": 0.6}
+
+    @pytest.fixture
+    def instance(self):
+        return gen_low_coherence(150, 8, 0.3, 0.6, RngStream(1))
+
+    def cell(self, runs, eps, delta):
+        return {"gen": self.GEN, "algo": "adaptive-sweep", "sweep_J": runs,
+                "eps_total": eps, "delta_total": delta}
+
+    def test_structure(self, instance):
+        run = run_algorithm(self.cell(3, 4.0, 1e-5), instance, RngStream(11))
+        # guesses halve, iteration counts double (ceil effects aside)
+        ts = [corollary_iterations(150, DEFAULT_BETA, 1e-5, 4.0, kappa)
+              for kappa in (1.0, 0.5, 0.25)]
+        assert ts[0] <= ts[1] <= ts[2]
+        assert run.t in ts
+        assert len(run.trace.theta) == run.t
+        assert run.accounting == {"runs": 3, "selection_epsilon": 2.0,
+                                  "per_run_epsilon": 4.0 / 6, "per_run_delta": 1e-5 / 3}
+
+    def test_deterministic(self, instance):
+        a, b = (run_algorithm(self.cell(2, 4.0, 1e-5), instance, RngStream(12))
+                for _ in range(2))
+        assert np.array_equal(a.x_hat, b.x_hat)
+        assert a.t == b.t
+
+    def test_noiseless_selects_best_rayleigh(self, instance, noiseless):
+        # Degenerate selection epsilon: the argmax run must win.
+        cell = self.cell(3, 1e6, 0.5)
+        run = run_algorithm(cell, instance, RngStream(13))
+        _, best, t = max(sweep_runs(cell, instance, RngStream(13)), key=lambda r: r[0])
+        assert np.array_equal(run.x_hat, best) and run.t == t
+
+    def test_rejects_zero_guesses(self, instance):
+        with pytest.raises(ParameterError, match="needs sweep_J >= 1"):
+            run_algorithm(self.cell(0, 1.0, 1e-5), instance, RngStream(0))
