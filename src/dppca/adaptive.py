@@ -103,7 +103,7 @@ def run_adaptive_power(
     for _ in range(iterations):
         if search:
             found = threshold_search(a, x, per_iter.epsilon, rng, beta=beta)
-            theta, removed, queries = found.theta, found.removed_count, found.queries_issued
+            theta, removed, queries = found.theta, found.removed.size, found.queries_issued
             step = found.step
             del found  # free its rows before the next search makes its own
         else:

@@ -482,7 +482,6 @@ def _order_stats(values: list[float]) -> dict:
         "median": v[(c - 1) // 2],
         "q25": v[(c - 1) // 4],
         "q75": v[(3 * (c - 1)) // 4],
-        "mean": sum(v) / c,
         "count": c,
     }
 

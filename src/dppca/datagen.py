@@ -77,22 +77,19 @@ def random_orthogonal(n: int, rng: RngStream) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def gen_gaussian_iid(
-    n: int, spec: GaussSpec, rng: RngStream, rotate: bool = True
-) -> tuple[DenseMatrix, np.ndarray]:
+def gen_gaussian_iid(n: int, spec: GaussSpec, rng: RngStream) -> tuple[DenseMatrix, np.ndarray]:
     """Rows g_i = Q diag(sigmabar) z_i, z_i ~ N(0, I); returns (A, vbar1 = Q e1).
 
-    Q is a Haar rotation drawn before the rows, or the identity when rotate
-    is off (the product with it still runs: it turns a zero sigmabar's -0.0
-    entries into +0.0).  Each row block of z is drawn into the thread's
-    scratch block, scaled there and rotated straight into A; Philox draws
-    in order, so the blocks hold the one-shot draw.  Rows are unbounded;
-    use scale_for_privacy before feeding a private algorithm.
+    Q is a Haar rotation drawn before the rows.  Each row block of z is
+    drawn into the thread's scratch block, scaled there and rotated
+    straight into A; Philox draws in order, so the blocks hold the one-shot
+    draw.  Rows are unbounded; use scale_for_privacy before feeding a
+    private algorithm.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     d = spec.d
-    q = random_orthogonal(d, rng) if rotate else np.eye(d)
+    q = random_orthogonal(d, rng)
     a = np.empty((n, d))
     scale = np.sqrt(np.array(spec.sigmabar_sq))
     for rows in _row_blocks(n, d):

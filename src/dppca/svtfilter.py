@@ -65,8 +65,7 @@ class ThresholdResult:
     theta: float
     queries_issued: int
     fell_through: bool  # no candidate fired; largest grid value returned
-    removed_count: int  # rows with ||a_i|| * |<a_i, x>| > theta, or NaN
-    removed: np.ndarray  # those rows' indices, ascending
+    removed: np.ndarray  # rows with ||a_i|| * |<a_i, x>| > theta or NaN, ascending
     step: np.ndarray  # A^T (mask * A x), mask keeping the other rows
 
 
@@ -166,8 +165,7 @@ def threshold_search(
             # np.dot, not @: matmul holds the GIL for a transposed operand.
             out += np.dot(block.T, ax_removed[part])
         step -= out
-    return ThresholdResult(float(grid[fired]), fired + 1, fires.size == 0, removed.size,
-                           removed, step)
+    return ThresholdResult(float(grid[fired]), fired + 1, fires.size == 0, removed, step)
 
 
 def lay_out_by_norm(a: DenseMatrix) -> None:

@@ -45,11 +45,11 @@ def reference_search(a, x, epsilon, rng, *, beta=0.05, noiseless=False):
             break
     theta = float(grid[fired])
     removed = np.flatnonzero(~(q <= theta))
+    assert removed.size == n - counts[fired]  # the mask against the sorted count
     return ThresholdResult(
         theta=theta,
         queries_issued=fired + 1,
         fell_through=fell_through,
-        removed_count=n - counts[fired],
         removed=removed,
         step=reference_step(a, x, removed),
     )

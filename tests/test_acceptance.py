@@ -29,7 +29,7 @@ from dppca.matcore import DenseMatrix
 from dppca.mech import PrivacyBudget, RngStream, compose, invert_budget
 from dppca.svtfilter import threshold_search
 from dppca.theory import constants_K, gap_condition_ok, gaussian_bounds, solve_rates
-from oracles import sweep_runs
+from oracles import reference_search, sweep_runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,11 +174,14 @@ def test_criterion_06_svt_filtered_count():
     bound = c2 / eps_iter
     within = 0
     for trial in range(500):
-        st = RngStream(77, trial)
+        st, ref = RngStream(77, trial), RngStream(77, trial)
         x = st.standard_normal(20)
+        ref.standard_normal(20)
         x /= np.linalg.norm(x)
         found = threshold_search(a, x, eps_iter, st, beta=0.05)
-        within += found.removed_count <= bound
+        # The reference counts the removed rows with a sort.
+        assert found.removed.size == reference_search(a, x, eps_iter, ref).removed.size
+        within += found.removed.size <= bound
     ok = within >= 475
     report(6, ok, f"per-iteration removed count <= c2/eps = {bound:.1f} in "
                   f"{within}/500 trials (need >= 475)")
@@ -224,8 +227,9 @@ def test_criterion_09_bernstein_envelope():
     pop = 4096 * np.diag(spec.sigmabar_sq)
     within = 0
     for seed in range(40):
-        raw, _ = gen_gaussian_iid(4096, spec, RngStream(88, seed), rotate=False)
-        dev = float(np.abs(np.linalg.eigvalsh(raw.data.T @ raw.data - pop)).max())
+        # Unrotated rows diag(sigmabar) z_i, so the population Gram is diagonal.
+        raw = RngStream(88, seed).standard_normal((4096, 16)) * np.sqrt(spec.sigmabar_sq)
+        dev = float(np.abs(np.linalg.eigvalsh(raw.T @ raw - pop)).max())
         within += dev <= g
     ok = within >= 38
     report(9, ok, f"||A^T A - n Sigma^2||_2 <= G = {g:.1f} in {within}/40 "

@@ -88,26 +88,32 @@ class TestRandomOrthogonal:
 
 
 class TestGenGaussianIid:
+    """The rows are Q diag(sigmabar) z_i for Q the stream's first draw,
+    random_orthogonal(d, RngStream(seed))."""
+
     def test_rank1_spec_rows_along_e1(self):
         spec = GaussSpec((1.0, 0.0, 0.0))
-        a, vbar1 = gen_gaussian_iid(50, spec, RngStream(2), rotate=False)
-        assert np.allclose(vbar1, [1.0, 0.0, 0.0])
-        assert np.all(a.data[:, 1:] == 0.0)
+        a, vbar1 = gen_gaussian_iid(50, spec, RngStream(2))
+        assert np.array_equal(vbar1, random_orthogonal(3, RngStream(2))[:, 0])
+        off_axis = a.data - np.outer(a.data @ vbar1, vbar1)
+        assert np.abs(off_axis).max() <= 1e-14 * np.abs(a.data).max()
 
     def test_covariance_concentration(self):
-        # ||(1/n) gram - diag(spec)||_F <= 5 sqrt(d/n) for iid rows
+        # ||(1/n) gram - Q diag(spec) Q^T||_F <= 5 sqrt(d/n) for iid rows
         n, d = 20_000, 8
-        spec = GaussSpec((0.125,) * 8)
-        a, _ = gen_gaussian_iid(n, spec, RngStream(3), rotate=False)
+        spec = GaussSpec.spiked(d, 0.5, 0.5)
+        a, _ = gen_gaussian_iid(n, spec, RngStream(3))
+        q = random_orthogonal(d, RngStream(3))
         emp = gram(a) / n
-        err = np.linalg.norm(emp - np.diag(spec.sigmabar_sq))
+        err = np.linalg.norm(emp - q @ np.diag(spec.sigmabar_sq) @ q.T)
         assert err <= 5 * np.sqrt(d / n)
 
     def test_per_coordinate_variance_unrotated(self):
+        # A Q undoes the rotation: its columns are the scaled draws.
         n = 100_000
         spec = GaussSpec((0.6, 0.3, 0.1))
-        a, _ = gen_gaussian_iid(n, spec, RngStream(4), rotate=False)
-        var = a.data.var(axis=0)
+        a, _ = gen_gaussian_iid(n, spec, RngStream(4))
+        var = (a.data @ random_orthogonal(3, RngStream(4))).var(axis=0)
         for j, s2 in enumerate(spec.sigmabar_sq):
             se = s2 * np.sqrt(2.0 / n)  # sd of a chi^2 variance estimate
             assert abs(var[j] - s2) <= 3 * se
@@ -251,9 +257,9 @@ def harmonic(d):
     return tuple(w / w.sum())
 
 
-def one_shot_gaussian(n, spec, rng, rotate):
+def one_shot_gaussian(n, spec, rng):
     """gen_gaussian_iid as one product of a separate scaled draw."""
-    q = random_orthogonal(spec.d, rng) if rotate else np.eye(spec.d)
+    q = random_orthogonal(spec.d, rng)
     z = rng.standard_normal((n, spec.d))
     return (z * np.sqrt(spec.sigmabar_sq)) @ q.T
 
@@ -272,16 +278,15 @@ def one_shot_low_coherence(n, d, sigma1_frac, gap, rng):
     return a / np.sqrt(np.einsum("ij,ij->i", a, a)).max()
 
 
-def two_pass_gaussian(n, spec, rng, rotate):
+def two_pass_gaussian(n, spec, rng):
     """gen_gaussian_iid with the scaling as its own pass over the draw,
     before the blocked rotation: the bytes the per-block scaling keeps."""
-    q = random_orthogonal(spec.d, rng) if rotate else np.eye(spec.d)
+    q = random_orthogonal(spec.d, rng)
     a = rng.standard_normal((n, spec.d))
     a *= np.sqrt(np.array(spec.sigmabar_sq))
-    if rotate:
-        for rows in _row_blocks(n, spec.d):
-            a[rows] = a[rows] @ q.T
-    return a + 0.0
+    for rows in _row_blocks(n, spec.d):
+        a[rows] = a[rows] @ q.T
+    return a
 
 
 class TestBlockedGenerators:
@@ -289,22 +294,21 @@ class TestBlockedGenerators:
     a time; at and around the block edges they match a one-shot product of
     the same draws and leave the stream where it leaves it."""
 
-    @pytest.mark.parametrize("rotate", [True, False])
     @pytest.mark.parametrize(
         "spectrum",
         [harmonic(d) for d in (1, 2, 20, 128)] + [(0.5, 0.5, 0.0)],
         ids=["1", "2", "20", "128", "zero-entry"],  # a zero entry: signed zeros
     )
-    def test_gaussian_matches_one_shot(self, spectrum, rotate):
+    def test_gaussian_matches_one_shot(self, spectrum):
         spec = GaussSpec(spectrum)
         for n in edge_rows(spec.d):
             ref_rng, rng = RngStream(31, n), RngStream(31, n)
-            ref = one_shot_gaussian(n, spec, ref_rng, rotate)
-            a, _ = gen_gaussian_iid(n, spec, rng, rotate)
+            ref = one_shot_gaussian(n, spec, ref_rng)
+            a, _ = gen_gaussian_iid(n, spec, rng)
             assert np.abs(a.data - ref).max() <= 1e-14 * np.abs(ref).max()
             assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
             # The per-block scaling gives the bits of one scaling pass.
-            two_pass = two_pass_gaussian(n, spec, RngStream(31, n), rotate)
+            two_pass = two_pass_gaussian(n, spec, RngStream(31, n))
             assert a.data.tobytes() == two_pass.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 20, 128])
@@ -456,7 +460,9 @@ class TestBernsteinEnvelope:
         sigma2 = np.diag(spec.sigmabar_sq)
         hits = 0
         for seed in range(40):
-            a, _ = gen_gaussian_iid(n, spec, RngStream(17, seed), rotate=False)
+            # Unrotated rows diag(sigmabar) z_i, so the population Gram is diagonal.
+            a = DenseMatrix(RngStream(17, seed).standard_normal((n, d))
+                            * np.sqrt(spec.sigmabar_sq))
             dev = np.linalg.norm(gram(a) - n * sigma2, ord=2)
             hits += dev <= g_bound
         assert hits >= 38

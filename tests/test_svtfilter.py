@@ -47,8 +47,8 @@ class TestSvtConfig:
         r_default, r_explicit = RngStream(2), RngStream(2)
         got = threshold_search(a, x, 0.5, r_default)
         want = threshold_search(a, x, 0.5, r_explicit, beta=0.05)
-        assert (got.theta, got.queries_issued, got.removed_count) == (
-            want.theta, want.queries_issued, want.removed_count)
+        assert (got.theta, got.queries_issued, got.removed.size) == (
+            want.theta, want.queries_issued, want.removed.size)
         assert r_default.uniform_open() == r_explicit.uniform_open()
         assert (GRID_LO_EXP, GRID_HI_EXP) == (-40, 1)
 
@@ -138,8 +138,8 @@ class TestNoisySearch:
         x = np.random.default_rng(14).normal(size=plain.d)
         epsilon = 1e9 if large_epsilon else 0.5
         got, want = (threshold_search(a, x, epsilon, RngStream(4)) for a in (hidden, plain))
-        assert (got.theta, got.queries_issued, got.removed_count) == (
-            want.theta, want.queries_issued, want.removed_count)
+        assert (got.theta, got.queries_issued, got.removed.size) == (
+            want.theta, want.queries_issued, want.removed.size)
         assert np.array_equal(got.removed, want.removed)
 
 
@@ -170,7 +170,7 @@ class TestFilter:
         assert res.step.tobytes() == reference_step(a, x, res.removed).tobytes()
         assert np.array_equal(res.removed, np.flatnonzero(q > res.theta))
         assert np.array_equal(kept_ax(res, ax), np.where(q <= res.theta, ax, 0.0))
-        assert res.removed_count == int(np.sum(q > res.theta))
+        assert res.removed.size == int(np.sum(q > res.theta))
 
 
 class TestStep:
@@ -191,14 +191,14 @@ class TestStep:
                 res = threshold_search(a, x, epsilon, RngStream(74))
                 want = a.data.T @ kept_ax(res, a.data @ x)
                 assert np.linalg.norm(res.step - want) <= 1e-12 * np.linalg.norm(want)
-                removing += 0 < res.removed_count < a.n
+                removing += 0 < res.removed.size < a.n
         assert removing
 
     def test_no_row_removed_is_gram_times_x(self):
         a = unit_rows(75)
         x = np.random.default_rng(76).normal(size=a.d)
         res = threshold_search(a, x, 1e9, RngStream(0))
-        assert res.removed_count == 0
+        assert res.removed.size == 0
         assert res.step.tobytes() == np.dot(gram(a), x).tobytes()
 
     def test_every_row_removed_is_plus_zero(self):
@@ -207,7 +207,7 @@ class TestStep:
         a = unit_rows(77)
         x = np.random.default_rng(78).normal(size=a.d)
         res = threshold_search(a, x, 1e-4, RngStream(0))
-        assert res.removed_count == a.n
+        assert res.removed.size == a.n
         assert res.step.tobytes() == np.zeros(a.d).tobytes()
 
 
@@ -222,8 +222,8 @@ def assert_same_search(a, x, epsilon, seed, skew=0):
     got = threshold_search(a, x, epsilon, r_new)
     want = reference_search(a, x, epsilon, r_ref)
     ax = a.data @ x
-    assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
-        want.theta, want.queries_issued, want.fell_through, want.removed_count)
+    assert (got.theta, got.queries_issued, got.fell_through, got.removed.size) == (
+        want.theta, want.queries_issued, want.fell_through, want.removed.size)
     assert got.step.tobytes() == want.step.tobytes()
     assert np.array_equal(got.removed, want.removed)
     assert kept_ax(got, ax).tobytes() == kept_ax(want, ax).tobytes()
@@ -257,7 +257,7 @@ class TestScratch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.removed_count == 20  # the gather ran inside the measured call
+        assert res.removed.size == 20  # the gather ran inside the measured call
         assert peak < 2 * n
 
     def test_result_outlives_the_next_search(self):
@@ -292,8 +292,8 @@ class TestScratch:
             t.join()
         for g_run, w_run in zip(got, want):
             for g, w in zip(g_run, w_run):
-                assert (g.theta, g.queries_issued, g.removed_count) == (
-                    w.theta, w.queries_issued, w.removed_count)
+                assert (g.theta, g.queries_issued, g.removed.size) == (
+                    w.theta, w.queries_issued, w.removed.size)
                 assert g.removed.tobytes() == w.removed.tobytes()
                 assert g.step.tobytes() == w.step.tobytes()
 
@@ -302,7 +302,7 @@ class TestScratch:
         a = spiky_rows(48, n=140_000, d=2)
         x = np.random.default_rng(49).normal(size=a.d)
         assert 2 * a.data.shape[0] > 2**18
-        assert assert_same_search(a, x, 0.5, 50).removed_count == 20
+        assert assert_same_search(a, x, 0.5, 50).removed.size == 20
 
 
 class TestAgainstReference:
@@ -415,7 +415,7 @@ class TestNanStatistic:
         assert res.step.tobytes() == step.tobytes()
         assert res.removed[:2].tolist() == [0, 1]
         assert kept_ax(res, ax)[:2].tobytes() == np.zeros(2).tobytes()
-        assert res.removed_count == 2 + int(np.sum(q[2:] > res.theta))
+        assert res.removed.size == 2 + int(np.sum(q[2:] > res.theta))
         assert np.array_equal(res.removed[2:], 2 + np.flatnonzero(q[2:] > res.theta))
         assert np.array_equal(kept_ax(res, ax)[2:], np.where(q[2:] <= res.theta, ax[2:], 0.0))
 
@@ -521,8 +521,8 @@ def walk_and_pass(a, x, epsilon, seed):
         want = threshold_search(a, x, epsilon, r_pass)
     finally:
         a._layout = layout
-    assert (got.theta, got.queries_issued, got.fell_through, got.removed_count) == (
-        want.theta, want.queries_issued, want.fell_through, want.removed_count)
+    assert (got.theta, got.queries_issued, got.fell_through, got.removed.size) == (
+        want.theta, want.queries_issued, want.fell_through, want.removed.size)
     assert got.removed.tobytes() == want.removed.tobytes()
     assert got.step.tobytes() == want.step.tobytes()
     assert r_walk.uniform_open() == r_pass.uniform_open()
@@ -560,7 +560,7 @@ def check_walks():
     data[::500] = 2.0 * np.eye(5)[0]
     a = laid_out(data, block_rows=32)
     res, read = walk_and_pass(a, np.eye(5)[0], 1e9, 64)
-    assert res.fell_through and res.removed_count == 7 and read < a.n
+    assert res.fell_through and res.removed.size == 7 and read < a.n
 
     data, ws = edge_rows()
     a = laid_out(data, block_rows=4)
