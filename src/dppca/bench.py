@@ -15,7 +15,7 @@ Each cell names a generator and an algorithm:
       "cell": "adaptive-n16000",          # optional unique id; defaults to the index
       "gen": {"kind": "gaussian", "n": 16000, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
             | {"kind": "low-coh", "n": ..., "d": ..., "sigma1_frac": ..., "gap": ...}
-            | {"kind": "high-coh", "n": ..., "d": ..., "spikes": 4},
+            | {"kind": "high-coh", "n": ..., "d": ...},
       "algo": "adaptive" | "adaptive-sweep" | "analyze-gauss" | "naive-power",
       "eps_total": 1.0, "delta_total": 1e-5, "beta": 0.05,
       "T": 10 | "corollary",              # adaptive / naive-power; "corollary" reads gen.n
@@ -25,10 +25,9 @@ Each cell names a generator and an algorithm:
       "accountant": "paper" | "zcdp"      # optional, default "paper"
     }
 
-"spikes" is optional, with datagen's default.  A gen
-or a cell carries only the keys its kind or algorithm reads; beta is
-read by a gaussian gen's scaling, by the threshold search (adaptive and
-adaptive-sweep) and by T "corollary".  Float keys must be finite (JSON's
+A gen or a cell carries only the keys its kind or algorithm reads; beta
+is read by a gaussian gen's scaling, by the threshold search (adaptive
+and adaptive-sweep) and by T "corollary".  Float keys must be finite (JSON's
 NaN and Infinity are rejected) and t_const positive.  Cell ids are
 unique strings without commas or newlines.
 Cells are checked when the config is built (a malformed one raises a
@@ -81,16 +80,14 @@ from .matcore import DenseMatrix, _check_sizing, gram, rayleigh_ratio, sin_sq, s
 from .mech import PrivacyBudget, RngStream, compose, exp_mech_select, split_budget
 from .svtfilter import DEFAULT_BETA
 
-# Keys each kind of gen needs, high-coh's optional generator keyword arguments,
-# the keys of every cell and of each algorithm, and the type of each typed key
-# at every config level (top level, cell and gen).  `dppca gen`'s flags are
-# built from these.
+# Keys each kind of gen needs, the keys of every cell and of each algorithm,
+# and the type of each typed key at every config level (top level, cell and
+# gen).  `dppca gen`'s flags are built from these.
 _GEN_KEYS = {
     "gaussian": ("n", "d", "sigma1_sq", "kappabar"),
     "low-coh": ("n", "d", "sigma1_frac", "gap"),
     "high-coh": ("n", "d"),
 }
-_HIGH_COH_OPTIONAL = ("spikes",)
 _CELL_KEYS = ("cell", "gen", "algo", "eps_total", "delta_total", "beta", "accountant")
 _CELL_NEED = ("eps_total", "delta_total")
 _ALGO_KEYS = {
@@ -102,11 +99,11 @@ _ALGO_KEYS = {
 _ALGOS = tuple(_ALGO_KEYS)
 _SEARCHING = ("adaptive", "adaptive-sweep")  # the algorithms that run the search
 _INTS = (int, np.integer)  # a numpy integer passes wherever an int does
-_INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "spikes", "sweep_J")
+_INT_KEYS = ("master_seed", "trials", "threads", "n", "d", "sweep_J")
 _FLOAT_KEYS = ("sigma1_sq", "kappabar", "sigma1_frac", "gap", "eps_total",
                "delta_total", "beta", "kappa", "t_const")  # and finite
 # Every key a gen may carry besides kind.
-_GEN_ALL = tuple(dict.fromkeys(sum(_GEN_KEYS.values(), ()) + _HIGH_COH_OPTIONAL))
+_GEN_ALL = tuple(dict.fromkeys(sum(_GEN_KEYS.values(), ())))
 
 
 @dataclass
@@ -214,8 +211,7 @@ def _check_gen(gen) -> tuple[int, int]:
         raise ParameterError(f"gen.kind must be one of {tuple(_GEN_KEYS)}")
     kind = gen["kind"]
     need = _GEN_KEYS[kind]
-    optional = _HIGH_COH_OPTIONAL if kind == "high-coh" else ()
-    _check_keys(gen, ("kind",) + need + optional, f"{kind} gen", need)
+    _check_keys(gen, ("kind",) + need, f"{kind} gen", need)
     _check_types(gen)
     return gen["n"], gen["d"]
 
@@ -314,8 +310,7 @@ def build_instance(
         if kind == "low-coh":
             a = gen_low_coherence(n, d, gen["sigma1_frac"], gen["gap"], rng)
         else:
-            options = {k: gen[k] for k in _HIGH_COH_OPTIONAL if k in gen}
-            a = gen_high_coherence(n, d, rng, **options)
+            a = gen_high_coherence(n, d, rng)
     except MemoryError:
         raise SizingError(f"a {n} x {d} instance does not fit in memory") from None
     return a, None, 0

@@ -116,15 +116,6 @@ class TestRunExperiment:
         assert not any(r.error for r in serial)
         assert records_to_csv(run_experiment(cfg, threads=2)) == records_to_csv(serial)
 
-    def test_spelled_out_gen_defaults_give_the_same_bytes(self, small_run):
-        # The generator defaults live in datagen alone; spelling them out in
-        # the config changes nothing.
-        _, recs = small_run
-        grid = small_grid()
-        grid[2]["gen"].update(spikes=4)
-        spelled = run_experiment(ExperimentConfig(master_seed=7, trials=5, grid=grid))
-        assert records_to_csv(spelled) == records_to_csv(recs)
-
 
 class TestErrorRows:
     def test_reason_code_prefix(self):
@@ -151,29 +142,24 @@ class TestErrorRows:
         recs = run_experiment(ExperimentConfig(master_seed=1, trials=1, grid=[cell]))
         assert len(recs) == 1 and recs[0].error.startswith("parameter_error:")
 
-    @pytest.mark.parametrize("algo, eps", [
-        ("adaptive", 1e-300), ("naive-power", 1e-300), ("analyze-gauss", 1e-320),
-    ])
-    def test_budget_too_small_to_noise_is_an_error_row(self, algo, eps):
+    @pytest.mark.parametrize("algo, eps, accountant, needle", [
+        ("adaptive", 1e-300, "paper", "noisy iterate norm inf"),
+        ("naive-power", 1e-300, "paper", "noisy iterate norm inf"),
+        ("analyze-gauss", 1e-320, "paper", "sigma overflows"),
+        ("adaptive", 1e-300, "zcdp", "rho / 6 underflows to 0"),
+    ], ids=["adaptive", "naive-power", "analyze-gauss", "zcdp"])
+    def test_budget_too_small_to_noise_is_an_error_row(self, algo, eps, accountant, needle):
         # The noisy iterate's norm (adaptive, naive-power) or sigma itself
-        # (analyze-gauss) overflows: an error row, not a NaN estimate scored
-        # as a perfect sin2 of 0.
+        # (analyze-gauss) overflows, or zCDP's rho per mechanism underflows
+        # to 0: one error row, not a NaN estimate scored as a perfect sin2 of 0.
         cell = {"gen": {"kind": "high-coh", "n": 80, "d": 4}, "algo": algo,
-                "eps_total": eps, "delta_total": 1e-5}
+                "eps_total": eps, "delta_total": 1e-5, "accountant": accountant}
         if algo != "analyze-gauss":
             cell["T"] = 3
         with np.errstate(over="ignore"):
             recs = run_experiment(ExperimentConfig(master_seed=1, trials=1, grid=[cell]))
-        assert recs[0].error.startswith("parameter_error:")
-        assert recs[0].sin2_emp is None
-
-    def test_tiny_zcdp_budget_is_a_parameter_error_row(self):
-        # rho underflows to 0: the same row as the paper accountant's.
-        cell = {"gen": {"kind": "high-coh", "n": 80, "d": 4}, "algo": "adaptive",
-                "eps_total": 1e-300, "delta_total": 1e-5, "accountant": "zcdp", "T": 3}
-        recs = run_experiment(ExperimentConfig(master_seed=1, trials=1, grid=[cell]))
-        assert recs[0].error.startswith("parameter_error:")
-        assert "underflows to 0" in recs[0].error
+        assert len(recs) == 1 and recs[0].sin2_emp is None
+        assert recs[0].error.startswith("parameter_error:") and needle in recs[0].error
 
     def test_error_rows_fill_csv_columns(self):
         cfg = ExperimentConfig(
@@ -406,6 +392,8 @@ class TestConfig:
         (0, {"T": "corollary", "kappa": 0.5, "t_const": 0}, "t_const must be positive"),
         (1, {"eps_total": 10**400}, "eps_total must be a finite number"),  # no float
         (1, {"beta": 1.5}, "beta must lie in (0, 1), got 1.5"),
+        (1, {"gen": {"kind": "high-coh", "n": 80, "d": 4, "spikes": 4}},
+         "high-coh gen has unknown key(s) 'spikes'"),
     ])
     def test_malformed_cell_names_its_index(self, index, cell, needle):
         grid = small_grid()[:2]

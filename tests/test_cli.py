@@ -56,18 +56,14 @@ class TestGen:
         assert doc["sigma1"] > doc["sigma2"]
 
     def test_high_coh(self, tmp_path):
-        out = tmp_path / "h.npy"
+        out, meta = tmp_path / "h.npy", tmp_path / "h.json"
         assert run_cli(
             "gen", "--kind", "high-coh", "--n", "64", "--d", "4",
-            "--out", str(out),
-        ) == 0
-        assert load_npy(str(out)).max_row_norm() <= 1.0 + 1e-12
-        meta = tmp_path / "h.json"
-        assert run_cli(
-            "gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--spikes", "16",
             "--out", str(out), "--meta", str(meta),
         ) == 0
-        assert json.loads(meta.read_text())["upsilon"] == pytest.approx(0.25)
+        assert load_npy(str(out)).max_row_norm() <= 1.0 + 1e-12
+        # The generator's 4 spikes carry the top direction: upsilon 1/sqrt(4).
+        assert json.loads(meta.read_text())["upsilon"] == pytest.approx(0.5)
 
     def test_spiked_gaussian_matches_build_instance(self, tmp_path):
         files = []
@@ -116,8 +112,8 @@ class TestGen:
     @pytest.mark.parametrize("extra, needle", [
         (("--kind", "high-coh", "--kappabar", "0.5"),
          "high-coh gen has unknown key(s) 'kappabar'"),
-        (("--kind", "low-coh", "--sigma1-frac", "0.6", "--gap", "0.5", "--spikes", "3"),
-         "'spikes'"),
+        (("--kind", "low-coh", "--sigma1-frac", "0.6", "--gap", "0.5", "--kappabar", "0.5"),
+         "low-coh gen has unknown key(s) 'kappabar'"),
         (("--kind", "gaussian", "--sigma1-sq", "0.5", "--kappabar", "0.5", "--gap", "0.5"),
          "'gap'"),
         (("--kind", "high-coh", "--beta", "0.1"), "high-coh gen does not read --beta"),
@@ -153,11 +149,19 @@ class TestGen:
         assert "error: argument --seed: " in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unparsable_spec_is_usage_error(self, tmp_path):
+    # --spec (an arbitrary spectrum) and --spikes are retired: usage errors.
+    @pytest.mark.parametrize("extra", [
+        ("--kind", "gaussian", "--n", "10", "--spec", "0.5,x"),
+        ("--kind", "gaussian", "--n", "10", "--spec", "0.5,0.5"),
+        ("--kind", "high-coh", "--n", "64", "--d", "4", "--spikes", "16"),
+    ], ids=["spec-unparsable", "spec", "spikes"])
+    def test_retired_gen_flag_is_usage_error(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.npy"
         with pytest.raises(SystemExit) as exc:
-            run_cli("gen", "--kind", "gaussian", "--n", "10", "--spec", "0.5,x",
-                    "--out", str(tmp_path / "x.npy"))
+            run_cli("gen", *extra, "--out", str(out))
         assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra[-2:])}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spiked_d2_with_leftover_mass_is_cli_error(self, tmp_path, capsys):
         out, meta = tmp_path / "x.npy", tmp_path / "x.json"
@@ -246,7 +250,7 @@ class TestRun:
         docs = []
         for name, rows in (("a", a.data), ("b", np.vstack([a.data, np.eye(10)[:1]]))):
             infile, res = tmp_path / f"{name}.npy", tmp_path / f"{name}.json"
-            save_npy(DenseMatrix(rows), str(infile))
+            np.save(infile, rows)  # a plain numpy file reads as one save_npy wrote
             assert run_cli(
                 "run", "--in", str(infile), "--eps-total", "1", "--delta-total", "1e-5",
                 "--T", "4", "--seed", "3", "--out", str(res),
@@ -350,21 +354,29 @@ class TestRun:
         assert want != corollary_iterations(400, DEFAULT_BETA, 1e-5, 4.0, 0.5)
         assert run.t == want and run.accounting["mechanisms"] == want
 
-    def test_zcdp_accountant(self, gaussian_file, tmp_path):
+    @pytest.mark.parametrize("algo, mechanisms", [("adaptive", 6), ("naive-power", 3)])
+    def test_zcdp_accountant(self, gaussian_file, tmp_path, algo, mechanisms):
         infile, _ = gaussian_file
         res = tmp_path / "zcdp.json"
         rc = run_cli(
-            "run", "--in", str(infile), "--eps-total", "4.0", "--delta-total", "1e-5",
-            "--accountant", "zcdp", "--T", "3", "--out", str(res),
+            "run", "--algo", algo, "--in", str(infile), "--eps-total", "4.0",
+            "--delta-total", "1e-5", "--accountant", "zcdp", "--T", "3", "--out", str(res),
         )
         assert rc == 0
-        doc = json.loads(res.read_text())["release"]
-        per_iter = split_budget(PrivacyBudget(4.0, 1e-5, "zcdp"), 6)
-        assert doc["accountant"] == "zcdp" and doc["T"] == 3
-        assert doc["accounting"] == {
-            "mechanisms": 6, "per_mechanism_epsilon": per_iter.epsilon,
+        doc = json.loads(res.read_text())
+        release, evaluation = doc["release"], doc["evaluation"]
+        per_iter = split_budget(PrivacyBudget(4.0, 1e-5, "zcdp"), mechanisms)
+        assert release["accountant"] == "zcdp" and release["T"] == 3
+        assert release["accounting"] == {
+            "mechanisms": mechanisms, "per_mechanism_epsilon": per_iter.epsilon,
             "per_mechanism_delta": per_iter.delta,
         }
+        assert not UNRELEASED & set(release)
+        if algo == "adaptive":  # a traced run; its removal counts are evaluation
+            assert not UNRELEASED & set(release["trace"])
+            assert len(evaluation["removed"]) == len(release["trace"]["theta"]) == 3
+        else:
+            assert "trace" not in release and "removed" not in evaluation
 
     # The corollary rule (--T corollary, --kappa, --t-const) and the sweep
     # (--sweep) read the input's own n, which add/remove neighbours do not
@@ -382,6 +394,8 @@ class TestRun:
          "naive-power does not read --beta"),
         (["--algo", "analyze-gauss", "--T", "5"], "analyze-gauss does not read --T"),
         (["--sweep", "2", "--T", "7"], "unrecognized arguments: --sweep 2"),
+        (["--kappa", "0.5"], "unrecognized arguments: --kappa 0.5"),
+        (["--sweep", "2"], "unrecognized arguments: --sweep 2"),
     ])
     def test_bad_algorithm_flags_are_cli_errors(
         self, gaussian_file, tmp_path, capsys, extra, needle
@@ -548,8 +562,10 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "No such file" in err
 
-    def test_csv_files_are_cli_errors(self, tmp_path, capsys):
-        out = tmp_path / "a.csv"
+    # CSV text and the retired DPM1 format's suffix: gen writes and run reads .npy only.
+    @pytest.mark.parametrize("suffix", ["csv", "dpm"])
+    def test_files_not_npy_are_cli_errors(self, tmp_path, capsys, suffix):
+        out = tmp_path / f"a.{suffix}"
         rc = run_cli("gen", "--kind", "high-coh", "--n", "64", "--d", "4", "--out", str(out))
         assert rc == 2
         captured = capsys.readouterr()
@@ -702,7 +718,8 @@ class TestBench:
         ('{"master_seed": 1, "trials": 1, "grid": [], "out": "o.csv"}',
          "config has unknown key(s) 'out'"),
     ])
-    def test_unreadable_config_is_cli_error(self, tmp_path, capsys, text, needle):
+    def test_unreadable_config_is_cli_error(self, tmp_path, capsys, monkeypatch, text, needle):
+        monkeypatch.chdir(tmp_path)  # where a config's relative "out" would be written
         cfg_path = tmp_path / "cfg.json"
         if text is not None:
             cfg_path.write_text(text)
@@ -710,6 +727,7 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and needle in err
+        assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["cfg.json"])
 
     def test_bench_without_out_is_error(self, monkeypatch):
         # --out is required: a usage error, before the grid runs.
@@ -735,10 +753,14 @@ class TestBench:
         assert err.startswith("error:") and "No such file" in err
         assert not out.parent.exists()
 
-    def test_grid_script_unwritable_out_fails_before_the_grid(self, tmp_path, capsys,
-                                                              monkeypatch):
+    @pytest.mark.parametrize("out, extra, needle", [
+        ("missing/x.csv", [], "No such file"),
+        ("x.csv", ["--threads", "0"], "--threads must be >= 1, got 0"),
+    ], ids=["unwritable-out", "threads-0"])
+    def test_grid_script_error_fails_before_the_grid(self, tmp_path, capsys, monkeypatch,
+                                                     out, extra, needle):
         def fail(*args, **kwargs):
-            pytest.fail("the grid ran before the output path was opened")
+            pytest.fail("the grid ran before its inputs were checked")
 
         # The script pins BLAS threads and prepends src/ to sys.path on import.
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -748,9 +770,8 @@ class TestBench:
         run_grid = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(run_grid)
         monkeypatch.setattr(bench, "run_experiment", fail)
-        out = tmp_path / "missing" / "x.csv"
-        monkeypatch.setattr(sys, "argv", ["run_grid.py", "--out", str(out)])
+        monkeypatch.setattr(sys, "argv", ["run_grid.py", "--out", str(tmp_path / out), *extra])
         assert run_grid.main() == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "No such file" in err
-        assert not out.parent.exists()
+        assert err.startswith("error:") and needle in err
+        assert list(tmp_path.iterdir()) == []
