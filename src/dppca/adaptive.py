@@ -116,13 +116,13 @@ def run_adaptive_power(
         trace.queries_issued.append(queries)
 
         x = step + sample_gaussian_vec(a.d, sigma, rng)
-        norm = float(np.linalg.norm(x))
+        norm = math.sqrt(x @ x)
         if not 0.0 < norm < math.inf:
             raise ParameterError(f"noisy iterate norm {norm!r} at noise scale {sigma:.6g}"
                                  " (a budget too small to noise overflows it)")
         x = x / norm
 
-    return x / float(np.linalg.norm(x)), trace
+    return x / math.sqrt(x @ x), trace
 
 
 def corollary_iterations(

@@ -63,7 +63,6 @@ import numpy as np
 from .adaptive import IterationTrace, corollary_iterations, run_adaptive_power
 from .baselines import analyze_gauss
 from .datagen import (
-    GaussSpec,
     gen_gaussian_iid,
     gen_high_coherence,
     gen_low_coherence,
@@ -286,11 +285,6 @@ def _cell_id(cell: dict, index: int) -> str:
     return cell.get("cell", str(index))
 
 
-def _gauss_spec(gen: dict) -> GaussSpec:
-    """A checked gaussian gen's spiked population spectrum."""
-    return GaussSpec.spiked(gen["d"], gen["sigma1_sq"], gen["kappabar"])
-
-
 def build_instance(
     gen: dict, rng: RngStream, beta: float
 ) -> tuple[DenseMatrix, np.ndarray | None, int]:
@@ -305,7 +299,7 @@ def build_instance(
     kind = gen["kind"]
     try:
         if kind == "gaussian":
-            a, vbar1 = gen_gaussian_iid(n, _gauss_spec(gen), rng)
+            a, vbar1 = gen_gaussian_iid(n, d, gen["sigma1_sq"], gen["kappabar"], rng)
             return a, vbar1, scale_for_privacy(a, beta)
         if kind == "low-coh":
             a = gen_low_coherence(n, d, gen["sigma1_frac"], gen["gap"], rng)

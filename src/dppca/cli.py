@@ -13,7 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import bench, matio
-from .datagen import _row_length_bound
+from .datagen import _row_length_bound, spiked_spectrum
 from .errors import DppcaError, ParameterError
 from .matcore import rayleigh_ratio, sin_sq, spectrum_stats
 from .mech import ACCOUNTANTS, RngStream
@@ -61,7 +61,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.meta:
         meta: dict = {"kind": args.kind, "seed": args.seed}
         if vbar1 is not None:
-            meta.update(vbar1=list(vbar1), spectrum=list(bench._gauss_spec(gen).sigmabar_sq),
+            spectrum = spiked_spectrum(a.d, gen["sigma1_sq"], gen["kappabar"])
+            meta.update(vbar1=list(vbar1), spectrum=list(spectrum),
                         L=_row_length_bound(a.n, beta), clip_count=clip_count)
         stats = spectrum_stats(a)
         meta.update(

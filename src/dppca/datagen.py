@@ -10,7 +10,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,52 +21,35 @@ _SMALL_TAIL_FRAC = 0.01  # tail eigenvalues of the planted spectrum
 _HIGH_COH_NOISE = 0.05  # norm of the high-coherence instance's noise rows
 
 
-@dataclass(frozen=True)
-class GaussSpec:
-    """Population spectrum sigmabar_sq (trace 1, nonincreasing), without a basis."""
+def spiked_spectrum(d: int, sigma1_sq: float, kappabar: float) -> tuple[float, ...]:
+    """The spiked population spectrum sigmabar_sq (trace 1, nonincreasing).
 
-    sigmabar_sq: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.sigmabar_sq)
-        if len(vals) < 1:
-            raise ParameterError("spectrum must have at least one entry")
-        if not all(0.0 <= v < math.inf for v in vals):
-            raise ParameterError(f"spectrum entries must be finite and nonnegative: {vals}")
-        if any(vals[i] + 1e-12 < vals[i + 1] for i in range(len(vals) - 1)):
-            raise ParameterError("spectrum must be nonincreasing")
-        if abs(sum(vals) - 1.0) > 1e-12:
-            raise ParameterError(f"spectrum must sum to 1, got {sum(vals)!r}")
-        object.__setattr__(self, "sigmabar_sq", vals)
-
-    @property
-    def d(self) -> int:
-        return len(self.sigmabar_sq)
-
-    @staticmethod
-    def spiked(d: int, sigma1_sq: float, kappabar: float) -> "GaussSpec":
-        """Spiked spectrum: given top value and relative gap, flat tail.
-
-        sigma2_sq = (1 - kappabar) * sigma1_sq; the remaining mass
-        1 - sigma1_sq - sigma2_sq is spread evenly over the other d - 2
-        coordinates (it must be nonnegative and at most sigma2_sq each;
-        at d = 2 there are none, so it must be zero).
-        """
-        if d < 2:
-            raise ParameterError("spiked spectrum needs d >= 2")
-        sigma2_sq = (1.0 - kappabar) * sigma1_sq
-        tail = 1.0 - sigma1_sq - sigma2_sq
-        if tail < -1e-12:
-            raise ParameterError("spectrum mass exceeds 1")
-        if d == 2 and tail > 1e-12:
-            raise ParameterError(f"at d = 2 there is no tail for the leftover mass {tail!r}")
-        rest = max(tail, 0.0) / (d - 2) if d > 2 else 0.0
-        if d > 2 and rest > sigma2_sq + 1e-12:
-            raise ParameterError("flat tail would exceed the second eigenvalue")
-        vals = [sigma1_sq, sigma2_sq] + [rest] * (d - 2)
-        # Absorb rounding into the last entry so the sum is exactly 1.
-        vals[-1] += 1.0 - sum(vals)
-        return GaussSpec(tuple(vals))
+    sigma2_sq = (1 - kappabar) * sigma1_sq; the remaining mass
+    1 - sigma1_sq - sigma2_sq is spread evenly over the other d - 2
+    coordinates (it must be nonnegative and at most sigma2_sq each;
+    at d = 2 there are none, so it must be zero).
+    """
+    if d < 2:
+        raise ParameterError("spiked spectrum needs d >= 2")
+    if not 0.0 <= kappabar <= 1.0:
+        raise ParameterError(f"kappabar must lie in [0, 1], got {kappabar}")
+    if not 0.0 <= sigma1_sq <= 1.0:
+        raise ParameterError(f"sigma1_sq must lie in [0, 1], got {sigma1_sq}")
+    sigma2_sq = (1.0 - kappabar) * sigma1_sq
+    tail = 1.0 - sigma1_sq - sigma2_sq
+    if tail < -1e-12:
+        raise ParameterError("spectrum mass exceeds 1")
+    if d == 2 and tail > 1e-12:
+        raise ParameterError(f"at d = 2 there is no tail for the leftover mass {tail!r}")
+    rest = max(tail, 0.0) / (d - 2) if d > 2 else 0.0
+    if d > 2 and rest > sigma2_sq + 1e-12:
+        raise ParameterError("flat tail would exceed the second eigenvalue")
+    vals = [float(sigma1_sq), sigma2_sq] + [rest] * (d - 2)
+    # Absorb rounding into the last entry so the sum is exactly 1.
+    vals[-1] += 1.0 - sum(vals)
+    if vals[-1] < 0.0:  # the mass of the entries before it exceeds 1
+        raise ParameterError("spectrum mass exceeds 1")
+    return tuple(vals)
 
 
 def random_orthogonal(n: int, rng: RngStream) -> np.ndarray:
@@ -77,8 +59,11 @@ def random_orthogonal(n: int, rng: RngStream) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def gen_gaussian_iid(n: int, spec: GaussSpec, rng: RngStream) -> tuple[DenseMatrix, np.ndarray]:
-    """Rows g_i = Q diag(sigmabar) z_i, z_i ~ N(0, I); returns (A, vbar1 = Q e1).
+def gen_gaussian_iid(
+    n: int, d: int, sigma1_sq: float, kappabar: float, rng: RngStream
+) -> tuple[DenseMatrix, np.ndarray]:
+    """Rows g_i = Q diag(sigmabar) z_i, z_i ~ N(0, I) for sigmabar_sq the
+    `spiked_spectrum(d, sigma1_sq, kappabar)`; returns (A, vbar1 = Q e1).
 
     Q is a Haar rotation drawn before the rows.  Each row block of z is
     drawn into the thread's scratch block, scaled there and rotated
@@ -88,10 +73,9 @@ def gen_gaussian_iid(n: int, spec: GaussSpec, rng: RngStream) -> tuple[DenseMatr
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    d = spec.d
+    scale = np.sqrt(np.array(spiked_spectrum(d, sigma1_sq, kappabar)))
     q = random_orthogonal(d, rng)
     a = np.empty((n, d))
-    scale = np.sqrt(np.array(spec.sigmabar_sq))
     for rows in _row_blocks(n, d):
         block = rng.standard_normal(out=_scratch(rows.stop - rows.start, d))
         block *= scale

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-from .datagen import GaussSpec
 from .errors import ParameterError
 
 
@@ -82,8 +81,9 @@ def solve_rates(
             "rate_ratio": alpha1 / alpha2 if alpha2 != 0.0 else None}
 
 
-def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> float:
-    """The Gaussian pipeline's concentration bound on ||A^T A - n Sigma^2||_2:
+def gaussian_bounds(sigmabar_sq: tuple[float, ...], n: int, beta: float) -> float:
+    """The Gaussian pipeline's concentration bound on ||A^T A - n Sigma^2||_2
+    for the population spectrum sigmabar_sq (e.g. `datagen.spiked_spectrum`):
 
     G = max(sqrt(2 M ln(2d/beta)), 6 R_B ln(2d/beta)),
         M = n sigmabar1^2 sum(sigmabar^2), R_B = (2 + 2 sqrt(t) + 2t) sum(sigmabar^2),
@@ -93,9 +93,9 @@ def gaussian_bounds(spec: GaussSpec, n: int, beta: float) -> float:
         raise ParameterError(f"n must be >= 1, got {n}")
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    trace = sum(spec.sigmabar_sq)
+    trace = sum(sigmabar_sq)
     t = math.log(2.0 * n / beta)
     r_b = (2.0 + 2.0 * math.sqrt(t) + 2.0 * t) * trace
-    m = n * spec.sigmabar_sq[0] * trace
-    logd = math.log(2.0 * spec.d / beta)
+    m = n * sigmabar_sq[0] * trace
+    logd = math.log(2.0 * len(sigmabar_sq) / beta)
     return max(math.sqrt(2.0 * m * logd), 6.0 * r_b * logd)

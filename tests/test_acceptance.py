@@ -24,7 +24,7 @@ import pytest
 
 from dppca import bench
 from dppca.adaptive import run_adaptive_power
-from dppca.datagen import GaussSpec, gen_gaussian_iid, gen_low_coherence, scale_for_privacy
+from dppca.datagen import gen_gaussian_iid, gen_low_coherence, scale_for_privacy, spiked_spectrum
 from dppca.matcore import DenseMatrix
 from dppca.mech import PrivacyBudget, RngStream, compose, invert_budget
 from dppca.svtfilter import threshold_search
@@ -166,8 +166,7 @@ def test_criterion_05_sin2_triangle():
 
 
 def test_criterion_06_svt_filtered_count():
-    spec = GaussSpec.spiked(20, 0.5, 0.5)
-    a, _ = gen_gaussian_iid(10_000, spec, RngStream(77, 1000))
+    a, _ = gen_gaussian_iid(10_000, 20, 0.5, 0.5, RngStream(77, 1000))
     scale_for_privacy(a, 0.05)  # in place
     c2 = constants_K(2, 10_000, 0.05)
     eps_iter = 0.5
@@ -208,11 +207,10 @@ def test_criterion_07_laurent_massart_tail():
 
 
 def test_criterion_08_gaussian_coherence():
-    spec = GaussSpec.spiked(16, 0.5, 0.5)
     bound = 6.0 * math.sqrt(math.log(4096) / 4096)
     worst = 0.0
     for seed in range(20):
-        raw, _ = gen_gaussian_iid(4096, spec, RngStream(99, seed))
+        raw, _ = gen_gaussian_iid(4096, 16, 0.5, 0.5, RngStream(99, seed))
         u = np.linalg.svd(raw.data, full_matrices=False)[0]
         worst = max(worst, float(np.abs(u).max()))
     ok = worst <= bound
@@ -222,13 +220,13 @@ def test_criterion_08_gaussian_coherence():
 
 
 def test_criterion_09_bernstein_envelope():
-    spec = GaussSpec.spiked(16, 0.5, 0.5)
-    g = gaussian_bounds(spec, 4096, 0.05)
-    pop = 4096 * np.diag(spec.sigmabar_sq)
+    spectrum = spiked_spectrum(16, 0.5, 0.5)
+    g = gaussian_bounds(spectrum, 4096, 0.05)
+    pop = 4096 * np.diag(spectrum)
     within = 0
     for seed in range(40):
         # Unrotated rows diag(sigmabar) z_i, so the population Gram is diagonal.
-        raw = RngStream(88, seed).standard_normal((4096, 16)) * np.sqrt(spec.sigmabar_sq)
+        raw = RngStream(88, seed).standard_normal((4096, 16)) * np.sqrt(spectrum)
         dev = float(np.abs(np.linalg.eigvalsh(raw.T @ raw - pop)).max())
         within += dev <= g
     ok = within >= 38

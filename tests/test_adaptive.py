@@ -15,7 +15,6 @@ from dppca.adaptive import (
     run_adaptive_power,
 )
 from dppca.datagen import (
-    GaussSpec,
     gen_gaussian_iid,
     gen_high_coherence,
     gen_low_coherence,
@@ -265,7 +264,7 @@ class TestGramStep:
     def test_matches_the_masked_product(self, monkeypatch, kind):
         rng = RngStream(31)
         if kind == "gaussian":
-            a = gen_gaussian_iid(3000, GaussSpec.spiked(12, 0.5, 0.5), rng)[0]
+            a = gen_gaussian_iid(3000, 12, 0.5, 0.5, rng)[0]
             scale_for_privacy(a, 0.05)
         elif kind == "low-coh":
             a = gen_low_coherence(3000, 12, 0.3, 0.6, rng)
@@ -319,7 +318,7 @@ class TestNormLayout:
 
     @pytest.fixture
     def spiked(self, monkeypatch):
-        a = gen_gaussian_iid(3001, GaussSpec.spiked(12, 0.5, 0.5), RngStream(36))[0]
+        a = gen_gaussian_iid(3001, 12, 0.5, 0.5, RngStream(36))[0]
         scale_for_privacy(a, 0.05)
         monkeypatch.setattr(svtfilter, "_BLOCK_ELEMENTS", 64 * a.d)  # groups of 64 rows
         return a

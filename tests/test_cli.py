@@ -15,7 +15,7 @@ from dppca import bench, cli
 from dppca.adaptive import corollary_iterations
 from dppca.bench import ExperimentConfig, build_instance, run_algorithm
 from dppca.cli import main
-from dppca.datagen import GaussSpec
+from dppca.datagen import spiked_spectrum
 from dppca.errors import ParameterError
 from dppca.matcore import DenseMatrix, spectrum_stats
 from dppca.matio import load_npy, save_npy
@@ -79,7 +79,7 @@ class TestGen:
         gen = {"kind": "gaussian", "n": 300, "d": 20, "sigma1_sq": 0.5, "kappabar": 0.5}
         a, _, _ = build_instance(gen, RngStream(3), DEFAULT_BETA)
         assert load_npy(str(out)).data.tobytes() == a.data.tobytes()
-        spiked = GaussSpec.spiked(20, 0.5, 0.5).sigmabar_sq
+        spiked = spiked_spectrum(20, 0.5, 0.5)
         assert json.loads(meta.read_text())["spectrum"] == list(spiked)
 
     def test_ground_truth_only_for_meta(self, tmp_path, monkeypatch):

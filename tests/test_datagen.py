@@ -9,12 +9,12 @@ import pytest
 
 from dppca.bench import build_instance
 from dppca.datagen import (
-    GaussSpec,
     gen_gaussian_iid,
     gen_high_coherence,
     gen_low_coherence,
     random_orthogonal,
     scale_for_privacy,
+    spiked_spectrum,
 )
 from dppca.errors import ParameterError
 from dppca.matcore import _BLOCK_ELEMENTS, DenseMatrix, _row_blocks, gram, spectrum_stats
@@ -22,58 +22,51 @@ from dppca.mech import RngStream
 from dppca.theory import gaussian_bounds
 
 
-def gap(spec):
+def gap(spectrum):
     """The relative gap (s1 - s2) / s1 of a spectrum."""
-    s1, s2 = spec.sigmabar_sq[:2]
+    s1, s2 = spectrum[:2]
     return (s1 - s2) / s1
 
 
-class TestGaussSpec:
+class TestSpikedSpectrum:
     def test_valid(self):
-        s = GaussSpec((0.5, 0.3, 0.2))
-        assert s.d == 3
+        s = spiked_spectrum(3, 0.5, 0.4)
+        assert s == pytest.approx((0.5, 0.3, 0.2), abs=1e-15)
         assert gap(s) == pytest.approx(0.4)
 
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ParameterError):
-            GaussSpec((0.5, 0.4))
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ParameterError):
-            GaussSpec((0.3, 0.7))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            GaussSpec((1.5, -0.5))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ParameterError, match="finite"):
-            GaussSpec((bad, 0.5))
-
-    @pytest.mark.parametrize("build, match", [
-        (lambda: GaussSpec(()), "at least one entry"),
-        (lambda: GaussSpec.spiked(1, 0.5, 0.5), "needs d >= 2"),
-        (lambda: GaussSpec.spiked(4, 0.8, 0.5), "mass exceeds 1"),
-        (lambda: GaussSpec.spiked(4, 0.3, 0.9), "flat tail would exceed"),
+    @pytest.mark.parametrize("args, match", [
+        ((1, 0.5, 0.5), "needs d >= 2"),
+        ((4, 0.8, 0.5), "mass exceeds 1"),
+        # sigma2_sq's rounding leaves the last entry below 0 by about 1e-13.
+        ((3, 0.6, 1.0 / 3.0 - 1e-13), "mass exceeds 1"),
+        ((4, 0.3, 0.9), "flat tail would exceed"),
         # At d = 2 there is no tail to take the mass sigma1_sq + sigma2_sq leaves.
-        (lambda: GaussSpec.spiked(2, 0.5, 0.5), "at d = 2"),
-    ], ids=["empty", "spiked-d1", "spiked-mass", "spiked-tail", "spiked-d2-leftover"])
-    def test_rejects_bad_spectrum(self, build, match):
+        ((2, 0.5, 0.5), "at d = 2"),
+        ((4, 0.5, -0.5), r"kappabar must lie in \[0, 1\]"),
+        ((4, 0.5, 1.5), r"kappabar must lie in \[0, 1\]"),
+        ((4, -0.1, 0.5), r"sigma1_sq must lie in \[0, 1\]"),
+        ((2, 1.5, 1.0), r"sigma1_sq must lie in \[0, 1\]"),
+        ((4, float("nan"), 0.5), "sigma1_sq must lie in"),
+        ((4, 0.5, float("nan")), "kappabar must lie in"),
+        ((4, float("inf"), 1.0), "sigma1_sq must lie in"),
+    ], ids=["d1", "mass", "mass-rounding", "tail", "d2-leftover", "kappabar-negative",
+            "kappabar-above-1", "sigma1-negative", "sigma1-above-1", "sigma1-nan",
+            "kappabar-nan", "sigma1-inf"])
+    def test_rejects_bad_spectrum(self, args, match):
         with pytest.raises(ParameterError, match=match):
-            build()
+            spiked_spectrum(*args)
 
-    def test_spiked_d2_keeps_its_gap(self):
-        s = GaussSpec.spiked(2, 2.0 / 3.0, 0.5)
+    def test_d2_keeps_its_gap(self):
+        s = spiked_spectrum(2, 2.0 / 3.0, 0.5)
         assert gap(s) == pytest.approx(0.5, abs=1e-15)
-        assert s.sigmabar_sq[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert s[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    def test_spiked_builder(self):
-        s = GaussSpec.spiked(20, 0.5, 0.5)
-        assert s.sigmabar_sq[0] == pytest.approx(0.5)
-        assert s.sigmabar_sq[1] == pytest.approx(0.25)
-        assert gap(s) == pytest.approx(0.5)
-        assert sum(s.sigmabar_sq) == pytest.approx(1.0, abs=1e-15)
+    def test_acceptance_grid_spectrum(self):
+        # The exact values every shipped Gaussian cell draws from: the last
+        # entry takes the rounding that makes the sum exactly 1.
+        s = spiked_spectrum(20, 0.5, 0.5)
+        assert s == (0.5, 0.25) + (0.25 / 18,) * 17 + (0.013888888888889776,)
+        assert sum(s) == 1.0
 
 
 class TestRandomOrthogonal:
@@ -92,44 +85,39 @@ class TestGenGaussianIid:
     random_orthogonal(d, RngStream(seed))."""
 
     def test_rank1_spec_rows_along_e1(self):
-        spec = GaussSpec((1.0, 0.0, 0.0))
-        a, vbar1 = gen_gaussian_iid(50, spec, RngStream(2))
+        a, vbar1 = gen_gaussian_iid(50, 3, 1.0, 1.0, RngStream(2))  # spectrum (1, 0, 0)
         assert np.array_equal(vbar1, random_orthogonal(3, RngStream(2))[:, 0])
         off_axis = a.data - np.outer(a.data @ vbar1, vbar1)
         assert np.abs(off_axis).max() <= 1e-14 * np.abs(a.data).max()
 
     def test_covariance_concentration(self):
-        # ||(1/n) gram - Q diag(spec) Q^T||_F <= 5 sqrt(d/n) for iid rows
+        # ||(1/n) gram - Q diag(spectrum) Q^T||_F <= 5 sqrt(d/n) for iid rows
         n, d = 20_000, 8
-        spec = GaussSpec.spiked(d, 0.5, 0.5)
-        a, _ = gen_gaussian_iid(n, spec, RngStream(3))
+        a, _ = gen_gaussian_iid(n, d, 0.5, 0.5, RngStream(3))
         q = random_orthogonal(d, RngStream(3))
         emp = gram(a) / n
-        err = np.linalg.norm(emp - q @ np.diag(spec.sigmabar_sq) @ q.T)
+        err = np.linalg.norm(emp - q @ np.diag(spiked_spectrum(d, 0.5, 0.5)) @ q.T)
         assert err <= 5 * np.sqrt(d / n)
 
     def test_per_coordinate_variance_unrotated(self):
         # A Q undoes the rotation: its columns are the scaled draws.
         n = 100_000
-        spec = GaussSpec((0.6, 0.3, 0.1))
-        a, _ = gen_gaussian_iid(n, spec, RngStream(4))
+        a, _ = gen_gaussian_iid(n, 3, 0.6, 0.5, RngStream(4))  # spectrum (0.6, 0.3, 0.1)
         var = (a.data @ random_orthogonal(3, RngStream(4))).var(axis=0)
-        for j, s2 in enumerate(spec.sigmabar_sq):
+        for j, s2 in enumerate(spiked_spectrum(3, 0.6, 0.5)):
             se = s2 * np.sqrt(2.0 / n)  # sd of a chi^2 variance estimate
             assert abs(var[j] - s2) <= 3 * se
 
     def test_vbar1_is_population_top_direction(self):
-        spec = GaussSpec.spiked(6, 0.6, 0.7)
-        a, vbar1 = gen_gaussian_iid(60_000, spec, RngStream(5))
+        a, vbar1 = gen_gaussian_iid(60_000, 6, 0.6, 0.7, RngStream(5))
         emp_cov = gram(a) / a.n
         w, v = np.linalg.eigh(emp_cov)  # oracle
         top = v[:, -1]
         assert abs(top @ vbar1) > 0.99
 
     def test_deterministic(self):
-        spec = GaussSpec.spiked(4, 0.5, 0.5)
-        a1, v1 = gen_gaussian_iid(10, spec, RngStream(6))
-        a2, v2 = gen_gaussian_iid(10, spec, RngStream(6))
+        a1, v1 = gen_gaussian_iid(10, 4, 0.5, 0.5, RngStream(6))
+        a2, v2 = gen_gaussian_iid(10, 4, 0.5, 0.5, RngStream(6))
         assert np.array_equal(a1.data, a2.data)
         assert np.array_equal(v1, v2)
 
@@ -141,8 +129,7 @@ class TestScaleForPrivacy:
         assert 1.0 / a.data == pytest.approx(1.0 + np.sqrt(2 * np.log(100 / 0.05)))
 
     def test_row_norms_bounded_after(self):
-        spec = GaussSpec.spiked(10, 0.5, 0.5)
-        a, _ = gen_gaussian_iid(5000, spec, RngStream(7))
+        a, _ = gen_gaussian_iid(5000, 10, 0.5, 0.5, RngStream(7))
         scale_for_privacy(a, 0.05)
         assert a.max_row_norm() <= 1.0 + 1e-12
 
@@ -156,7 +143,7 @@ class TestScaleForPrivacy:
 
     @pytest.mark.parametrize("d", [7, 20, 128])
     def test_rescales_in_place_and_keeps_exact_row_norms(self, d):
-        raw, _ = gen_gaussian_iid(3000, GaussSpec.spiked(d, 0.5, 0.5), RngStream(9, d))
+        raw, _ = gen_gaussian_iid(3000, d, 0.5, 0.5, RngStream(9, d))
         raw.data[::97] *= 40.0  # rows that stay above norm 1 after scaling
         gram(raw)
         el = 1.0 + np.sqrt(2.0 * np.log(raw.n / 0.05))
@@ -172,10 +159,9 @@ class TestScaleForPrivacy:
 
     def test_clipping_rare_for_gaussian_rows(self):
         # The row-length bound holds with probability >= 1 - beta.
-        spec = GaussSpec.spiked(10, 0.5, 0.5)
         total_rows, clipped = 0, 0
         for seed in range(10):
-            a, _ = gen_gaussian_iid(2000, spec, RngStream(8, seed))
+            a, _ = gen_gaussian_iid(2000, 10, 0.5, 0.5, RngStream(8, seed))
             clipped += scale_for_privacy(a, 0.05)
             total_rows += a.n
         assert clipped / total_rows <= 0.05
@@ -251,17 +237,12 @@ def edge_rows(d):
     return [1, step - 1, step, step + 1, 2 * step + 1]
 
 
-def harmonic(d):
-    """The trace-1 spectrum with weights 1/k, k = 1..d."""
-    w = 1.0 / np.arange(1, d + 1)
-    return tuple(w / w.sum())
-
-
-def one_shot_gaussian(n, spec, rng):
+def one_shot_gaussian(n, spectrum, rng):
     """gen_gaussian_iid as one product of a separate scaled draw."""
-    q = random_orthogonal(spec.d, rng)
-    z = rng.standard_normal((n, spec.d))
-    return (z * np.sqrt(spec.sigmabar_sq)) @ q.T
+    d = len(spectrum)
+    q = random_orthogonal(d, rng)
+    z = rng.standard_normal((n, d))
+    return (z * np.sqrt(spectrum)) @ q.T
 
 
 def one_shot_low_coherence(n, d, sigma1_frac, gap, rng):
@@ -278,13 +259,14 @@ def one_shot_low_coherence(n, d, sigma1_frac, gap, rng):
     return a / np.sqrt(np.einsum("ij,ij->i", a, a)).max()
 
 
-def two_pass_gaussian(n, spec, rng):
+def two_pass_gaussian(n, spectrum, rng):
     """gen_gaussian_iid with the scaling as its own pass over the draw,
     before the blocked rotation: the bytes the per-block scaling keeps."""
-    q = random_orthogonal(spec.d, rng)
-    a = rng.standard_normal((n, spec.d))
-    a *= np.sqrt(np.array(spec.sigmabar_sq))
-    for rows in _row_blocks(n, spec.d):
+    d = len(spectrum)
+    q = random_orthogonal(d, rng)
+    a = rng.standard_normal((n, d))
+    a *= np.sqrt(np.array(spectrum))
+    for rows in _row_blocks(n, d):
         a[rows] = a[rows] @ q.T
     return a
 
@@ -295,20 +277,20 @@ class TestBlockedGenerators:
     the same draws and leave the stream where it leaves it."""
 
     @pytest.mark.parametrize(
-        "spectrum",
-        [harmonic(d) for d in (1, 2, 20, 128)] + [(0.5, 0.5, 0.0)],
-        ids=["1", "2", "20", "128", "zero-entry"],  # a zero entry: signed zeros
+        "d, sigma1_sq, kappabar",
+        [(2, 2.0 / 3.0, 0.5), (20, 0.5, 0.5), (128, 0.5, 0.5), (3, 0.5, 0.0)],
+        ids=["2", "20", "128", "zero-entry"],  # (0.5, 0.5, 0): signed zeros
     )
-    def test_gaussian_matches_one_shot(self, spectrum):
-        spec = GaussSpec(spectrum)
-        for n in edge_rows(spec.d):
+    def test_gaussian_matches_one_shot(self, d, sigma1_sq, kappabar):
+        spectrum = spiked_spectrum(d, sigma1_sq, kappabar)
+        for n in edge_rows(d):
             ref_rng, rng = RngStream(31, n), RngStream(31, n)
-            ref = one_shot_gaussian(n, spec, ref_rng)
-            a, _ = gen_gaussian_iid(n, spec, rng)
+            ref = one_shot_gaussian(n, spectrum, ref_rng)
+            a, _ = gen_gaussian_iid(n, d, sigma1_sq, kappabar, rng)
             assert np.abs(a.data - ref).max() <= 1e-14 * np.abs(ref).max()
             assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
             # The per-block scaling gives the bits of one scaling pass.
-            two_pass = two_pass_gaussian(n, spec, RngStream(31, n))
+            two_pass = two_pass_gaussian(n, spectrum, RngStream(31, n))
             assert a.data.tobytes() == two_pass.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 20, 128])
@@ -375,7 +357,6 @@ class TestScratchBlock:
     a thread has made it, they allocate no row block of their own."""
 
     N, D = 16_000, 20  # two row blocks of 1.28 MB each
-    SPEC = GaussSpec.spiked(D, 0.5, 0.5)
 
     def test_spectrum_stats_allocates_no_block(self):
         def draw(seed):
@@ -386,8 +367,8 @@ class TestScratchBlock:
         assert traced_peak(lambda: spectrum_stats(a)) < 2**20
 
     def test_gaussian_rotation_allocates_no_block(self):
-        gen_gaussian_iid(self.N, self.SPEC, RngStream(53))  # warm-up
-        peak = traced_peak(lambda: gen_gaussian_iid(self.N, self.SPEC, RngStream(54)))
+        gen_gaussian_iid(self.N, self.D, 0.5, 0.5, RngStream(53))  # warm-up
+        peak = traced_peak(lambda: gen_gaussian_iid(self.N, self.D, 0.5, 0.5, RngStream(54)))
         assert peak <= 8 * self.N * self.D + 2**20
 
     def test_low_coherence_core_product_allocates_no_block(self):
@@ -398,7 +379,7 @@ class TestScratchBlock:
 
     def test_threads_get_the_serial_bytes(self):
         def kernels(seed):
-            a, _ = gen_gaussian_iid(self.N, self.SPEC, RngStream(seed))
+            a, _ = gen_gaussian_iid(self.N, self.D, 0.5, 0.5, RngStream(seed))
             stats = spectrum_stats(a)
             low = gen_low_coherence(self.N, self.D, 0.05, 0.5, RngStream(seed))
             return (a.data.tobytes(), low.data.tobytes(), stats.upsilon,
@@ -442,7 +423,7 @@ class TestGenHighCoherence:
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: gen_gaussian_iid(0, GaussSpec((1.0,)), RngStream(0)), "n must be >= 1"),
+    (lambda: gen_gaussian_iid(0, 3, 1.0, 1.0, RngStream(0)), "n must be >= 1"),
     (lambda: scale_for_privacy(DenseMatrix(np.ones((4, 2))), 1.5), "beta must lie"),
     (lambda: gen_high_coherence(10, 3, RngStream(0), spikes=0), "spikes must lie"),
 ], ids=["gaussian-n0", "scale-beta", "high-coh-spikes"])
@@ -455,14 +436,14 @@ class TestBernsteinEnvelope:
     def test_spectral_concentration_within_G(self):
         # ||A^T A - n Sigma^2||_2 <= G in >= 95% of 40 seeds
         n, d = 4096, 16
-        spec = GaussSpec.spiked(d, 0.5, 0.5)
-        g_bound = gaussian_bounds(spec, n, 0.05)
-        sigma2 = np.diag(spec.sigmabar_sq)
+        spectrum = spiked_spectrum(d, 0.5, 0.5)
+        g_bound = gaussian_bounds(spectrum, n, 0.05)
+        sigma2 = np.diag(spectrum)
         hits = 0
         for seed in range(40):
             # Unrotated rows diag(sigmabar) z_i, so the population Gram is diagonal.
             a = DenseMatrix(RngStream(17, seed).standard_normal((n, d))
-                            * np.sqrt(spec.sigmabar_sq))
+                            * np.sqrt(spectrum))
             dev = np.linalg.norm(gram(a) - n * sigma2, ord=2)
             hits += dev <= g_bound
         assert hits >= 38

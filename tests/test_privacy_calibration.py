@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from dppca import baselines, bench
-from dppca.datagen import GaussSpec, gen_gaussian_iid, scale_for_privacy
+from dppca.datagen import gen_gaussian_iid, scale_for_privacy
 from dppca.mech import RngStream
 
 GRID = json.loads((Path(__file__).parent / "data" / "acceptance_bench.json").read_text())["grid"]
@@ -98,7 +98,7 @@ def test_profile_known_values():
 def releases(cell, monkeypatch):
     """Run `cell` on a scaled Gaussian instance; return (run, [mu = D / sigma
     of each Gaussian release])."""
-    a, _ = gen_gaussian_iid(2000, GaussSpec.spiked(D, 0.5, 0.5), RngStream(SEED, 1))
+    a, _ = gen_gaussian_iid(2000, D, 0.5, 0.5, RngStream(SEED, 1))
     scale_for_privacy(a, 0.05)
     mus, noise = [], []
     loop, mirror = bench.run_adaptive_power, baselines._mirror_upper

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dppca.datagen import GaussSpec
+from dppca.datagen import spiked_spectrum
 from dppca.errors import ParameterError
 from dppca.theory import constants_K, gaussian_bounds, solve_rates
 
@@ -91,11 +91,11 @@ class TestBoundRateInequalities:
 
 class TestGaussianBounds:
     def test_G_monotone_in_n_and_inverse_beta(self):
-        spec = GaussSpec.spiked(6, 0.5, 0.5)
-        gs_n = [gaussian_bounds(spec, n, 0.05) for n in (100, 1000, 10_000)]
+        spectrum = spiked_spectrum(6, 0.5, 0.5)
+        gs_n = [gaussian_bounds(spectrum, n, 0.05) for n in (100, 1000, 10_000)]
         assert all(a < b for a, b in zip(gs_n, gs_n[1:]))
-        gs_b = [gaussian_bounds(spec, 1000, b) for b in (0.2, 0.05, 0.001)]
+        gs_b = [gaussian_bounds(spectrum, 1000, b) for b in (0.2, 0.05, 0.001)]
         assert all(a < b for a, b in zip(gs_b, gs_b[1:]))
 
     def test_all_finite(self):
-        assert math.isfinite(gaussian_bounds(GaussSpec.spiked(12, 0.4, 0.3), 5000, 0.01))
+        assert math.isfinite(gaussian_bounds(spiked_spectrum(12, 0.4, 0.3), 5000, 0.01))
